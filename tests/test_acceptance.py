@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import cli_env
 from linksim.baseband import (ChainConfig, ChannelKnowledge, CodecConfig,
                               rx_chain, tx_chain)
 from linksim.baseband.framing import FrameConfig
@@ -242,7 +243,8 @@ def test_criterion_7_ranging():
 
 def _cli(args, cwd):
     return subprocess.run([sys.executable, "-m", "linksim", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          env=cli_env())
 
 
 def test_criterion_8_determinism(tmp_path):

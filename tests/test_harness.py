@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import cli_env
 from linksim.baseband import ChainConfig, CodecConfig
 from linksim.baseband.framing import FrameConfig
 from linksim.channel import make_preset
@@ -369,7 +370,8 @@ class TestConfigParsing:
 
 def run_cli(args, cwd):
     return subprocess.run([sys.executable, "-m", "linksim", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          env=cli_env())
 
 
 class TestCli:
