@@ -1,7 +1,8 @@
-"""Error control coding: CRC framing, rate-1/2 convolutional code, Viterbi.
+"""Error control coding: CRC framing, rate-1/n convolutional code, Viterbi.
 
-The code is the classic constraint-length-7 feedforward convolutional code
-with generators 133/171 (octal), trellis-terminated with K-1 zero tail bits.
+The default code is the classic constraint-length-7 feedforward
+convolutional code with generators 133/171 (octal); any n generators give a
+rate-1/n code.  Codes are trellis-terminated with K-1 zero tail bits.
 Each codeword carries ``info_bits_per_codeword`` bits of which the last
 ``crc_width`` are a CRC over the rest, so the decoder can flag residual
 errors.  Decoding is a full-trellis maximum-likelihood search over soft
@@ -111,7 +112,8 @@ def conv_encode_batch(bits: np.ndarray, cfg: CodecConfig) -> np.ndarray:
 class _Trellis:
     n_states: int
     pred_state: np.ndarray    # (S, 2) predecessor of each state per branch
-    branch_sign: np.ndarray   # (S, 2, n_out) expected soft signs, +1 for bit 0
+    branch_combo: np.ndarray  # (S, 2) row of combo_sign the branch expects
+    combo_sign: np.ndarray    # (2**n_out, n_out) soft signs, +1 for bit 0
     input_bit: np.ndarray     # (S,) input bit consumed on entering the state
 
 
@@ -130,10 +132,16 @@ def _trellis(k: int, generators: tuple[int, ...]) -> _Trellis:
     # newest input bit sits in the register MSB, so it equals t >> (k - 2)
     full = np.stack([2 * t, 2 * t + 1], axis=1)
     pred_state = (full & (n_states - 1)).astype(np.int64)
-    signs = [1 - 2 * parity[full & g] for g in generators]
-    branch_sign = np.stack(signs, axis=-1).astype(np.float64)
+    # coded output o of a branch is bit (n_out - 1 - o) of its combo index
+    combo = np.zeros_like(full)
+    for g in generators:
+        combo = 2 * combo + parity[full & g]
+    n_out = len(generators)
+    combo_bits = (np.arange(1 << n_out)[:, None]
+                  >> np.arange(n_out - 1, -1, -1)) & 1
     input_bit = ((t >> (k - 2)) & 1).astype(np.uint8)
-    trellis = _Trellis(n_states, pred_state, branch_sign, input_bit)
+    trellis = _Trellis(n_states, pred_state, combo.astype(np.intp),
+                       1.0 - 2.0 * combo_bits, input_bit)
     _TRELLIS_CACHE[key] = trellis
     return trellis
 
@@ -157,36 +165,24 @@ def viterbi_decode_batch(soft: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     steps = cfg_len // n_out
     soft = soft.reshape(batch, steps, n_out)
 
+    # branch metric of every sign combination per step, the outputs added
+    # in order o = 0..n_out-1
+    bm = soft[:, :, 0, None] * tr.combo_sign[:, 0]
+    for o in range(1, n_out):
+        bm = bm + soft[:, :, o, None] * tr.combo_sign[:, o]
+
     metric = np.full((batch, tr.n_states), -1e30)
     metric[:, 0] = 0.0
     decisions = np.empty((steps, batch, tr.n_states), dtype=np.uint8)
-    if n_out == 2:
-        # rate-1/2 fast path: the branch correlation takes only four values
-        # (+-s0 +- s1), so look them up instead of recomputing per branch
-        sign_bits = (tr.branch_sign < 0)
-        combo = (2 * sign_bits[:, :, 0] + sign_bits[:, :, 1]).astype(np.intp)
-        pred0, pred1 = tr.pred_state[:, 0], tr.pred_state[:, 1]
-        combo0, combo1 = combo[:, 0], combo[:, 1]
-        combos = np.empty((batch, 4))
-        for n in range(steps):
-            s0, s1 = soft[:, n, 0], soft[:, n, 1]
-            combos[:, 0] = s0 + s1
-            combos[:, 1] = s0 - s1
-            combos[:, 2] = s1 - s0
-            combos[:, 3] = -s0 - s1
-            cand0 = metric[:, pred0] + combos[:, combo0]
-            cand1 = metric[:, pred1] + combos[:, combo1]
-            # strict comparison keeps ties on the 0-branch
-            take1 = cand1 > cand0
-            metric = np.where(take1, cand1, cand0)
-            decisions[n] = take1
-    else:
-        for n in range(steps):
-            corr = np.einsum("bo,sjo->bsj", soft[:, n, :], tr.branch_sign)
-            cand = metric[:, tr.pred_state] + corr
-            best = np.argmax(cand, axis=2).astype(np.uint8)
-            metric = np.take_along_axis(cand, best[:, :, None], axis=2)[:, :, 0]
-            decisions[n] = best
+    pred0, pred1 = tr.pred_state[:, 0], tr.pred_state[:, 1]
+    combo0, combo1 = tr.branch_combo[:, 0], tr.branch_combo[:, 1]
+    for n in range(steps):
+        cand0 = metric[:, pred0] + bm[:, n, combo0]
+        cand1 = metric[:, pred1] + bm[:, n, combo1]
+        # strict comparison keeps ties on the 0-branch
+        take1 = cand1 > cand0
+        metric = np.where(take1, cand1, cand0)
+        decisions[n] = take1
 
     # terminated trellis: trace back from state 0
     state = np.zeros(batch, dtype=np.int64)

@@ -13,7 +13,7 @@ fully determines the noise (and optional tap-phase) realization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -172,9 +172,3 @@ def make_preset(name: str, **overrides) -> ChannelModel:
             f"unknown channel preset {name!r}; available: {', '.join(CHANNEL_PRESETS)}")
     return ChannelModel(taps=_PRESET_TAPS[name], **overrides)
 
-
-def with_trial_settings(model: ChannelModel, *, seed: int,
-                        snr_db: float | None = None) -> ChannelModel:
-    """Per-trial copy of a model with its own seed (and optionally SNR)."""
-    return replace(model, seed=seed,
-                   snr_db=model.snr_db if snr_db is None else snr_db)

@@ -5,7 +5,9 @@
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error.  Every run
 writes its result CSV plus a JSON manifest (config echo, seed, version,
-wall clock) alongside it.
+wall clock) alongside it.  ``--threads`` is accepted for compatibility and
+has no effect: trials hold the interpreter lock, and running them on a
+thread pool was measured slower than one loop.
 """
 from __future__ import annotations
 
@@ -43,7 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None,
                          help="override the config's output path")
         cmd.add_argument("--threads", type=int, default=1,
-                         help="worker threads for sweep trials")
+                         help="accepted for compatibility; no effect "
+                              "(trials are interpreter-bound and run in "
+                              "one loop)")
     return parser
 
 
@@ -58,8 +62,7 @@ def _run(cfg: SimulationConfig, args: argparse.Namespace) -> None:
     out = _output_path(cfg, args)
     started = time.perf_counter()
     if cfg.scenario in ("ber-sweep", "per-sweep"):
-        result = run_sweep(cfg.chain, cfg.channel, cfg.sweep, cfg.master_seed,
-                           threads=max(1, args.threads))
+        result = run_sweep(cfg.chain, cfg.channel, cfg.sweep, cfg.master_seed)
         rows, fields = result.csv_rows()
     elif cfg.scenario == "mux-sim":
         result = run_mux_sim(cfg.mux, cfg.master_seed)

@@ -99,6 +99,16 @@ class SimulationConfig:
     raw: dict | None = None
 
 
+def _check_genie_response(chain: ChainConfig, channel: ChannelModel) -> None:
+    """Genie knowledge is computed once per sweep point or mux run, so
+    per-trial tap phases would leave the receiver decoding against a stale
+    response."""
+    if channel.randomize_tap_phases and chain.channel_estimator == "genie":
+        raise ConfigError(
+            "channel.randomize_tap_phases: requires the pilot-ls estimator "
+            "(the genie response would be stale)")
+
+
 def _parse_profiles(data: Mapping[str, Any]) -> dict[str, ServiceProfile]:
     """Custom profile definitions; built-ins stay addressable by name."""
     _check_keys("profiles", data, ("service", "requirement"))
@@ -365,6 +375,7 @@ def _parse_mux(data: Mapping[str, Any], service: dict[str, ServiceProfile],
         if chain is None or channel is None:
             raise ConfigError(
                 "mux.loss: baseband mode needs 'baseband' and 'channel' sections")
+        _check_genie_response(chain, channel)
         loss = BasebandLossModel(chain=chain, channel=channel)
     else:
         raise ConfigError("mux.loss.mode: must be 'iid' or 'baseband'")
@@ -459,10 +470,7 @@ def parse_config(data: Mapping[str, Any], scenario: str) -> SimulationConfig:
                 raise ConfigError(f"{section}: section required for {scenario}")
         if scenario == "per-sweep" and chain.codec is None:
             raise ConfigError("baseband.codec: per-sweep requires a codec")
-        if channel.randomize_tap_phases and chain.channel_estimator == "genie":
-            raise ConfigError(
-                "channel.randomize_tap_phases: requires the pilot-ls estimator "
-                "(the genie response would be stale)")
+        _check_genie_response(chain, channel)
         cfg.sweep = _parse_sweep(data["sweep"])
     elif scenario == "mux-sim":
         if "mux" not in data:

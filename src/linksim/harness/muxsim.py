@@ -14,7 +14,8 @@ with a definite fate, and the conservation identity
 
 Losses come either from an iid per-modem loss probability (decided by a
 stable hash of (channel, sequence, modem), hence order-independent) or
-from running each copy through the full baseband + channel pipeline.
+from running each copy through the sweep's link trial (``link_trial``),
+the full baseband + channel pipeline.
 """
 from __future__ import annotations
 
@@ -24,12 +25,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..baseband.chain import ChainConfig, ChannelKnowledge, rx_chain, tx_chain
-from ..channel import ChannelModel, apply_channel, estimate_frequency_response
+from ..baseband.chain import ChainConfig
+from ..channel import ChannelModel
 from ..errors import ConfigError
 from ..mux import AppFrame, FrameSource, LogicalChannel, Mux, Redundancy
 from ..profiles import ModemCapacity, admit_channels
 from .seeding import stable_seed, stable_uniform
+from .sweep import genie_knowledge, link_trial
 
 #: latency histogram bucket upper edges (seconds); the last bucket is open
 LATENCY_BUCKETS = (1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
@@ -169,32 +171,6 @@ def _histogram(latencies: list[float]) -> tuple[int, ...]:
     return tuple(counts)
 
 
-class _BasebandLink:
-    """One modem's PHY pipeline for the baseband-backed loss model."""
-
-    def __init__(self, loss: BasebandLossModel):
-        self.cfg = loss.chain
-        self.model = loss.channel
-        self.knowledge = None
-        if self.cfg.channel_estimator == "genie":
-            h = estimate_frequency_response(self.model, self.cfg.frame.fft_size)
-            sigma2 = 0.0
-            if self.model.snr_db is not None:
-                tap_power = float(np.mean(np.abs(h) ** 2))
-                sigma2 = tap_power / 10.0 ** (self.model.snr_db / 10.0)
-            self.knowledge = ChannelKnowledge(h, sigma2)
-
-    def transmit(self, payload: bytes, seed: int) -> bool:
-        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-        padded = np.zeros(self.cfg.payload_bits, dtype=np.uint8)
-        padded[: len(bits)] = bits
-        tx = tx_chain(padded, self.cfg)
-        model = replace(self.model, seed=seed)
-        rx = rx_chain(apply_channel(tx.waveform, model), self.cfg, self.knowledge)
-        ok = rx.crc_ok is not False and bool(np.array_equal(rx.info_bits, padded))
-        return ok
-
-
 def run_mux_sim(spec: MuxSimSpec, master_seed: int) -> MuxSimResult:
     """Simulate the dual-modem mux and return per-channel statistics."""
     check_admission(spec)
@@ -206,9 +182,9 @@ def run_mux_sim(spec: MuxSimSpec, master_seed: int) -> MuxSimResult:
     def airtime(nbytes: int) -> float:
         return nbytes * 8 / (spec.capacity.capacity_c * 1e6)
 
-    link = None
+    knowledge = None
     if isinstance(spec.loss, BasebandLossModel):
-        link = _BasebandLink(spec.loss)
+        knowledge = genie_knowledge(spec.loss.chain, spec.loss.channel)
 
     events: list[tuple[float, int, str, object]] = []
     order = 0
@@ -233,9 +209,15 @@ def run_mux_sim(spec: MuxSimSpec, master_seed: int) -> MuxSimResult:
             u = stable_uniform(master_seed, packet.channel_id,
                                packet.sequence_number, modem)
             return u >= spec.loss.per_modem[modem]
+        cfg = spec.loss.chain
+        bits = np.unpackbits(np.frombuffer(packet.payload, dtype=np.uint8))
+        padded = np.zeros(cfg.payload_bits, dtype=np.uint8)
+        padded[: len(bits)] = bits
         seed = stable_seed(master_seed, packet.channel_id,
                            packet.sequence_number, modem)
-        return link.transmit(packet.payload, seed)
+        _, packet_error = link_trial(
+            padded, cfg, replace(spec.loss.channel, seed=seed), knowledge)
+        return packet_error == 0
 
     def dispatch(now: float) -> None:
         nonlocal order

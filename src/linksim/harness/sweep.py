@@ -4,8 +4,11 @@ Each sweep point runs ``trials`` independent frames through the full
 tx -> channel -> rx pipeline.  Trial t of point i draws its payload from
 seed stable_seed(master, i, t, 0) and its channel noise from
 stable_seed(master, i, t, 1), so results are bit-identical regardless of
-execution order or thread count; trials may run on a thread pool and are
-merged into per-trial slots before aggregation.
+execution order.  Trials run one after another in a single loop: they are
+bound by the interpreter lock, and a thread pool only made sweeps slower.
+
+``link_trial`` is the one tx -> channel -> rx trial of the package; the
+baseband-backed mux simulation sends its packet copies through it too.
 
 The axis is either the per-sample (= per-chip) SNR in dB, or Eb/N0 in dB,
 which is converted per point via
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,50 +108,59 @@ def snr_for_axis(axis_value: float, axis: str, cfg: ChainConfig) -> float:
     return axis_value + 10.0 * math.log10(factor)
 
 
-def _run_trial(cfg: ChainConfig, base_model: ChannelModel, snr_db: float,
-               master_seed: int, point: int, trial: int) -> tuple[int, int]:
-    rng = np.random.default_rng(stable_seed(master_seed, point, trial, 0))
-    payload = rng.integers(0, 2, cfg.payload_bits, dtype=np.int64).astype(np.uint8)
-    tx = tx_chain(payload, cfg)
-    model = replace(base_model, snr_db=snr_db,
-                    seed=stable_seed(master_seed, point, trial, 1))
-    rx_wave = apply_channel(tx.waveform, model)
-    knowledge = None
-    if cfg.channel_estimator == "genie":
-        h = estimate_frequency_response(model, cfg.frame.fft_size)
+def genie_knowledge(cfg: ChainConfig,
+                    model: ChannelModel) -> ChannelKnowledge | None:
+    """What the genie estimator is told about ``model``; None for pilot-ls.
+
+    The response does not depend on the noise seed, so one call serves
+    every trial that shares the model's taps and SNR.
+    """
+    if cfg.channel_estimator != "genie":
+        return None
+    h = estimate_frequency_response(model, cfg.frame.fft_size)
+    sigma2 = 0.0
+    if model.snr_db is not None:
         # Parseval: sum of tap powers = mean of |H|^2 over the bins
         tap_power = float(np.mean(np.abs(h) ** 2))
-        sigma2 = 0.0
-        if model.snr_db is not None:
-            sigma2 = tap_power / 10.0 ** (model.snr_db / 10.0)
-        knowledge = ChannelKnowledge(freq_response=h, noise_variance=sigma2)
-    rx = rx_chain(rx_wave, cfg, knowledge)
+        sigma2 = tap_power / 10.0 ** (model.snr_db / 10.0)
+    return ChannelKnowledge(freq_response=h, noise_variance=sigma2)
+
+
+def link_trial(payload: np.ndarray, cfg: ChainConfig, model: ChannelModel,
+               knowledge: ChannelKnowledge | None) -> tuple[int, int]:
+    """Send one frame tx -> channel -> rx; return (bit_errors, packet_error).
+
+    The packet is in error (1) when any payload bit differs or a codeword
+    fails its CRC.
+    """
+    tx = tx_chain(payload, cfg)
+    rx = rx_chain(apply_channel(tx.waveform, model), cfg, knowledge)
     bit_errors = int(np.count_nonzero(rx.info_bits != payload))
-    packet_error = int(bit_errors > 0 or rx.crc_ok is False)
-    return bit_errors, packet_error
+    return bit_errors, int(bit_errors > 0 or rx.crc_ok is False)
 
 
 def run_sweep(cfg: ChainConfig, base_model: ChannelModel, spec: SweepSpec,
               master_seed: int, threads: int = 1) -> SweepResult:
-    """Run every sweep point; aggregation is an order-independent fold."""
+    """Run every sweep point; aggregation is an order-independent fold.
+
+    ``threads`` is accepted for compatibility and ignored.
+    """
     start = time.perf_counter()
     points = []
     for i, axis_value in enumerate(spec.values):
-        snr_db = snr_for_axis(axis_value, spec.axis, cfg)
-        results: list[tuple[int, int]] = [(0, 0)] * spec.trials
+        model = replace(base_model,
+                        snr_db=snr_for_axis(axis_value, spec.axis, cfg))
+        knowledge = genie_knowledge(cfg, model)
+        bit_errors = packet_errors = 0
+        for t in range(spec.trials):
+            rng = np.random.default_rng(stable_seed(master_seed, i, t, 0))
+            payload = rng.integers(0, 2, cfg.payload_bits,
+                                   dtype=np.int64).astype(np.uint8)
+            trial_model = replace(model, seed=stable_seed(master_seed, i, t, 1))
+            errors, packet_error = link_trial(payload, cfg, trial_model, knowledge)
+            bit_errors += errors
+            packet_errors += packet_error
 
-        def work(t: int, _i: int = i, _snr: float = snr_db) -> None:
-            results[t] = _run_trial(cfg, base_model, _snr, master_seed, _i, t)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(work, range(spec.trials)))
-        else:
-            for t in range(spec.trials):
-                work(t)
-
-        bit_errors = sum(r[0] for r in results)
-        packet_errors = sum(r[1] for r in results)
         bits = spec.trials * cfg.payload_bits
         points.append(SweepPoint(
             axis_value=axis_value, trials=spec.trials, bits=bits,

@@ -191,6 +191,3 @@ class Mux:
         latency = now - packet.created_at
         counters.latencies.append(latency)
         return packet.payload, latency
-
-    def queued_packets(self, channel_id: int) -> int:
-        return len(self._queues[channel_id])

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,9 @@ from linksim.baseband.coding import (CodecConfig, conv_encode, crc_bits,
                                      decode, encode, viterbi_decode_batch)
 
 SMALL = CodecConfig(info_bits_per_codeword=128, crc_width=32)
+RATE_THIRD = CodecConfig(info_bits_per_codeword=128, crc_width=32,
+                         code_rate=Fraction(1, 3),
+                         generators=(0o133, 0o171, 0o165))
 
 
 def random_bits(n, seed):
@@ -82,6 +87,32 @@ class TestConvolutionalCode:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
             decode(np.zeros(17), SMALL)
+
+    def test_rate_third_roundtrip_noiseless(self):
+        info = random_bits(RATE_THIRD.info_capacity, 12)
+        coded = encode(info, RATE_THIRD)
+        assert len(coded) == (128 + 6) * 3
+        out, ok = decode(coded, RATE_THIRD)
+        assert np.array_equal(out, info)
+        assert ok
+
+    @pytest.mark.parametrize("generators, seed, expected", [
+        ((0o133, 0o171), 0,
+         "010111000100011111101110110111111001011010111111"),
+        ((0o133, 0o171, 0o165), 1,
+         "111110110100111001101011110110011110001100000010"),
+    ])
+    def test_ties_resolve_to_zero_branch(self, generators, seed, expected):
+        # integer soft values make many merging paths tie; these inputs
+        # decode differently if ties went to the 1-branch instead
+        cfg = CodecConfig(info_bits_per_codeword=48, crc_width=8,
+                          code_rate=Fraction(1, len(generators)),
+                          generators=generators)
+        rng = np.random.default_rng(seed)
+        soft = np.round(rng.normal(scale=0.7,
+                                   size=(1, cfg.coded_bits_per_codeword)))
+        decoded = viterbi_decode_batch(soft, cfg)[0]
+        assert "".join(map(str, decoded)) == expected
 
 
 class TestCrc:

@@ -352,6 +352,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="pilot-ls"):
             parse_config(data, "ber-sweep")
 
+    def test_baseband_mux_randomized_phases_need_ls_estimator(self):
+        data = self._base()
+        del data["sweep"]
+        data["channel"]["randomize_tap_phases"] = True
+        data["mux"] = {
+            "modem_capacity_mbps": 100.0, "duration_s": 0.001,
+            "loss": {"mode": "baseband"},
+            "channels": [{"id": 0, "sp": "SP1", "deadline_s": 0.1}],
+        }
+        with pytest.raises(ConfigError, match="pilot-ls"):
+            parse_config(data, "mux-sim")
+        data["baseband"]["receiver"] = {"channel_estimator": "pilot-ls"}
+        assert parse_config(data, "mux-sim").mux.loss.channel.randomize_tap_phases
+
     def test_trace_file_loaded(self, tmp_path):
         trace = tmp_path / "trace.csv"
         trace.write_text("# time,channel,size\n0.0,0,64\n1e-4,0,64\n")
