@@ -71,7 +71,7 @@ class FrameConfig:
         if self.fft_size < 2 or self.fft_size & (self.fft_size - 1):
             raise ValueError("fft_size must be a power of two")
         if not 0 <= self.cp_len < self.fft_size:
-            raise ValueError("need 0 <= cp_len < fft_size")
+            raise ValueError("cp_len must be in [0, fft_size)")
         if self.n_payload_blocks < 1:
             raise ValueError("n_payload_blocks must be >= 1")
         if self.pilots_per_block < 0 or self.pilots_per_block >= self.fft_size:

@@ -40,7 +40,7 @@ class ChannelTap:
 
     def __post_init__(self) -> None:
         if self.delay < 0:
-            raise ValueError("tap delay must be >= 0")
+            raise ValueError("delay must be >= 0")
         if self.bounce_count < 0:
             raise ValueError("bounce_count must be >= 0")
 

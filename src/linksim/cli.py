@@ -13,18 +13,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
-from .baseband.coding import CodecConfig
-from .baseband.framing import FrameConfig
-from .baseband.modulation import ModulationScheme
 from .errors import ConfigError
 from .harness.config import SCENARIOS, SimulationConfig, load_config
 from .harness.csvout import emit_csv, write_manifest
-from .harness.latency import latency_budget
-from .harness.muxsim import run_mux_sim
-from .harness.rangingrun import run_ranging
-from .harness.sweep import run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,47 +43,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _output_path(cfg: SimulationConfig, args: argparse.Namespace) -> str:
-    path = args.out or cfg.output
-    if not path:
-        raise ConfigError("output: give --out or the config 'output' key")
-    return path
-
-
 def _run(cfg: SimulationConfig, args: argparse.Namespace) -> None:
-    out = _output_path(cfg, args)
-    started = time.perf_counter()
-    if cfg.scenario in ("ber-sweep", "per-sweep"):
-        result = run_sweep(cfg.chain, cfg.channel, cfg.sweep, cfg.master_seed)
-        rows, fields = result.csv_rows()
-    elif cfg.scenario == "mux-sim":
-        result = run_mux_sim(cfg.mux, cfg.master_seed)
-        rows, fields = result.csv_rows()
-    elif cfg.scenario == "ranging":
-        result = run_ranging(cfg.ranging, cfg.master_seed)
-        rows, fields = result.csv_rows()
-    else:
-        chain = cfg.chain
-        if chain is not None and chain.codec is not None:
-            codec = chain.codec
-        else:
-            codec = CodecConfig()
-        budget = latency_budget(
-            codec=codec,
-            coded_rate_bps=cfg.latency.coded_rate_bps,
-            frame=chain.frame if chain is not None else FrameConfig(),
-            distance_m=cfg.latency.distance_m,
-            modulation=(chain.modulation if chain is not None
-                        else ModulationScheme.BPSK),
-            spreading_factor=chain.spreading.sf if chain is not None else 1)
-        rows = [{"stage": name, "seconds": seconds}
-                for name, seconds in budget.stages]
-        rows.append({"stage": "total", "seconds": budget.total})
-        rows.append({"stage": "within_rp1", "seconds": float(budget.within_rp1)})
-        fields = ["stage", "seconds"]
+    out = args.out or cfg.output
+    if not out:
+        raise ConfigError("output: give --out or the config 'output' key")
+    result = SCENARIOS[cfg.scenario].run(cfg)
+    rows, fields = result.csv_rows()
     emit_csv(rows, fields, out)
     write_manifest(out, cfg.raw, cfg.master_seed,
-                   wall_clock_s=time.perf_counter() - started)
+                   wall_clock_s=result.wall_clock_s)
 
 
 def main(argv: list[str] | None = None) -> int:

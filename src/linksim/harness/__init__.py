@@ -1,12 +1,13 @@
 """Monte Carlo orchestration, latency accounting, config and CSV reporting."""
 
-from .config import (LatencySpec, RangingSpec, SimulationConfig, load_config,
-                     parse_config)
+from .config import SimulationConfig, load_config, parse_config
 from .csvout import emit_csv, manifest_path, write_manifest
-from .latency import DEFAULT_CODED_RATE_BPS, LatencyBudget, latency_budget
+from .latency import (DEFAULT_CODED_RATE_BPS, LatencyBudget, LatencySpec,
+                      latency_budget)
 from .muxsim import (BasebandLossModel, IidLossModel, MuxSimResult, MuxSimSpec,
                      PeriodicTraffic, check_admission, run_mux_sim)
-from .rangingrun import RangingResult, ranging_waveform, run_ranging
+from .rangingrun import (RangingResult, RangingSpec, ranging_waveform,
+                         run_ranging)
 from .seeding import stable_seed, stable_uniform
 from .sweep import SweepPoint, SweepResult, SweepSpec, ci95_halfwidth, run_sweep
 

@@ -2,16 +2,20 @@
 
 The file is a JSON object with sections ``baseband``, ``channel``,
 ``sweep``, ``mux``, ``ranging``, ``latency`` and ``profiles`` next to the
-top-level ``scenario``, ``master_seed`` and ``output`` keys.  Unknown keys
-anywhere are errors; every validation failure raises ConfigError naming
-the offending field.
+top-level ``scenario``, ``master_seed`` and ``output`` keys.  Every JSON
+object is read through a field table (JSON key -> dataclass field, JSON
+type): unknown keys are errors, a key whose field has no dataclass default
+is required, and an omitted key is not passed, so each default lives in
+its dataclass.  Every validation failure raises ConfigError whose message
+starts with the dotted path of the offending key.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from enum import Enum
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -20,69 +24,16 @@ from ..baseband.coding import CodecConfig
 from ..baseband.equalizers import EqualizerConfig, EqualizerVariant
 from ..baseband.framing import FrameConfig
 from ..baseband.modulation import ModulationScheme, SpreadingConfig
-from ..channel import (AntennaPattern, ChannelModel, ChannelTap, make_preset)
+from ..channel import AntennaPattern, ChannelModel, ChannelTap, make_preset
 from ..errors import ConfigError
 from ..mux import FrameSource, LogicalChannel, Redundancy
 from ..profiles import (SERVICE_PROFILES, ModemCapacity, RequirementProfile,
                         Robustness, SecurityLevel, ServiceProfile)
+from .latency import LatencySpec, run_latency_budget
 from .muxsim import (BasebandLossModel, IidLossModel, MuxSimSpec,
-                     PeriodicTraffic)
-from .sweep import SweepSpec
-
-SCENARIOS = ("ber-sweep", "per-sweep", "mux-sim", "ranging", "latency-budget")
-
-_TOP_KEYS = ("scenario", "master_seed", "output", "baseband", "channel",
-             "sweep", "mux", "ranging", "latency", "profiles")
-
-
-def _check_keys(section: str, data: Mapping[str, Any], allowed: tuple[str, ...]) -> None:
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{section}: unknown keys {unknown}")
-
-
-def _require(data: Mapping[str, Any], section: str, key: str) -> Any:
-    if key not in data:
-        raise ConfigError(f"{section}.{key}: required key missing")
-    return data[key]
-
-
-def _expect(value: Any, section: str, key: str, kinds: tuple[type, ...]) -> Any:
-    if isinstance(value, bool) and bool not in kinds:
-        raise ConfigError(f"{section}.{key}: wrong type {type(value).__name__}")
-    if not isinstance(value, kinds):
-        raise ConfigError(f"{section}.{key}: wrong type {type(value).__name__}")
-    return value
-
-
-@dataclass(frozen=True)
-class RangingSpec:
-    sample_rate_hz: float
-    bandwidth_hz: float
-    waveform_len: int
-    trials: int
-    range_min_m: float
-    range_max_m: float
-    reflection_gain_db: float = 0.0
-    residual_si_power_db: float | None = None
-    echo_snr_db: float | None = None
-    relative_velocity_mps: float = 0.0
-    block_len: int = 256
-    carrier_wavelength_m: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ConfigError("ranging.trials: must be >= 1")
-        if not 0 < self.range_min_m < self.range_max_m:
-            raise ConfigError("ranging: need 0 < range_min_m < range_max_m")
-        if self.waveform_len < 2:
-            raise ConfigError("ranging.waveform_len: must be >= 2")
-
-
-@dataclass(frozen=True)
-class LatencySpec:
-    coded_rate_bps: float = 500e6
-    distance_m: float = 0.5
+                     PeriodicTraffic, run_mux_sim)
+from .rangingrun import RangingSpec, run_ranging
+from .sweep import SweepSpec, run_sweep
 
 
 @dataclass
@@ -99,6 +50,153 @@ class SimulationConfig:
     raw: dict | None = None
 
 
+# -- the reader ---------------------------------------------------------------
+# A field table maps each JSON key to (dataclass field, JSON type).  The JSON
+# types are int, float (a number; ints are promoted), bool, str, list, dict
+# (an object), an Enum (one of its string values) and Nullable(type).
+
+@dataclass(frozen=True)
+class Nullable:
+    kind: Any
+
+
+Table = Mapping[str, tuple[str, Any]]
+
+_JSON_NAMES = {int: "int", float: "number", bool: "bool", str: "str",
+               list: "list", dict: "object", type(None): "null"}
+
+
+def _table(renamed: Mapping[str, str] | None = None, **kinds: Any) -> Table:
+    """A field table; each key names its field unless ``renamed`` says
+    otherwise."""
+    renamed = renamed or {}
+    return {key: (renamed.get(key, key), kind) for key, kind in kinds.items()}
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _value(value: Any, path: str, kind: Any) -> Any:
+    """``value`` checked against one JSON type; bool is not a number and
+    strings are never coerced."""
+    if isinstance(kind, Nullable):
+        if value is None:
+            return None
+        kind = kind.kind
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        choices = [member.value for member in kind]
+        if value not in choices:
+            raise ConfigError(f"{path}: must be one of {choices}")
+        return kind(value)
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (isinstance(value, bool)
+                                           and kind is not bool):
+        got = _JSON_NAMES.get(type(value), type(value).__name__)
+        raise ConfigError(f"{path}: expected {_JSON_NAMES[kind]}, got {got}")
+    return float(value) if kind is float else value
+
+
+def _items(values: list, path: str, kind: Any) -> tuple:
+    return tuple(_value(v, f"{path}[{i}]", kind) for i, v in enumerate(values))
+
+
+def _read(data: Any, path: str, table: Table,
+          cls: type | None = None) -> dict[str, Any]:
+    """Keyword arguments for ``cls`` from the JSON object ``data``."""
+    data = _value(data, path, dict)
+    unknown = sorted(set(data) - set(table))
+    if unknown:
+        raise ConfigError(f"{path or 'config'}: unknown keys {unknown}")
+    required = {f.name for f in fields(cls) if f.default is MISSING
+                and f.default_factory is MISSING} if cls else set()
+    for key, (name, _) in table.items():
+        if name in required and key not in data:
+            raise ConfigError(f"{_join(path, key)}: required key missing")
+    return {table[key][0]: _value(value, _join(path, key), table[key][1])
+            for key, value in data.items()}
+
+
+def _make(cls: Callable, path: str, table: Table, *args: Any,
+          **kwargs: Any) -> Any:
+    """``cls(*args, **kwargs)``; a ValueError becomes a ConfigError naming
+    the key whose field the message starts with, else ``path``."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        first = str(exc).split(" ", 1)[0]
+        keys = [key for key, (name, _) in table.items() if name == first]
+        where = _join(path, keys[0]) if keys else path
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+# -- field tables ---------------------------------------------------------------
+
+_TOP = _table(scenario=Nullable(str), master_seed=int, output=Nullable(str),
+              baseband=dict, channel=dict, sweep=dict, mux=dict, ranging=dict,
+              latency=dict, profiles=dict)
+
+_PROFILES = _table(service=dict, requirement=dict)
+_SERVICE = _table(robustness=Robustness, max_bitrate_rb=float,
+                  spreading_factor_sf=int)
+_REQUIREMENT = _table(max_latency=float, max_bitrate=float, per_bound=float,
+                      distance_min=float, distance_max=float,
+                      los_required=bool, p2p_only=bool, security=SecurityLevel,
+                      hw_redundancy=bool)
+
+_BASEBAND = _table(
+    {"spreading_factor": "sf", "payload_blocks": "n_payload_blocks"},
+    modulation=ModulationScheme, spreading_factor=int, codec=Nullable(dict),
+    fft_size=int, cp_len=int, payload_blocks=Nullable(int),
+    pilots_per_block=int, payload_bits=int, equalizer=dict, receiver=dict)
+_CODEC = _table(info_bits_per_codeword=int, code_rate=list,
+                constraint_length=int, crc_width=int)
+_EQUALIZER = _table(variant=EqualizerVariant, lms_taps=int, lms_step=float,
+                    decision_directed=bool,
+                    noise_variance_hint=Nullable(float))
+_RECEIVER = _table(correct_cfo=bool, track_pilot_phase=bool,
+                   channel_estimator=str, timing_search=Nullable(int),
+                   sync_threshold=float)
+# ChainConfig takes the receiver keys as its own fields
+_CHAIN = {**_BASEBAND, **{f"receiver.{key}": row for key, row in _RECEIVER.items()}}
+
+_CHANNEL = _table(preset=str, taps=list, antenna=dict, cfo=float,
+                  phase_offset=float, snr_db=Nullable(float),
+                  randomize_tap_phases=bool)
+_ANTENNA = _table({"mainlobe_gain_dbi": "mainlobe_gain",
+                   "sidelobe_gain_dbi": "sidelobe_gain",
+                   "crosspol_rejection_db": "crosspol_rejection"},
+                  mainlobe_gain_dbi=float, sidelobe_gain_dbi=float,
+                  crosspol_rejection_db=float)
+_TAP = _table(delay=int, gain_db=float, phase_deg=float, bounce_count=int,
+              via_sidelobe=bool)
+
+_SWEEP = _table(axis=str, values=list, trials=int, per_target=Nullable(float))
+
+_MUX = _table({"modem_capacity_mbps": "capacity"},
+              modem_capacity_mbps=float, channels=list, loss=dict,
+              duration_s=float, mtu=int, queue_depth=int, trace=list,
+              trace_file=str)
+_LOGICAL_CHANNEL = _table({"deadline_s": "deadline"}, id=int, sp=str,
+                          deadline_s=float, redundancy=Redundancy, traffic=dict)
+_TRAFFIC = _table({"period_s": "period", "payload_bytes": "payload_size",
+                   "start_offset_s": "start_offset"},
+                  period_s=float, payload_bytes=int, start_offset_s=float,
+                  source=FrameSource)
+_IID_LOSS = _table(mode=str, per_modem=list)
+
+_RANGING = _table(sample_rate_hz=float, bandwidth_hz=float, waveform_len=int,
+                  trials=int, range_min_m=float, range_max_m=float,
+                  reflection_gain_db=float,
+                  residual_si_power_db=Nullable(float),
+                  echo_snr_db=Nullable(float), relative_velocity_mps=float,
+                  block_len=int, carrier_wavelength_m=float)
+
+_LATENCY = _table(coded_rate_bps=float, distance_m=float)
+
+
+# -- sections -------------------------------------------------------------------
+
 def _check_genie_response(chain: ChainConfig, channel: ChannelModel) -> None:
     """Genie knowledge is computed once per sweep point or mux run, so
     per-trial tap phases would leave the receiver decoding against a stale
@@ -109,193 +207,93 @@ def _check_genie_response(chain: ChainConfig, channel: ChannelModel) -> None:
             "(the genie response would be stale)")
 
 
-def _parse_profiles(data: Mapping[str, Any]) -> dict[str, ServiceProfile]:
+def _parse_profiles(data: Any) -> dict[str, ServiceProfile]:
     """Custom profile definitions; built-ins stay addressable by name."""
-    _check_keys("profiles", data, ("service", "requirement"))
+    kw = _read(data, "profiles", _PROFILES)
     service = dict(SERVICE_PROFILES)
-    for name, entry in _expect(data.get("service", {}), "profiles", "service",
-                               (dict,)).items():
-        _check_keys(f"profiles.service.{name}", entry,
-                    ("robustness", "max_bitrate_rb", "spreading_factor_sf"))
-        try:
-            service[name] = ServiceProfile(
-                id=name,
-                robustness=Robustness(entry.get("robustness", "normal")),
-                max_bitrate_rb=float(_require(entry, f"profiles.service.{name}",
-                                              "max_bitrate_rb")),
-                spreading_factor_sf=int(_require(entry, f"profiles.service.{name}",
-                                                 "spreading_factor_sf")))
-        except ValueError as exc:
-            raise ConfigError(f"profiles.service.{name}: {exc}") from exc
-    # requirement profiles are parsed for completeness even though no
-    # scenario consumes them directly yet
-    for name, entry in _expect(data.get("requirement", {}), "profiles",
-                               "requirement", (dict,)).items():
-        keys = ("max_latency", "max_bitrate", "per_bound", "distance_min",
-                "distance_max", "los_required", "p2p_only", "security",
-                "hw_redundancy")
-        _check_keys(f"profiles.requirement.{name}", entry, keys)
-        try:
-            RequirementProfile(
-                id=name,
-                max_latency=float(_require(entry, name, "max_latency")),
-                max_bitrate=float(_require(entry, name, "max_bitrate")),
-                per_bound=float(_require(entry, name, "per_bound")),
-                distance_min=float(_require(entry, name, "distance_min")),
-                distance_max=float(_require(entry, name, "distance_max")),
-                los_required=bool(entry.get("los_required", True)),
-                p2p_only=bool(entry.get("p2p_only", True)),
-                security=SecurityLevel(entry.get("security", "medium")),
-                hw_redundancy=bool(entry.get("hw_redundancy", False)))
-        except ValueError as exc:
-            raise ConfigError(f"profiles.requirement.{name}: {exc}") from exc
+    for name, entry in kw.get("service", {}).items():
+        path = f"profiles.service.{name}"
+        # robustness may be omitted from a file entry
+        entry = {"robustness": "normal", **_value(entry, path, dict)}
+        service[name] = _make(ServiceProfile, path, _SERVICE, id=name,
+                              **_read(entry, path, _SERVICE, ServiceProfile))
+    # requirement profiles are validated even though no scenario consumes
+    # them yet
+    for name, entry in kw.get("requirement", {}).items():
+        path = f"profiles.requirement.{name}"
+        _make(RequirementProfile, path, _REQUIREMENT, id=name,
+              **_read(entry, path, _REQUIREMENT, RequirementProfile))
     return service
 
 
-def _parse_codec(data: Any) -> CodecConfig | None:
-    if data is None:
-        return None
-    _check_keys("baseband.codec", data,
-                ("info_bits_per_codeword", "code_rate", "constraint_length",
-                 "crc_width"))
-    kwargs: dict[str, Any] = {}
-    if "info_bits_per_codeword" in data:
-        kwargs["info_bits_per_codeword"] = _expect(
-            data["info_bits_per_codeword"], "baseband.codec",
-            "info_bits_per_codeword", (int,))
-    if "code_rate" in data:
-        rate = _expect(data["code_rate"], "baseband.codec", "code_rate", (list,))
-        if len(rate) != 2:
+def _parse_codec(data: Any) -> CodecConfig:
+    kw = _read(data, "baseband.codec", _CODEC, CodecConfig)
+    if "code_rate" in kw:
+        rate = _items(kw["code_rate"], "baseband.codec.code_rate", int)
+        if len(rate) != 2 or rate[1] == 0:
             raise ConfigError("baseband.codec.code_rate: expected [num, den]")
-        kwargs["code_rate"] = Fraction(int(rate[0]), int(rate[1]))
-    if "constraint_length" in data:
-        kwargs["constraint_length"] = _expect(
-            data["constraint_length"], "baseband.codec", "constraint_length", (int,))
-    if "crc_width" in data:
-        kwargs["crc_width"] = _expect(data["crc_width"], "baseband.codec",
-                                      "crc_width", (int,))
-    try:
-        return CodecConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"baseband.codec: {exc}") from exc
+        kw["code_rate"] = Fraction(*rate)
+    return _make(CodecConfig, "baseband.codec", _CODEC, **kw)
 
 
-def _parse_baseband(data: Mapping[str, Any]) -> ChainConfig:
-    _check_keys("baseband", data,
-                ("modulation", "spreading_factor", "codec", "fft_size",
-                 "cp_len", "payload_blocks", "pilots_per_block",
-                 "payload_bits", "equalizer", "receiver"))
-    try:
-        modulation = ModulationScheme(_expect(
-            data.get("modulation", "bpsk"), "baseband", "modulation", (str,)))
-    except ValueError as exc:
-        raise ConfigError(f"baseband.modulation: {exc}") from exc
+def _parse_baseband(data: Any) -> ChainConfig:
+    kw = _read(data, "baseband", _BASEBAND, ChainConfig)
     # "codec": null selects uncoded operation; omitting the key means defaults
-    codec = _parse_codec(data["codec"]) if "codec" in data else CodecConfig()
-
-    eq_data = _expect(data.get("equalizer", {}), "baseband", "equalizer", (dict,))
-    _check_keys("baseband.equalizer", eq_data,
-                ("variant", "lms_taps", "lms_step", "decision_directed",
-                 "noise_variance_hint"))
-    try:
-        equalizer = EqualizerConfig(
-            variant=EqualizerVariant(eq_data.get("variant", "fd-mmse")),
-            lms_taps=eq_data.get("lms_taps", 15),
-            lms_step=eq_data.get("lms_step", 0.01),
-            decision_directed=eq_data.get("decision_directed", False),
-            noise_variance_hint=eq_data.get("noise_variance_hint"))
-    except ValueError as exc:
-        raise ConfigError(f"baseband.equalizer: {exc}") from exc
-
-    rx_data = _expect(data.get("receiver", {}), "baseband", "receiver", (dict,))
-    _check_keys("baseband.receiver", rx_data,
-                ("correct_cfo", "track_pilot_phase", "channel_estimator",
-                 "timing_search", "sync_threshold"))
-
-    payload_bits = _expect(_require(data, "baseband", "payload_bits"),
-                           "baseband", "payload_bits", (int,))
-    frame_kwargs = dict(
-        fft_size=data.get("fft_size", 256),
-        cp_len=data.get("cp_len", 32),
-        pilots_per_block=data.get("pilots_per_block", 8),
-    )
-    chain_kwargs = dict(
-        codec=codec, modulation=modulation,
-        spreading=SpreadingConfig(data.get("spreading_factor", 1)),
-        equalizer=equalizer,
-        correct_cfo=rx_data.get("correct_cfo", True),
-        track_pilot_phase=rx_data.get("track_pilot_phase", True),
-        channel_estimator=rx_data.get("channel_estimator", "genie"),
-        timing_search=rx_data.get("timing_search"),
-        sync_threshold=rx_data.get("sync_threshold", 0.5),
-    )
-    try:
-        if data.get("payload_blocks") is None:
-            return ChainConfig.for_payload(
-                payload_bits, frame=FrameConfig(n_payload_blocks=1, **frame_kwargs),
-                **chain_kwargs)
-        frame = FrameConfig(n_payload_blocks=data["payload_blocks"], **frame_kwargs)
-        return ChainConfig(payload_bits=payload_bits, frame=frame, **chain_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"baseband: {exc}") from exc
+    if kw.get("codec") is not None:
+        kw["codec"] = _parse_codec(kw["codec"])
+    if "sf" in kw:
+        kw["spreading"] = _make(SpreadingConfig, "baseband.spreading_factor",
+                                {}, kw.pop("sf"))
+    if "equalizer" in kw:
+        kw["equalizer"] = _make(
+            EqualizerConfig, "baseband.equalizer", _EQUALIZER,
+            **_read(kw["equalizer"], "baseband.equalizer", _EQUALIZER))
+    kw.update(_read(kw.pop("receiver", {}), "baseband.receiver", _RECEIVER))
+    frame = {name: kw.pop(name) for name in
+             ("fft_size", "cp_len", "pilots_per_block", "n_payload_blocks")
+             if name in kw}
+    # payload_blocks null or absent: the frame is sized to fit the payload
+    auto_size = frame.get("n_payload_blocks") is None
+    if auto_size:
+        frame["n_payload_blocks"] = 1
+    kw["frame"] = _make(FrameConfig, "baseband", _BASEBAND, **frame)
+    build = ChainConfig.for_payload if auto_size else ChainConfig
+    return _make(build, "baseband", _CHAIN, **kw)
 
 
-def _parse_channel(data: Mapping[str, Any]) -> ChannelModel:
-    _check_keys("channel", data,
-                ("preset", "taps", "antenna", "cfo", "phase_offset", "snr_db",
-                 "randomize_tap_phases"))
-    if ("preset" in data) == ("taps" in data):
+def _parse_tap(data: Any, path: str) -> ChannelTap:
+    kw = _read(data, path, _TAP, ChannelTap)
+    kw["gain"] = 10.0 ** (kw.pop("gain_db", 0.0) / 20.0) * np.exp(
+        1j * np.deg2rad(kw.pop("phase_deg", 0.0)))
+    return _make(ChannelTap, path, _TAP, **kw)
+
+
+def _parse_channel(data: Any) -> ChannelModel:
+    kw = _read(data, "channel", _CHANNEL)
+    if ("preset" in kw) == ("taps" in kw):
         raise ConfigError("channel: give exactly one of 'preset' or 'taps'")
-    ant_data = _expect(data.get("antenna", {}), "channel", "antenna", (dict,))
-    _check_keys("channel.antenna", ant_data,
-                ("mainlobe_gain_dbi", "sidelobe_gain_dbi", "crosspol_rejection_db"))
-    try:
-        antenna = AntennaPattern(
-            mainlobe_gain=ant_data.get("mainlobe_gain_dbi", 18.0),
-            sidelobe_gain=ant_data.get("sidelobe_gain_dbi", 4.0),
-            crosspol_rejection=ant_data.get("crosspol_rejection_db", 15.0))
-    except ValueError as exc:
-        raise ConfigError(f"channel.antenna: {exc}") from exc
-    common = dict(
-        antenna=antenna,
-        snr_db=data.get("snr_db"),
-        cfo=data.get("cfo", 0.0),
-        phase_offset=data.get("phase_offset", 0.0),
-        randomize_tap_phases=data.get("randomize_tap_phases", False))
-    try:
-        if "preset" in data:
-            return make_preset(_expect(data["preset"], "channel", "preset", (str,)),
-                               **common)
-        taps = []
-        for i, row in enumerate(_expect(data["taps"], "channel", "taps", (list,))):
-            _check_keys(f"channel.taps[{i}]", row,
-                        ("delay", "gain_db", "phase_deg", "bounce_count",
-                         "via_sidelobe"))
-            gain = 10.0 ** (row.get("gain_db", 0.0) / 20.0) * np.exp(
-                1j * np.deg2rad(row.get("phase_deg", 0.0)))
-            taps.append(ChannelTap(
-                delay=_require(row, f"channel.taps[{i}]", "delay"),
-                gain=gain,
-                bounce_count=row.get("bounce_count", 0),
-                via_sidelobe=row.get("via_sidelobe", False)))
-        return ChannelModel(taps=tuple(taps), **common)
-    except ValueError as exc:
-        raise ConfigError(f"channel: {exc}") from exc
+    if "antenna" in kw:
+        kw["antenna"] = _make(
+            AntennaPattern, "channel.antenna", _ANTENNA,
+            **_read(kw["antenna"], "channel.antenna", _ANTENNA))
+    if "preset" in kw:
+        return _make(make_preset, "channel.preset", {}, kw.pop("preset"), **kw)
+    kw["taps"] = tuple(_parse_tap(row, f"channel.taps[{i}]")
+                       for i, row in enumerate(kw["taps"]))
+    return _make(ChannelModel, "channel", _CHANNEL, **kw)
 
 
-def _parse_sweep(data: Mapping[str, Any]) -> SweepSpec:
-    _check_keys("sweep", data, ("axis", "values", "trials", "per_target"))
-    values = _expect(_require(data, "sweep", "values"), "sweep", "values", (list,))
-    if not values:
-        raise ConfigError("sweep.values: must be non-empty")
-    try:
-        return SweepSpec(axis=data.get("axis", "ebn0_db"),
-                         values=tuple(float(v) for v in values),
-                         trials=_expect(_require(data, "sweep", "trials"),
-                                        "sweep", "trials", (int,)),
-                         per_target=data.get("per_target"))
-    except ValueError as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
+# The scenario sections below are parsed by (data, cfg, service): cfg holds
+# the parsed baseband and channel, service the service profiles by name.
+
+def _parse_sweep(data: Any, cfg: SimulationConfig,
+                 service: dict[str, ServiceProfile]) -> SweepSpec:
+    if cfg.scenario == "per-sweep" and cfg.chain.codec is None:
+        raise ConfigError("baseband.codec: per-sweep requires a codec")
+    _check_genie_response(cfg.chain, cfg.channel)
+    kw = _read(data, "sweep", _SWEEP, SweepSpec)
+    kw["values"] = _items(kw["values"], "sweep.values", float)
+    return _make(SweepSpec, "sweep", _SWEEP, **kw)
 
 
 def _load_trace(path: str) -> tuple[tuple[float, int, int], ...]:
@@ -306,183 +304,137 @@ def _load_trace(path: str) -> tuple[tuple[float, int, int], ...]:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                parts = line.split(",")
-                if len(parts) != 3:
+                try:
+                    time, channel, size = line.split(",")
+                    rows.append((float(time), int(channel), int(size)))
+                except ValueError:
                     raise ConfigError(
-                        f"trace {path}:{lineno}: expected time,channel,size")
-                rows.append((float(parts[0]), int(parts[1]), int(parts[2])))
+                        f"mux.trace_file: {path}:{lineno}: expected "
+                        "time,channel,size") from None
     except OSError as exc:
         raise ConfigError(f"mux.trace_file: cannot read {path!r}: {exc}") from exc
     return tuple(rows)
 
 
-def _parse_mux(data: Mapping[str, Any], service: dict[str, ServiceProfile],
-               chain: ChainConfig | None,
-               channel: ChannelModel | None) -> MuxSimSpec:
-    _check_keys("mux", data,
-                ("modem_capacity_mbps", "channels", "loss", "duration_s",
-                 "mtu", "queue_depth", "trace", "trace_file"))
-    try:
-        capacity = ModemCapacity(float(_require(data, "mux", "modem_capacity_mbps")))
-    except ValueError as exc:
-        raise ConfigError(f"mux.modem_capacity_mbps: {exc}") from exc
+def _trace_row(row: Any, path: str) -> tuple[float, int, int]:
+    row = _value(row, path, list)
+    if len(row) != 3:
+        raise ConfigError(f"{path}: expected [time, channel, size]")
+    return (_value(row[0], f"{path}[0]", float),
+            _value(row[1], f"{path}[1]", int), _value(row[2], f"{path}[2]", int))
 
-    channels = []
-    traffic = {}
-    for i, entry in enumerate(_expect(_require(data, "mux", "channels"),
-                                      "mux", "channels", (list,))):
-        section = f"mux.channels[{i}]"
-        _check_keys(section, entry, ("id", "sp", "deadline_s", "redundancy",
-                                     "traffic"))
-        sp_name = _expect(_require(entry, section, "sp"), section, "sp", (str,))
-        if sp_name not in service:
-            raise ConfigError(f"{section}.sp: unknown service profile {sp_name!r}")
-        try:
-            ch = LogicalChannel(
-                id=_require(entry, section, "id"),
-                sp=service[sp_name],
-                deadline=float(_require(entry, section, "deadline_s")),
-                redundancy=Redundancy(entry.get("redundancy", "single")))
-        except ValueError as exc:
-            raise ConfigError(f"{section}: {exc}") from exc
-        channels.append(ch)
-        if "traffic" in entry:
-            tr = entry["traffic"]
-            _check_keys(f"{section}.traffic", tr,
-                        ("period_s", "payload_bytes", "start_offset_s", "source"))
-            try:
-                traffic[ch.id] = PeriodicTraffic(
-                    period=float(_require(tr, f"{section}.traffic", "period_s")),
-                    payload_size=_require(tr, f"{section}.traffic", "payload_bytes"),
-                    start_offset=float(tr.get("start_offset_s", 0.0)),
-                    source=FrameSource(tr.get("source", "ethernet")))
-            except ValueError as exc:
-                raise ConfigError(f"{section}.traffic: {exc}") from exc
 
-    loss_data = _expect(_require(data, "mux", "loss"), "mux", "loss", (dict,))
-    mode = loss_data.get("mode")
+def _parse_loss(data: Any, cfg: SimulationConfig) -> IidLossModel | BasebandLossModel:
+    mode = data.get("mode")
     if mode == "iid":
-        _check_keys("mux.loss", loss_data, ("mode", "per_modem"))
-        per = _expect(_require(loss_data, "mux.loss", "per_modem"),
-                      "mux.loss", "per_modem", (list,))
-        try:
-            loss: IidLossModel | BasebandLossModel = IidLossModel(
-                tuple(float(p) for p in per))
-        except ValueError as exc:
-            raise ConfigError(f"mux.loss: {exc}") from exc
-    elif mode == "baseband":
-        _check_keys("mux.loss", loss_data, ("mode",))
-        if chain is None or channel is None:
+        kw = _read(data, "mux.loss", _IID_LOSS, IidLossModel)
+        return _make(IidLossModel, "mux.loss.per_modem", {},
+                     _items(kw["per_modem"], "mux.loss.per_modem", float))
+    if mode == "baseband":
+        _read(data, "mux.loss", _table(mode=str))
+        if cfg.chain is None or cfg.channel is None:
             raise ConfigError(
                 "mux.loss: baseband mode needs 'baseband' and 'channel' sections")
-        _check_genie_response(chain, channel)
-        loss = BasebandLossModel(chain=chain, channel=channel)
-    else:
-        raise ConfigError("mux.loss.mode: must be 'iid' or 'baseband'")
+        _check_genie_response(cfg.chain, cfg.channel)
+        return BasebandLossModel(chain=cfg.chain, channel=cfg.channel)
+    raise ConfigError("mux.loss.mode: must be 'iid' or 'baseband'")
 
-    trace: tuple[tuple[float, int, int], ...] = ()
-    if "trace" in data and "trace_file" in data:
+
+def _parse_mux(data: Any, cfg: SimulationConfig,
+               service: dict[str, ServiceProfile]) -> MuxSimSpec:
+    kw = _read(data, "mux", _MUX, MuxSimSpec)
+    kw["capacity"] = _make(ModemCapacity, "mux.modem_capacity_mbps", {},
+                           kw["capacity"])
+    channels = []
+    traffic = {}
+    for i, entry in enumerate(kw["channels"]):
+        path = f"mux.channels[{i}]"
+        ch = _read(entry, path, _LOGICAL_CHANNEL, LogicalChannel)
+        if ch["sp"] not in service:
+            raise ConfigError(f"{path}.sp: unknown service profile {ch['sp']!r}")
+        ch["sp"] = service[ch["sp"]]
+        tr = ch.pop("traffic", None)
+        channels.append(_make(LogicalChannel, path, _LOGICAL_CHANNEL, **ch))
+        if tr is not None:
+            traffic[channels[-1].id] = _make(
+                PeriodicTraffic, f"{path}.traffic", _TRAFFIC,
+                **_read(tr, f"{path}.traffic", _TRAFFIC, PeriodicTraffic))
+    kw["channels"] = tuple(channels)
+    kw["traffic"] = traffic
+    kw["loss"] = _parse_loss(kw["loss"], cfg)
+    if "trace" in kw and "trace_file" in kw:
         raise ConfigError("mux: give at most one of 'trace' and 'trace_file'")
-    if "trace" in data:
-        trace = tuple((float(t), int(c), int(s))
-                      for t, c, s in _expect(data["trace"], "mux", "trace", (list,)))
-    elif "trace_file" in data:
-        trace = _load_trace(_expect(data["trace_file"], "mux", "trace_file", (str,)))
-
-    try:
-        return MuxSimSpec(
-            channels=tuple(channels), traffic=traffic, capacity=capacity,
-            duration_s=float(_require(data, "mux", "duration_s")), loss=loss,
-            trace=trace, mtu=data.get("mtu", 1500),
-            queue_depth=data.get("queue_depth", 64))
-    except ValueError as exc:
-        raise ConfigError(f"mux: {exc}") from exc
+    if "trace" in kw:
+        kw["trace"] = tuple(_trace_row(row, f"mux.trace[{i}]")
+                            for i, row in enumerate(kw["trace"]))
+    elif "trace_file" in kw:
+        kw["trace"] = _load_trace(kw.pop("trace_file"))
+    return _make(MuxSimSpec, "mux", _MUX, **kw)
 
 
-def _parse_ranging(data: Mapping[str, Any]) -> RangingSpec:
-    _check_keys("ranging", data,
-                ("sample_rate_hz", "bandwidth_hz", "waveform_len", "trials",
-                 "range_min_m", "range_max_m", "reflection_gain_db",
-                 "residual_si_power_db", "echo_snr_db",
-                 "relative_velocity_mps", "block_len", "carrier_wavelength_m"))
-    try:
-        return RangingSpec(
-            sample_rate_hz=float(_require(data, "ranging", "sample_rate_hz")),
-            bandwidth_hz=float(_require(data, "ranging", "bandwidth_hz")),
-            waveform_len=_require(data, "ranging", "waveform_len"),
-            trials=_require(data, "ranging", "trials"),
-            range_min_m=float(_require(data, "ranging", "range_min_m")),
-            range_max_m=float(_require(data, "ranging", "range_max_m")),
-            reflection_gain_db=float(data.get("reflection_gain_db", 0.0)),
-            residual_si_power_db=data.get("residual_si_power_db"),
-            echo_snr_db=data.get("echo_snr_db"),
-            relative_velocity_mps=float(data.get("relative_velocity_mps", 0.0)),
-            block_len=data.get("block_len", 256),
-            carrier_wavelength_m=float(data.get("carrier_wavelength_m", 0.05)))
-    except ValueError as exc:
-        raise ConfigError(f"ranging: {exc}") from exc
+def _plain(cls: type, section: str, table: Table) -> Callable:
+    """Parser of a section that is one dataclass read through its table."""
+    return lambda data, cfg, service: _make(
+        cls, section, table, **_read(data, section, table, cls))
 
 
-def _parse_latency(data: Mapping[str, Any]) -> LatencySpec:
-    _check_keys("latency", data, ("coded_rate_bps", "distance_m"))
-    spec = LatencySpec(coded_rate_bps=float(data.get("coded_rate_bps", 500e6)),
-                       distance_m=float(data.get("distance_m", 0.5)))
-    if spec.coded_rate_bps <= 0:
-        raise ConfigError("latency.coded_rate_bps: must be > 0")
-    if spec.distance_m < 0:
-        raise ConfigError("latency.distance_m: must be >= 0")
-    return spec
+# -- scenarios --------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Scenario:
+    """A CLI scenario: the sections it requires, the section parsed into its
+    spec (the SimulationConfig attribute of the same name) and its runner,
+    which returns a result with ``csv_rows()`` and ``wall_clock_s``."""
+    requires: tuple[str, ...]
+    section: str
+    run: Callable[[SimulationConfig], Any]
+
+
+def _run_sweep(cfg: SimulationConfig) -> Any:
+    return run_sweep(cfg.chain, cfg.channel, cfg.sweep, cfg.master_seed)
+
+
+_SWEEP_SECTIONS = ("baseband", "channel", "sweep")
+SCENARIOS: dict[str, Scenario] = {
+    "ber-sweep": Scenario(_SWEEP_SECTIONS, "sweep", _run_sweep),
+    "per-sweep": Scenario(_SWEEP_SECTIONS, "sweep", _run_sweep),
+    "mux-sim": Scenario(("mux",), "mux",
+                        lambda cfg: run_mux_sim(cfg.mux, cfg.master_seed)),
+    "ranging": Scenario(("ranging",), "ranging",
+                        lambda cfg: run_ranging(cfg.ranging, cfg.master_seed)),
+    "latency-budget": Scenario((), "latency",
+                               lambda cfg: run_latency_budget(cfg.latency, cfg.chain)),
+}
+
+_SPEC_PARSERS = {"sweep": _parse_sweep, "mux": _parse_mux,
+                 "ranging": _plain(RangingSpec, "ranging", _RANGING),
+                 "latency": _plain(LatencySpec, "latency", _LATENCY)}
 
 
 def parse_config(data: Mapping[str, Any], scenario: str) -> SimulationConfig:
     """Validate a parsed JSON object against the given CLI scenario."""
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario: unknown scenario {scenario!r}")
-    _check_keys("config", data, _TOP_KEYS)
-    declared = data.get("scenario")
+    top = _read(dict(data), "", _TOP)
+    declared = top.get("scenario")
     if declared is not None and declared != scenario:
         raise ConfigError(
             f"scenario: config declares {declared!r} but {scenario!r} was requested")
-    master_seed = _expect(_require(data, "config", "master_seed"), "config",
-                          "master_seed", (int,))
-    output = data.get("output")
-    if output is not None:
-        _expect(output, "config", "output", (str,))
-
-    service = _parse_profiles(_expect(data.get("profiles", {}), "config",
-                                      "profiles", (dict,)))
-    chain = None
-    channel = None
-    if "baseband" in data:
-        chain = _parse_baseband(_expect(data["baseband"], "config", "baseband",
-                                        (dict,)))
-    if "channel" in data:
-        channel = _parse_channel(_expect(data["channel"], "config", "channel",
-                                         (dict,)))
-
-    cfg = SimulationConfig(scenario=scenario, master_seed=master_seed,
-                           output=output, chain=chain, channel=channel,
-                           raw=dict(data))
-
-    if scenario in ("ber-sweep", "per-sweep"):
-        for section in ("baseband", "channel", "sweep"):
-            if section not in data:
-                raise ConfigError(f"{section}: section required for {scenario}")
-        if scenario == "per-sweep" and chain.codec is None:
-            raise ConfigError("baseband.codec: per-sweep requires a codec")
-        _check_genie_response(chain, channel)
-        cfg.sweep = _parse_sweep(data["sweep"])
-    elif scenario == "mux-sim":
-        if "mux" not in data:
-            raise ConfigError("mux: section required for mux-sim")
-        cfg.mux = _parse_mux(data["mux"], service, chain, channel)
-    elif scenario == "ranging":
-        if "ranging" not in data:
-            raise ConfigError("ranging: section required for ranging")
-        cfg.ranging = _parse_ranging(data["ranging"])
-    else:
-        cfg.latency = _parse_latency(_expect(data.get("latency", {}), "config",
-                                             "latency", (dict,)))
+    if "master_seed" not in top:
+        raise ConfigError("master_seed: required key missing")
+    service = _parse_profiles(top.get("profiles", {}))
+    cfg = SimulationConfig(scenario=scenario, master_seed=top["master_seed"],
+                           output=top.get("output"), raw=dict(data))
+    if "baseband" in top:
+        cfg.chain = _parse_baseband(top["baseband"])
+    if "channel" in top:
+        cfg.channel = _parse_channel(top["channel"])
+    sc = SCENARIOS[scenario]
+    for section in sc.requires:
+        if section not in top:
+            raise ConfigError(f"{section}: section required for {scenario}")
+    setattr(cfg, sc.section,
+            _SPEC_PARSERS[sc.section](top.get(sc.section, {}), cfg, service))
     return cfg
 
 

@@ -58,8 +58,10 @@ class IidLossModel:
     per_modem: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if len(self.per_modem) != 2:
+            raise ValueError("per_modem needs one probability per modem (2)")
         if any(not 0 <= p < 1 for p in self.per_modem):
-            raise ValueError("loss probabilities must be in [0, 1)")
+            raise ValueError("per_modem probabilities must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,8 @@ class MuxSimSpec:
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
             raise ValueError("duration_s must be > 0")
+        if any(size < 1 for _, _, size in self.trace):
+            raise ValueError("trace packet sizes must be >= 1")
 
 
 @dataclass

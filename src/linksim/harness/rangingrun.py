@@ -15,8 +15,33 @@ import numpy as np
 
 from ..errors import NoTargetError
 from ..ranging import EchoScene, echo_range, generate_echo
-from .config import RangingSpec
 from .seeding import stable_seed
+
+
+@dataclass(frozen=True)
+class RangingSpec:
+    sample_rate_hz: float
+    bandwidth_hz: float
+    waveform_len: int
+    trials: int
+    range_min_m: float
+    range_max_m: float
+    reflection_gain_db: float = 0.0
+    residual_si_power_db: float | None = None
+    echo_snr_db: float | None = None
+    relative_velocity_mps: float = 0.0
+    block_len: int = 256
+    carrier_wavelength_m: float = 0.05
+
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        if self.range_min_m <= 0:
+            raise ValueError("range_min_m must be > 0")
+        if self.range_max_m <= self.range_min_m:
+            raise ValueError("range_max_m must exceed range_min_m")
+        if self.waveform_len < 2:
+            raise ValueError("waveform_len must be >= 2")
 
 
 @dataclass

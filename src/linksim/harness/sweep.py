@@ -9,6 +9,8 @@ bound by the interpreter lock, and a thread pool only made sweeps slower.
 
 ``link_trial`` is the one tx -> channel -> rx trial of the package; the
 baseband-backed mux simulation sends its packet copies through it too.
+A frame lost to sync failure or a degenerate channel counts as a packet
+error with every payload bit wrong.
 
 The axis is either the per-sample (= per-chip) SNR in dB, or Eb/N0 in dB,
 which is converted per point via
@@ -28,6 +30,7 @@ import numpy as np
 
 from ..baseband.chain import ChainConfig, ChannelKnowledge, rx_chain, tx_chain
 from ..channel import ChannelModel, apply_channel, estimate_frequency_response
+from ..errors import DegenerateChannelError, SyncError
 from .seeding import stable_seed
 
 Z_95 = 1.959963984540054   # two-sided 95% normal quantile
@@ -41,16 +44,16 @@ MIN_VERIFIABLE_PER = 1e-6
 
 @dataclass(frozen=True)
 class SweepSpec:
-    axis: str                 # "snr_db" | "ebn0_db"
     values: tuple[float, ...]
     trials: int
+    axis: str = "ebn0_db"     # "snr_db" | "ebn0_db"
     per_target: float | None = None
 
     def __post_init__(self) -> None:
         if self.axis not in ("snr_db", "ebn0_db"):
             raise ValueError("axis must be 'snr_db' or 'ebn0_db'")
         if len(self.values) == 0:
-            raise ValueError("sweep values must be non-empty")
+            raise ValueError("values must be non-empty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.per_target is not None and self.per_target < MIN_VERIFIABLE_PER:
@@ -131,10 +134,15 @@ def link_trial(payload: np.ndarray, cfg: ChainConfig, model: ChannelModel,
     """Send one frame tx -> channel -> rx; return (bit_errors, packet_error).
 
     The packet is in error (1) when any payload bit differs or a codeword
-    fails its CRC.
+    fails its CRC.  A frame the receiver cannot acquire (sync loss) or
+    equalize (a channel response zero on every bin) is a counted outcome:
+    every payload bit is wrong and the packet is in error.
     """
     tx = tx_chain(payload, cfg)
-    rx = rx_chain(apply_channel(tx.waveform, model), cfg, knowledge)
+    try:
+        rx = rx_chain(apply_channel(tx.waveform, model), cfg, knowledge)
+    except (SyncError, DegenerateChannelError):
+        return len(payload), 1
     bit_errors = int(np.count_nonzero(rx.info_bits != payload))
     return bit_errors, int(bit_errors > 0 or rx.crc_ok is False)
 

@@ -50,7 +50,7 @@ class LogicalChannel:
         if self.deadline <= 0:
             raise ValueError("deadline must be > 0")
         if self.id < 0:
-            raise ValueError("channel id must be >= 0")
+            raise ValueError("id must be >= 0")
 
 
 @dataclass(frozen=True)

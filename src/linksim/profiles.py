@@ -44,10 +44,10 @@ class RequirementProfile:
     per_bound: float          # packet error probability
     distance_min: float       # centimeters
     distance_max: float       # centimeters
-    los_required: bool
-    p2p_only: bool
-    security: SecurityLevel
-    hw_redundancy: bool
+    los_required: bool = True
+    p2p_only: bool = True
+    security: SecurityLevel = SecurityLevel.MEDIUM
+    hw_redundancy: bool = False
 
     def __post_init__(self) -> None:
         if self.max_latency <= 0:

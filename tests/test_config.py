@@ -1,0 +1,203 @@
+"""Config parsing on malformed input, and counted outcomes for bad physics.
+
+Every leaf of every shipped config is replaced in turn by a value of each
+JSON type; the parser must either accept the result or raise ConfigError
+whose message starts with the dotted path of the replaced key.
+"""
+import copy
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import cli_env
+from linksim.baseband import ChainConfig
+from linksim.baseband.chain import ChannelKnowledge
+from linksim.channel import make_preset
+from linksim.cli import main
+from linksim.errors import ConfigError
+from linksim.harness import parse_config, run_mux_sim
+from linksim.harness.sweep import link_trial
+
+REPO = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((REPO / "configs").glob("*.json")) + sorted(
+    (REPO / "tests" / "golden").glob("*.json"))
+SUBSTITUTES = ("x", True, [], {}, None, -1, 1.5)
+
+# well-typed substitutes that break a constraint between several keys: the
+# message names the constraint's owner, not the replaced key
+CROSS_KEY = {
+    # the default codec's codewords overflow the configured frame
+    ("configs/ber_sweep.json", "baseband.codec", "{}"): "baseband: payload needs",
+    ("golden/uncoded_los.json", "baseband.codec", "{}"): "baseband: payload needs",
+    # the default genie estimator meets randomized tap phases
+    ("golden/pilot_ls_td_lms_mild.json", "baseband.receiver", "{}"):
+        "channel.randomize_tap_phases: requires the pilot-ls estimator",
+}
+
+
+def _paths(node, path=()):
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _dotted(path):
+    """Dotted key path of a leaf, without its trailing list indices."""
+    text = ""
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else (
+            f".{key}" if text else key)
+    while text.endswith("]"):
+        text = text[:text.rindex("[")]
+    return text
+
+
+def _replaced(data, path, value):
+    data = copy.deepcopy(data)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+def _config_id(path):
+    return f"{path.parent.name}/{path.name}"
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=_config_id)
+def test_every_malformed_leaf_parses_or_names_its_key(config):
+    base = json.loads(config.read_text())
+    wrong = []
+    for path in _paths(base):
+        key = _dotted(path)
+        for value in SUBSTITUTES:
+            try:
+                parse_config(_replaced(base, path, value), base["scenario"])
+            except ConfigError as exc:
+                expected = CROSS_KEY.get((_config_id(config), key, repr(value)),
+                                         key)
+                if not str(exc).startswith(expected):
+                    wrong.append(f"{key}={value!r}: {exc}")
+    assert wrong == []
+
+
+def _mux(**extra):
+    mux = {"modem_capacity_mbps": 100.0, "duration_s": 0.001,
+           "loss": {"mode": "iid", "per_modem": [0.0, 0.0]},
+           "channels": [{"id": 0, "sp": "SP1", "deadline_s": 0.1}]}
+    return {"master_seed": 3, "mux": {**mux, **extra}}
+
+
+def _error(data, scenario):
+    with pytest.raises(ConfigError) as info:
+        parse_config(data, scenario)
+    return str(info.value)
+
+
+def test_trace_row_needs_three_fields():
+    assert _error(_mux(trace=[[0.0, 0]]), "mux-sim").startswith(
+        "mux.trace[0]: expected [time, channel, size]")
+
+
+def test_non_numeric_trace_file_field(tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("0.0,0,64\n1e-4,zero,64\n")
+    assert _error(_mux(trace_file=str(trace)), "mux-sim").startswith(
+        f"mux.trace_file: {trace}:2: expected time,channel,size")
+
+
+def test_service_profile_entry_must_be_an_object():
+    data = _mux()
+    data["profiles"] = {"service": {"SPX": "fast"}}
+    assert _error(data, "mux-sim") == (
+        "profiles.service.SPX: expected object, got str")
+
+
+REQUIREMENT = {"max_latency": 1e-3, "max_bitrate": 5e6, "per_bound": 1e-4,
+               "distance_min": 20, "distance_max": 200}
+
+
+def _with_requirement(**entry):
+    return {"master_seed": 1, "profiles": {"requirement": {"RPX": entry}}}
+
+
+def test_requirement_profile_missing_key_names_its_path():
+    entry = {k: v for k, v in REQUIREMENT.items() if k != "max_bitrate"}
+    assert _error(_with_requirement(**entry), "latency-budget") == (
+        "profiles.requirement.RPX.max_bitrate: required key missing")
+
+
+def test_requirement_profile_flags_must_be_bools():
+    parse_config(_with_requirement(**REQUIREMENT, los_required=False),
+                 "latency-budget")
+    assert _error(_with_requirement(**REQUIREMENT, los_required="no"),
+                  "latency-budget").startswith(
+        "profiles.requirement.RPX.los_required: expected bool")
+
+
+def test_receiver_flag_is_not_coerced_from_a_string():
+    data = json.loads((REPO / "configs" / "ber_sweep.json").read_text())
+    data["baseband"]["receiver"]["correct_cfo"] = "no"
+    assert _error(data, "ber-sweep").startswith(
+        "baseband.receiver.correct_cfo: expected bool")
+
+
+def test_numeric_strings_are_rejected():
+    data = json.loads((REPO / "configs" / "ranging.json").read_text())
+    data["ranging"]["sample_rate_hz"] = "1e9"
+    assert _error(data, "ranging").startswith(
+        "ranging.sample_rate_hz: expected number, got str")
+
+
+def test_cli_malformed_value_exits_2_without_traceback(tmp_path):
+    data = json.loads((REPO / "configs" / "ranging.json").read_text())
+    data["ranging"]["trials"] = "x"
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(data))
+    proc = subprocess.run(
+        [sys.executable, "-m", "linksim", "ranging", "--config", str(config),
+         "--out", str(tmp_path / "o.csv")],
+        capture_output=True, text=True, cwd=tmp_path, env=cli_env())
+    assert proc.returncode == 2
+    assert "ranging.trials" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_sweep_below_sync_threshold_counts_every_packet_lost(tmp_path):
+    data = json.loads((REPO / "configs" / "ber_sweep.json").read_text())
+    data["sweep"] = {"axis": "snr_db", "values": [-10.0], "trials": 20}
+    config = tmp_path / "low_snr.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "low_snr.csv"
+    assert main(["ber-sweep", "--config", str(config), "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    point = dict(zip(header.split(","), row.split(",")))
+    assert point["per"] == "1" and point["ber"] == "1"
+    assert point["packet_errors"] == "20"
+
+
+def test_degenerate_channel_is_a_lost_packet():
+    cfg = ChainConfig.for_payload(256, codec=None, timing_search=8,
+                                  correct_cfo=False)
+    zero = ChannelKnowledge(freq_response=np.zeros(cfg.frame.fft_size),
+                            noise_variance=0.0)
+    payload = np.ones(256, dtype=np.uint8)
+    assert link_trial(payload, cfg, make_preset("coupling-los"), zero) == (256, 1)
+
+
+def test_baseband_mux_copy_that_loses_sync_is_corrupt():
+    data = json.loads((REPO / "tests" / "golden" / "mux_baseband.json").read_text())
+    data["channel"]["snr_db"] = -10.0
+    data["mux"]["duration_s"] = 4e-05
+    result = run_mux_sim(parse_config(data, "mux-sim").mux, 7)
+    for s in result.stats:
+        assert s.enqueued > 0
+        assert s.delivered == 0 and s.lost_packets == s.enqueued
+        assert s.corrupt_drops > 0
