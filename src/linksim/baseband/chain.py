@@ -5,12 +5,15 @@ spreading -> BPSK/QPSK mapping -> frame assembly (preamble, pilot block,
 CP'd payload blocks).  Uncoded operation (codec=None) maps payload bits
 straight to chips.
 
-Receive: preamble acquisition (timing / CFO / phase), correction, channel
+Receive, in two steps.  The per-frame front end (``rx_front_end``) does
+preamble acquisition (timing / CFO / phase), correction, channel
 estimation (genie response handed in, or least squares from the pilot
 block), per-block equalization (FD-MMSE or TD-LMS), per-block pilot phase
-tracking, soft demapping, despreading, Viterbi decoding and CRC checks.
-The pre-decoder bit error rate is estimated by re-encoding the decoded
-codewords and comparing against the sliced channel bits.
+tracking, soft demapping and despreading.  The decode step
+(``decode_frames``) takes the soft bits of any number of frames as one
+matrix: Viterbi decoding, CRC checks and a re-encode that gives the
+pre-decoder bit error rate (re-encoded codewords against the sliced soft
+bits).  ``rx_chain`` is the two steps for one frame.
 """
 from __future__ import annotations
 
@@ -59,6 +62,8 @@ class ChainConfig:
             raise ValueError("payload_bits must be >= 1")
         if self.channel_estimator not in ("genie", "pilot-ls"):
             raise ValueError("channel_estimator must be 'genie' or 'pilot-ls'")
+        if self.timing_search is not None and self.timing_search < 0:
+            raise ValueError("timing_search must be >= 0")
         self.required_symbols()   # validates capacity
 
     # -- derived geometry -------------------------------------------------
@@ -166,14 +171,18 @@ def _ls_channel_estimate(pilot_rx: np.ndarray, fcfg: FrameConfig) -> np.ndarray:
     return np.fft.fft(pilot_rx) / np.fft.fft(ref)
 
 
-def rx_chain(waveform: np.ndarray, cfg: ChainConfig,
-             channel: ChannelKnowledge | None = None) -> RxResult:
-    """Recover payload bits from a received waveform."""
+def rx_front_end(waveform: np.ndarray, cfg: ChainConfig,
+                 channel: ChannelKnowledge | None = None
+                 ) -> tuple[np.ndarray, SyncState]:
+    """Sync, equalize, demap and despread one received frame.
+
+    Returns the ``cfg.coded_bits_total()`` soft bits (positive means 0)
+    and the acquisition state; ``decode_frames`` takes it from there.
+    """
     waveform = np.asarray(waveform, dtype=np.complex128)
     fcfg = cfg.frame
-    preamble = build_preamble()
     header = known_header(fcfg)
-    sync = acquire_sync(waveform, preamble, threshold=cfg.sync_threshold,
+    sync = acquire_sync(waveform, build_preamble(), threshold=cfg.sync_threshold,
                         search_window=cfg.timing_search, known_header=header,
                         estimate_cfo=cfg.correct_cfo)
 
@@ -233,36 +242,65 @@ def rx_chain(waveform: np.ndarray, cfg: ChainConfig,
     data = np.concatenate(data)[: cfg.required_symbols()]
 
     soft_chips = demodulate(data, cfg.modulation)[: cfg.chip_count()]
-    soft_bits = despread(soft_chips, cfg.spreading)
+    return despread(soft_chips, cfg.spreading), sync
 
-    counts = {
-        "preamble": len(preamble),
-        "pilot": fcfg.block_len,
-        "payload": fcfg.n_payload_blocks * fcfg.block_len,
-        "cp_total": (fcfg.n_payload_blocks + 1) * fcfg.cp_len,
-        "data_symbols": int(data.size),
-        "coded_bits": cfg.coded_bits_total(),
-        "info_bits": cfg.payload_bits,
-    }
 
+@dataclass
+class DecodedFrames:
+    info_bits: np.ndarray          # (frames, payload_bits)
+    codewords_failed: np.ndarray   # (frames,) codewords failing their CRC
+    # (frames,) re-encoded bits that differ from the sliced soft bits, the
+    # channel bit errors the decoder corrected; None when uncoded
+    channel_bit_errors: np.ndarray | None
+
+
+def decode_frames(soft_bits: np.ndarray, cfg: ChainConfig) -> DecodedFrames:
+    """Decode a (frames, coded_bits_total) matrix of front-end soft bits.
+
+    The codewords of every frame go through one Viterbi call, one CRC
+    check and one re-encode; uncoded frames are sliced.
+    """
+    frames = soft_bits.shape[0]
     codec = cfg.codec
     if codec is None:
-        bits = hard_decisions(soft_bits)[: cfg.payload_bits]
-        metrics = LinkMetrics(sync, None, 0, counts)
-        return RxResult(info_bits=bits, crc_ok=None, metrics=metrics)
+        info = hard_decisions(soft_bits)[:, : cfg.payload_bits]
+        return DecodedFrames(info, np.zeros(frames, dtype=np.int64), None)
 
-    n_cw = cfg.n_codewords()
-    soft_cw = soft_bits.reshape(n_cw, codec.coded_bits_per_codeword)
+    soft_cw = soft_bits.reshape(frames * cfg.n_codewords(),
+                                codec.coded_bits_per_codeword)
     framed = coding.viterbi_decode_batch(soft_cw, codec)
     cap = codec.info_capacity
     crc_expected = coding.crc_bits_batch(framed[:, :cap], codec.crc_width)
     crc_fail = np.any(crc_expected != framed[:, cap:], axis=1)
-    info = framed[:, :cap].reshape(-1)[: cfg.payload_bits]
+    info = framed[:, :cap].reshape(frames, -1)[:, : cfg.payload_bits]
 
-    reencoded = coding.conv_encode_batch(framed, codec).reshape(-1)
-    hard_rx = hard_decisions(soft_bits)
-    pre_ber = float(np.mean(reencoded != hard_rx))
+    reencoded = coding.conv_encode_batch(framed, codec)
+    flipped = np.count_nonzero(reencoded != hard_decisions(soft_cw), axis=1)
+    return DecodedFrames(
+        info_bits=info,
+        codewords_failed=crc_fail.reshape(frames, -1).sum(axis=1),
+        channel_bit_errors=flipped.reshape(frames, -1).sum(axis=1))
 
-    metrics = LinkMetrics(sync, pre_ber, int(crc_fail.sum()), counts)
-    return RxResult(info_bits=info, crc_ok=bool(not crc_fail.any()),
-                    metrics=metrics)
+
+def rx_chain(waveform: np.ndarray, cfg: ChainConfig,
+             channel: ChannelKnowledge | None = None) -> RxResult:
+    """Recover payload bits from a received waveform."""
+    soft_bits, sync = rx_front_end(waveform, cfg, channel)
+    decoded = decode_frames(soft_bits[None, :], cfg)
+    fcfg = cfg.frame
+    counts = {
+        "preamble": len(build_preamble()),
+        "pilot": fcfg.block_len,
+        "payload": fcfg.n_payload_blocks * fcfg.block_len,
+        "cp_total": (fcfg.n_payload_blocks + 1) * fcfg.cp_len,
+        "data_symbols": cfg.required_symbols(),
+        "coded_bits": cfg.coded_bits_total(),
+        "info_bits": cfg.payload_bits,
+    }
+    failed = int(decoded.codewords_failed[0])
+    if cfg.codec is None:
+        return RxResult(info_bits=decoded.info_bits[0], crc_ok=None,
+                        metrics=LinkMetrics(sync, None, failed, counts))
+    pre_ber = int(decoded.channel_bit_errors[0]) / soft_bits.size
+    return RxResult(info_bits=decoded.info_bits[0], crc_ok=failed == 0,
+                    metrics=LinkMetrics(sync, pre_ber, failed, counts))

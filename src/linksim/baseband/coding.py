@@ -5,9 +5,13 @@ convolutional code with generators 133/171 (octal); any n generators give a
 rate-1/n code.  Codes are trellis-terminated with K-1 zero tail bits.
 Each codeword carries ``info_bits_per_codeword`` bits of which the last
 ``crc_width`` are a CRC over the rest, so the decoder can flag residual
-errors.  Decoding is a full-trellis maximum-likelihood search over soft
-values; ties between merging paths resolve to the branch whose departing
-register bit is 0, which makes decoding bit-exactly reproducible.
+errors.  The CRC is linear over GF(2) apart from its all-ones initial
+value, so it is computed as the affine map ``(bits @ A + c) mod 2`` with
+``A`` and ``c`` cached per (length, width): one matrix product for a whole
+batch of rows.  Decoding is a full-trellis maximum-likelihood search over
+soft values, every row of a batch in one loop over the trellis steps; ties
+between merging paths resolve to the branch whose departing register bit
+is 0, which makes decoding bit-exactly reproducible.
 """
 from __future__ import annotations
 
@@ -64,6 +68,37 @@ class CodecConfig:
         return (self.info_bits_per_codeword + self.tail_bits) * n
 
 
+_CRC_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _crc_affine(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, c) with crc(bits) = (bits @ A + c) mod 2 for n-bit inputs.
+
+    The register update is linear over GF(2): row i of ``A`` is the
+    register that a lone 1 at input position i leaves after the n - 1 - i
+    zero-input steps that follow it, and ``c`` is what the all-ones initial
+    value leaves after n zero-input steps, final xor included.  Each is
+    stepped as one Python int, O(n) in all.
+    """
+    key = (n, width)
+    if key not in _CRC_CACHE:
+        poly, mask = CRC_POLYNOMIALS[width], (1 << width) - 1
+
+        def step(reg: int) -> int:
+            return ((reg << 1) ^ (poly if reg >> (width - 1) else 0)) & mask
+
+        rows, reg, init = [], poly, mask   # poly: a 1 fed into a zero register
+        for _ in range(n):
+            rows.append(reg)
+            reg, init = step(reg), step(init)
+        regs = np.array(rows[::-1] + [init ^ mask], dtype=np.uint64)[:, None]
+        bits = (regs >> np.arange(width - 1, -1, -1, dtype=np.uint64)) & np.uint64(1)
+        # a float matrix: the sums are integers <= n, exact in float64, and
+        # the product runs in BLAS
+        _CRC_CACHE[key] = bits[:-1].astype(np.float64), bits[-1].astype(np.uint8)
+    return _CRC_CACHE[key]
+
+
 def crc_bits(bits: np.ndarray, width: int = 32) -> np.ndarray:
     """CRC over a bit array, MSB-first, init and final-xor all-ones."""
     out = crc_bits_batch(np.asarray(bits, dtype=np.uint8)[None, :], width)
@@ -72,16 +107,9 @@ def crc_bits(bits: np.ndarray, width: int = 32) -> np.ndarray:
 
 def crc_bits_batch(bits: np.ndarray, width: int = 32) -> np.ndarray:
     """CRC of each row of a (batch, n) bit matrix; returns (batch, width)."""
-    poly = CRC_POLYNOMIALS[width]
-    mask = (1 << width) - 1
-    bits = np.asarray(bits, dtype=np.uint64)
-    reg = np.full(bits.shape[0], mask, dtype=np.uint64)
-    for i in range(bits.shape[1]):
-        fb = ((reg >> np.uint64(width - 1)) & np.uint64(1)) ^ bits[:, i]
-        reg = ((reg << np.uint64(1)) ^ (fb * np.uint64(poly))) & np.uint64(mask)
-    reg ^= np.uint64(mask)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    return ((reg[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
+    bits = np.asarray(bits, dtype=np.uint8)
+    a, c = _crc_affine(bits.shape[1], width)
+    return ((bits @ a) % 2).astype(np.uint8) ^ c
 
 
 def conv_encode(bits: np.ndarray, cfg: CodecConfig = CodecConfig()) -> np.ndarray:
@@ -111,13 +139,18 @@ def conv_encode_batch(bits: np.ndarray, cfg: CodecConfig) -> np.ndarray:
 @dataclass(frozen=True)
 class _Trellis:
     n_states: int
-    pred_state: np.ndarray    # (S, 2) predecessor of each state per branch
-    branch_combo: np.ndarray  # (S, 2) row of combo_sign the branch expects
+    # row of combo_sign each branch expects, ordered (branch j, state t):
+    # the predecessor of state t = h * n_states / 2 + u on branch j is 2u + j
+    branch_combo: np.ndarray  # (2 * S,)
     combo_sign: np.ndarray    # (2**n_out, n_out) soft signs, +1 for bit 0
     input_bit: np.ndarray     # (S,) input bit consumed on entering the state
 
 
 _TRELLIS_CACHE: dict[tuple[int, tuple[int, ...]], _Trellis] = {}
+
+#: trellis steps whose branch metrics are gathered at once; bounds the
+#: gathered table to (16, 2 * states, batch)
+_STEP_CHUNK = 16
 
 
 def _trellis(k: int, generators: tuple[int, ...]) -> _Trellis:
@@ -130,8 +163,7 @@ def _trellis(k: int, generators: tuple[int, ...]) -> _Trellis:
     t = np.arange(n_states)
     # branch j into state t corresponds to full register value 2t + j; the
     # newest input bit sits in the register MSB, so it equals t >> (k - 2)
-    full = np.stack([2 * t, 2 * t + 1], axis=1)
-    pred_state = (full & (n_states - 1)).astype(np.int64)
+    full = np.stack([2 * t, 2 * t + 1])
     # coded output o of a branch is bit (n_out - 1 - o) of its combo index
     combo = np.zeros_like(full)
     for g in generators:
@@ -140,7 +172,7 @@ def _trellis(k: int, generators: tuple[int, ...]) -> _Trellis:
     combo_bits = (np.arange(1 << n_out)[:, None]
                   >> np.arange(n_out - 1, -1, -1)) & 1
     input_bit = ((t >> (k - 2)) & 1).astype(np.uint8)
-    trellis = _Trellis(n_states, pred_state, combo.astype(np.intp),
+    trellis = _Trellis(n_states, combo.reshape(-1).astype(np.intp),
                        1.0 - 2.0 * combo_bits, input_bit)
     _TRELLIS_CACHE[key] = trellis
     return trellis
@@ -152,6 +184,9 @@ def viterbi_decode_batch(soft: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     Soft values are correlation metrics: positive means bit 0, matching the
     BPSK convention 0 -> +1.  Hard bits may be passed by mapping b -> 1-2b
     first.  Returns the (batch, info + crc) decoded bits, tail removed.
+    Every row runs through one add-compare-select loop over the trellis
+    steps; arrays are state-major, (states, batch), so each step is three
+    whole-array operations whatever the batch.
     """
     cfg_len = cfg.coded_bits_per_codeword
     soft = np.asarray(soft, dtype=np.float64)
@@ -163,36 +198,41 @@ def viterbi_decode_batch(soft: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     tr = _trellis(cfg.constraint_length, cfg.generators)
     batch = soft.shape[0]
     steps = cfg_len // n_out
-    soft = soft.reshape(batch, steps, n_out)
+    half = tr.n_states // 2
+    soft = soft.reshape(batch, steps, n_out).transpose(1, 2, 0)[:, :, None]
 
     # branch metric of every sign combination per step, the outputs added
-    # in order o = 0..n_out-1
-    bm = soft[:, :, 0, None] * tr.combo_sign[:, 0]
+    # in order o = 0..n_out-1; laid out (steps, combos, batch)
+    sign = tr.combo_sign[:, :, None]
+    bm = np.multiply(soft[:, 0], sign[:, 0], order="C")
     for o in range(1, n_out):
-        bm = bm + soft[:, :, o, None] * tr.combo_sign[:, o]
+        bm += soft[:, o] * sign[:, o]
 
-    metric = np.full((batch, tr.n_states), -1e30)
-    metric[:, 0] = 0.0
-    decisions = np.empty((steps, batch, tr.n_states), dtype=np.uint8)
-    pred0, pred1 = tr.pred_state[:, 0], tr.pred_state[:, 1]
-    combo0, combo1 = tr.branch_combo[:, 0], tr.branch_combo[:, 1]
-    for n in range(steps):
-        cand0 = metric[:, pred0] + bm[:, n, combo0]
-        cand1 = metric[:, pred1] + bm[:, n, combo1]
-        # strict comparison keeps ties on the 0-branch
-        take1 = cand1 > cand0
-        metric = np.where(take1, cand1, cand0)
-        decisions[n] = take1
+    metric = np.full((tr.n_states, batch), -1e30)
+    metric[0] = 0.0
+    # (j, 1, u, batch) view of the predecessor metrics 2u + j, which both
+    # halves h of the states share
+    pred = metric.reshape(half, 2, batch).transpose(1, 0, 2)[:, None]
+    cand = np.empty((2, tr.n_states, batch))      # (branch, state, batch)
+    decisions = np.empty((steps, tr.n_states, batch), dtype=bool)
+    for n0 in range(0, steps, _STEP_CHUNK):
+        branches = bm[n0:n0 + _STEP_CHUNK][:, tr.branch_combo]
+        for n, branch in enumerate(
+                branches.reshape(-1, 2, 2, half, batch), n0):
+            np.add(pred, branch, out=cand.reshape(2, 2, half, batch))
+            # strict comparison keeps ties on the 0-branch; the maximum is
+            # the surviving metric (equal candidates are equal values)
+            np.greater(cand[1], cand[0], out=decisions[n])
+            np.maximum(cand[0], cand[1], out=metric)
 
     # terminated trellis: trace back from state 0
-    state = np.zeros(batch, dtype=np.int64)
     rows = np.arange(batch)
-    bits = np.empty((batch, steps), dtype=np.uint8)
+    state = np.zeros(batch, dtype=np.intp)
+    states = np.empty((steps, batch), dtype=np.intp)
     for n in range(steps - 1, -1, -1):
-        bits[:, n] = tr.input_bit[state]
-        full = 2 * state + decisions[n][rows, state]
-        state = full & (tr.n_states - 1)
-    return bits[:, : steps - cfg.tail_bits]
+        states[n] = state
+        state = ((state << 1) & (tr.n_states - 1)) | decisions[n][state, rows]
+    return tr.input_bit[states[: steps - cfg.tail_bits].T]
 
 
 def encode(info_bits: np.ndarray, cfg: CodecConfig = CodecConfig()) -> np.ndarray:

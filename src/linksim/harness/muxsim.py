@@ -14,8 +14,8 @@ with a definite fate, and the conservation identity
 
 Losses come either from an iid per-modem loss probability (decided by a
 stable hash of (channel, sequence, modem), hence order-independent) or
-from running each copy through the sweep's link trial (``link_trial``),
-the full baseband + channel pipeline.
+from running each copy through the sweep's trial engine (``link_trials``,
+a batch of one), the full baseband + channel pipeline.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from ..errors import ConfigError
 from ..mux import AppFrame, FrameSource, LogicalChannel, Mux, Redundancy
 from ..profiles import ModemCapacity, admit_channels
 from .seeding import stable_seed, stable_uniform
-from .sweep import genie_knowledge, link_trial
+from .sweep import genie_knowledge, link_trials
 
 #: latency histogram bucket upper edges (seconds); the last bucket is open
 LATENCY_BUCKETS = (1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
@@ -86,6 +86,15 @@ class MuxSimSpec:
             raise ValueError("duration_s must be > 0")
         if any(size < 1 for _, _, size in self.trace):
             raise ValueError("trace packet sizes must be >= 1")
+        if self.mtu < 1:
+            raise ValueError("mtu must be >= 1")
+        for ch_id, traffic in self.traffic.items():
+            if traffic.payload_size > self.mtu:
+                raise ValueError(
+                    f"mtu {self.mtu} is below the {traffic.payload_size}-byte "
+                    f"payload of channel {ch_id}")
+        if any(size > self.mtu for _, _, size in self.trace):
+            raise ValueError(f"trace packet sizes must be <= mtu {self.mtu}")
 
 
 @dataclass
@@ -219,9 +228,10 @@ def run_mux_sim(spec: MuxSimSpec, master_seed: int) -> MuxSimResult:
         padded[: len(bits)] = bits
         seed = stable_seed(master_seed, packet.channel_id,
                            packet.sequence_number, modem)
-        _, packet_error = link_trial(
-            padded, cfg, replace(spec.loss.channel, seed=seed), knowledge)
-        return packet_error == 0
+        _, packet_errors = link_trials(
+            padded[None, :], cfg, [replace(spec.loss.channel, seed=seed)],
+            knowledge)
+        return packet_errors[0] == 0
 
     def dispatch(now: float) -> None:
         nonlocal order

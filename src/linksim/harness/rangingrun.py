@@ -42,6 +42,15 @@ class RangingSpec:
             raise ValueError("range_max_m must exceed range_min_m")
         if self.waveform_len < 2:
             raise ValueError("waveform_len must be >= 2")
+        # the EchoScene limits, checked here so a config fails at parse time
+        if self.bandwidth_hz <= 0:
+            raise ValueError("bandwidth_hz must be > 0")
+        if self.sample_rate_hz < self.bandwidth_hz:
+            raise ValueError("sample_rate_hz must be >= bandwidth_hz")
+        if self.block_len < 1:
+            raise ValueError("block_len must be >= 1")
+        if self.carrier_wavelength_m <= 0:
+            raise ValueError("carrier_wavelength_m must be > 0")
 
 
 @dataclass

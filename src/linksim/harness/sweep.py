@@ -4,13 +4,16 @@ Each sweep point runs ``trials`` independent frames through the full
 tx -> channel -> rx pipeline.  Trial t of point i draws its payload from
 seed stable_seed(master, i, t, 0) and its channel noise from
 stable_seed(master, i, t, 1), so results are bit-identical regardless of
-execution order.  Trials run one after another in a single loop: they are
-bound by the interpreter lock, and a thread pool only made sweeps slower.
+execution order or batching.
 
-``link_trial`` is the one tx -> channel -> rx trial of the package; the
-baseband-backed mux simulation sends its packet copies through it too.
-A frame lost to sync failure or a degenerate channel counts as a packet
-error with every payload bit wrong.
+``link_trials`` is the one trial engine of the package; the
+baseband-backed mux simulation sends each packet copy through it as a
+batch of one.  It runs transmit, channel and the receiver front end frame
+by frame, then decodes the codewords of every surviving frame together:
+one Viterbi call and one CRC check per batch.  A sweep point feeds it
+``DECODE_ROWS`` codewords' worth of trials at a time, which bounds memory
+whatever the trial count.  A frame lost to sync failure or a degenerate
+channel counts as a packet error with every payload bit wrong.
 
 The axis is either the per-sample (= per-chip) SNR in dB, or Eb/N0 in dB,
 which is converted per point via
@@ -25,15 +28,21 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
-from ..baseband.chain import ChainConfig, ChannelKnowledge, rx_chain, tx_chain
+from ..baseband.chain import (ChainConfig, ChannelKnowledge, decode_frames,
+                              rx_front_end, tx_chain)
 from ..channel import ChannelModel, apply_channel, estimate_frequency_response
 from ..errors import DegenerateChannelError, SyncError
 from .seeding import stable_seed
 
 Z_95 = 1.959963984540054   # two-sided 95% normal quantile
+
+#: codeword rows a sweep decodes per ``link_trials`` call (at least one
+#: frame); it bounds the memory of a point, not its results
+DECODE_ROWS = 32
 
 
 #: lowest PER a desk-scale Monte Carlo run can verify; targets below this
@@ -129,22 +138,43 @@ def genie_knowledge(cfg: ChainConfig,
     return ChannelKnowledge(freq_response=h, noise_variance=sigma2)
 
 
-def link_trial(payload: np.ndarray, cfg: ChainConfig, model: ChannelModel,
-               knowledge: ChannelKnowledge | None) -> tuple[int, int]:
-    """Send one frame tx -> channel -> rx; return (bit_errors, packet_error).
+def link_trials(payloads: np.ndarray, cfg: ChainConfig,
+                models: Sequence[ChannelModel],
+                knowledge: ChannelKnowledge | None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Send a batch of frames tx -> channel -> rx.
 
-    The packet is in error (1) when any payload bit differs or a codeword
-    fails its CRC.  A frame the receiver cannot acquire (sync loss) or
-    equalize (a channel response zero on every bin) is a counted outcome:
-    every payload bit is wrong and the packet is in error.
+    ``payloads`` is (frames, payload_bits) and frame f goes through
+    ``models[f]``.  Returns per-frame (bit_errors, packet_errors); a packet
+    is in error (1) when any payload bit differs or a codeword fails its
+    CRC.  A frame the receiver cannot acquire (sync loss) or equalize (a
+    channel response zero on every bin) is a counted outcome: every
+    payload bit is wrong and the packet is in error.
     """
-    tx = tx_chain(payload, cfg)
-    try:
-        rx = rx_chain(apply_channel(tx.waveform, model), cfg, knowledge)
-    except (SyncError, DegenerateChannelError):
-        return len(payload), 1
-    bit_errors = int(np.count_nonzero(rx.info_bits != payload))
-    return bit_errors, int(bit_errors > 0 or rx.crc_ok is False)
+    payloads = np.asarray(payloads, dtype=np.uint8)
+    bit_errors = np.full(len(payloads), cfg.payload_bits, dtype=np.int64)
+    packet_errors = np.ones(len(payloads), dtype=np.int64)
+    soft, received = [], []
+    for f, (payload, model) in enumerate(zip(payloads, models, strict=True)):
+        tx = tx_chain(payload, cfg)
+        try:
+            soft_bits, _ = rx_front_end(apply_channel(tx.waveform, model),
+                                        cfg, knowledge)
+        except (SyncError, DegenerateChannelError):
+            continue
+        soft.append(soft_bits)
+        received.append(f)
+    if received:
+        decoded = decode_frames(np.stack(soft), cfg)
+        errors = np.count_nonzero(decoded.info_bits != payloads[received], axis=1)
+        bit_errors[received] = errors
+        packet_errors[received] = (errors > 0) | (decoded.codewords_failed > 0)
+    return bit_errors, packet_errors
+
+
+def _payload(seed: int, n_bits: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2, n_bits, dtype=np.int64).astype(np.uint8)
 
 
 def run_sweep(cfg: ChainConfig, base_model: ChannelModel, spec: SweepSpec,
@@ -154,20 +184,24 @@ def run_sweep(cfg: ChainConfig, base_model: ChannelModel, spec: SweepSpec,
     ``threads`` is accepted for compatibility and ignored.
     """
     start = time.perf_counter()
+    batch = max(1, DECODE_ROWS // max(1, cfg.n_codewords()))
     points = []
     for i, axis_value in enumerate(spec.values):
         model = replace(base_model,
                         snr_db=snr_for_axis(axis_value, spec.axis, cfg))
         knowledge = genie_knowledge(cfg, model)
         bit_errors = packet_errors = 0
-        for t in range(spec.trials):
-            rng = np.random.default_rng(stable_seed(master_seed, i, t, 0))
-            payload = rng.integers(0, 2, cfg.payload_bits,
-                                   dtype=np.int64).astype(np.uint8)
-            trial_model = replace(model, seed=stable_seed(master_seed, i, t, 1))
-            errors, packet_error = link_trial(payload, cfg, trial_model, knowledge)
-            bit_errors += errors
-            packet_errors += packet_error
+        for first in range(0, spec.trials, batch):
+            trials = range(first, min(first + batch, spec.trials))
+            payloads = np.stack([
+                _payload(stable_seed(master_seed, i, t, 0), cfg.payload_bits)
+                for t in trials])
+            models = [replace(model, seed=stable_seed(master_seed, i, t, 1))
+                      for t in trials]
+            frame_bits, frame_packets = link_trials(payloads, cfg, models,
+                                                    knowledge)
+            bit_errors += int(frame_bits.sum())
+            packet_errors += int(frame_packets.sum())
 
         bits = spec.trials * cfg.payload_bits
         points.append(SweepPoint(

@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from linksim.baseband.coding import (CodecConfig, conv_encode, crc_bits,
-                                     decode, encode, viterbi_decode_batch)
+from linksim.baseband.coding import (CRC_POLYNOMIALS, CodecConfig, conv_encode,
+                                     crc_bits, crc_bits_batch, decode, encode,
+                                     viterbi_decode_batch)
 
 SMALL = CodecConfig(info_bits_per_codeword=128, crc_width=32)
 RATE_THIRD = CodecConfig(info_bits_per_codeword=128, crc_width=32,
@@ -68,6 +71,16 @@ class TestConvolutionalCode:
         assert np.array_equal(decoded[:, : SMALL.info_capacity],
                               np.tile(info, (len(coded), 1)))
 
+    @pytest.mark.parametrize("cfg", [SMALL, RATE_THIRD], ids=["half", "third"])
+    def test_batch_rows_decode_as_they_do_alone(self, cfg):
+        # rounded soft values force ties, which must break the same way in
+        # every row of a batch
+        rng = np.random.default_rng(14)
+        soft = np.round(rng.normal(scale=0.8, size=(9, cfg.coded_bits_per_codeword)))
+        batch = viterbi_decode_batch(soft, cfg)
+        for i, row in enumerate(soft):
+            assert np.array_equal(batch[i], viterbi_decode_batch(row[None, :], cfg)[0])
+
     def test_random_garbage_fails_crc(self):
         garbage = random_bits(SMALL.coded_bits_per_codeword, 7)
         _, ok = decode(garbage, SMALL)
@@ -115,7 +128,65 @@ class TestConvolutionalCode:
         assert "".join(map(str, decoded)) == expected
 
 
+def bit_serial_crc(bits, width):
+    """Reference CRC: one register step per input bit, MSB-first, init and
+    final-xor all-ones."""
+    poly = CRC_POLYNOMIALS[width]
+    mask = (1 << width) - 1
+    out = []
+    for row in np.asarray(bits, dtype=np.uint8):
+        reg = mask
+        for bit in row:
+            fb = (reg >> (width - 1)) ^ int(bit)
+            reg = ((reg << 1) ^ (poly if fb else 0)) & mask
+        reg ^= mask
+        out.append([(reg >> (width - 1 - i)) & 1 for i in range(width)])
+    return np.array(out, dtype=np.uint8).reshape(len(out), width)
+
+
+@st.composite
+def bit_matrices(draw, max_len=2048, max_batch=40):
+    """(width, (batch, n) bits) with a random width, length and batch."""
+    width = draw(st.sampled_from(sorted(CRC_POLYNOMIALS)))
+    n = draw(st.integers(1, max_len))
+    batch = draw(st.integers(1, max_batch))
+    seed = draw(st.integers(0, 2**32 - 1))
+    bits = np.random.default_rng(seed).integers(0, 2, (batch, n), dtype=np.uint8)
+    return width, bits
+
+
 class TestCrc:
+    def test_crc32_check_value(self):
+        # the width-32 CRC is CRC-32/BZIP2 (0x04C11DB7, not reflected, init
+        # and xor-out all ones); its check value over ASCII "123456789"
+        bits = np.unpackbits(np.frombuffer(b"123456789", dtype=np.uint8))
+        assert int("".join(map(str, crc_bits(bits, 32))), 2) == 0xFC891918
+
+    @settings(max_examples=60, deadline=None)
+    @given(bit_matrices())
+    def test_matrix_crc_matches_bit_serial_reference(self, case):
+        width, bits = case
+        assert np.array_equal(crc_bits_batch(bits, width),
+                              bit_serial_crc(bits, width))
+
+    @settings(max_examples=60, deadline=None)
+    @given(bit_matrices(), st.integers(0, 2**32 - 1))
+    def test_crc_is_affine(self, case, seed):
+        # crc(a ^ b) = crc(a) ^ crc(b) ^ crc(0)
+        width, a = case
+        b = np.random.default_rng(seed).integers(0, 2, a.shape, dtype=np.uint8)
+        zero = np.zeros_like(a)
+        assert np.array_equal(
+            crc_bits_batch(a ^ b, width),
+            crc_bits_batch(a, width) ^ crc_bits_batch(b, width)
+            ^ crc_bits_batch(zero, width))
+
+    def test_rows_are_independent_of_their_batch(self):
+        bits = random_bits(40 * 300, 13).reshape(40, 300)
+        batch = crc_bits_batch(bits, 16)
+        for i in (0, 17, 39):
+            assert np.array_equal(batch[i], crc_bits(bits[i], 16))
+
     def test_detects_bit_flip(self):
         data = random_bits(96, 9)
         reference = crc_bits(data)

@@ -20,7 +20,7 @@ from linksim.channel import make_preset
 from linksim.cli import main
 from linksim.errors import ConfigError
 from linksim.harness import parse_config, run_mux_sim
-from linksim.harness.sweep import link_trial
+from linksim.harness.sweep import link_trials
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((REPO / "configs").glob("*.json")) + sorted(
@@ -170,6 +170,62 @@ def test_cli_malformed_value_exits_2_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_negative_timing_search_names_its_key():
+    data = json.loads((REPO / "tests" / "golden" / "uncoded_los.json").read_text())
+    data["baseband"]["receiver"]["timing_search"] = -1
+    assert _error(data, "ber-sweep") == (
+        "baseband.receiver.timing_search: timing_search must be >= 0")
+    data["baseband"]["receiver"]["timing_search"] = 0
+    parse_config(data, "ber-sweep")
+
+
+def test_payloads_must_fit_the_mtu():
+    traffic = {"period_s": 1e-4, "payload_bytes": 200}
+    data = _mux(mtu=128)
+    data["mux"]["channels"][0]["traffic"] = traffic
+    assert _error(data, "mux-sim") == (
+        "mux.mtu: mtu 128 is below the 200-byte payload of channel 0")
+    assert _error(_mux(mtu=128, trace=[[0.0, 0, 129]]), "mux-sim") == (
+        "mux.trace: trace packet sizes must be <= mtu 128")
+    assert _error(_mux(mtu=0), "mux-sim") == "mux.mtu: mtu must be >= 1"
+    parse_config(_mux(mtu=128, trace=[[0.0, 0, 128]]), "mux-sim")
+
+
+# values that parse by type but used to fail inside the run with exit 1
+RUN_TIME_LIMITS = [
+    ("configs/ranging.json", ("ranging", "sample_rate_hz"), 1e8,
+     "ranging.sample_rate_hz: sample_rate_hz must be >= bandwidth_hz"),
+    ("configs/ranging.json", ("ranging", "bandwidth_hz"), 0,
+     "ranging.bandwidth_hz: bandwidth_hz must be > 0"),
+    ("configs/ranging.json", ("ranging", "block_len"), 0,
+     "ranging.block_len: block_len must be >= 1"),
+    ("configs/ranging.json", ("ranging", "carrier_wavelength_m"), -0.05,
+     "ranging.carrier_wavelength_m: carrier_wavelength_m must be > 0"),
+    ("configs/mux_sim.json", ("mux", "mtu"), -1, "mux.mtu: mtu must be >= 1"),
+    ("configs/mux_sim.json", ("mux", "mtu"), 100,
+     "mux.mtu: mtu 100 is below the 125-byte payload of channel 0"),
+    ("tests/golden/uncoded_los.json", ("baseband", "receiver", "timing_search"),
+     -1, "baseband.receiver.timing_search: timing_search must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("config, path, value, message", RUN_TIME_LIMITS,
+                         ids=[f"{'.'.join(path)}={value}"
+                              for _, path, value, _ in RUN_TIME_LIMITS])
+def test_cli_run_time_limit_exits_2_without_traceback(config, path, value,
+                                                      message, tmp_path):
+    data = json.loads((REPO / config).read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_replaced(data, path, value)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "linksim", data["scenario"], "--config", str(bad),
+         "--out", str(tmp_path / "o.csv")],
+        capture_output=True, text=True, cwd=tmp_path, env=cli_env())
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_sweep_below_sync_threshold_counts_every_packet_lost(tmp_path):
     data = json.loads((REPO / "configs" / "ber_sweep.json").read_text())
     data["sweep"] = {"axis": "snr_db", "values": [-10.0], "trials": 20}
@@ -189,7 +245,9 @@ def test_degenerate_channel_is_a_lost_packet():
     zero = ChannelKnowledge(freq_response=np.zeros(cfg.frame.fft_size),
                             noise_variance=0.0)
     payload = np.ones(256, dtype=np.uint8)
-    assert link_trial(payload, cfg, make_preset("coupling-los"), zero) == (256, 1)
+    errors, lost = link_trials(payload[None, :], cfg,
+                               [make_preset("coupling-los")], zero)
+    assert (errors.tolist(), lost.tolist()) == ([256], [1])
 
 
 def test_baseband_mux_copy_that_loses_sync_is_corrupt():

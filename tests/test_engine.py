@@ -1,0 +1,126 @@
+"""The batched trial engine gives every trial the result it gets alone.
+
+``link_trials`` decodes the codewords of a batch of frames together, and a
+sweep point feeds it ``DECODE_ROWS`` codewords' worth of trials at a time.
+Neither the batch a trial lands in nor where a chunk ends may change a
+result.
+"""
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from linksim.baseband import ChainConfig, CodecConfig
+from linksim.baseband.chain import ChannelKnowledge
+from linksim.channel import ChannelModel, ChannelTap, make_preset
+from linksim.cli import main
+from linksim.harness import sweep
+
+RECEIVER = {"correct_cfo": False, "timing_search": 8}
+CHAINS = {
+    "coded": ChainConfig.for_payload(
+        960, codec=CodecConfig(info_bits_per_codeword=512), **RECEIVER),
+    "uncoded": ChainConfig.for_payload(960, codec=None, **RECEIVER),
+}
+
+
+def _mixed_trials(cfg):
+    """Payloads and channels of a batch where some frames lose sync (-10 dB
+    and a channel whose only tap is zero), some decode with errors and some
+    decode cleanly."""
+    harsh = make_preset("coupling-harsh")
+    models = [replace(harsh, snr_db=snr, seed=seed) for seed, snr in
+              enumerate((-10.0, 0.0, 2.0, 4.0, -10.0, 8.0, 3.0, 20.0))]
+    models.insert(3, ChannelModel(taps=(ChannelTap(0, 0j),), snr_db=10.0))
+    rng = np.random.default_rng(5)
+    payloads = rng.integers(0, 2, (len(models), cfg.payload_bits), dtype=np.uint8)
+    knowledge = sweep.genie_knowledge(cfg, replace(harsh, snr_db=4.0))
+    return payloads, models, knowledge
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_batch_gives_each_trial_its_one_row_result(name):
+    cfg = CHAINS[name]
+    payloads, models, knowledge = _mixed_trials(cfg)
+    errors, lost = sweep.link_trials(payloads, cfg, models, knowledge)
+    alone = [sweep.link_trials(p[None, :], cfg, [m], knowledge)
+             for p, m in zip(payloads, models)]
+    assert errors.tolist() == [int(e[0]) for e, _ in alone]
+    assert lost.tolist() == [int(p[0]) for _, p in alone]
+    # the batch really mixes outcomes: sync losses (every bit wrong),
+    # frames with some bit errors and clean frames
+    all_wrong = errors == cfg.payload_bits
+    assert all_wrong[[0, 3, 5]].all() and lost[[0, 3, 5]].all()
+    assert ((errors > 0) & ~all_wrong).any()
+    assert (lost == 0).any()
+
+
+def test_zero_response_knowledge_loses_every_frame_of_a_batch():
+    cfg = CHAINS["coded"]
+    payloads, models, _ = _mixed_trials(cfg)
+    zero = ChannelKnowledge(freq_response=np.zeros(cfg.frame.fft_size),
+                            noise_variance=0.0)
+    errors, lost = sweep.link_trials(payloads, cfg, models, zero)
+    assert errors.tolist() == [cfg.payload_bits] * len(models)
+    assert lost.tolist() == [1] * len(models)
+
+
+# Coded sweeps whose trial counts are not multiples of a chunk (33 trials of
+# one codeword, 70 trials of two), with the CSVs the one-frame-at-a-time
+# engine wrote for them.
+SWEEPS = {
+    "one_codeword_33_trials": (
+        {"scenario": "per-sweep", "master_seed": 20261018,
+         "baseband": {"modulation": "bpsk", "payload_bits": 992,
+                      "payload_blocks": 9, "receiver": RECEIVER},
+         "channel": {"preset": "coupling-harsh"},
+         "sweep": {"axis": "snr_db", "values": [-10.0, -1.0, 1.0], "trials": 33}},
+        "snr_db,trials,bits,bit_errors,ber,ber_ci95,packets,packet_errors,per,per_ci95\n"
+        "-10,33,32736,32736,1,0,33,33,1,0\n"
+        "-1,33,32736,1714,0.05235826,0.0024129592,33,33,1,0\n"
+        "1,33,32736,29,0.000885874878,0.000322276789,33,3,0.0909090909,0.0980840604\n",
+        [32, 1]),
+    "two_codewords_70_trials": (
+        {"scenario": "per-sweep", "master_seed": 5,
+         "baseband": {"modulation": "qpsk", "payload_bits": 960,
+                      "codec": {"info_bits_per_codeword": 512},
+                      "receiver": RECEIVER},
+         "channel": {"preset": "coupling-mild"},
+         "sweep": {"axis": "snr_db", "values": [-7.0, 3.0, 5.0], "trials": 70}},
+        "snr_db,trials,bits,bit_errors,ber,ber_ci95,packets,packet_errors,per,per_ci95\n"
+        "-7,70,67200,65736,0.978214286,0.00110373892,70,70,1,0\n"
+        "3,70,67200,803,0.0119494048,0.000821535212,70,44,0.628571429,0.113191559\n"
+        "5,70,67200,12,0.000178571429,0.000101025419,70,1,0.0142857143,0.0277987697\n",
+        [16, 16, 16, 16, 6]),
+}
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_chunked_sweep_writes_the_one_frame_engine_csv(name, tmp_path,
+                                                       monkeypatch):
+    data, expected, chunks = SWEEPS[name]
+    batches = []
+    engine = sweep.link_trials
+
+    def spy(payloads, *args):
+        batches.append(len(payloads))
+        return engine(payloads, *args)
+
+    monkeypatch.setattr(sweep, "link_trials", spy)
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / f"{name}.csv"
+    assert main(["per-sweep", "--config", str(config), "--out", str(out)]) == 0
+    assert out.read_text() == expected
+    assert batches == chunks * len(data["sweep"]["values"])
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+def test_chunk_size_does_not_change_results(rows, monkeypatch):
+    cfg = CHAINS["coded"]
+    spec = sweep.SweepSpec(values=(-7.0, 3.0), trials=7, axis="snr_db")
+    model = make_preset("coupling-mild")
+    reference = sweep.run_sweep(cfg, model, spec, master_seed=9).points
+    monkeypatch.setattr(sweep, "DECODE_ROWS", rows)
+    assert sweep.run_sweep(cfg, model, spec, master_seed=9).points == reference
