@@ -1,9 +1,10 @@
 """End-to-end transmit and receive chains.
 
-Transmit: payload bits -> per-codeword CRC + convolutional encoding ->
-spreading -> BPSK/QPSK mapping -> frame assembly (preamble, pilot block,
-CP'd payload blocks).  Uncoded operation (codec=None) maps payload bits
-straight to chips.
+Transmit (``tx_chain``, one frame, returns the waveform): payload bits ->
+``coding.encode`` (codewords of info bits + CRC, convolutionally encoded)
+-> spreading -> BPSK/QPSK mapping -> frame assembly (preamble, pilot
+block, CP'd payload blocks).  Uncoded operation (codec=None) maps payload
+bits straight to chips.
 
 Receive, in two steps.  The per-frame front end (``rx_front_end``) does
 preamble acquisition (timing / CFO / phase), correction, channel
@@ -11,9 +12,9 @@ estimation (genie response handed in, or least squares from the pilot
 block), per-block equalization (FD-MMSE or TD-LMS), per-block pilot phase
 tracking, soft demapping and despreading.  The decode step
 (``decode_frames``) takes the soft bits of any number of frames as one
-matrix: Viterbi decoding, CRC checks and a re-encode that gives the
-pre-decoder bit error rate (re-encoded codewords against the sliced soft
-bits).  ``rx_chain`` is the two steps for one frame.
+matrix and hands them to ``coding.decode``, which decodes every codeword
+of the batch at once; uncoded frames are sliced.  There is no one-frame
+receive call: a single frame is a batch of one.
 """
 from __future__ import annotations
 
@@ -25,21 +26,17 @@ from ..errors import CapacityError
 from . import coding
 from .coding import CodecConfig
 from .equalizers import EqualizerConfig, EqualizerVariant, fd_equalize, td_equalize
-from .framing import (BasebandFrame, FrameConfig, build_frame, build_preamble,
-                      chu_sequence, extract_data_symbols, known_header,
-                      remove_cyclic_prefix)
+from .framing import (FrameConfig, build_frame, build_preamble, chu_sequence,
+                      extract_data_symbols, known_header, remove_cyclic_prefix)
 from .modulation import (ModulationScheme, SpreadingConfig, demodulate,
                          despread, hard_decisions, modulate, spread)
 from .sync import SyncState, acquire_sync, track_phase
 
 
-def _chip_count(payload_bits: int, codec: CodecConfig | None, sf: int) -> int:
+def _coded_bits(payload_bits: int, codec: CodecConfig | None) -> int:
     if codec is None:
-        coded = payload_bits
-    else:
-        n_cw = -(-payload_bits // codec.info_capacity)
-        coded = n_cw * codec.coded_bits_per_codeword
-    return coded * sf
+        return payload_bits
+    return codec.n_codewords(payload_bits) * codec.coded_bits_per_codeword
 
 
 @dataclass(frozen=True)
@@ -68,18 +65,13 @@ class ChainConfig:
 
     # -- derived geometry -------------------------------------------------
     def n_codewords(self) -> int:
-        if self.codec is None:
-            return 0
-        cap = self.codec.info_capacity
-        return -(-self.payload_bits // cap)
+        return 0 if self.codec is None else self.codec.n_codewords(self.payload_bits)
 
     def coded_bits_total(self) -> int:
-        if self.codec is None:
-            return self.payload_bits
-        return self.n_codewords() * self.codec.coded_bits_per_codeword
+        return _coded_bits(self.payload_bits, self.codec)
 
     def chip_count(self) -> int:
-        return _chip_count(self.payload_bits, self.codec, self.spreading.sf)
+        return self.coded_bits_total() * self.spreading.sf
 
     def required_symbols(self) -> int:
         bps = self.modulation.bits_per_symbol
@@ -97,7 +89,7 @@ class ChainConfig:
         codec = kwargs["codec"] if "codec" in kwargs else CodecConfig()
         sf = kwargs.get("spreading", SpreadingConfig()).sf
         bps = kwargs.get("modulation", ModulationScheme.BPSK).bits_per_symbol
-        symbols = -(-_chip_count(payload_bits, codec, sf) // bps)
+        symbols = -(-_coded_bits(payload_bits, codec) * sf // bps)
         blocks = max(1, -(-symbols // frame.data_symbols_per_block))
         return cls(payload_bits=payload_bits,
                    frame=replace(frame, n_payload_blocks=blocks), **kwargs)
@@ -111,59 +103,22 @@ class ChannelKnowledge:
     noise_variance: float = 0.0
 
 
-@dataclass
-class TxResult:
-    frame: BasebandFrame
-    waveform: np.ndarray
-    coded_bits: np.ndarray     # transmitted chip-domain bits (post spreading)
-    data_symbols: np.ndarray
-
-
-@dataclass
-class LinkMetrics:
-    sync: SyncState
-    pre_decoder_ber_estimate: float | None
-    codewords_failed: int
-    sample_counts: dict[str, int]
-
-
-@dataclass
-class RxResult:
-    info_bits: np.ndarray
-    crc_ok: bool | None
-    metrics: LinkMetrics
-
-
-def _encode_payload(info_bits: np.ndarray, cfg: ChainConfig) -> np.ndarray:
-    codec = cfg.codec
-    if codec is None:
-        return np.asarray(info_bits, dtype=np.uint8)
-    cap = codec.info_capacity
-    n_cw = cfg.n_codewords()
-    framed = np.zeros((n_cw, codec.info_bits_per_codeword), dtype=np.uint8)
-    padded = np.zeros(n_cw * cap, dtype=np.uint8)
-    padded[: len(info_bits)] = info_bits
-    framed[:, :cap] = padded.reshape(n_cw, cap)
-    framed[:, cap:] = coding.crc_bits_batch(framed[:, :cap], codec.crc_width)
-    return coding.conv_encode_batch(framed, codec).reshape(-1)
-
-
-def tx_chain(info_bits: np.ndarray, cfg: ChainConfig) -> TxResult:
+def tx_chain(info_bits: np.ndarray, cfg: ChainConfig) -> np.ndarray:
     """Build the transmit waveform for one frame of payload bits."""
     info_bits = np.asarray(info_bits, dtype=np.uint8)
     if len(info_bits) != cfg.payload_bits:
         raise ValueError(
             f"got {len(info_bits)} payload bits, config says {cfg.payload_bits}")
-    coded = _encode_payload(info_bits, cfg)
+    coded = info_bits
+    if cfg.codec is not None:
+        coded = coding.encode(info_bits[None, :], cfg.codec)[0]
     chips = spread(coded, cfg.spreading)
     bps = cfg.modulation.bits_per_symbol
     if chips.size % bps:
         pad = np.zeros(bps - chips.size % bps, dtype=np.uint8)
         chips = np.concatenate([chips, pad])
     symbols = modulate(chips, cfg.modulation)
-    frame = build_frame(symbols, cfg.frame)
-    return TxResult(frame=frame, waveform=frame.to_waveform(),
-                    coded_bits=chips, data_symbols=symbols)
+    return build_frame(symbols, cfg.frame).to_waveform()
 
 
 def _ls_channel_estimate(pilot_rx: np.ndarray, fcfg: FrameConfig) -> np.ndarray:
@@ -257,50 +212,13 @@ class DecodedFrames:
 def decode_frames(soft_bits: np.ndarray, cfg: ChainConfig) -> DecodedFrames:
     """Decode a (frames, coded_bits_total) matrix of front-end soft bits.
 
-    The codewords of every frame go through one Viterbi call, one CRC
-    check and one re-encode; uncoded frames are sliced.
+    The codewords of every frame go through one ``coding.decode`` call;
+    uncoded frames are sliced.
     """
-    frames = soft_bits.shape[0]
-    codec = cfg.codec
-    if codec is None:
-        info = hard_decisions(soft_bits)[:, : cfg.payload_bits]
-        return DecodedFrames(info, np.zeros(frames, dtype=np.int64), None)
-
-    soft_cw = soft_bits.reshape(frames * cfg.n_codewords(),
-                                codec.coded_bits_per_codeword)
-    framed = coding.viterbi_decode_batch(soft_cw, codec)
-    cap = codec.info_capacity
-    crc_expected = coding.crc_bits_batch(framed[:, :cap], codec.crc_width)
-    crc_fail = np.any(crc_expected != framed[:, cap:], axis=1)
-    info = framed[:, :cap].reshape(frames, -1)[:, : cfg.payload_bits]
-
-    reencoded = coding.conv_encode_batch(framed, codec)
-    flipped = np.count_nonzero(reencoded != hard_decisions(soft_cw), axis=1)
-    return DecodedFrames(
-        info_bits=info,
-        codewords_failed=crc_fail.reshape(frames, -1).sum(axis=1),
-        channel_bit_errors=flipped.reshape(frames, -1).sum(axis=1))
-
-
-def rx_chain(waveform: np.ndarray, cfg: ChainConfig,
-             channel: ChannelKnowledge | None = None) -> RxResult:
-    """Recover payload bits from a received waveform."""
-    soft_bits, sync = rx_front_end(waveform, cfg, channel)
-    decoded = decode_frames(soft_bits[None, :], cfg)
-    fcfg = cfg.frame
-    counts = {
-        "preamble": len(build_preamble()),
-        "pilot": fcfg.block_len,
-        "payload": fcfg.n_payload_blocks * fcfg.block_len,
-        "cp_total": (fcfg.n_payload_blocks + 1) * fcfg.cp_len,
-        "data_symbols": cfg.required_symbols(),
-        "coded_bits": cfg.coded_bits_total(),
-        "info_bits": cfg.payload_bits,
-    }
-    failed = int(decoded.codewords_failed[0])
     if cfg.codec is None:
-        return RxResult(info_bits=decoded.info_bits[0], crc_ok=None,
-                        metrics=LinkMetrics(sync, None, failed, counts))
-    pre_ber = int(decoded.channel_bit_errors[0]) / soft_bits.size
-    return RxResult(info_bits=decoded.info_bits[0], crc_ok=failed == 0,
-                    metrics=LinkMetrics(sync, pre_ber, failed, counts))
+        info = hard_decisions(soft_bits)[:, : cfg.payload_bits]
+        return DecodedFrames(info, np.zeros(len(info), dtype=np.int64), None)
+    info, crc_ok, corrected = coding.decode(soft_bits, cfg.codec)
+    return DecodedFrames(info_bits=info[:, : cfg.payload_bits],
+                         codewords_failed=np.count_nonzero(~crc_ok, axis=1),
+                         channel_bit_errors=corrected)

@@ -1,17 +1,20 @@
 """Error control coding: CRC framing, rate-1/n convolutional code, Viterbi.
 
+``encode`` and ``decode`` own the codeword layout and work on batches of
+rows: a row of payload bits fills ceil(n / info_capacity) codewords, the
+last one zero-padded, each holding its info bits followed by a
+``crc_width``-bit CRC over them, convolutionally encoded.
+
 The default code is the classic constraint-length-7 feedforward
 convolutional code with generators 133/171 (octal); any n generators give a
 rate-1/n code.  Codes are trellis-terminated with K-1 zero tail bits.
-Each codeword carries ``info_bits_per_codeword`` bits of which the last
-``crc_width`` are a CRC over the rest, so the decoder can flag residual
-errors.  The CRC is linear over GF(2) apart from its all-ones initial
+The CRC is linear over GF(2) apart from its all-ones initial
 value, so it is computed as the affine map ``(bits @ A + c) mod 2`` with
 ``A`` and ``c`` cached per (length, width): one matrix product for a whole
 batch of rows.  Decoding is a full-trellis maximum-likelihood search over
-soft values, every row of a batch in one loop over the trellis steps; ties
-between merging paths resolve to the branch whose departing register bit
-is 0, which makes decoding bit-exactly reproducible.
+soft values, every codeword of a batch in one loop over the trellis steps;
+ties between merging paths resolve to the branch whose departing register
+bit is 0, which makes decoding bit-exactly reproducible.
 """
 from __future__ import annotations
 
@@ -61,6 +64,10 @@ class CodecConfig:
         """Payload bits per codeword once the CRC is accounted for."""
         return self.info_bits_per_codeword - self.crc_width
 
+    def n_codewords(self, info_bits: int) -> int:
+        """Codewords that a row of ``info_bits`` payload bits fills."""
+        return -(-info_bits // self.info_capacity)
+
     @property
     def coded_bits_per_codeword(self) -> int:
         """Transmitted bits per codeword including the termination tail."""
@@ -99,22 +106,14 @@ def _crc_affine(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     return _CRC_CACHE[key]
 
 
-def crc_bits(bits: np.ndarray, width: int = 32) -> np.ndarray:
-    """CRC over a bit array, MSB-first, init and final-xor all-ones."""
-    out = crc_bits_batch(np.asarray(bits, dtype=np.uint8)[None, :], width)
-    return out[0]
-
-
 def crc_bits_batch(bits: np.ndarray, width: int = 32) -> np.ndarray:
-    """CRC of each row of a (batch, n) bit matrix; returns (batch, width)."""
+    """CRC of each row of a (batch, n) bit matrix; returns (batch, width).
+
+    MSB-first, initial value and final xor all ones.
+    """
     bits = np.asarray(bits, dtype=np.uint8)
     a, c = _crc_affine(bits.shape[1], width)
     return ((bits @ a) % 2).astype(np.uint8) ^ c
-
-
-def conv_encode(bits: np.ndarray, cfg: CodecConfig = CodecConfig()) -> np.ndarray:
-    """Terminated convolutional encoding of a bit array."""
-    return conv_encode_batch(np.asarray(bits, dtype=np.uint8)[None, :], cfg)[0]
 
 
 def conv_encode_batch(bits: np.ndarray, cfg: CodecConfig) -> np.ndarray:
@@ -235,35 +234,50 @@ def viterbi_decode_batch(soft: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     return tr.input_bit[states[: steps - cfg.tail_bits].T]
 
 
-def encode(info_bits: np.ndarray, cfg: CodecConfig = CodecConfig()) -> np.ndarray:
-    """CRC-frame and convolutionally encode one codeword of payload bits.
+def encode(info_bits: np.ndarray, cfg: CodecConfig) -> np.ndarray:
+    """CRC-frame and convolutionally encode each row of payload bits.
 
-    Inputs shorter than ``cfg.info_capacity`` are zero-padded before the
-    CRC is computed, so the receiver always sees a full-length codeword.
+    ``info_bits`` is (batch, n); returns (batch, n_codewords(n) *
+    coded_bits_per_codeword), the codewords of a row back to back.  The
+    last codeword is zero-padded before its CRC is computed, so the
+    receiver always sees full-length codewords.
     """
     info_bits = np.asarray(info_bits, dtype=np.uint8)
-    if info_bits.ndim != 1:
-        raise ValueError("info_bits must be one-dimensional")
-    if len(info_bits) > cfg.info_capacity:
-        raise ValueError(
-            f"payload of {len(info_bits)} bits exceeds codeword capacity "
-            f"{cfg.info_capacity}")
-    padded = np.zeros(cfg.info_capacity, dtype=np.uint8)
-    padded[: len(info_bits)] = info_bits
-    framed = np.concatenate([padded, crc_bits(padded, cfg.crc_width)])
-    return conv_encode(framed, cfg)
+    batch, n = info_bits.shape
+    cap = cfg.info_capacity
+    padded = np.zeros((batch, cfg.n_codewords(n) * cap), dtype=np.uint8)
+    padded[:, :n] = info_bits
+    framed = np.empty((padded.size // cap, cfg.info_bits_per_codeword),
+                      dtype=np.uint8)
+    framed[:, :cap] = padded.reshape(-1, cap)
+    framed[:, cap:] = crc_bits_batch(framed[:, :cap], cfg.crc_width)
+    return conv_encode_batch(framed, cfg).reshape(batch, -1)
 
 
-def decode(coded: np.ndarray, cfg: CodecConfig = CodecConfig()) -> tuple[np.ndarray, bool]:
-    """Decode one codeword of soft or hard values.
+def decode(soft: np.ndarray, cfg: CodecConfig
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode each row of a (batch, n_cw * coded_bits_per_codeword) matrix.
 
-    Returns (payload bits without the CRC, crc_ok).  Hard bit arrays
-    ({0,1}) are detected by dtype and mapped to +/-1 soft values.
+    Soft values as for ``viterbi_decode_batch`` (positive means bit 0).
+    The codewords of every row go through one Viterbi call, one CRC check
+    and one re-encode.  Returns ``(info, crc_ok, corrected)``: the
+    (batch, n_cw * info_capacity) info bits, padding included; the
+    (batch, n_cw) CRC verdicts; and per row the coded bits whose hard
+    decision differs from the re-encoded decoder output, the channel bit
+    errors the decoder corrected.
     """
-    coded = np.asarray(coded)
-    if coded.dtype.kind in "ui" or coded.dtype == bool:
-        coded = 1.0 - 2.0 * coded.astype(np.float64)
-    framed = viterbi_decode_batch(coded[None, :], cfg)[0]
-    info, rx_crc = framed[: cfg.info_capacity], framed[cfg.info_capacity:]
-    crc_ok = bool(np.array_equal(crc_bits(info, cfg.crc_width), rx_crc))
-    return info, crc_ok
+    soft = np.asarray(soft, dtype=np.float64)
+    batch, coded_len = soft.shape
+    cw_len = cfg.coded_bits_per_codeword
+    if coded_len == 0 or coded_len % cw_len:
+        raise ValueError(f"coded length {coded_len} does not match codec "
+                         f"(a multiple of {cw_len})")
+    soft_cw = soft.reshape(-1, cw_len)
+    framed = viterbi_decode_batch(soft_cw, cfg)
+    cap = cfg.info_capacity
+    crc_ok = np.all(crc_bits_batch(framed[:, :cap], cfg.crc_width)
+                    == framed[:, cap:], axis=1)
+    corrected = np.count_nonzero(conv_encode_batch(framed, cfg) != (soft_cw < 0),
+                                 axis=1)
+    return (framed[:, :cap].reshape(batch, -1), crc_ok.reshape(batch, -1),
+            corrected.reshape(batch, -1).sum(axis=1))

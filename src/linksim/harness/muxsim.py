@@ -28,7 +28,8 @@ import numpy as np
 from ..baseband.chain import ChainConfig
 from ..channel import ChannelModel
 from ..errors import ConfigError
-from ..mux import AppFrame, FrameSource, LogicalChannel, Mux, Redundancy
+from ..mux import (DEFAULT_MTU, DEFAULT_QUEUE_DEPTH, N_MODEMS, AppFrame,
+                   FrameSource, LogicalChannel, Mux, Redundancy)
 from ..profiles import ModemCapacity, admit_channels
 from .seeding import stable_seed, stable_uniform
 from .sweep import genie_knowledge, link_trials
@@ -58,8 +59,9 @@ class IidLossModel:
     per_modem: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.per_modem) != 2:
-            raise ValueError("per_modem needs one probability per modem (2)")
+        if len(self.per_modem) != N_MODEMS:
+            raise ValueError(
+                f"per_modem needs one probability per modem ({N_MODEMS})")
         if any(not 0 <= p < 1 for p in self.per_modem):
             raise ValueError("per_modem probabilities must be in [0, 1)")
 
@@ -78,8 +80,8 @@ class MuxSimSpec:
     duration_s: float
     loss: IidLossModel | BasebandLossModel
     trace: tuple[tuple[float, int, int], ...] = ()   # (time, channel, size)
-    mtu: int = 1500
-    queue_depth: int = 64
+    mtu: int = DEFAULT_MTU
+    queue_depth: int = DEFAULT_QUEUE_DEPTH
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
@@ -95,6 +97,12 @@ class MuxSimSpec:
                     f"payload of channel {ch_id}")
         if any(size > self.mtu for _, _, size in self.trace):
             raise ValueError(f"trace packet sizes must be <= mtu {self.mtu}")
+        known = {ch.id for ch in self.channels}
+        for name, ids in (("trace", {row[1] for row in self.trace}),
+                          ("traffic", set(self.traffic))):
+            if ids - known:
+                raise ValueError(
+                    f"{name} references unknown channel {min(ids - known)}")
 
 
 @dataclass
@@ -146,10 +154,10 @@ def check_admission(spec: MuxSimSpec) -> None:
     it may use (redundant and distributive against both, single against
     modem 0 only).
     """
-    per_modem: list[list] = [[], []]
+    per_modem: list[list] = [[] for _ in range(N_MODEMS)]
     for ch in spec.channels:
         if ch.redundancy in (Redundancy.REDUNDANT, Redundancy.DISTRIBUTIVE):
-            targets = (0, 1)
+            targets = range(N_MODEMS)
         else:
             targets = (0,)
         for m in targets:
@@ -213,7 +221,7 @@ def run_mux_sim(spec: MuxSimSpec, master_seed: int) -> MuxSimResult:
                                 (ch_id, size, FrameSource.ETHERNET)))
         order += 1
 
-    modem_busy = [False] * mux.n_modems
+    modem_busy = [False] * N_MODEMS
     # per-(channel, seq): [copies_sent, copies_corrupt, delivered_flag]
     fates: dict[tuple[int, int], list] = {}
 
@@ -255,8 +263,6 @@ def run_mux_sim(spec: MuxSimSpec, master_seed: int) -> MuxSimResult:
         now, _, kind, data = heapq.heappop(events)
         if kind == "arrival":
             ch_id, size, source = data
-            if ch_id not in channels:
-                raise ConfigError(f"traffic references unknown channel {ch_id}")
             mux.enqueue(AppFrame(source, bytes(size), now), channels[ch_id], now)
         else:
             modem, packet = data

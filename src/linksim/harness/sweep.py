@@ -156,10 +156,10 @@ def link_trials(payloads: np.ndarray, cfg: ChainConfig,
     packet_errors = np.ones(len(payloads), dtype=np.int64)
     soft, received = [], []
     for f, (payload, model) in enumerate(zip(payloads, models, strict=True)):
-        tx = tx_chain(payload, cfg)
+        waveform = tx_chain(payload, cfg)
         try:
-            soft_bits, _ = rx_front_end(apply_channel(tx.waveform, model),
-                                        cfg, knowledge)
+            soft_bits, _ = rx_front_end(apply_channel(waveform, model), cfg,
+                                        knowledge)
         except (SyncError, DegenerateChannelError):
             continue
         soft.append(soft_bits)

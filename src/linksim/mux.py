@@ -25,6 +25,8 @@ from .profiles import ServiceProfile
 
 DEFAULT_MTU = 1500
 DEFAULT_QUEUE_DEPTH = 64
+#: modems of a station; redundant channels duplicate onto all of them
+N_MODEMS = 2
 
 
 class Redundancy(Enum):
@@ -84,22 +86,19 @@ class Mux:
     """Multiplexer state machine for one station (two modems)."""
 
     def __init__(self, channels: list[LogicalChannel], mtu: int = DEFAULT_MTU,
-                 queue_depth: int = DEFAULT_QUEUE_DEPTH, n_modems: int = 2):
+                 queue_depth: int = DEFAULT_QUEUE_DEPTH):
         ids = [ch.id for ch in channels]
         if len(set(ids)) != len(ids):
             raise ValueError("channel ids must be unique within a mux")
-        if n_modems < 1:
-            raise ValueError("need at least one modem")
         self.channels = {ch.id: ch for ch in channels}
         self.mtu = mtu
         self.queue_depth = queue_depth
-        self.n_modems = n_modems
         self._queues: dict[int, deque[DataLinkPacket]] = {
             ch.id: deque() for ch in channels}
         self._next_seq = {ch.id: 0 for ch in channels}
         self._delivered: dict[int, set[int]] = {ch.id: set() for ch in channels}
         self.counters = {ch.id: ChannelCounters() for ch in channels}
-        self.modem_bytes = [0] * n_modems   # cumulative bytes assigned
+        self.modem_bytes = [0] * N_MODEMS   # cumulative bytes assigned
 
     # -- transmit side ----------------------------------------------------
     def enqueue(self, frame: AppFrame, channel: LogicalChannel,
@@ -146,9 +145,9 @@ class Mux:
 
     def _targets(self, channel: LogicalChannel) -> tuple[int, ...]:
         if channel.redundancy is Redundancy.REDUNDANT:
-            return tuple(range(self.n_modems))
+            return tuple(range(N_MODEMS))
         if channel.redundancy is Redundancy.DISTRIBUTIVE:
-            return (int(min(range(self.n_modems),
+            return (int(min(range(N_MODEMS),
                             key=lambda m: (self.modem_bytes[m], m))),)
         return (0,)
 

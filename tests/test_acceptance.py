@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from conftest import cli_env
-from linksim.baseband import (ChainConfig, ChannelKnowledge, CodecConfig,
-                              rx_chain, tx_chain)
+from linksim.baseband import ChainConfig, ChannelKnowledge, CodecConfig
 from linksim.baseband.framing import FrameConfig
 from linksim.baseband.modulation import SpreadingConfig
-from linksim.channel import apply_channel, estimate_frequency_response, make_preset
+from linksim.channel import estimate_frequency_response, make_preset
 from linksim.harness import (IidLossModel, MuxSimSpec, PeriodicTraffic,
                              SweepSpec, latency_budget, run_mux_sim, run_sweep)
+from linksim.harness.sweep import link_trials
 from linksim.mux import LogicalChannel, Redundancy
 from linksim.profiles import (SERVICE_PROFILES, ModemCapacity,
                               required_resources)
@@ -83,13 +83,12 @@ def test_criterion_2_cp_fde_exactness():
     rng = np.random.default_rng(20260810)
 
     def run_frames(cfg, frames):
-        exact = 0
-        for _ in range(frames):
-            bits = rng.integers(0, 2, cfg.payload_bits).astype(np.uint8)
-            tx = tx_chain(bits, cfg)
-            rx = rx_chain(apply_channel(tx.waveform, model), cfg, knowledge)
-            exact += int(np.array_equal(rx.info_bits, bits) and rx.crc_ok)
-        return exact
+        # a frame is exact when every payload bit is right and every
+        # codeword passes its CRC (packet error 0)
+        payloads = np.stack([rng.integers(0, 2, cfg.payload_bits).astype(np.uint8)
+                             for _ in range(frames)])
+        _, packet_errors = link_trials(payloads, cfg, [model] * frames, knowledge)
+        return int(np.count_nonzero(packet_errors == 0))
 
     short_cfg = ChainConfig.for_payload(
         224, codec=CodecConfig(info_bits_per_codeword=256), timing_search=8)

@@ -3,8 +3,8 @@ import pytest
 
 from linksim.baseband import (ChainConfig, ChannelKnowledge, CodecConfig,
                               EqualizerConfig, EqualizerVariant,
-                              ModulationScheme, SpreadingConfig, rx_chain,
-                              tx_chain)
+                              ModulationScheme, SpreadingConfig, decode_frames,
+                              rx_front_end, tx_chain)
 from linksim.baseband.framing import FrameConfig
 from linksim.channel import (apply_channel, estimate_frequency_response,
                              make_preset)
@@ -17,9 +17,19 @@ def payload(n, seed):
     return np.random.default_rng(seed).integers(0, 2, n).astype(np.uint8)
 
 
+def receive(waveform, cfg, knowledge=None):
+    """Front end and decode of one frame, a batch of one; returns the
+    frame's row of ``DecodedFrames`` as (info_bits, codewords_failed,
+    channel_bit_errors or None) and the sync state."""
+    soft, sync = rx_front_end(waveform, cfg, knowledge)
+    decoded = decode_frames(soft[None, :], cfg)
+    errors = decoded.channel_bit_errors
+    return (decoded.info_bits[0], int(decoded.codewords_failed[0]),
+            None if errors is None else int(errors[0])), sync
+
+
 def loopback(cfg, bits, knowledge=IDENTITY):
-    tx = tx_chain(bits, cfg)
-    return rx_chain(tx.waveform, cfg, knowledge)
+    return receive(tx_chain(bits, cfg), cfg, knowledge)[0]
 
 
 class TestLoopback:
@@ -34,33 +44,50 @@ class TestLoopback:
             modulation=scheme, spreading=SpreadingConfig(sf),
             equalizer=EqualizerConfig(variant=variant))
         bits = payload(500, sf * 10 + scheme.bits_per_symbol)
-        rx = loopback(cfg, bits)
-        assert np.array_equal(rx.info_bits, bits)
-        assert rx.crc_ok is True
+        info, failed, _ = loopback(cfg, bits)
+        assert np.array_equal(info, bits)
+        assert failed == 0
 
     def test_defaults_bit_exact(self):
         cfg = ChainConfig.for_payload(992)
         bits = payload(992, 0)
-        rx = loopback(cfg, bits)
-        assert np.array_equal(rx.info_bits, bits)
-        assert rx.crc_ok is True
-        assert rx.metrics.pre_decoder_ber_estimate == 0.0
+        info, failed, channel_errors = loopback(cfg, bits)
+        assert np.array_equal(info, bits)
+        assert (failed, channel_errors) == (0, 0)
 
     def test_uncoded_loopback(self):
         cfg = ChainConfig.for_payload(300, codec=None)
         bits = payload(300, 1)
-        rx = loopback(cfg, bits)
-        assert np.array_equal(rx.info_bits, bits)
-        assert rx.crc_ok is None
-        assert rx.metrics.pre_decoder_ber_estimate is None
+        info, failed, channel_errors = loopback(cfg, bits)
+        assert np.array_equal(info, bits)
+        assert failed == 0 and channel_errors is None
 
     def test_multi_codeword_payload(self):
         cfg = ChainConfig.for_payload(2500)
         assert cfg.n_codewords() == 3
         bits = payload(2500, 2)
-        rx = loopback(cfg, bits)
-        assert np.array_equal(rx.info_bits, bits)
-        assert rx.crc_ok is True
+        info, failed, _ = loopback(cfg, bits)
+        assert np.array_equal(info, bits)
+        assert failed == 0
+
+    def test_frames_decode_together_as_they_do_alone(self):
+        # one decode_frames call over three frames of three codewords each,
+        # one of them noisy enough that some codewords fail their CRC
+        cfg = ChainConfig.for_payload(2500)
+        knowledge = ChannelKnowledge(np.ones(256), 1.0)
+        soft = []
+        for seed, snr in ((0, 30.0), (1, -1.0), (2, 6.0)):
+            model = make_preset("coupling-los", snr_db=snr, seed=seed)
+            waveform = apply_channel(tx_chain(payload(2500, seed), cfg), model)
+            soft.append(rx_front_end(waveform, cfg, knowledge)[0])
+        together = decode_frames(np.stack(soft), cfg)
+        assert together.codewords_failed[0] == 0
+        assert 0 < together.codewords_failed[1] < 3
+        for f, row in enumerate(soft):
+            alone = decode_frames(row[None, :], cfg)
+            assert np.array_equal(together.info_bits[f], alone.info_bits[0])
+            assert together.codewords_failed[f] == alone.codewords_failed[0]
+            assert together.channel_bit_errors[f] == alone.channel_bit_errors[0]
 
 
 class TestMultipath:
@@ -68,21 +95,20 @@ class TestMultipath:
         cfg = ChainConfig.for_payload(992)
         model = make_preset("coupling-harsh")
         bits = payload(992, 3)
-        tx = tx_chain(bits, cfg)
-        rxw = apply_channel(tx.waveform, model)
+        rxw = apply_channel(tx_chain(bits, cfg), model)
         knowledge = ChannelKnowledge(estimate_frequency_response(model, 256), 0.0)
-        rx = rx_chain(rxw, cfg, knowledge)
-        assert np.array_equal(rx.info_bits, bits)
-        assert rx.crc_ok is True
+        (info, failed, _), _ = receive(rxw, cfg, knowledge)
+        assert np.array_equal(info, bits)
+        assert failed == 0
 
     def test_pilot_ls_estimator_matches_genie(self):
         cfg = ChainConfig.for_payload(992, channel_estimator="pilot-ls")
         model = make_preset("coupling-mild")
         bits = payload(992, 4)
-        tx = tx_chain(bits, cfg)
-        rx = rx_chain(apply_channel(tx.waveform, model), cfg)
-        assert np.array_equal(rx.info_bits, bits)
-        assert rx.crc_ok is True
+        (info, failed, _), _ = receive(apply_channel(tx_chain(bits, cfg), model),
+                                       cfg)
+        assert np.array_equal(info, bits)
+        assert failed == 0
 
     def test_td_equalizer_under_mild_multipath(self):
         cfg = ChainConfig.for_payload(
@@ -91,22 +117,21 @@ class TestMultipath:
             channel_estimator="pilot-ls")
         model = make_preset("coupling-mild")
         bits = payload(400, 5)
-        tx = tx_chain(bits, cfg)
-        rx = rx_chain(apply_channel(tx.waveform, model), cfg)
-        assert np.array_equal(rx.info_bits, bits)
+        (info, _, _), _ = receive(apply_channel(tx_chain(bits, cfg), model), cfg)
+        assert np.array_equal(info, bits)
 
     def test_cfo_phase_and_noise(self):
         cfg = ChainConfig.for_payload(992)
         model = make_preset("coupling-los", cfo=0.008, phase_offset=-1.2,
                             snr_db=15.0, seed=77)
         bits = payload(992, 6)
-        tx = tx_chain(bits, cfg)
         knowledge = ChannelKnowledge(estimate_frequency_response(model, 256),
                                      10 ** (-1.5))
-        rx = rx_chain(apply_channel(tx.waveform, model), cfg, knowledge)
-        assert np.array_equal(rx.info_bits, bits)
-        assert rx.crc_ok is True
-        assert rx.metrics.sync.cfo_estimate == pytest.approx(0.008, abs=2e-4)
+        (info, failed, _), sync = receive(
+            apply_channel(tx_chain(bits, cfg), model), cfg, knowledge)
+        assert np.array_equal(info, bits)
+        assert failed == 0
+        assert sync.cfo_estimate == pytest.approx(0.008, abs=2e-4)
 
 
 class TestContracts:
@@ -122,30 +147,31 @@ class TestContracts:
 
     def test_genie_mode_requires_knowledge(self):
         cfg = ChainConfig.for_payload(100, codec=None)
-        tx = tx_chain(payload(100, 8), cfg)
+        waveform = tx_chain(payload(100, 8), cfg)
         with pytest.raises(ValueError, match="genie"):
-            rx_chain(tx.waveform, cfg, None)
+            rx_front_end(waveform, cfg, None)
 
-    def test_metrics_sample_counts(self):
+    def test_frame_geometry(self):
+        # 992 payload bits fill one 2060-bit codeword; the waveform is the
+        # 128-sample preamble, then the pilot block and the payload blocks,
+        # each 256 samples behind a 32-sample CP
         cfg = ChainConfig.for_payload(992)
-        bits = payload(992, 9)
-        rx = loopback(cfg, bits)
-        counts = rx.metrics.sample_counts
-        assert counts["preamble"] == 128
-        assert counts["info_bits"] == 992
-        assert counts["coded_bits"] == 2060
-        assert counts["cp_total"] == (cfg.frame.n_payload_blocks + 1) * 32
-        assert counts["payload"] == cfg.frame.n_payload_blocks * 288
+        assert cfg.coded_bits_total() == 2060
+        waveform = tx_chain(payload(992, 9), cfg)
+        assert len(waveform) == 128 + (cfg.frame.n_payload_blocks + 1) * (256 + 32)
+        soft, _ = rx_front_end(waveform, cfg, IDENTITY)
+        assert soft.shape == (2060,)
 
-    def test_pre_decoder_ber_estimate_tracks_channel(self):
+    def test_channel_bit_errors_track_channel(self):
         cfg = ChainConfig.for_payload(992)
         model = make_preset("coupling-los", snr_db=4.0, seed=11)
         bits = payload(992, 10)
-        tx = tx_chain(bits, cfg)
         knowledge = ChannelKnowledge(np.ones(256), 10 ** (-0.4))
-        rx = rx_chain(apply_channel(tx.waveform, model), cfg, knowledge)
+        (info, failed, channel_errors), _ = receive(
+            apply_channel(tx_chain(bits, cfg), model), cfg, knowledge)
         # raw channel BER at 4 dB per-sample SNR is ~1.25e-2
-        assert 0.002 < rx.metrics.pre_decoder_ber_estimate < 0.04
+        assert 0.002 < channel_errors / cfg.coded_bits_total() < 0.04
+        assert np.array_equal(info, bits) and failed == 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -160,5 +186,5 @@ class TestContracts:
         # unit-modulus, so the single-carrier waveform has 0 dB PAPR
         from linksim.baseband.modulation import papr_db
         cfg = ChainConfig.for_payload(500, codec=None, modulation=scheme)
-        tx = tx_chain(payload(500, 20), cfg)
-        assert papr_db(tx.waveform) == pytest.approx(0.0, abs=1e-12)
+        waveform = tx_chain(payload(500, 20), cfg)
+        assert papr_db(waveform) == pytest.approx(0.0, abs=1e-12)

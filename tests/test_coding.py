@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linksim.baseband.coding import (CRC_POLYNOMIALS, CodecConfig, conv_encode,
-                                     crc_bits, crc_bits_batch, decode, encode,
-                                     viterbi_decode_batch)
+from linksim.baseband.coding import (CRC_POLYNOMIALS, CodecConfig,
+                                     conv_encode_batch, crc_bits_batch, decode,
+                                     encode, viterbi_decode_batch)
 
 SMALL = CodecConfig(info_bits_per_codeword=128, crc_width=32)
 RATE_THIRD = CodecConfig(info_bits_per_codeword=128, crc_width=32,
@@ -19,11 +19,16 @@ def random_bits(n, seed):
     return np.random.default_rng(seed).integers(0, 2, n).astype(np.uint8)
 
 
+def bpsk(coded):
+    """Noiseless soft values of coded bits: 0 -> +1, 1 -> -1."""
+    return 1.0 - 2.0 * coded
+
+
 class TestConvolutionalCode:
     def test_all_zero_input_gives_all_zero_codeword(self):
-        out = conv_encode(np.zeros(64, dtype=np.uint8))
+        out = conv_encode_batch(np.zeros((1, 64), dtype=np.uint8), CodecConfig())
         assert not out.any()
-        assert len(out) == (64 + 6) * 2
+        assert out.shape == (1, (64 + 6) * 2)
 
     def test_default_codeword_length(self):
         cfg = CodecConfig()
@@ -34,42 +39,66 @@ class TestConvolutionalCode:
     def test_gf2_linearity(self):
         a = random_bits(200, 1)
         b = random_bits(200, 2)
-        lhs = conv_encode(a ^ b)
-        rhs = conv_encode(a) ^ conv_encode(b)
-        assert np.array_equal(lhs, rhs)
+        xor, ca, cb = conv_encode_batch(np.stack([a ^ b, a, b]), CodecConfig())
+        assert np.array_equal(xor, ca ^ cb)
 
-    def test_roundtrip_noiseless(self):
-        info = random_bits(SMALL.info_capacity, 3)
-        out, ok = decode(encode(info, SMALL), SMALL)
+    @pytest.mark.parametrize("cfg", [SMALL, CodecConfig(), RATE_THIRD],
+                             ids=["small", "defaults", "third"])
+    def test_roundtrip_noiseless(self, cfg):
+        info = random_bits(3 * cfg.info_capacity, 3).reshape(3, -1)
+        coded = encode(info, cfg)
+        assert coded.shape == (3, cfg.coded_bits_per_codeword)
+        out, crc_ok, corrected = decode(bpsk(coded), cfg)
         assert np.array_equal(out, info)
-        assert ok
-
-    def test_roundtrip_defaults(self):
-        cfg = CodecConfig()
-        info = random_bits(cfg.info_capacity, 4)
-        out, ok = decode(encode(info, cfg), cfg)
-        assert np.array_equal(out, info)
-        assert ok
+        assert crc_ok.tolist() == [[True]] * 3
+        assert corrected.tolist() == [0] * 3
 
     def test_short_payload_padded(self):
-        info = random_bits(10, 5)
+        info = random_bits(10, 5)[None, :]
+        out, crc_ok, _ = decode(bpsk(encode(info, SMALL)), SMALL)
+        assert crc_ok.all()
+        assert out.shape == (1, SMALL.info_capacity)
+        assert np.array_equal(out[:, :10], info)
+        assert not out[:, 10:].any()
+
+    def test_long_rows_span_several_codewords(self):
+        # a row of 2 * capacity + 5 bits fills three codewords back to back,
+        # the last one zero-padded, each encoded as it would be alone
+        cap, cw = SMALL.info_capacity, SMALL.coded_bits_per_codeword
+        info = random_bits(2 * (2 * cap + 5), 15).reshape(2, -1)
         coded = encode(info, SMALL)
-        out, ok = decode(coded, SMALL)
-        assert ok
-        assert np.array_equal(out[:10], info)
-        assert not out[10:].any()
+        assert coded.shape == (2, 3 * cw)
+        padded = np.zeros((2, 3 * cap), dtype=np.uint8)
+        padded[:, : info.shape[1]] = info
+        for k in range(3):
+            alone = encode(padded[:, k * cap:(k + 1) * cap], SMALL)
+            assert np.array_equal(coded[:, k * cw:(k + 1) * cw], alone)
+        # isolated flips in any codeword are corrected and counted per row
+        for row, col in ((0, 5), (0, 2 * cw + 7), (0, 2 * cw + 100), (1, cw + 50)):
+            coded[row, col] ^= 1
+        out, crc_ok, corrected = decode(bpsk(coded), SMALL)
+        assert np.array_equal(out, padded)
+        assert crc_ok.shape == (2, 3) and crc_ok.all()
+        assert corrected.tolist() == [3, 1]
+
+    def test_crc_verdict_is_per_codeword(self):
+        cw = SMALL.coded_bits_per_codeword
+        coded = encode(random_bits(3 * SMALL.info_capacity, 16)[None, :], SMALL)
+        coded[0, cw:2 * cw] = random_bits(cw, 17)     # garble the middle one
+        _, crc_ok, _ = decode(bpsk(coded), SMALL)
+        assert crc_ok.tolist() == [[True, False, True]]
 
     def test_single_flip_exhaustive(self):
         # free distance of the K=7 133/171 code is 10, so any single coded
-        # bit flip must be corrected
+        # bit flip must be corrected, and counted as one corrected bit
         info = random_bits(SMALL.info_capacity, 6)
-        coded = encode(info, SMALL)
+        coded = encode(info[None, :], SMALL)[0]
         flipped = np.tile(coded, (len(coded), 1))
         flipped[np.arange(len(coded)), np.arange(len(coded))] ^= 1
-        soft = 1.0 - 2.0 * flipped.astype(np.float64)
-        decoded = viterbi_decode_batch(soft, SMALL)
-        assert np.array_equal(decoded[:, : SMALL.info_capacity],
-                              np.tile(info, (len(coded), 1)))
+        out, crc_ok, corrected = decode(bpsk(flipped), SMALL)
+        assert np.array_equal(out, np.tile(info, (len(coded), 1)))
+        assert crc_ok.all()
+        assert (corrected == 1).all()
 
     @pytest.mark.parametrize("cfg", [SMALL, RATE_THIRD], ids=["half", "third"])
     def test_batch_rows_decode_as_they_do_alone(self, cfg):
@@ -82,32 +111,31 @@ class TestConvolutionalCode:
             assert np.array_equal(batch[i], viterbi_decode_batch(row[None, :], cfg)[0])
 
     def test_random_garbage_fails_crc(self):
-        garbage = random_bits(SMALL.coded_bits_per_codeword, 7)
-        _, ok = decode(garbage, SMALL)
-        assert not ok
+        garbage = random_bits(4 * SMALL.coded_bits_per_codeword, 7).reshape(4, -1)
+        _, crc_ok, _ = decode(bpsk(garbage), SMALL)
+        assert not crc_ok.any()
 
     def test_soft_decisions_accepted(self):
-        info = random_bits(SMALL.info_capacity, 8)
-        soft = (1.0 - 2.0 * encode(info, SMALL)) * 3.7
-        out, ok = decode(soft, SMALL)
+        info = random_bits(SMALL.info_capacity, 8)[None, :]
+        out, crc_ok, _ = decode(bpsk(encode(info, SMALL)) * 3.7, SMALL)
         assert np.array_equal(out, info)
-        assert ok
+        assert crc_ok.all()
 
-    def test_oversized_payload_rejected(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            encode(np.zeros(SMALL.info_capacity + 1, dtype=np.uint8), SMALL)
-
-    def test_length_mismatch_rejected(self):
+    @pytest.mark.parametrize("length", [0, 17, SMALL.coded_bits_per_codeword + 1])
+    def test_length_mismatch_rejected(self, length):
         with pytest.raises(ValueError, match="does not match"):
-            decode(np.zeros(17), SMALL)
+            decode(np.zeros((1, length)), SMALL)
 
-    def test_rate_third_roundtrip_noiseless(self):
-        info = random_bits(RATE_THIRD.info_capacity, 12)
-        coded = encode(info, RATE_THIRD)
-        assert len(coded) == (128 + 6) * 3
-        out, ok = decode(coded, RATE_THIRD)
-        assert np.array_equal(out, info)
-        assert ok
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 3 * SMALL.info_capacity),
+           st.integers(0, 2**32 - 1))
+    def test_roundtrip_property(self, batch, n, seed):
+        info = np.random.default_rng(seed).integers(0, 2, (batch, n), dtype=np.uint8)
+        out, crc_ok, corrected = decode(bpsk(encode(info, SMALL)), SMALL)
+        assert np.array_equal(out[:, :n], info)
+        assert not out[:, n:].any()
+        assert crc_ok.shape == (batch, -(-n // SMALL.info_capacity))
+        assert crc_ok.all() and not corrected.any()
 
     @pytest.mark.parametrize("generators, seed, expected", [
         ((0o133, 0o171), 0,
@@ -160,7 +188,8 @@ class TestCrc:
         # the width-32 CRC is CRC-32/BZIP2 (0x04C11DB7, not reflected, init
         # and xor-out all ones); its check value over ASCII "123456789"
         bits = np.unpackbits(np.frombuffer(b"123456789", dtype=np.uint8))
-        assert int("".join(map(str, crc_bits(bits, 32))), 2) == 0xFC891918
+        crc = crc_bits_batch(bits[None, :], 32)[0]
+        assert int("".join(map(str, crc)), 2) == 0xFC891918
 
     @settings(max_examples=60, deadline=None)
     @given(bit_matrices())
@@ -185,21 +214,22 @@ class TestCrc:
         bits = random_bits(40 * 300, 13).reshape(40, 300)
         batch = crc_bits_batch(bits, 16)
         for i in (0, 17, 39):
-            assert np.array_equal(batch[i], crc_bits(bits[i], 16))
+            assert np.array_equal(batch[i], crc_bits_batch(bits[i:i + 1], 16)[0])
 
     def test_detects_bit_flip(self):
-        data = random_bits(96, 9)
-        reference = crc_bits(data)
-        data[13] ^= 1
-        assert not np.array_equal(crc_bits(data), reference)
+        data = np.tile(random_bits(96, 9), (2, 1))
+        data[1, 13] ^= 1
+        reference, flipped = crc_bits_batch(data)
+        assert not np.array_equal(flipped, reference)
 
     def test_width(self):
-        assert len(crc_bits(random_bits(40, 10), 32)) == 32
-        assert len(crc_bits(random_bits(40, 10), 16)) == 16
+        bits = random_bits(3 * 40, 10).reshape(3, 40)
+        assert crc_bits_batch(bits, 32).shape == (3, 32)
+        assert crc_bits_batch(bits, 16).shape == (3, 16)
 
     def test_deterministic(self):
-        data = random_bits(64, 11)
-        assert np.array_equal(crc_bits(data), crc_bits(data.copy()))
+        data = random_bits(64, 11)[None, :]
+        assert np.array_equal(crc_bits_batch(data), crc_bits_batch(data.copy()))
 
 
 class TestCodecConfig:

@@ -226,6 +226,23 @@ def test_cli_run_time_limit_exits_2_without_traceback(config, path, value,
     assert "Traceback" not in proc.stderr
 
 
+def test_unknown_trace_channel_exits_2_before_the_run(tmp_path):
+    assert _error(_mux(trace=[[0.0, 0, 64], [1e-4, 5, 64]]), "mux-sim") == (
+        "mux.trace: trace references unknown channel 5")
+    data = json.loads((REPO / "configs" / "mux_sim.json").read_text())
+    data["mux"]["trace"] = [[0.0, 5, 64]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    proc = subprocess.run(
+        [sys.executable, "-m", "linksim", "mux-sim", "--config", str(bad),
+         "--out", str(tmp_path / "o.csv")],
+        capture_output=True, text=True, cwd=tmp_path, env=cli_env())
+    assert proc.returncode == 2
+    assert "mux.trace: trace references unknown channel 5" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_sweep_below_sync_threshold_counts_every_packet_lost(tmp_path):
     data = json.loads((REPO / "configs" / "ber_sweep.json").read_text())
     data["sweep"] = {"axis": "snr_db", "values": [-10.0], "trials": 20}
