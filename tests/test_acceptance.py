@@ -20,7 +20,7 @@ from linksim.baseband.modulation import SpreadingConfig
 from linksim.channel import estimate_frequency_response, make_preset
 from linksim.harness import (IidLossModel, MuxSimSpec, PeriodicTraffic,
                              SweepSpec, latency_budget, run_mux_sim, run_sweep)
-from linksim.harness.sweep import link_trials
+from linksim.harness.sweep import DECODE_ROWS, link_trials
 from linksim.mux import LogicalChannel, Redundancy
 from linksim.profiles import (SERVICE_PROFILES, ModemCapacity,
                               required_resources)
@@ -87,8 +87,12 @@ def test_criterion_2_cp_fde_exactness():
         # codeword passes its CRC (packet error 0)
         payloads = np.stack([rng.integers(0, 2, cfg.payload_bits).astype(np.uint8)
                              for _ in range(frames)])
-        _, packet_errors = link_trials(payloads, cfg, [model] * frames, knowledge)
-        return int(np.count_nonzero(packet_errors == 0))
+        exact = 0
+        for batch in np.array_split(payloads, -(-frames // DECODE_ROWS)):
+            _, packet_errors = link_trials(batch, cfg, [model] * len(batch),
+                                           knowledge)
+            exact += int(np.count_nonzero(packet_errors == 0))
+        return exact
 
     short_cfg = ChainConfig.for_payload(
         224, codec=CodecConfig(info_bits_per_codeword=256), timing_search=8)

@@ -42,12 +42,13 @@ class TestConvolutionalCode:
         xor, ca, cb = conv_encode_batch(np.stack([a ^ b, a, b]), CodecConfig())
         assert np.array_equal(xor, ca ^ cb)
 
-    @pytest.mark.parametrize("cfg", [SMALL, CodecConfig(), RATE_THIRD],
-                             ids=["small", "defaults", "third"])
-    def test_roundtrip_noiseless(self, cfg):
+    @pytest.mark.parametrize("cfg, coded_len", [
+        (SMALL, (128 + 6) * 2), (CodecConfig(), 2060), (RATE_THIRD, (128 + 6) * 3),
+    ], ids=["small", "defaults", "third"])
+    def test_roundtrip_noiseless(self, cfg, coded_len):
         info = random_bits(3 * cfg.info_capacity, 3).reshape(3, -1)
         coded = encode(info, cfg)
-        assert coded.shape == (3, cfg.coded_bits_per_codeword)
+        assert coded.shape == (3, coded_len)
         out, crc_ok, corrected = decode(bpsk(coded), cfg)
         assert np.array_equal(out, info)
         assert crc_ok.tolist() == [[True]] * 3

@@ -191,7 +191,8 @@ def test_payloads_must_fit_the_mtu():
     parse_config(_mux(mtu=128, trace=[[0.0, 0, 128]]), "mux-sim")
 
 
-# values that parse by type but used to fail inside the run with exit 1
+# values that parse by type but used to fail inside the run (exit 1, or for
+# the trace row exit 2 once the run had started)
 RUN_TIME_LIMITS = [
     ("configs/ranging.json", ("ranging", "sample_rate_hz"), 1e8,
      "ranging.sample_rate_hz: sample_rate_hz must be >= bandwidth_hz"),
@@ -206,6 +207,8 @@ RUN_TIME_LIMITS = [
      "mux.mtu: mtu 100 is below the 125-byte payload of channel 0"),
     ("tests/golden/uncoded_los.json", ("baseband", "receiver", "timing_search"),
      -1, "baseband.receiver.timing_search: timing_search must be >= 0"),
+    ("configs/mux_sim.json", ("mux", "trace"), [[0.0, 5, 64]],
+     "mux.trace: trace references unknown channel 5"),
 ]
 
 
@@ -224,23 +227,6 @@ def test_cli_run_time_limit_exits_2_without_traceback(config, path, value,
     assert proc.returncode == 2
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
-
-
-def test_unknown_trace_channel_exits_2_before_the_run(tmp_path):
-    assert _error(_mux(trace=[[0.0, 0, 64], [1e-4, 5, 64]]), "mux-sim") == (
-        "mux.trace: trace references unknown channel 5")
-    data = json.loads((REPO / "configs" / "mux_sim.json").read_text())
-    data["mux"]["trace"] = [[0.0, 5, 64]]
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
-    proc = subprocess.run(
-        [sys.executable, "-m", "linksim", "mux-sim", "--config", str(bad),
-         "--out", str(tmp_path / "o.csv")],
-        capture_output=True, text=True, cwd=tmp_path, env=cli_env())
-    assert proc.returncode == 2
-    assert "mux.trace: trace references unknown channel 5" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert not (tmp_path / "o.csv").exists()
 
 
 def test_sweep_below_sync_threshold_counts_every_packet_lost(tmp_path):
