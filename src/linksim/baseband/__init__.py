@@ -5,15 +5,14 @@ from .chain import (ChainConfig, ChannelKnowledge, DecodedFrames, decode_frames,
 from .coding import CodecConfig, decode, encode
 from .equalizers import (EqualizerConfig, EqualizerVariant, fd_equalize,
                          lms_train, td_equalize)
-from .framing import (BasebandFrame, FrameConfig, add_cyclic_prefix,
-                      build_frame, build_preamble, chu_sequence,
-                      remove_cyclic_prefix)
+from .framing import (FrameConfig, add_cyclic_prefix, build_frame,
+                      build_preamble, chu_sequence, remove_cyclic_prefix)
 from .modulation import (ModulationScheme, SpreadingConfig, demodulate,
                          despread, hard_decisions, modulate, papr_db, spread)
 from .sync import SyncState, acquire_sync, track_phase, wrap_phase
 
 __all__ = [
-    "BasebandFrame", "ChainConfig", "ChannelKnowledge", "CodecConfig",
+    "ChainConfig", "ChannelKnowledge", "CodecConfig",
     "DecodedFrames", "EqualizerConfig", "EqualizerVariant", "FrameConfig",
     "ModulationScheme", "SpreadingConfig", "SyncState", "acquire_sync",
     "add_cyclic_prefix", "build_frame", "build_preamble", "chu_sequence",

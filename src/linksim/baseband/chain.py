@@ -2,19 +2,20 @@
 
 Transmit (``tx_chain``, one frame, returns the waveform): payload bits ->
 ``coding.encode`` (codewords of info bits + CRC, convolutionally encoded)
--> spreading -> BPSK/QPSK mapping -> frame assembly (preamble, pilot
-block, CP'd payload blocks).  Uncoded operation (codec=None) maps payload
-bits straight to chips.
+-> spreading -> BPSK/QPSK mapping -> ``framing.build_frame``.  Uncoded
+operation (codec=None) maps payload bits straight to chips.
 
 Receive, in two steps.  The per-frame front end (``rx_front_end``) does
-preamble acquisition (timing / CFO / phase), correction, channel
+preamble acquisition (timing / CFO / phase), correction and channel
 estimation (genie response handed in, or least squares from the pilot
-block), per-block equalization (FD-MMSE or TD-LMS), per-block pilot phase
-tracking, soft demapping and despreading.  The decode step
-(``decode_frames``) takes the soft bits of any number of frames as one
-matrix and hands them to ``coding.decode``, which decodes every codeword
-of the batch at once; uncoded frames are sliced.  There is no one-frame
-receive call: a single frame is a batch of one.
+block).  It cuts the payload into one ``(n_payload_blocks, block_len)``
+matrix, laid out by ``FrameConfig``, and equalizes it (FD-MMSE or TD-LMS),
+phase-tracks it on the pilots and extracts its data in one call each, then
+demaps and despreads.  The decode step (``decode_frames``)
+takes the soft bits of any number of frames as one matrix and hands them
+to ``coding.decode``, which decodes every codeword of the batch at once;
+uncoded frames are sliced.  There is no one-frame receive call: a single
+frame is a batch of one.
 """
 from __future__ import annotations
 
@@ -26,8 +27,8 @@ from ..errors import CapacityError
 from . import coding
 from .coding import CodecConfig
 from .equalizers import EqualizerConfig, EqualizerVariant, fd_equalize, td_equalize
-from .framing import (FrameConfig, build_frame, build_preamble, chu_sequence,
-                      extract_data_symbols, known_header, remove_cyclic_prefix)
+from .framing import (FrameConfig, build_frame, extract_data_symbols,
+                      remove_cyclic_prefix)
 from .modulation import (ModulationScheme, SpreadingConfig, demodulate,
                          despread, hard_decisions, modulate, spread)
 from .sync import SyncState, acquire_sync, track_phase
@@ -118,12 +119,7 @@ def tx_chain(info_bits: np.ndarray, cfg: ChainConfig) -> np.ndarray:
         pad = np.zeros(bps - chips.size % bps, dtype=np.uint8)
         chips = np.concatenate([chips, pad])
     symbols = modulate(chips, cfg.modulation)
-    return build_frame(symbols, cfg.frame).to_waveform()
-
-
-def _ls_channel_estimate(pilot_rx: np.ndarray, fcfg: FrameConfig) -> np.ndarray:
-    ref = chu_sequence(fcfg.fft_size)
-    return np.fft.fft(pilot_rx) / np.fft.fft(ref)
+    return build_frame(symbols, cfg.frame)
 
 
 def rx_front_end(waveform: np.ndarray, cfg: ChainConfig,
@@ -136,9 +132,8 @@ def rx_front_end(waveform: np.ndarray, cfg: ChainConfig,
     """
     waveform = np.asarray(waveform, dtype=np.complex128)
     fcfg = cfg.frame
-    header = known_header(fcfg)
-    sync = acquire_sync(waveform, build_preamble(), threshold=cfg.sync_threshold,
-                        search_window=cfg.timing_search, known_header=header,
+    sync = acquire_sync(waveform, fcfg.preamble, threshold=cfg.sync_threshold,
+                        search_window=cfg.timing_search, header=fcfg.header,
                         estimate_cfo=cfg.correct_cfo)
 
     start = sync.timing_offset
@@ -148,33 +143,30 @@ def rx_front_end(waveform: np.ndarray, cfg: ChainConfig,
     n = np.arange(len(seg))
     seg = seg * np.exp(-1j * (sync.cfo_estimate * n + sync.phase))
 
-    hdr_len = len(header)
-    pilot_rx = seg[hdr_len - fcfg.fft_size: hdr_len]
+    hdr_len = fcfg.header_len
+    block_shape = (fcfg.n_payload_blocks, fcfg.block_len)
     noise_var = cfg.equalizer.noise_variance_hint
     if noise_var is None:
         noise_var = channel.noise_variance if channel is not None else 0.0
 
-    fd = cfg.equalizer.variant is EqualizerVariant.FREQUENCY_DOMAIN_MMSE
-    if fd and cfg.channel_estimator == "genie":
-        if channel is None or channel.freq_response is None:
+    if cfg.equalizer.variant is EqualizerVariant.FREQUENCY_DOMAIN_MMSE:
+        if cfg.channel_estimator == "pilot-ls":
+            pilot_rx = seg[hdr_len - fcfg.fft_size: hdr_len]
+            freq_response = np.fft.fft(pilot_rx) / np.fft.fft(fcfg.pilot_block)
+        elif channel is None or channel.freq_response is None:
             raise ValueError("genie estimator needs a ChannelKnowledge response")
-        # Preamble correlation locks onto the strongest tap, so the genie
-        # response must be re-referenced to that delay (derived from the
-        # response itself; tx-side padding does not shift the channel).
-        h_time = np.fft.ifft(channel.freq_response)
-        d0 = int(np.argmax(np.abs(h_time)))
-        k = np.arange(fcfg.fft_size)
-        freq_response = (channel.freq_response *
-                         np.exp(2j * np.pi * k * d0 / fcfg.fft_size))
-    elif fd:
-        freq_response = _ls_channel_estimate(pilot_rx, fcfg)
-
-    if fd:
-        eq_blocks = []
-        for b in range(fcfg.n_payload_blocks):
-            blk = seg[hdr_len + b * fcfg.block_len: hdr_len + (b + 1) * fcfg.block_len]
-            blk = remove_cyclic_prefix(blk, fcfg.cp_len)
-            eq_blocks.append(fd_equalize(blk, freq_response, noise_var))
+        else:
+            # Preamble correlation locks onto the strongest tap, so the genie
+            # response must be re-referenced to that delay (derived from the
+            # response itself; tx-side padding does not shift the channel).
+            h_time = np.fft.ifft(channel.freq_response)
+            d0 = int(np.argmax(np.abs(h_time)))
+            k = np.arange(fcfg.fft_size)
+            freq_response = (channel.freq_response *
+                             np.exp(2j * np.pi * k * d0 / fcfg.fft_size))
+        payload = seg[hdr_len:].reshape(block_shape)
+        equalized = fd_equalize(remove_cyclic_prefix(payload, fcfg.cp_len),
+                                freq_response, noise_var)
     else:
         constellation = None
         if cfg.equalizer.decision_directed:
@@ -182,19 +174,12 @@ def rx_front_end(waveform: np.ndarray, cfg: ChainConfig,
             table = ((bits[:, None] >> np.arange(
                 cfg.modulation.bits_per_symbol)[::-1]) & 1).astype(np.uint8)
             constellation = modulate(table.reshape(-1), cfg.modulation)
-        stream = td_equalize(seg, header, cfg.equalizer, constellation)
-        eq_blocks = [
-            remove_cyclic_prefix(stream[b * fcfg.block_len:(b + 1) * fcfg.block_len],
-                                 fcfg.cp_len)
-            for b in range(fcfg.n_payload_blocks)
-        ]
+        stream = td_equalize(seg, fcfg.header, cfg.equalizer, constellation)
+        equalized = remove_cyclic_prefix(stream.reshape(block_shape), fcfg.cp_len)
 
-    data = []
-    for blk in eq_blocks:
-        if cfg.track_pilot_phase and fcfg.pilots_per_block:
-            blk = track_phase(blk, fcfg.pilot_values, fcfg.pilot_positions)
-        data.append(extract_data_symbols(blk, fcfg))
-    data = np.concatenate(data)[: cfg.required_symbols()]
+    if cfg.track_pilot_phase and fcfg.pilots_per_block:
+        equalized = track_phase(equalized, fcfg.pilot_values, fcfg.pilot_positions)
+    data = extract_data_symbols(equalized, fcfg)[: cfg.required_symbols()]
 
     soft_chips = demodulate(data, cfg.modulation)[: cfg.chip_count()]
     return despread(soft_chips, cfg.spreading), sync

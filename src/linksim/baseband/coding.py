@@ -23,6 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .modulation import thue_morse
+
 CRC_POLYNOMIALS = {
     8: 0x07,
     16: 0x1021,
@@ -158,7 +160,7 @@ def _trellis(k: int, generators: tuple[int, ...]) -> _Trellis:
     if cached is not None:
         return cached
     n_states = 1 << (k - 1)
-    parity = np.array([bin(i).count("1") & 1 for i in range(1 << k)], dtype=np.int8)
+    parity = thue_morse(1 << k)   # parity of every register value
     t = np.arange(n_states)
     # branch j into state t corresponds to full register value 2t + j; the
     # newest input bit sits in the register MSB, so it equals t >> (k - 2)
@@ -258,7 +260,8 @@ def decode(soft: np.ndarray, cfg: CodecConfig
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode each row of a (batch, n_cw * coded_bits_per_codeword) matrix.
 
-    Soft values as for ``viterbi_decode_batch`` (positive means bit 0).
+    Soft values as for ``viterbi_decode_batch`` (positive means bit 0);
+    an integer matrix of hard bits is rejected, not decoded as soft values.
     The codewords of every row go through one Viterbi call, one CRC check
     and one re-encode.  Returns ``(info, crc_ok, corrected)``: the
     (batch, n_cw * info_capacity) info bits, padding included; the
@@ -266,7 +269,10 @@ def decode(soft: np.ndarray, cfg: CodecConfig
     decision differs from the re-encoded decoder output, the channel bit
     errors the decoder corrected.
     """
-    soft = np.asarray(soft, dtype=np.float64)
+    soft = np.asarray(soft)
+    if not np.issubdtype(soft.dtype, np.floating):
+        raise ValueError(f"soft values must be floats, got {soft.dtype} "
+                         "(map hard bits b to 1 - 2b first)")
     batch, coded_len = soft.shape
     cw_len = cfg.coded_bits_per_codeword
     if coded_len == 0 or coded_len % cw_len:

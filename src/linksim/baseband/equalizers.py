@@ -44,10 +44,11 @@ class EqualizerConfig:
 
 def fd_equalize(rx_block: np.ndarray, channel_freq_response: np.ndarray,
                 noise_variance: float = 0.0) -> np.ndarray:
-    """MMSE-equalize one CP-free block given the per-bin channel response."""
+    """MMSE-equalize CP-free blocks (along the last axis) given the per-bin
+    channel response."""
     rx_block = np.asarray(rx_block, dtype=np.complex128)
     h = np.asarray(channel_freq_response, dtype=np.complex128)
-    if len(rx_block) != len(h):
+    if rx_block.shape[-1] != len(h):
         raise ValueError("block and channel response lengths differ")
     if noise_variance < 0:
         raise ValueError("noise_variance must be >= 0")

@@ -1,4 +1,4 @@
-"""Frame geometry: training sequences, cyclic prefix, block assembly.
+"""Frame layout: training sequences, cyclic prefix, block assembly.
 
 A frame is laid out as::
 
@@ -10,12 +10,20 @@ The pilot block is a full-length Chu sequence used for channel estimation;
 its flat spectrum keeps least-squares estimation well conditioned on every
 bin.  Payload blocks embed a few known pilot symbols at fixed positions for
 per-block phase tracking.
+
+Only this module knows the layout.  ``FrameConfig`` builds the constant
+parts of a frame once per config, as read-only arrays shared by every
+frame, and the block helpers work along the last axis, so a receiver takes
+the payload blocks of a frame as one ``(n_payload_blocks, fft_size)`` matrix.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .modulation import thue_morse
 
 PREAMBLE_HALF_LEN = 64
 
@@ -37,27 +45,26 @@ def build_preamble(half_len: int = PREAMBLE_HALF_LEN) -> np.ndarray:
     return np.tile(chu_sequence(half_len), 2)
 
 
-def _filler_symbols(n: int) -> np.ndarray:
-    # Thue-Morse BPSK filler keeps unused payload slots at unit modulus
-    bits = np.array([bin(j).count("1") & 1 for j in range(n)], dtype=np.int8)
-    return (1.0 - 2.0 * bits).astype(np.complex128)
-
-
 def add_cyclic_prefix(block: np.ndarray, cp_len: int) -> np.ndarray:
-    """Prepend the block's last cp_len symbols."""
+    """Prepend the last cp_len symbols of each block (along the last axis)."""
     block = np.asarray(block)
-    if not 0 <= cp_len < len(block):
+    n = block.shape[-1]
+    if not 0 <= cp_len < n:
         raise ValueError(f"need 0 <= cp_len < block length, got {cp_len}")
-    if cp_len == 0:
-        return block.copy()
-    return np.concatenate([block[-cp_len:], block])
+    return np.concatenate([block[..., n - cp_len:], block], axis=-1)
 
 
 def remove_cyclic_prefix(extended: np.ndarray, cp_len: int) -> np.ndarray:
+    """Drop the first cp_len symbols of each block (along the last axis)."""
     extended = np.asarray(extended)
-    if not 0 <= cp_len < len(extended):
+    if not 0 <= cp_len < extended.shape[-1]:
         raise ValueError("cp_len inconsistent with extended block length")
-    return extended[cp_len:].copy()
+    return extended[..., cp_len:].copy()
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -79,17 +86,43 @@ class FrameConfig:
         if self.pilots_per_block and self.fft_size % self.pilots_per_block:
             raise ValueError("pilots_per_block must divide fft_size")
 
-    @property
+    @cached_property
     def pilot_positions(self) -> np.ndarray:
-        if self.pilots_per_block == 0:
-            return np.empty(0, dtype=int)
-        step = self.fft_size // self.pilots_per_block
-        return np.arange(self.pilots_per_block) * step
+        step = self.fft_size // max(self.pilots_per_block, 1)
+        return _read_only(np.arange(self.pilots_per_block) * step)
 
-    @property
+    @cached_property
     def pilot_values(self) -> np.ndarray:
         # samples of a secondary Chu sequence at the pilot positions
-        return chu_sequence(self.fft_size, root=3)[self.pilot_positions]
+        return _read_only(chu_sequence(self.fft_size, root=3)[self.pilot_positions])
+
+    @cached_property
+    def data_mask(self) -> np.ndarray:
+        """True at the positions of a payload block that carry data."""
+        mask = np.ones(self.fft_size, dtype=bool)
+        mask[self.pilot_positions] = False
+        return _read_only(mask)
+
+    @cached_property
+    def preamble(self) -> np.ndarray:
+        return _read_only(build_preamble())
+
+    @cached_property
+    def pilot_block(self) -> np.ndarray:
+        """The channel-estimation block, without its cyclic prefix."""
+        return _read_only(chu_sequence(self.fft_size))
+
+    @cached_property
+    def header(self) -> np.ndarray:
+        """Preamble plus CP'd pilot block: every transmitted header sample."""
+        return _read_only(np.concatenate([
+            self.preamble, add_cyclic_prefix(self.pilot_block, self.cp_len)]))
+
+    @cached_property
+    def filler(self) -> np.ndarray:
+        # Thue-Morse BPSK filler keeps unused payload slots at unit modulus
+        return _read_only(
+            (1.0 - 2.0 * thue_morse(self.capacity_symbols)).astype(np.complex128))
 
     @property
     def data_symbols_per_block(self) -> int:
@@ -104,81 +137,31 @@ class FrameConfig:
         return self.fft_size + self.cp_len
 
     @property
+    def header_len(self) -> int:
+        return 2 * PREAMBLE_HALF_LEN + self.block_len
+
+    @property
     def frame_len(self) -> int:
         """Total samples: preamble + pilot block + payload blocks, CPs included."""
-        return 2 * PREAMBLE_HALF_LEN + (1 + self.n_payload_blocks) * self.block_len
+        return self.header_len + self.n_payload_blocks * self.block_len
 
 
-@dataclass
-class BasebandFrame:
-    """One assembled PHY frame.
-
-    ``pilot_block`` is stored without its cyclic prefix; ``payload_blocks``
-    are stored as transmitted, i.e. cp_len prefix samples plus fft_size
-    block samples each.
-    """
-
-    preamble: np.ndarray
-    pilot_block: np.ndarray
-    payload_blocks: list[np.ndarray]
-    fft_size: int
-    cp_len: int
-
-    def to_waveform(self) -> np.ndarray:
-        parts = [self.preamble, add_cyclic_prefix(self.pilot_block, self.cp_len)]
-        parts.extend(self.payload_blocks)
-        return np.concatenate(parts)
-
-    def validate(self) -> None:
-        if len(self.pilot_block) != self.fft_size:
-            raise ValueError("pilot block length != fft_size")
-        for blk in self.payload_blocks:
-            if len(blk) != self.fft_size + self.cp_len:
-                raise ValueError("payload block length != fft_size + cp_len")
-            if self.cp_len and not np.array_equal(blk[: self.cp_len],
-                                                  blk[-self.cp_len:]):
-                raise ValueError("cyclic prefix does not match block tail")
-
-
-def build_frame(data_symbols: np.ndarray, cfg: FrameConfig) -> BasebandFrame:
-    """Assemble payload symbols (plus pilots and filler) into a frame."""
+def build_frame(data_symbols: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+    """The waveform of one frame carrying ``data_symbols`` (then filler)."""
     data_symbols = np.asarray(data_symbols, dtype=np.complex128)
     if len(data_symbols) > cfg.capacity_symbols:
         raise ValueError(
             f"{len(data_symbols)} payload symbols exceed frame capacity "
             f"{cfg.capacity_symbols}")
     padded = np.concatenate([
-        data_symbols,
-        _filler_symbols(cfg.capacity_symbols - len(data_symbols)),
-    ])
-    per_block = cfg.data_symbols_per_block
-    blocks = []
-    data_mask = np.ones(cfg.fft_size, dtype=bool)
-    data_mask[cfg.pilot_positions] = False
-    for b in range(cfg.n_payload_blocks):
-        block = np.empty(cfg.fft_size, dtype=np.complex128)
-        block[cfg.pilot_positions] = cfg.pilot_values
-        block[data_mask] = padded[b * per_block:(b + 1) * per_block]
-        blocks.append(add_cyclic_prefix(block, cfg.cp_len))
-    return BasebandFrame(
-        preamble=build_preamble(),
-        pilot_block=chu_sequence(cfg.fft_size),
-        payload_blocks=blocks,
-        fft_size=cfg.fft_size,
-        cp_len=cfg.cp_len,
-    )
-
-
-def extract_data_symbols(block: np.ndarray, cfg: FrameConfig) -> np.ndarray:
-    """Pull the data positions out of an equalized (CP-free) block."""
-    mask = np.ones(cfg.fft_size, dtype=bool)
-    mask[cfg.pilot_positions] = False
-    return np.asarray(block)[mask]
-
-
-def known_header(cfg: FrameConfig) -> np.ndarray:
-    """Preamble plus CP'd pilot block: every transmitted header sample."""
+        data_symbols, cfg.filler[: cfg.capacity_symbols - len(data_symbols)]])
+    blocks = np.empty((cfg.n_payload_blocks, cfg.fft_size), dtype=np.complex128)
+    blocks[:, cfg.pilot_positions] = cfg.pilot_values
+    blocks[:, cfg.data_mask] = padded.reshape(cfg.n_payload_blocks, -1)
     return np.concatenate([
-        build_preamble(),
-        add_cyclic_prefix(chu_sequence(cfg.fft_size), cfg.cp_len),
-    ])
+        cfg.header, add_cyclic_prefix(blocks, cfg.cp_len).reshape(-1)])
+
+
+def extract_data_symbols(blocks: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+    """The data symbols of equalized (CP-free) blocks, in transmit order."""
+    return np.asarray(blocks)[..., cfg.data_mask].reshape(-1)

@@ -39,10 +39,9 @@ class SpreadingConfig:
             raise ValueError("spreading factor must be >= 1")
 
 
-def chip_pattern(sf: int) -> np.ndarray:
-    """Thue-Morse +/-1 chip pattern of length sf."""
-    bits = np.array([bin(j).count("1") & 1 for j in range(sf)], dtype=np.int8)
-    return (1 - 2 * bits).astype(np.float64)
+def thue_morse(n: int) -> np.ndarray:
+    """The first n Thue-Morse bits: bit j is popcount(j) mod 2."""
+    return np.array([bin(j).count("1") & 1 for j in range(n)], dtype=np.uint8)
 
 
 def spread(bits: np.ndarray, cfg: SpreadingConfig) -> np.ndarray:
@@ -50,9 +49,8 @@ def spread(bits: np.ndarray, cfg: SpreadingConfig) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.uint8)
     if cfg.sf == 1:
         return bits.copy()
-    pattern = np.array([bin(j).count("1") & 1 for j in range(cfg.sf)],
-                       dtype=np.uint8)
-    return (np.repeat(bits, cfg.sf).reshape(-1, cfg.sf) ^ pattern).reshape(-1)
+    chips = np.repeat(bits, cfg.sf).reshape(-1, cfg.sf) ^ thue_morse(cfg.sf)
+    return chips.reshape(-1)
 
 
 def despread(soft_chips: np.ndarray, cfg: SpreadingConfig) -> np.ndarray:
@@ -66,7 +64,8 @@ def despread(soft_chips: np.ndarray, cfg: SpreadingConfig) -> np.ndarray:
         raise ValueError("chip count is not a multiple of the spreading factor")
     if cfg.sf == 1:
         return soft_chips.copy()
-    return soft_chips.reshape(-1, cfg.sf) @ chip_pattern(cfg.sf) / cfg.sf
+    pattern = 1.0 - 2.0 * thue_morse(cfg.sf)
+    return soft_chips.reshape(-1, cfg.sf) @ pattern / cfg.sf
 
 
 def modulate(bits: np.ndarray, scheme: ModulationScheme) -> np.ndarray:

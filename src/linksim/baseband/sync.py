@@ -40,12 +40,12 @@ def wrap_phase(phi: float) -> float:
 def acquire_sync(rx_waveform: np.ndarray, preamble: np.ndarray,
                  threshold: float = DEFAULT_SYNC_THRESHOLD,
                  search_window: int | None = None,
-                 known_header: np.ndarray | None = None,
+                 header: np.ndarray | None = None,
                  estimate_cfo: bool = True) -> SyncState:
     """Locate the preamble and estimate CFO and common phase.
 
     ``search_window`` limits the candidate offsets (None searches every
-    position).  ``known_header`` optionally holds all known samples from
+    position).  ``header`` optionally holds all known samples from
     the preamble start (preamble + CP'd pilot block) for CFO refinement
     and phase estimation.  With ``estimate_cfo`` off the CFO is pinned to
     zero and the phase estimate is not conditioned on it; receivers that
@@ -76,12 +76,12 @@ def acquire_sync(rx_waveform: np.ndarray, preamble: np.ndarray,
                         np.conj(rx[offset: offset + half]))
         cfo = float(np.angle(halves)) / half
 
-    ref = p if known_header is None else np.asarray(known_header, np.complex128)
+    ref = p if header is None else np.asarray(header, np.complex128)
     segment = rx[offset: offset + len(ref)]
     if len(segment) < len(ref):
         ref = ref[: len(segment)]
     n = np.arange(len(ref))
-    if estimate_cfo and known_header is not None:
+    if estimate_cfo and header is not None:
         # two-segment refinement over every known header sample
         z = segment * np.conj(ref) * np.exp(-1j * cfo * n)
         h2 = len(ref) // 2
@@ -94,10 +94,14 @@ def acquire_sync(rx_waveform: np.ndarray, preamble: np.ndarray,
 
 def track_phase(block: np.ndarray, pilot_values: np.ndarray,
                 pilot_positions: np.ndarray) -> np.ndarray:
-    """Remove the common phase of one block, estimated over its pilots."""
+    """Remove the common phase of each block (along the last axis),
+    estimated over its pilots."""
     block = np.asarray(block, dtype=np.complex128)
     pilot_positions = np.asarray(pilot_positions, dtype=int)
     if pilot_positions.size == 0:
         raise ValueError("at least one pilot is required")
-    rotation = np.sum(block[pilot_positions] * np.conj(pilot_values))
+    # a running sum adds the pilots in order whatever the shape (np.sum does
+    # not), so each row of a block matrix gets exactly its one-block result
+    terms = block[..., pilot_positions] * np.conj(pilot_values)
+    rotation = np.cumsum(terms, axis=-1)[..., -1:]
     return block * np.exp(-1j * np.angle(rotation))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from ..baseband.chain import ChainConfig
 from ..baseband.coding import CodecConfig
-from ..baseband.framing import PREAMBLE_HALF_LEN, FrameConfig
+from ..baseband.framing import FrameConfig
 from ..baseband.modulation import ModulationScheme
 from ..profiles import RP1, RequirementProfile
 from ..ranging import SPEED_OF_LIGHT
@@ -48,7 +48,6 @@ class LatencySpec:
 class LatencyBudget:
     stages: tuple[tuple[str, float], ...]
     coded_rate_bps: float
-    rp1_bound_s: float = RP1.max_latency
 
     def __post_init__(self) -> None:
         if any(duration < 0 for _, duration in self.stages):
@@ -60,7 +59,7 @@ class LatencyBudget:
 
     @property
     def within_rp1(self) -> bool:
-        return self.total < self.rp1_bound_s
+        return self.meets(RP1)
 
     def meets(self, rp: RequirementProfile) -> bool:
         return self.total < rp.max_latency
@@ -86,9 +85,8 @@ def latency_budget(codec: CodecConfig = CodecConfig(),
                          // modulation.bits_per_symbol)
     blocks = -(-codeword_symbols // frame.data_symbols_per_block)
 
-    header_samples = 2 * PREAMBLE_HALF_LEN + frame.block_len
     stages = (
-        ("frame_assembly", header_samples / symbol_rate),
+        ("frame_assembly", frame.header_len / symbol_rate),
         ("encoding", 0.0),
         ("serialization", coded_bits / coded_rate_bps),
         ("cp_overhead", blocks * frame.cp_len / symbol_rate),

@@ -6,14 +6,14 @@ seed stable_seed(master, i, t, 0) and its channel noise from
 stable_seed(master, i, t, 1), so results are bit-identical regardless of
 execution order or batching.
 
-``link_trials`` is the one trial engine of the package; the
-baseband-backed mux simulation sends each packet copy through it as a
-batch of one.  It runs transmit, channel and the receiver front end frame
-by frame, then decodes the codewords of every surviving frame together:
-one Viterbi call and one CRC check per batch.  A sweep point feeds it
-``DECODE_ROWS`` codewords' worth of trials at a time, which bounds memory
-whatever the trial count.  A frame lost to sync failure or a degenerate
-channel counts as a packet error with every payload bit wrong.
+``link_trials`` is the one trial engine of the package; a sweep point
+passes it all of its trials, and the baseband-backed mux simulation sends
+each packet copy through it as a batch of one.  It runs transmit, channel
+and the receiver front end frame by frame, then decodes the codewords of
+the surviving frames together, ``DECODE_ROWS`` codewords' worth of frames
+at a time: one Viterbi call and one CRC check per chunk, which bounds
+memory whatever the trial count.  A frame lost to sync failure or a
+degenerate channel counts as a packet error with every payload bit wrong.
 
 The axis is either the per-sample (= per-chip) SNR in dB, or Eb/N0 in dB,
 which is converted per point via
@@ -40,8 +40,8 @@ from .seeding import stable_seed
 
 Z_95 = 1.959963984540054   # two-sided 95% normal quantile
 
-#: codeword rows a sweep decodes per ``link_trials`` call (at least one
-#: frame); it bounds the memory of a point, not its results
+#: codeword rows ``link_trials`` decodes per chunk (at least one frame); it
+#: bounds the memory of a batch, not its results
 DECODE_ROWS = 32
 
 
@@ -149,11 +149,14 @@ def link_trials(payloads: np.ndarray, cfg: ChainConfig,
     is in error (1) when any payload bit differs or a codeword fails its
     CRC.  A frame the receiver cannot acquire (sync loss) or equalize (a
     channel response zero on every bin) is a counted outcome: every
-    payload bit is wrong and the packet is in error.
+    payload bit is wrong and the packet is in error.  The received frames
+    of each run of ``DECODE_ROWS`` codewords' worth of frames are decoded
+    together.
     """
     payloads = np.asarray(payloads, dtype=np.uint8)
     bit_errors = np.full(len(payloads), cfg.payload_bits, dtype=np.int64)
     packet_errors = np.ones(len(payloads), dtype=np.int64)
+    chunk = max(1, DECODE_ROWS // max(1, cfg.n_codewords()))
     soft, received = [], []
     for f, (payload, model) in enumerate(zip(payloads, models, strict=True)):
         waveform = tx_chain(payload, cfg)
@@ -161,14 +164,16 @@ def link_trials(payloads: np.ndarray, cfg: ChainConfig,
             soft_bits, _ = rx_front_end(apply_channel(waveform, model), cfg,
                                         knowledge)
         except (SyncError, DegenerateChannelError):
-            continue
-        soft.append(soft_bits)
-        received.append(f)
-    if received:
-        decoded = decode_frames(np.stack(soft), cfg)
-        errors = np.count_nonzero(decoded.info_bits != payloads[received], axis=1)
-        bit_errors[received] = errors
-        packet_errors[received] = (errors > 0) | (decoded.codewords_failed > 0)
+            pass
+        else:
+            soft.append(soft_bits)
+            received.append(f)
+        if received and (f % chunk == chunk - 1 or f == len(payloads) - 1):
+            decoded = decode_frames(np.stack(soft), cfg)
+            errors = np.count_nonzero(decoded.info_bits != payloads[received], axis=1)
+            bit_errors[received] = errors
+            packet_errors[received] = (errors > 0) | (decoded.codewords_failed > 0)
+            soft, received = [], []
     return bit_errors, packet_errors
 
 
@@ -184,24 +189,19 @@ def run_sweep(cfg: ChainConfig, base_model: ChannelModel, spec: SweepSpec,
     ``threads`` is accepted for compatibility and ignored.
     """
     start = time.perf_counter()
-    batch = max(1, DECODE_ROWS // max(1, cfg.n_codewords()))
     points = []
     for i, axis_value in enumerate(spec.values):
         model = replace(base_model,
                         snr_db=snr_for_axis(axis_value, spec.axis, cfg))
-        knowledge = genie_knowledge(cfg, model)
-        bit_errors = packet_errors = 0
-        for first in range(0, spec.trials, batch):
-            trials = range(first, min(first + batch, spec.trials))
-            payloads = np.stack([
-                _payload(stable_seed(master_seed, i, t, 0), cfg.payload_bits)
-                for t in trials])
-            models = [replace(model, seed=stable_seed(master_seed, i, t, 1))
-                      for t in trials]
-            frame_bits, frame_packets = link_trials(payloads, cfg, models,
-                                                    knowledge)
-            bit_errors += int(frame_bits.sum())
-            packet_errors += int(frame_packets.sum())
+        payloads = np.stack([
+            _payload(stable_seed(master_seed, i, t, 0), cfg.payload_bits)
+            for t in range(spec.trials)])
+        models = [replace(model, seed=stable_seed(master_seed, i, t, 1))
+                  for t in range(spec.trials)]
+        frame_bits, frame_packets = link_trials(
+            payloads, cfg, models, genie_knowledge(cfg, model))
+        bit_errors = int(frame_bits.sum())
+        packet_errors = int(frame_packets.sum())
 
         bits = spec.trials * cfg.payload_bits
         points.append(SweepPoint(

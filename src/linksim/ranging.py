@@ -166,13 +166,9 @@ def _cancel_self_interference(tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
 
 def echo_range(tx: np.ndarray, rx: np.ndarray, sample_rate: float,
                cancel_si: bool = True,
-               peak_threshold: float = DEFAULT_PEAK_THRESHOLD,
-               subsample: bool = False) -> RangeEstimate:
-    """Range from the correlation peak of the (SI-cancelled) echo.
-
-    ``subsample`` enables a parabolic peak interpolation; it is off by
-    default and excluded from the sample-granularity error bounds.
-    """
+               peak_threshold: float = DEFAULT_PEAK_THRESHOLD) -> RangeEstimate:
+    """Range from the correlation peak of the (SI-cancelled) echo, to the
+    nearest sample."""
     tx = np.asarray(tx, dtype=np.complex128)
     rx = np.asarray(rx, dtype=np.complex128)
     if len(tx) != len(rx):
@@ -186,13 +182,7 @@ def echo_range(tx: np.ndarray, rx: np.ndarray, sample_rate: float,
     if quality < peak_threshold:
         raise NoTargetError(
             f"normalized correlation peak {quality:.3f} below {peak_threshold}")
-    delay = float(d)
-    if subsample and 0 < d < len(mags) - 1:
-        a, b, c = mags[d - 1], mags[d], mags[d + 1]
-        denom = a - 2 * b + c
-        if denom < 0:
-            delay += 0.5 * (a - c) / denom
-    rng = SPEED_OF_LIGHT * delay / (2.0 * sample_rate)
+    rng = SPEED_OF_LIGHT * d / (2.0 * sample_rate)
     return RangeEstimate(range=rng, peak_quality=quality)
 
 

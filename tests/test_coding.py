@@ -122,6 +122,14 @@ class TestConvolutionalCode:
         assert np.array_equal(out, info)
         assert crc_ok.all()
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool])
+    def test_hard_bits_rejected(self, dtype):
+        # 0/1 hard bits read as soft values are never negative, so no bit
+        # would decode as 1 and every CRC would fail without a word
+        coded = encode(random_bits(SMALL.info_capacity, 9)[None, :], SMALL)
+        with pytest.raises(ValueError, match="floats"):
+            decode(coded.astype(dtype), SMALL)
+
     @pytest.mark.parametrize("length", [0, 17, SMALL.coded_bits_per_codeword + 1])
     def test_length_mismatch_rejected(self, length):
         with pytest.raises(ValueError, match="does not match"):

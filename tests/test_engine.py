@@ -1,9 +1,9 @@
 """The batched trial engine gives every trial the result it gets alone.
 
-``link_trials`` decodes the codewords of a batch of frames together, and a
-sweep point feeds it ``DECODE_ROWS`` codewords' worth of trials at a time.
-Neither the batch a trial lands in nor where a chunk ends may change a
-result.
+``link_trials`` decodes the codewords of a batch of frames together,
+``DECODE_ROWS`` codewords' worth of frames at a time, and a sweep point
+hands it all of its trials.  Neither the batch a trial lands in nor where
+a chunk ends may change a result.
 """
 import json
 from dataclasses import replace
@@ -68,7 +68,10 @@ def test_zero_response_knowledge_loses_every_frame_of_a_batch():
 
 # Coded sweeps whose trial counts are not multiples of a chunk (33 trials of
 # one codeword, 70 trials of two), with the CSVs the one-frame-at-a-time
-# engine wrote for them.
+# engine wrote for them and the frames each decode call gets per point.
+# ``link_trials`` cuts a point into chunks of DECODE_ROWS codewords (32 or
+# 16 frames); frames lost to sync never reach the decoder, which is every
+# frame at -10 dB and all but three at -7 dB.
 SWEEPS = {
     "one_codeword_33_trials": (
         {"scenario": "per-sweep", "master_seed": 20261018,
@@ -80,7 +83,7 @@ SWEEPS = {
         "-10,33,32736,32736,1,0,33,33,1,0\n"
         "-1,33,32736,1714,0.05235826,0.0024129592,33,33,1,0\n"
         "1,33,32736,29,0.000885874878,0.000322276789,33,3,0.0909090909,0.0980840604\n",
-        [32, 1]),
+        [[], [32, 1], [32, 1]]),
     "two_codewords_70_trials": (
         {"scenario": "per-sweep", "master_seed": 5,
          "baseband": {"modulation": "qpsk", "payload_bits": 960,
@@ -92,28 +95,28 @@ SWEEPS = {
         "-7,70,67200,65736,0.978214286,0.00110373892,70,70,1,0\n"
         "3,70,67200,803,0.0119494048,0.000821535212,70,44,0.628571429,0.113191559\n"
         "5,70,67200,12,0.000178571429,0.000101025419,70,1,0.0142857143,0.0277987697\n",
-        [16, 16, 16, 16, 6]),
+        [[1, 2], [16, 16, 16, 16, 6], [16, 16, 16, 16, 6]]),
 }
 
 
 @pytest.mark.parametrize("name", SWEEPS)
 def test_chunked_sweep_writes_the_one_frame_engine_csv(name, tmp_path,
                                                        monkeypatch):
-    data, expected, chunks = SWEEPS[name]
+    data, expected, decode_calls = SWEEPS[name]
     batches = []
-    engine = sweep.link_trials
+    decode = sweep.decode_frames
 
-    def spy(payloads, *args):
-        batches.append(len(payloads))
-        return engine(payloads, *args)
+    def spy(soft_bits, *args):
+        batches.append(len(soft_bits))
+        return decode(soft_bits, *args)
 
-    monkeypatch.setattr(sweep, "link_trials", spy)
+    monkeypatch.setattr(sweep, "decode_frames", spy)
     config = tmp_path / f"{name}.json"
     config.write_text(json.dumps(data))
     out = tmp_path / f"{name}.csv"
     assert main(["per-sweep", "--config", str(config), "--out", str(out)]) == 0
     assert out.read_text() == expected
-    assert batches == chunks * len(data["sweep"]["values"])
+    assert batches == sum(decode_calls, [])
 
 
 @pytest.mark.parametrize("rows", [1, 5])

@@ -44,6 +44,13 @@ class TestFrequencyDomain:
         out = fd_equalize(np.ones(16, dtype=complex), h, 0.0)
         assert np.all(np.isfinite(out))
 
+    def test_block_matrix_matches_per_row_calls(self):
+        rng = np.random.default_rng(6)
+        blocks = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
+        h = np.fft.fft([1.0, 0.35 - 0.1j, 0.2j], 64)
+        rows = [fd_equalize(row, h, 0.1) for row in blocks]
+        assert np.array_equal(fd_equalize(blocks, h, 0.1), rows)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             fd_equalize(np.ones(16, dtype=complex), np.ones(8), 0.0)

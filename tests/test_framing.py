@@ -1,11 +1,22 @@
 import numpy as np
 import pytest
 
-from linksim.baseband.framing import (PREAMBLE_SIDELOBE_BOUND, BasebandFrame,
-                                      FrameConfig, add_cyclic_prefix,
-                                      build_frame, build_preamble,
-                                      chu_sequence, extract_data_symbols,
-                                      known_header, remove_cyclic_prefix)
+from linksim.baseband.framing import (PREAMBLE_SIDELOBE_BOUND, FrameConfig,
+                                      add_cyclic_prefix, build_frame,
+                                      build_preamble, chu_sequence,
+                                      extract_data_symbols,
+                                      remove_cyclic_prefix)
+
+
+def payload_blocks(waveform, cfg):
+    """The CP'd payload blocks of a frame waveform, one per row."""
+    return waveform[cfg.header_len:].reshape(cfg.n_payload_blocks, cfg.block_len)
+
+
+def cyclic_prefixes_intact(waveform, cfg):
+    """Each payload block's first cp_len samples equal its last cp_len."""
+    blocks = payload_blocks(waveform, cfg)
+    return np.array_equal(blocks[:, : cfg.cp_len], blocks[:, -cfg.cp_len:])
 
 
 class TestCyclicPrefix:
@@ -23,6 +34,14 @@ class TestCyclicPrefix:
     def test_zero_cp(self):
         block = np.arange(8, dtype=complex)
         assert np.array_equal(add_cyclic_prefix(block, 0), block)
+
+    def test_block_matrix_matches_per_row_calls(self):
+        rng = np.random.default_rng(4)
+        blocks = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
+        extended = add_cyclic_prefix(blocks, 4)
+        assert np.array_equal(extended, [add_cyclic_prefix(b, 4) for b in blocks])
+        assert np.array_equal(remove_cyclic_prefix(extended, 4),
+                              [remove_cyclic_prefix(e, 4) for e in extended])
 
     def test_bad_cp_len(self):
         with pytest.raises(ValueError):
@@ -72,24 +91,20 @@ class TestFrameAssembly:
     def test_cp_invariant_holds(self):
         cfg = FrameConfig(n_payload_blocks=2)
         rng = np.random.default_rng(2)
-        frame = build_frame(1.0 - 2.0 * rng.integers(0, 2, 400), cfg)
-        frame.validate()
+        waveform = build_frame(1.0 - 2.0 * rng.integers(0, 2, 400), cfg)
+        assert cyclic_prefixes_intact(waveform, cfg)
 
     def test_waveform_length(self):
         cfg = FrameConfig(n_payload_blocks=3)
-        frame = build_frame(np.ones(10, dtype=complex), cfg)
-        assert len(frame.to_waveform()) == cfg.frame_len
+        assert len(build_frame(np.ones(10, dtype=complex), cfg)) == cfg.frame_len
 
     def test_data_roundtrip_through_blocks(self):
         cfg = FrameConfig(n_payload_blocks=2)
         rng = np.random.default_rng(3)
         data = 1.0 - 2.0 * rng.integers(0, 2, cfg.capacity_symbols)
-        frame = build_frame(data, cfg)
-        collected = []
-        for blk in frame.payload_blocks:
-            collected.append(extract_data_symbols(
-                remove_cyclic_prefix(blk, cfg.cp_len), cfg))
-        assert np.array_equal(np.concatenate(collected), data)
+        blocks = remove_cyclic_prefix(payload_blocks(build_frame(data, cfg), cfg),
+                                      cfg.cp_len)
+        assert np.array_equal(extract_data_symbols(blocks, cfg), data)
 
     def test_capacity_overflow(self):
         cfg = FrameConfig(n_payload_blocks=1)
@@ -98,14 +113,21 @@ class TestFrameAssembly:
 
     def test_filler_is_unit_modulus(self):
         cfg = FrameConfig(n_payload_blocks=1)
-        frame = build_frame(np.ones(1, dtype=complex), cfg)
-        assert np.allclose(np.abs(frame.payload_blocks[0]), 1.0)
+        waveform = build_frame(np.ones(1, dtype=complex), cfg)
+        assert np.allclose(np.abs(payload_blocks(waveform, cfg)), 1.0)
 
-    def test_known_header_matches_frame(self):
+    def test_header_matches_frame(self):
         cfg = FrameConfig(n_payload_blocks=1)
-        frame = build_frame(np.ones(4, dtype=complex), cfg)
-        hdr = known_header(cfg)
-        assert np.allclose(frame.to_waveform()[: len(hdr)], hdr)
+        waveform = build_frame(np.ones(4, dtype=complex), cfg)
+        assert len(cfg.header) == cfg.header_len
+        assert np.array_equal(waveform[: cfg.header_len], cfg.header)
+
+    def test_constants_are_read_only(self):
+        cfg = FrameConfig()
+        for name in ("pilot_positions", "pilot_values", "data_mask", "preamble",
+                     "pilot_block", "header", "filler"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(cfg, name)[0] = 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -117,10 +139,9 @@ class TestFrameAssembly:
         with pytest.raises(ValueError):
             FrameConfig(n_payload_blocks=0)
 
-    def test_frame_validate_catches_corruption(self):
+    def test_cp_invariant_catches_corruption(self):
         cfg = FrameConfig(n_payload_blocks=1)
-        frame = build_frame(np.ones(4, dtype=complex), cfg)
-        frame.payload_blocks[0] = frame.payload_blocks[0].copy()
-        frame.payload_blocks[0][0] += 1.0
-        with pytest.raises(ValueError, match="prefix"):
-            frame.validate()
+        waveform = build_frame(np.ones(4, dtype=complex), cfg)
+        assert cyclic_prefixes_intact(waveform, cfg)
+        waveform[cfg.header_len] += 1.0
+        assert not cyclic_prefixes_intact(waveform, cfg)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from linksim.baseband.modulation import (ModulationScheme, SpreadingConfig,
-                                         chip_pattern, demodulate,
-                                         hard_decisions, modulate, papr_db,
-                                         spread, despread)
+                                         demodulate, hard_decisions, modulate,
+                                         papr_db, spread, despread, thue_morse)
 
 BPSK = ModulationScheme.BPSK
 QPSK = ModulationScheme.QPSK
@@ -81,9 +80,12 @@ class TestSpreading:
         with pytest.raises(ValueError):
             SpreadingConfig(0)
 
-    def test_pattern_is_unit_chips(self):
-        for sf in (1, 2, 4, 8, 13):
-            assert np.all(np.abs(chip_pattern(sf)) == 1.0)
+    def test_pattern_is_thue_morse(self):
+        bits = thue_morse(64)
+        assert bits[:8].tolist() == [0, 1, 1, 0, 1, 0, 0, 1]
+        # t(2j) = t(j) and t(2j + 1) = 1 - t(j)
+        assert np.array_equal(bits[0::2], bits[:32])
+        assert np.array_equal(bits[1::2], 1 - bits[:32])
 
 
 class TestPapr:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from linksim.baseband.framing import FrameConfig, build_preamble, known_header
+from linksim.baseband.framing import FrameConfig, build_preamble
 from linksim.baseband.sync import (SyncState, acquire_sync, track_phase,
                                    wrap_phase)
 from linksim.errors import SyncError
@@ -35,7 +35,7 @@ class TestAcquire:
         # 95th percentile error within 2e-4 rad/sample at 20 dB, using the
         # full known header (preamble + pilot block) for refinement
         cfg = FrameConfig()
-        header = known_header(cfg)
+        header = cfg.header
         p = build_preamble()
         rng = np.random.default_rng(1234)
         sigma = np.sqrt(10 ** (-20 / 10) / 2)
@@ -45,7 +45,7 @@ class TestAcquire:
             clean = header * np.exp(1j * (0.01 * n + 0.3))
             noisy = clean + sigma * (rng.standard_normal(len(header)) +
                                      1j * rng.standard_normal(len(header)))
-            state = acquire_sync(noisy, p, known_header=header)
+            state = acquire_sync(noisy, p, header=header)
             errors.append(abs(state.cfo_estimate - 0.01))
         assert np.percentile(errors, 95) < 2e-4
 
@@ -93,6 +93,14 @@ class TestTrackPhase:
         rotated = block * np.exp(1j * (np.pi / 2 + 0.1))
         corrected = track_phase(rotated, pilots, positions)
         assert np.max(np.abs(corrected - block)) < 1e-9
+
+    def test_block_matrix_matches_per_row_calls(self):
+        rng = np.random.default_rng(5)
+        blocks = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+        positions = np.arange(0, 64, 8)
+        pilots = np.exp(1j * rng.uniform(-np.pi, np.pi, len(positions)))
+        rows = [track_phase(row, pilots, positions) for row in blocks]
+        assert np.array_equal(track_phase(blocks, pilots, positions), rows)
 
     def test_no_pilots_rejected(self):
         with pytest.raises(ValueError):

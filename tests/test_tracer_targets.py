@@ -21,6 +21,13 @@ KNOWN_ABSENT = {
     "linksim.harness.muxsim:apply_channel",
     "linksim.harness.muxsim:estimate_frequency_response",
     "linksim.harness.sweep:rx_chain",
+    # the chain takes the preamble and the known header from FrameConfig,
+    # which builds them once per config, and build_frame returns the
+    # waveform itself
+    "linksim.baseband.chain:known_header",
+    "linksim.baseband.chain:build_preamble",
+    "linksim.baseband.chain:chu_sequence",
+    "linksim.baseband.framing:BasebandFrame.to_waveform",
 }
 
 
