@@ -5,17 +5,18 @@ Transmit (``tx_chain``, one frame, returns the waveform): payload bits ->
 -> spreading -> BPSK/QPSK mapping -> ``framing.build_frame``.  Uncoded
 operation (codec=None) maps payload bits straight to chips.
 
-Receive, in two steps.  The per-frame front end (``rx_front_end``) does
-preamble acquisition (timing / CFO / phase), correction and channel
-estimation (genie response handed in, or least squares from the pilot
-block).  It cuts the payload into one ``(n_payload_blocks, block_len)``
-matrix, laid out by ``FrameConfig``, and equalizes it (FD-MMSE or TD-LMS),
-phase-tracks it on the pilots and extracts its data in one call each, then
-demaps and despreads.  The decode step (``decode_frames``)
-takes the soft bits of any number of frames as one matrix and hands them
-to ``coding.decode``, which decodes every codeword of the batch at once;
-uncoded frames are sliced.  There is no one-frame receive call: a single
-frame is a batch of one.
+Receive, in two steps.  The per-frame front end (``rx_front_end``) alone
+decides where a frame may start: at every offset where the whole frame
+fits, up to ``timing_search`` when set.  It acquires the preamble there
+(timing / CFO / phase), corrects, estimates the channel (genie response
+handed in, or least squares from the pilot block), cuts the payload into
+one ``(n_payload_blocks, block_len)`` matrix laid out by ``FrameConfig``,
+and equalizes it (FD-MMSE or TD-LMS), phase-tracks it on the pilots and
+extracts its data in one call each, then demaps and despreads.  The decode
+step (``decode_frames``) takes the soft bits of any number of frames as one
+matrix and hands them to ``coding.decode``, which decodes every codeword
+of the batch at once; uncoded frames are sliced.  There is no one-frame
+receive call: a single frame is a batch of one.
 """
 from __future__ import annotations
 
@@ -31,7 +32,8 @@ from .framing import (FrameConfig, build_frame, extract_data_symbols,
                       remove_cyclic_prefix)
 from .modulation import (ModulationScheme, SpreadingConfig, demodulate,
                          despread, hard_decisions, modulate, spread)
-from .sync import SyncState, acquire_sync, track_phase
+from .sync import (DEFAULT_SYNC_THRESHOLD, SyncState, acquire_sync,
+                   track_phase)
 
 
 def _coded_bits(payload_bits: int, codec: CodecConfig | None) -> int:
@@ -53,7 +55,7 @@ class ChainConfig:
     track_pilot_phase: bool = True
     channel_estimator: str = "genie"      # "genie" | "pilot-ls"
     timing_search: int | None = None
-    sync_threshold: float = 0.5
+    sync_threshold: float = DEFAULT_SYNC_THRESHOLD
 
     def __post_init__(self) -> None:
         if self.payload_bits < 1:
@@ -132,14 +134,15 @@ def rx_front_end(waveform: np.ndarray, cfg: ChainConfig,
     """
     waveform = np.asarray(waveform, dtype=np.complex128)
     fcfg = cfg.frame
-    sync = acquire_sync(waveform, fcfg.preamble, threshold=cfg.sync_threshold,
-                        search_window=cfg.timing_search, header=fcfg.header,
+    # a frame may start at any offset where it fits whole, up to timing_search
+    last_start = len(waveform) - fcfg.frame_len
+    if cfg.timing_search is not None:
+        last_start = min(last_start, cfg.timing_search)
+    sync = acquire_sync(waveform, fcfg.preamble, fcfg.header, last_start,
+                        threshold=cfg.sync_threshold,
                         estimate_cfo=cfg.correct_cfo)
 
-    start = sync.timing_offset
-    if len(waveform) < start + fcfg.frame_len:
-        raise ValueError("waveform truncated: frame extends past its end")
-    seg = waveform[start: start + fcfg.frame_len]
+    seg = waveform[sync.timing_offset: sync.timing_offset + fcfg.frame_len]
     n = np.arange(len(seg))
     seg = seg * np.exp(-1j * (sync.cfo_estimate * n + sync.phase))
 

@@ -35,7 +35,6 @@ CRC_POLYNOMIALS = {
 @dataclass(frozen=True)
 class CodecConfig:
     info_bits_per_codeword: int = 1024
-    code_rate: Fraction = Fraction(1, 2)
     constraint_length: int = 7
     crc_width: int = 32
     generators: tuple[int, ...] = (0o133, 0o171)
@@ -43,10 +42,8 @@ class CodecConfig:
     def __post_init__(self) -> None:
         if self.info_bits_per_codeword < 1:
             raise ValueError("info_bits_per_codeword must be >= 1")
-        if not 0 < self.code_rate <= 1:
-            raise ValueError("code_rate must be in (0, 1]")
-        if self.code_rate != Fraction(1, len(self.generators)):
-            raise ValueError("code_rate must equal 1/len(generators)")
+        if not self.generators:
+            raise ValueError("generators must be non-empty")
         if self.crc_width not in CRC_POLYNOMIALS:
             raise ValueError(f"unsupported crc_width {self.crc_width}")
         if self.info_bits_per_codeword <= self.crc_width:
@@ -56,6 +53,10 @@ class CodecConfig:
         for g in self.generators:
             if g >= 1 << self.constraint_length:
                 raise ValueError("generator wider than constraint length")
+
+    @property
+    def code_rate(self) -> Fraction:
+        return Fraction(1, len(self.generators))
 
     @property
     def tail_bits(self) -> int:

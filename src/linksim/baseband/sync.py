@@ -1,13 +1,14 @@
 """Frame acquisition and phase tracking.
 
+The caller says where a frame may start: offsets ``0 .. search_window``.
 Timing comes from the peak of the normalized cross-correlation against the
-known preamble.  The carrier frequency offset estimate starts from the
-phase of the correlation between the two identical preamble halves divided
-by the half length; when the caller also passes the full known header
-(preamble plus pilot block) the estimate is refined over that longer
-baseline, which is what brings the error down to a few 1e-5 rad/sample at
-moderate SNR.  The residual common phase is read off the known reference
-after CFO removal.
+known preamble at those offsets, computed over their samples only.  The
+carrier frequency offset estimate starts from the phase of the
+correlation between the two identical preamble halves divided by the half
+length, and is refined over the full known header (preamble plus pilot
+block), which is what brings the error down to a few 1e-5 rad/sample at
+moderate SNR.  The residual common phase is read off the header after CFO
+removal.
 """
 from __future__ import annotations
 
@@ -38,32 +39,32 @@ def wrap_phase(phi: float) -> float:
 
 
 def acquire_sync(rx_waveform: np.ndarray, preamble: np.ndarray,
+                 header: np.ndarray, search_window: int,
                  threshold: float = DEFAULT_SYNC_THRESHOLD,
-                 search_window: int | None = None,
-                 header: np.ndarray | None = None,
                  estimate_cfo: bool = True) -> SyncState:
-    """Locate the preamble and estimate CFO and common phase.
+    """Locate the preamble at offsets ``0 .. search_window`` and estimate
+    CFO and common phase.
 
-    ``search_window`` limits the candidate offsets (None searches every
-    position).  ``header`` optionally holds all known samples from
-    the preamble start (preamble + CP'd pilot block) for CFO refinement
-    and phase estimation.  With ``estimate_cfo`` off the CFO is pinned to
-    zero and the phase estimate is not conditioned on it; receivers that
-    will not apply CFO correction must pin it, otherwise estimator noise
-    leaks into the phase reference.
+    ``header`` holds all known samples from the preamble start (preamble +
+    CP'd pilot block); it must fit at every candidate offset.  With
+    ``estimate_cfo`` off the CFO is pinned to zero and the phase estimate
+    is not conditioned on it; receivers that will not apply CFO correction
+    must pin it, otherwise estimator noise leaks into the phase reference.
     """
     rx = np.asarray(rx_waveform, dtype=np.complex128)
     p = np.asarray(preamble, dtype=np.complex128)
-    if len(rx) < len(p):
-        raise ValueError("waveform shorter than preamble")
+    ref = np.asarray(header, dtype=np.complex128)
+    if search_window < 0 or len(rx) < search_window + len(ref):
+        raise ValueError(
+            f"the {len(ref)}-sample header does not fit at every offset "
+            f"0..{search_window} of a {len(rx)}-sample waveform")
     half = len(p) // 2
 
-    corr = np.correlate(rx, p, mode="valid")
-    window_energy = np.convolve(np.abs(rx) ** 2, np.ones(len(p)), mode="valid")
+    head = rx[: search_window + len(p)]
+    corr = np.correlate(head, p, mode="valid")
+    window_energy = np.convolve(np.abs(head) ** 2, np.ones(len(p)), mode="valid")
     norm = np.sqrt(window_energy * np.sum(np.abs(p) ** 2))
     metric = np.abs(corr) / np.maximum(norm, 1e-300)
-    if search_window is not None:
-        metric = metric[: search_window + 1]
     offset = int(np.argmax(metric))
     peak = float(metric[offset])
     if peak < threshold:
@@ -71,17 +72,12 @@ def acquire_sync(rx_waveform: np.ndarray, preamble: np.ndarray,
             f"normalized correlation peak {peak:.3f} below threshold {threshold}")
 
     cfo = 0.0
+    segment = rx[offset: offset + len(ref)]
+    n = np.arange(len(ref))
     if estimate_cfo:
         halves = np.sum(rx[offset + half: offset + 2 * half] *
                         np.conj(rx[offset: offset + half]))
         cfo = float(np.angle(halves)) / half
-
-    ref = p if header is None else np.asarray(header, np.complex128)
-    segment = rx[offset: offset + len(ref)]
-    if len(segment) < len(ref):
-        ref = ref[: len(segment)]
-    n = np.arange(len(ref))
-    if estimate_cfo and header is not None:
         # two-segment refinement over every known header sample
         z = segment * np.conj(ref) * np.exp(-1j * cfo * n)
         h2 = len(ref) // 2

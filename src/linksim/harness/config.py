@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
-from fractions import Fraction
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -149,8 +148,8 @@ _BASEBAND = _table(
     modulation=ModulationScheme, spreading_factor=int, codec=Nullable(dict),
     fft_size=int, cp_len=int, payload_blocks=Nullable(int),
     pilots_per_block=int, payload_bits=int, equalizer=dict, receiver=dict)
-_CODEC = _table(info_bits_per_codeword=int, code_rate=list,
-                constraint_length=int, crc_width=int)
+_CODEC = _table(info_bits_per_codeword=int, constraint_length=int,
+                crc_width=int)
 _EQUALIZER = _table(variant=EqualizerVariant, lms_taps=int, lms_step=float,
                     decision_directed=bool,
                     noise_variance_hint=Nullable(float))
@@ -171,7 +170,7 @@ _ANTENNA = _table({"mainlobe_gain_dbi": "mainlobe_gain",
 _TAP = _table(delay=int, gain_db=float, phase_deg=float, bounce_count=int,
               via_sidelobe=bool)
 
-_SWEEP = _table(axis=str, values=list, trials=int, per_target=Nullable(float))
+_SWEEP = _table(axis=str, values=list, trials=int)
 
 _MUX = _table({"modem_capacity_mbps": "capacity"},
               modem_capacity_mbps=float, channels=list, loss=dict,
@@ -226,21 +225,13 @@ def _parse_profiles(data: Any) -> dict[str, ServiceProfile]:
     return service
 
 
-def _parse_codec(data: Any) -> CodecConfig:
-    kw = _read(data, "baseband.codec", _CODEC, CodecConfig)
-    if "code_rate" in kw:
-        rate = _items(kw["code_rate"], "baseband.codec.code_rate", int)
-        if len(rate) != 2 or rate[1] == 0:
-            raise ConfigError("baseband.codec.code_rate: expected [num, den]")
-        kw["code_rate"] = Fraction(*rate)
-    return _make(CodecConfig, "baseband.codec", _CODEC, **kw)
-
-
 def _parse_baseband(data: Any) -> ChainConfig:
     kw = _read(data, "baseband", _BASEBAND, ChainConfig)
     # "codec": null selects uncoded operation; omitting the key means defaults
     if kw.get("codec") is not None:
-        kw["codec"] = _parse_codec(kw["codec"])
+        kw["codec"] = _make(
+            CodecConfig, "baseband.codec", _CODEC,
+            **_read(kw["codec"], "baseband.codec", _CODEC, CodecConfig))
     if "sf" in kw:
         kw["spreading"] = _make(SpreadingConfig, "baseband.spreading_factor",
                                 {}, kw.pop("sf"))

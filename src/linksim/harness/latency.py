@@ -47,7 +47,6 @@ class LatencySpec:
 @dataclass(frozen=True)
 class LatencyBudget:
     stages: tuple[tuple[str, float], ...]
-    coded_rate_bps: float
 
     def __post_init__(self) -> None:
         if any(duration < 0 for _, duration in self.stages):
@@ -93,7 +92,7 @@ def latency_budget(codec: CodecConfig = CodecConfig(),
         ("propagation", distance_m / SPEED_OF_LIGHT),
         ("decoding", coded_bits / coded_rate_bps),
     )
-    return LatencyBudget(stages=stages, coded_rate_bps=coded_rate_bps)
+    return LatencyBudget(stages=stages)
 
 
 @dataclass

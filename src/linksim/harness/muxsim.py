@@ -97,6 +97,13 @@ class MuxSimSpec:
                     f"payload of channel {ch_id}")
         if any(size > self.mtu for _, _, size in self.trace):
             raise ValueError(f"trace packet sizes must be <= mtu {self.mtu}")
+        if isinstance(self.loss, BasebandLossModel):
+            largest = max([t.payload_size for t in self.traffic.values()] +
+                          [size for _, _, size in self.trace], default=0)
+            if 8 * largest > self.loss.chain.payload_bits:
+                raise ValueError(
+                    f"loss chain carries {self.loss.chain.payload_bits} "
+                    f"payload bits, below the {8 * largest}-bit largest packet")
         known = {ch.id for ch in self.channels}
         for name, ids in (("trace", {row[1] for row in self.trace}),
                           ("traffic", set(self.traffic))):

@@ -51,6 +51,12 @@ class RangingSpec:
             raise ValueError("block_len must be >= 1")
         if self.carrier_wavelength_m <= 0:
             raise ValueError("carrier_wavelength_m must be > 0")
+        delay = EchoScene(self.range_max_m, self.sample_rate_hz,
+                          self.bandwidth_hz).round_trip_samples
+        if delay >= self.waveform_len:
+            raise ValueError(
+                f"range_max_m {self.range_max_m:g} needs a {delay}-sample round "
+                f"trip, beyond waveform_len {self.waveform_len}")
 
 
 @dataclass

@@ -45,18 +45,11 @@ Z_95 = 1.959963984540054   # two-sided 95% normal quantile
 DECODE_ROWS = 32
 
 
-#: lowest PER a desk-scale Monte Carlo run can verify; targets below this
-#: (e.g. the 1e-9 of the strictest requirement profiles) are rejected, with
-#: extrapolation out of scope
-MIN_VERIFIABLE_PER = 1e-6
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     values: tuple[float, ...]
     trials: int
     axis: str = "ebn0_db"     # "snr_db" | "ebn0_db"
-    per_target: float | None = None
 
     def __post_init__(self) -> None:
         if self.axis not in ("snr_db", "ebn0_db"):
@@ -65,10 +58,6 @@ class SweepSpec:
             raise ValueError("values must be non-empty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.per_target is not None and self.per_target < MIN_VERIFIABLE_PER:
-            raise ValueError(
-                f"per_target {self.per_target:g} below the Monte Carlo "
-                f"verification floor {MIN_VERIFIABLE_PER:g}")
 
 
 @dataclass

@@ -91,7 +91,6 @@ class EchoScene:
 class RangeEstimate:
     range: float
     peak_quality: float
-    velocity: float | None = None
 
     def __post_init__(self) -> None:
         if self.range < 0:
@@ -164,6 +163,19 @@ def _cancel_self_interference(tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
     return rx - alpha * tx
 
 
+def _strongest_echo(tx: np.ndarray, work: np.ndarray, sample_rate: float
+                    ) -> tuple[int, complex, RangeEstimate]:
+    """Delay of the correlation peak of ``work`` against ``tx``, the
+    correlation there and the range estimate it gives."""
+    corr = np.correlate(work, tx, mode="full")[len(tx) - 1:]
+    mags = np.abs(corr)
+    d = int(np.argmax(mags))
+    quality = float(min(
+        mags[d] / (np.linalg.norm(tx) * np.linalg.norm(work) + 1e-300), 1.0))
+    return d, corr[d], RangeEstimate(
+        range=SPEED_OF_LIGHT * d / (2.0 * sample_rate), peak_quality=quality)
+
+
 def echo_range(tx: np.ndarray, rx: np.ndarray, sample_rate: float,
                cancel_si: bool = True,
                peak_threshold: float = DEFAULT_PEAK_THRESHOLD) -> RangeEstimate:
@@ -174,16 +186,11 @@ def echo_range(tx: np.ndarray, rx: np.ndarray, sample_rate: float,
     if len(tx) != len(rx):
         raise ValueError("tx and rx must be sampled alike (equal lengths)")
     work = _cancel_self_interference(tx, rx) if cancel_si else rx.copy()
-    corr = np.correlate(work, tx, mode="full")[len(tx) - 1:]
-    mags = np.abs(corr)
-    d = int(np.argmax(mags))
-    quality = float(mags[d] / (np.linalg.norm(tx) * np.linalg.norm(work) + 1e-300))
-    quality = min(quality, 1.0)
-    if quality < peak_threshold:
-        raise NoTargetError(
-            f"normalized correlation peak {quality:.3f} below {peak_threshold}")
-    rng = SPEED_OF_LIGHT * d / (2.0 * sample_rate)
-    return RangeEstimate(range=rng, peak_quality=quality)
+    _, _, estimate = _strongest_echo(tx, work, sample_rate)
+    if estimate.peak_quality < peak_threshold:
+        raise NoTargetError(f"normalized correlation peak "
+                            f"{estimate.peak_quality:.3f} below {peak_threshold}")
+    return estimate
 
 
 def resolve_echoes(tx: np.ndarray, rx: np.ndarray, sample_rate: float,
@@ -201,17 +208,11 @@ def resolve_echoes(tx: np.ndarray, rx: np.ndarray, sample_rate: float,
     tx_energy = float(np.vdot(tx, tx).real)
     estimates = []
     for _ in range(n_targets):
-        corr = np.correlate(work, tx, mode="full")[len(tx) - 1:]
-        mags = np.abs(corr)
-        d = int(np.argmax(mags))
-        quality = float(min(
-            mags[d] / (np.linalg.norm(tx) * np.linalg.norm(work) + 1e-300), 1.0))
-        estimates.append(RangeEstimate(
-            range=SPEED_OF_LIGHT * d / (2.0 * sample_rate),
-            peak_quality=quality))
+        d, peak, estimate = _strongest_echo(tx, work, sample_rate)
+        estimates.append(estimate)
         shifted = np.zeros_like(work)
         shifted[d:] = tx[: len(tx) - d]
-        work = work - (corr[d] / tx_energy) * shifted
+        work = work - (peak / tx_energy) * shifted
     return sorted(estimates, key=lambda e: e.range)
 
 

@@ -8,7 +8,7 @@ from linksim.baseband import (ChainConfig, ChannelKnowledge, CodecConfig,
 from linksim.baseband.framing import FrameConfig
 from linksim.channel import (apply_channel, estimate_frequency_response,
                              make_preset)
-from linksim.errors import CapacityError
+from linksim.errors import CapacityError, SyncError
 
 IDENTITY = ChannelKnowledge(freq_response=np.ones(256), noise_variance=0.0)
 
@@ -30,6 +30,37 @@ def receive(waveform, cfg, knowledge=None):
 
 def loopback(cfg, bits, knowledge=IDENTITY):
     return receive(tx_chain(bits, cfg), cfg, knowledge)[0]
+
+
+class TestFrameSearch:
+    """The front end looks for a frame at every offset where it fits whole,
+    up to ``timing_search``."""
+
+    # a frame preceded by 20 zero samples and followed by ``tail`` more; a
+    # negative tail cuts the frame short, so no whole frame starts at 20
+    @pytest.mark.parametrize("timing_search, tail, offset", [
+        (None, 15, 20), (20, 15, 20), (64, 15, 20), (19, 15, None),
+        (8, 15, None), (0, 15, None), (None, -5, None)])
+    def test_offsets_where_the_frame_fits_up_to_timing_search(
+            self, timing_search, tail, offset):
+        cfg = ChainConfig.for_payload(300, codec=None,
+                                      timing_search=timing_search)
+        bits = payload(300, 3)
+        waveform = np.concatenate([np.zeros(20, complex), tx_chain(bits, cfg),
+                                   np.zeros(15, complex)])
+        waveform = waveform[: 20 + cfg.frame.frame_len + tail]
+        if offset is None:
+            with pytest.raises(SyncError):
+                rx_front_end(waveform, cfg, IDENTITY)
+        else:
+            (info, _, _), sync = receive(waveform, cfg, IDENTITY)
+            assert sync.timing_offset == offset
+            assert np.array_equal(info, bits)
+
+    def test_waveform_shorter_than_a_frame_is_a_caller_error(self):
+        cfg = ChainConfig.for_payload(300, codec=None)
+        with pytest.raises(ValueError, match="does not fit"):
+            rx_front_end(tx_chain(payload(300, 5), cfg)[:-1], cfg, IDENTITY)
 
 
 class TestLoopback:

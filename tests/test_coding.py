@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +9,6 @@ from linksim.baseband.coding import (CRC_POLYNOMIALS, CodecConfig,
 
 SMALL = CodecConfig(info_bits_per_codeword=128, crc_width=32)
 RATE_THIRD = CodecConfig(info_bits_per_codeword=128, crc_width=32,
-                         code_rate=Fraction(1, 3),
                          generators=(0o133, 0o171, 0o165))
 
 
@@ -156,7 +153,6 @@ class TestConvolutionalCode:
         # integer soft values make many merging paths tie; these inputs
         # decode differently if ties went to the 1-branch instead
         cfg = CodecConfig(info_bits_per_codeword=48, crc_width=8,
-                          code_rate=Fraction(1, len(generators)),
                           generators=generators)
         rng = np.random.default_rng(seed)
         soft = np.round(rng.normal(scale=0.7,

@@ -209,6 +209,12 @@ RUN_TIME_LIMITS = [
      -1, "baseband.receiver.timing_search: timing_search must be >= 0"),
     ("configs/mux_sim.json", ("mux", "trace"), [[0.0, 5, 64]],
      "mux.trace: trace references unknown channel 5"),
+    ("tests/golden/mux_baseband.json", ("baseband", "payload_bits"), 800,
+     "mux.loss: loss chain carries 800 payload bits, below the 1000-bit "
+     "largest packet"),
+    ("configs/ranging.json", ("ranging", "range_max_m"), 2000,
+     "ranging.range_max_m: range_max_m 2000 needs a 13343-sample round trip, "
+     "beyond waveform_len 8192"),
 ]
 
 
@@ -229,17 +235,25 @@ def test_cli_run_time_limit_exits_2_without_traceback(config, path, value,
     assert "Traceback" not in proc.stderr
 
 
-def test_sweep_below_sync_threshold_counts_every_packet_lost(tmp_path):
+@pytest.mark.parametrize("receiver, snr_db, every_frame_missed", [
+    ({}, -10.0, True),
+    # no timing window and a low threshold: frames acquire on noise, at any
+    # offset where the whole frame fits, and fail their payload
+    ({"timing_search": None, "sync_threshold": 0.1}, -15.0, False),
+], ids=["timing_search=8", "timing_search=null,sync_threshold=0.1"])
+def test_sweep_below_sync_threshold_counts_every_packet_lost(
+        receiver, snr_db, every_frame_missed, tmp_path):
     data = json.loads((REPO / "configs" / "ber_sweep.json").read_text())
-    data["sweep"] = {"axis": "snr_db", "values": [-10.0], "trials": 20}
+    data["baseband"]["receiver"].update(receiver)
+    data["sweep"] = {"axis": "snr_db", "values": [snr_db], "trials": 20}
     config = tmp_path / "low_snr.json"
     config.write_text(json.dumps(data))
     out = tmp_path / "low_snr.csv"
     assert main(["ber-sweep", "--config", str(config), "--out", str(out)]) == 0
     header, row = out.read_text().splitlines()
     point = dict(zip(header.split(","), row.split(",")))
-    assert point["per"] == "1" and point["ber"] == "1"
-    assert point["packet_errors"] == "20"
+    assert point["per"] == "1" and point["packet_errors"] == "20"
+    assert (point["ber"] == "1") == every_frame_missed
 
 
 def test_degenerate_channel_is_a_lost_packet():

@@ -338,14 +338,6 @@ class TestConfigParsing:
         cfg = parse_config(data, "mux-sim")
         assert cfg.mux.channels[0].sp.id == "SPX"
 
-    def test_per_target_floor(self):
-        data = self._base()
-        data["sweep"]["per_target"] = 1e-9
-        with pytest.raises(ConfigError, match="verification floor"):
-            parse_config(data, "ber-sweep")
-        data["sweep"]["per_target"] = 1e-4
-        assert parse_config(data, "ber-sweep").sweep.per_target == 1e-4
-
     def test_randomized_phases_need_ls_estimator(self):
         data = self._base()
         data["channel"]["randomize_tap_phases"] = True

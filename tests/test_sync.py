@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ def embed(preamble, offset, total=600):
 class TestAcquire:
     def test_clean_offset(self):
         p = build_preamble()
-        state = acquire_sync(embed(p, 37), p)
+        wave = embed(p, 37)
+        state = acquire_sync(wave, p, p, len(wave) - len(p))
         assert state.timing_offset == 37
         assert abs(state.cfo_estimate) < 1e-9
         assert abs(state.phase) < 1e-9
@@ -25,7 +28,7 @@ class TestAcquire:
         p = build_preamble()
         n = np.arange(len(p))
         wave = embed(p * np.exp(1j * (0.004 * n + 0.9)), 12)
-        state = acquire_sync(wave, p)
+        state = acquire_sync(wave, p, p, len(wave) - len(p))
         assert state.timing_offset == 12
         assert state.cfo_estimate == pytest.approx(0.004, abs=1e-6)
         # phase reference is the preamble start after CFO removal
@@ -45,25 +48,53 @@ class TestAcquire:
             clean = header * np.exp(1j * (0.01 * n + 0.3))
             noisy = clean + sigma * (rng.standard_normal(len(header)) +
                                      1j * rng.standard_normal(len(header)))
-            state = acquire_sync(noisy, p, header=header)
+            state = acquire_sync(noisy, p, header, 0)
             errors.append(abs(state.cfo_estimate - 0.01))
         assert np.percentile(errors, 95) < 2e-4
 
     def test_pure_noise_fails(self):
+        p = build_preamble()
         rng = np.random.default_rng(7)
         noise = rng.standard_normal(512) + 1j * rng.standard_normal(512)
         with pytest.raises(SyncError):
-            acquire_sync(noise, build_preamble())
+            acquire_sync(noise, p, p, len(noise) - len(p))
 
     def test_too_short_waveform(self):
-        with pytest.raises(ValueError):
-            acquire_sync(np.zeros(16, complex), build_preamble())
+        # the header must fit at every candidate offset
+        p = build_preamble()
+        with pytest.raises(ValueError, match="does not fit"):
+            acquire_sync(np.zeros(16, complex), p, p, 0)
 
     def test_search_window_limits_offsets(self):
         p = build_preamble()
         wave = embed(p, 200)
         with pytest.raises(SyncError):
-            acquire_sync(wave, p, search_window=50)
+            acquire_sync(wave, p, p, 50)
+
+    @pytest.mark.parametrize("window", [0, 8, None])
+    def test_window_matches_full_metric_cut_to_it(self, window):
+        # the search reads only the window's samples, yet finds the offset
+        # that the metric over the whole waveform, cut to the window, peaks
+        # at; CFO and phase are then those of a one-offset search there
+        cfg = FrameConfig()
+        p, header = cfg.preamble, cfg.header
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            total = len(header) + int(rng.integers(0, 40))
+            wave = 0.5 * (rng.standard_normal(total) +
+                          1j * rng.standard_normal(total))
+            at = int(rng.integers(0, total - len(header) + 1))
+            n = np.arange(len(header))
+            wave[at: at + len(header)] += header * np.exp(1j * (0.003 * n + 1.1))
+            last = total - len(header)
+            w = last if window is None else min(window, last)
+            corr = np.abs(np.correlate(wave, p, mode="valid"))
+            energy = np.convolve(np.abs(wave) ** 2, np.ones(len(p)), mode="valid")
+            metric = corr / np.sqrt(energy * np.sum(np.abs(p) ** 2))
+            offset = int(np.argmax(metric[: w + 1]))
+            there = acquire_sync(wave[offset:], p, header, 0, threshold=0.0)
+            assert acquire_sync(wave, p, header, w, threshold=0.0) == replace(
+                there, timing_offset=offset)
 
 
 class TestTrackPhase:
