@@ -12,6 +12,7 @@ starts with the dotted path of the offending key.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from typing import Any, Callable, Mapping
@@ -77,8 +78,8 @@ def _join(path: str, key: str) -> str:
 
 
 def _value(value: Any, path: str, kind: Any) -> Any:
-    """``value`` checked against one JSON type; bool is not a number and
-    strings are never coerced."""
+    """``value`` checked against one JSON type; bool is not a number, a
+    number is finite and strings are never coerced."""
     if isinstance(kind, Nullable):
         if value is None:
             return None
@@ -93,6 +94,8 @@ def _value(value: Any, path: str, kind: Any) -> Any:
                                            and kind is not bool):
         got = _JSON_NAMES.get(type(value), type(value).__name__)
         raise ConfigError(f"{path}: expected {_JSON_NAMES[kind]}, got {got}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value}")
     return float(value) if kind is float else value
 
 
@@ -302,6 +305,7 @@ def _load_trace(path: str) -> tuple[tuple[float, int, int], ...]:
                     raise ConfigError(
                         f"mux.trace_file: {path}:{lineno}: expected "
                         "time,channel,size") from None
+                _value(rows[-1][0], f"mux.trace_file: {path}:{lineno}: time", float)
     except OSError as exc:
         raise ConfigError(f"mux.trace_file: cannot read {path!r}: {exc}") from exc
     return tuple(rows)

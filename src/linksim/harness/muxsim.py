@@ -12,10 +12,11 @@ with a definite fate, and the conservation identity
 
 (lost = all transmitted copies corrupt) is checked before returning.
 
-Losses come either from an iid per-modem loss probability (decided by a
-stable hash of (channel, sequence, modem), hence order-independent) or
-from running each copy through the sweep's trial engine (``link_trials``,
-a batch of one), the full baseband + channel pipeline.
+A copy's CRC verdict never feeds back into scheduling, so the event loop
+only records the copies it transmits.  Their verdicts come afterwards, all
+at once, from an iid per-modem loss probability (a stable hash of (channel,
+sequence, modem)) or from one ``link_trials`` call (the full baseband +
+channel pipeline), and ``Mux.receive`` replays them in completion order.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from ..baseband.chain import ChainConfig
 from ..channel import ChannelModel
 from ..errors import ConfigError
 from ..mux import (DEFAULT_MTU, DEFAULT_QUEUE_DEPTH, N_MODEMS, AppFrame,
-                   FrameSource, LogicalChannel, Mux, Redundancy)
+                   DataLinkPacket, FrameSource, LogicalChannel, Mux, Redundancy)
 from ..profiles import ModemCapacity, admit_channels
 from .seeding import stable_seed, stable_uniform
 from .sweep import genie_knowledge, link_trials
@@ -188,15 +189,30 @@ def _latency_stats(latencies: list[float]) -> tuple[float, float, float, float]:
 
 
 def _histogram(latencies: list[float]) -> tuple[int, ...]:
-    counts = [0] * (len(LATENCY_BUCKETS) + 1)
-    for lat in latencies:
-        for i, edge in enumerate(LATENCY_BUCKETS):
-            if lat <= edge:
-                counts[i] += 1
-                break
-        else:
-            counts[-1] += 1
-    return tuple(counts)
+    """Counts per LATENCY_BUCKETS bucket; a latency on an edge counts in
+    that edge's bucket."""
+    buckets = np.searchsorted(LATENCY_BUCKETS, latencies, side="left")
+    return tuple(np.bincount(buckets, minlength=len(LATENCY_BUCKETS) + 1).tolist())
+
+
+def _copies_received(spec: MuxSimSpec, copies: list[tuple[float, int, DataLinkPacket]],
+                     master_seed: int) -> list[bool]:
+    """The CRC verdict of every (done, modem, packet) copy; each draws from
+    its own (channel, sequence, modem) seed, so the batch does not matter."""
+    keys = [(packet.channel_id, packet.sequence_number, modem)
+            for _, modem, packet in copies]
+    if isinstance(spec.loss, IidLossModel):
+        return [stable_uniform(master_seed, *key) >= spec.loss.per_modem[key[2]]
+                for key in keys]
+    cfg, channel = spec.loss.chain, spec.loss.channel
+    payloads = np.zeros((len(copies), cfg.payload_bits), dtype=np.uint8)
+    for row, (_, _, packet) in zip(payloads, copies):
+        bits = np.unpackbits(np.frombuffer(packet.payload, dtype=np.uint8))
+        row[: len(bits)] = bits
+    models = [replace(channel, seed=stable_seed(master_seed, *key)) for key in keys]
+    _, packet_errors = link_trials(payloads, cfg, models,
+                                   genie_knowledge(cfg, channel))
+    return (packet_errors == 0).tolist()
 
 
 def run_mux_sim(spec: MuxSimSpec, master_seed: int) -> MuxSimResult:
@@ -205,14 +221,6 @@ def run_mux_sim(spec: MuxSimSpec, master_seed: int) -> MuxSimResult:
     start = time.perf_counter()
     mux = Mux(list(spec.channels), mtu=spec.mtu, queue_depth=spec.queue_depth)
     channels = {ch.id: ch for ch in spec.channels}
-
-    # packet air time at the modem line rate (capacity in Mbit/s)
-    def airtime(nbytes: int) -> float:
-        return nbytes * 8 / (spec.capacity.capacity_c * 1e6)
-
-    knowledge = None
-    if isinstance(spec.loss, BasebandLossModel):
-        knowledge = genie_knowledge(spec.loss.chain, spec.loss.channel)
 
     events: list[tuple[float, int, str, object]] = []
     order = 0
@@ -229,24 +237,8 @@ def run_mux_sim(spec: MuxSimSpec, master_seed: int) -> MuxSimResult:
         order += 1
 
     modem_busy = [False] * N_MODEMS
-    # per-(channel, seq): [copies_sent, copies_corrupt, delivered_flag]
-    fates: dict[tuple[int, int], list] = {}
-
-    def crc_of_copy(packet, modem: int) -> bool:
-        if isinstance(spec.loss, IidLossModel):
-            u = stable_uniform(master_seed, packet.channel_id,
-                               packet.sequence_number, modem)
-            return u >= spec.loss.per_modem[modem]
-        cfg = spec.loss.chain
-        bits = np.unpackbits(np.frombuffer(packet.payload, dtype=np.uint8))
-        padded = np.zeros(cfg.payload_bits, dtype=np.uint8)
-        padded[: len(bits)] = bits
-        seed = stable_seed(master_seed, packet.channel_id,
-                           packet.sequence_number, modem)
-        _, packet_errors = link_trials(
-            padded[None, :], cfg, [replace(spec.loss.channel, seed=seed)],
-            knowledge)
-        return packet_errors[0] == 0
+    # every transmitted copy as (done, modem, packet), in completion order
+    copies: list[tuple[float, int, DataLinkPacket]] = []
 
     def dispatch(now: float) -> None:
         nonlocal order
@@ -258,9 +250,8 @@ def run_mux_sim(spec: MuxSimSpec, master_seed: int) -> MuxSimResult:
             if any(modem_busy[m] for m in targets):
                 return
             packet, targets = mux.schedule_next(now)
-            done = now + airtime(len(packet.payload))
-            key = (packet.channel_id, packet.sequence_number)
-            fates.setdefault(key, [0, 0, False])[0] += len(targets)
+            # air time at the modem line rate (capacity in Mbit/s)
+            done = now + len(packet.payload) * 8 / (spec.capacity.capacity_c * 1e6)
             for m in targets:
                 modem_busy[m] = True
                 heapq.heappush(events, (done, order, "tx_done", (m, packet)))
@@ -274,23 +265,27 @@ def run_mux_sim(spec: MuxSimSpec, master_seed: int) -> MuxSimResult:
         else:
             modem, packet = data
             modem_busy[modem] = False
-            crc_ok = crc_of_copy(packet, modem)
-            key = (packet.channel_id, packet.sequence_number)
-            outcome = mux.receive(packet, modem, crc_ok, now)
-            if not crc_ok:
-                fates[key][1] += 1
-            if outcome is not None:
-                fates[key][2] = True
+            copies.append((now, modem, packet))
         dispatch(now)
+
+    # per-(channel, seq): [copies_sent, copies_corrupt, delivered]
+    fates: dict[tuple[int, int], list[int]] = {}
+    for (now, modem, packet), crc_ok in zip(
+            copies, _copies_received(spec, copies, master_seed)):
+        fate = fates.setdefault((packet.channel_id, packet.sequence_number),
+                                [0, 0, 0])
+        fate[0] += 1
+        fate[1] += not crc_ok
+        fate[2] |= mux.receive(packet, modem, crc_ok, now) is not None
+    tallies = {ch_id: [0, 0] for ch_id in channels}   # [lost, fully corrupt]
+    for (ch_id, _), (sent, corrupt, delivered) in fates.items():
+        tallies[ch_id][0] += not delivered
+        tallies[ch_id][1] += corrupt == sent
 
     stats = []
     for ch in spec.channels:
         c = mux.counters[ch.id]
-        lost = sum(1 for (cid, _), (sent, corrupt, delivered) in fates.items()
-                   if cid == ch.id and sent > 0 and not delivered)
-        fully_corrupt = sum(
-            1 for (cid, _), (sent, corrupt, delivered) in fates.items()
-            if cid == ch.id and sent > 0 and corrupt == sent)
+        lost, fully_corrupt = tallies[ch.id]
         if c.enqueued != c.delivered + c.deadline_misses + c.overflow_drops + lost \
                 or lost != fully_corrupt:
             raise RuntimeError(

@@ -7,10 +7,10 @@ stable_seed(master, i, t, 1), so results are bit-identical regardless of
 execution order or batching.
 
 ``link_trials`` is the one trial engine of the package; a sweep point
-passes it all of its trials, and the baseband-backed mux simulation sends
-each packet copy through it as a batch of one.  It runs transmit, channel
-and the receiver front end frame by frame, then decodes the codewords of
-the surviving frames together, ``DECODE_ROWS`` codewords' worth of frames
+passes it all of its trials, and the baseband-backed mux simulation every
+packet copy of a run, after scheduling.  It runs transmit, channel and
+the receiver front end frame by frame, then decodes the codewords of the
+surviving frames together, ``DECODE_ROWS`` codewords' worth of frames
 at a time: one Viterbi call and one CRC check per chunk, which bounds
 memory whatever the trial count.  A frame lost to sync failure or a
 degenerate channel counts as a packet error with every payload bit wrong.

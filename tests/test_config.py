@@ -25,7 +25,7 @@ from linksim.harness.sweep import link_trials
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((REPO / "configs").glob("*.json")) + sorted(
     (REPO / "tests" / "golden").glob("*.json"))
-SUBSTITUTES = ("x", True, [], {}, None, -1, 1.5)
+SUBSTITUTES = ("x", True, [], {}, None, -1, 1.5, float("nan"), float("inf"))
 
 # well-typed substitutes that break a constraint between several keys: the
 # message names the constraint's owner, not the replaced key
@@ -111,6 +111,14 @@ def test_non_numeric_trace_file_field(tmp_path):
     trace.write_text("0.0,0,64\n1e-4,zero,64\n")
     assert _error(_mux(trace_file=str(trace)), "mux-sim").startswith(
         f"mux.trace_file: {trace}:2: expected time,channel,size")
+
+
+@pytest.mark.parametrize("time", ["nan", "inf"])
+def test_non_finite_trace_file_time(time, tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"0.0,0,64\n{time},0,64\n")
+    assert _error(_mux(trace_file=str(trace)), "mux-sim") == (
+        f"mux.trace_file: {trace}:2: time: expected a finite number, got {time}")
 
 
 def test_service_profile_entry_must_be_an_object():
@@ -215,6 +223,8 @@ RUN_TIME_LIMITS = [
     ("configs/ranging.json", ("ranging", "range_max_m"), 2000,
      "ranging.range_max_m: range_max_m 2000 needs a 13343-sample round trip, "
      "beyond waveform_len 8192"),
+    ("configs/ber_sweep.json", ("sweep", "values"), [float("nan")],
+     "sweep.values[0]: expected a finite number, got nan"),
 ]
 
 

@@ -1,12 +1,14 @@
 """The batched trial engine gives every trial the result it gets alone.
 
 ``link_trials`` decodes the codewords of a batch of frames together,
-``DECODE_ROWS`` codewords' worth of frames at a time, and a sweep point
-hands it all of its trials.  Neither the batch a trial lands in nor where
-a chunk ends may change a result.
+``DECODE_ROWS`` codewords' worth of frames at a time; a sweep point hands
+it all of its trials, and a baseband-backed mux run all of its packet
+copies.  Neither the batch a trial lands in nor where a chunk ends may
+change a result.
 """
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from linksim.channel import ChannelModel, ChannelTap, make_preset
 from linksim.cli import main
 from linksim.harness import sweep
 
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 RECEIVER = {"correct_cfo": False, "timing_search": 8}
 CHAINS = {
     "coded": ChainConfig.for_payload(
@@ -127,3 +130,20 @@ def test_chunk_size_does_not_change_results(rows, monkeypatch):
     reference = sweep.run_sweep(cfg, model, spec, master_seed=9).points
     monkeypatch.setattr(sweep, "DECODE_ROWS", rows)
     assert sweep.run_sweep(cfg, model, spec, master_seed=9).points == reference
+
+
+def test_mux_run_decodes_every_copy_in_one_engine_call(tmp_path, monkeypatch):
+    # 20 copies of 3 codewords each: DECODE_ROWS 32 makes chunks of 10 frames
+    batches = []
+    decode = sweep.decode_frames
+
+    def spy(soft_bits, *args):
+        batches.append(len(soft_bits))
+        return decode(soft_bits, *args)
+
+    monkeypatch.setattr(sweep, "decode_frames", spy)
+    out = tmp_path / "mux_baseband.csv"
+    assert main(["mux-sim", "--config", str(GOLDEN_DIR / "mux_baseband.json"),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / "mux_baseband.csv").read_bytes()
+    assert batches == [10, 10]

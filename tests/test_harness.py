@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cli_env
 from linksim.baseband import ChainConfig, CodecConfig
@@ -18,6 +20,7 @@ from linksim.harness import (IidLossModel, MuxSimSpec, PeriodicTraffic,
                              run_mux_sim, run_ranging, run_sweep, stable_seed,
                              stable_uniform)
 from linksim.harness.config import RangingSpec
+from linksim.harness.muxsim import LATENCY_BUCKETS, _histogram
 from linksim.mux import LogicalChannel, Redundancy
 from linksim.profiles import RP1, SP1, ModemCapacity
 
@@ -214,6 +217,34 @@ class TestMuxSim:
         s = result.stats[0]
         assert s.deadline_misses > 0
         assert s.enqueued == s.delivered + s.deadline_misses + s.lost_packets
+
+
+    def test_histogram_edges_count_in_their_bucket(self):
+        assert _histogram([]) == (0,) * (len(LATENCY_BUCKETS) + 1)
+        assert _histogram(list(LATENCY_BUCKETS)) == (1,) * len(LATENCY_BUCKETS) + (0,)
+        assert _histogram([0.0, 1.1e-5, 0.1, 0.2]) == (1, 1, 0, 0, 0, 0, 0, 0, 1, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(trace=st.lists(st.tuples(st.floats(0.0, 2e-5), st.integers(0, 1),
+                                    st.integers(1, 200)), max_size=40),
+           per_modem=st.tuples(st.floats(0.0, 0.9), st.floats(0.0, 0.9)),
+           redundancy=st.tuples(st.sampled_from(Redundancy),
+                                st.sampled_from(Redundancy)),
+           deadlines=st.tuples(st.floats(1e-7, 1e-5), st.floats(1e-7, 1e-5)),
+           queue_depth=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_every_packet_has_one_fate(self, trace, per_modem, redundancy,
+                                       deadlines, queue_depth, seed):
+        channels = tuple(LogicalChannel(i, SP1, deadline=deadlines[i],
+                                        redundancy=redundancy[i])
+                         for i in range(2))
+        spec = MuxSimSpec(channels=channels, traffic={},
+                          capacity=ModemCapacity(1000.0), duration_s=1e-4,
+                          loss=IidLossModel(per_modem), trace=tuple(trace),
+                          queue_depth=queue_depth)
+        for s in run_mux_sim(spec, seed).stats:
+            assert s.enqueued == sum(1 for row in trace if row[1] == s.channel_id)
+            assert s.enqueued == (s.delivered + s.deadline_misses
+                                  + s.overflow_drops + s.lost_packets)
 
 
 class TestEmitCsv:
