@@ -94,9 +94,15 @@ def _value(value: Any, path: str, kind: Any) -> Any:
                                            and kind is not bool):
         got = _JSON_NAMES.get(type(value), type(value).__name__)
         raise ConfigError(f"{path}: expected {_JSON_NAMES[kind]}, got {got}")
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"{path}: expected a finite number, got {value}")
-    return float(value) if kind is float else value
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{path}: expected a finite number, got an "
+                              "integer beyond the float range") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite number, got {value}")
+    return value
 
 
 def _items(values: list, path: str, kind: Any) -> tuple:
@@ -441,7 +447,7 @@ def load_config(path: str, scenario: str) -> SimulationConfig:
         raise OSError(f"cannot read config file {path!r}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also an integer past the int-string limit
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")

@@ -12,6 +12,13 @@ Two independent measurement paths:
   delay at sample granularity, so range error is bounded by
   c / (2 * sample_rate).  Doppler velocity comes from the slope of the
   per-block phase progression of the echo.
+
+The correlation is a fast-convolution matched filter: both N-sample
+waveforms are zero-padded to L, the next power of two at or above 2N - 1,
+so the circular correlation of their spectra has no wrap-around at the
+delays kept (the first N lags).  That costs O(N log N) per search instead
+of the O(N^2) of the direct form, and the transmit spectrum is computed
+once per measurement, however many cancellation passes reuse it.
 """
 from __future__ import annotations
 
@@ -163,11 +170,24 @@ def _cancel_self_interference(tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
     return rx - alpha * tx
 
 
-def _strongest_echo(tx: np.ndarray, work: np.ndarray, sample_rate: float
-                    ) -> tuple[int, complex, RangeEstimate]:
-    """Delay of the correlation peak of ``work`` against ``tx``, the
-    correlation there and the range estimate it gives."""
-    corr = np.correlate(work, tx, mode="full")[len(tx) - 1:]
+def _matched_filter(tx: np.ndarray) -> np.ndarray:
+    """Conjugate spectrum of ``tx`` zero-padded to the next power of two at
+    or above 2N - 1."""
+    return np.conj(np.fft.fft(tx, 1 << (2 * len(tx) - 2).bit_length()))
+
+
+def _correlation(matched: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """sum_n work[n + d] * conj(tx[n]) at the delays d = 0 .. N-1, for the
+    ``tx`` whose ``_matched_filter`` is ``matched``."""
+    return np.fft.ifft(np.fft.fft(work, len(matched)) * matched)[:len(work)]
+
+
+def _strongest_echo(tx: np.ndarray, matched: np.ndarray, work: np.ndarray,
+                    sample_rate: float) -> tuple[int, complex, RangeEstimate]:
+    """Delay of the correlation peak of ``work`` against ``tx`` (whose
+    ``_matched_filter`` is ``matched``), the correlation there and the range
+    estimate it gives."""
+    corr = _correlation(matched, work)
     mags = np.abs(corr)
     d = int(np.argmax(mags))
     quality = float(min(
@@ -186,7 +206,7 @@ def echo_range(tx: np.ndarray, rx: np.ndarray, sample_rate: float,
     if len(tx) != len(rx):
         raise ValueError("tx and rx must be sampled alike (equal lengths)")
     work = _cancel_self_interference(tx, rx) if cancel_si else rx.copy()
-    _, _, estimate = _strongest_echo(tx, work, sample_rate)
+    _, _, estimate = _strongest_echo(tx, _matched_filter(tx), work, sample_rate)
     if estimate.peak_quality < peak_threshold:
         raise NoTargetError(f"normalized correlation peak "
                             f"{estimate.peak_quality:.3f} below {peak_threshold}")
@@ -206,9 +226,10 @@ def resolve_echoes(tx: np.ndarray, rx: np.ndarray, sample_rate: float,
     rx = np.asarray(rx, dtype=np.complex128)
     work = _cancel_self_interference(tx, rx) if cancel_si else rx.copy()
     tx_energy = float(np.vdot(tx, tx).real)
+    matched = _matched_filter(tx)
     estimates = []
     for _ in range(n_targets):
-        d, peak, estimate = _strongest_echo(tx, work, sample_rate)
+        d, peak, estimate = _strongest_echo(tx, matched, work, sample_rate)
         estimates.append(estimate)
         shifted = np.zeros_like(work)
         shifted[d:] = tx[: len(tx) - d]

@@ -19,7 +19,7 @@ from linksim.baseband.chain import ChannelKnowledge
 from linksim.channel import make_preset
 from linksim.cli import main
 from linksim.errors import ConfigError
-from linksim.harness import parse_config, run_mux_sim
+from linksim.harness import load_config, parse_config, run_mux_sim
 from linksim.harness.sweep import link_trials
 
 REPO = Path(__file__).resolve().parent.parent
@@ -178,6 +178,15 @@ def test_cli_malformed_value_exits_2_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_integer_past_the_int_string_limit_is_invalid_json(tmp_path):
+    # Python refuses to convert decimal strings of more than 4300 digits
+    text = (REPO / "configs" / "ranging.json").read_text()
+    config = tmp_path / "huge.json"
+    config.write_text(text.replace("50.0", "1" + "0" * 5000))
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(str(config), "ranging")
+
+
 def test_negative_timing_search_names_its_key():
     data = json.loads((REPO / "tests" / "golden" / "uncoded_los.json").read_text())
     data["baseband"]["receiver"]["timing_search"] = -1
@@ -201,6 +210,7 @@ def test_payloads_must_fit_the_mtu():
 
 # values that parse by type but used to fail inside the run (exit 1, or for
 # the trace row exit 2 once the run had started)
+HUGE = 10 ** 400   # a 401-digit JSON integer
 RUN_TIME_LIMITS = [
     ("configs/ranging.json", ("ranging", "sample_rate_hz"), 1e8,
      "ranging.sample_rate_hz: sample_rate_hz must be >= bandwidth_hz"),
@@ -225,11 +235,19 @@ RUN_TIME_LIMITS = [
      "beyond waveform_len 8192"),
     ("configs/ber_sweep.json", ("sweep", "values"), [float("nan")],
      "sweep.values[0]: expected a finite number, got nan"),
+    # JSON integers have no size limit; a float field takes none it cannot hold
+    ("configs/ber_sweep.json", ("sweep", "values"), [HUGE],
+     "sweep.values[0]: expected a finite number, got an integer beyond the "
+     "float range"),
+    ("configs/ranging.json", ("ranging", "range_max_m"), HUGE,
+     "ranging.range_max_m: expected a finite number, got an integer beyond "
+     "the float range"),
 ]
 
 
 @pytest.mark.parametrize("config, path, value, message", RUN_TIME_LIMITS,
-                         ids=[f"{'.'.join(path)}={value}"
+                         ids=[f"{'.'.join(path)}={value}".replace(
+                                  str(HUGE), "10**400")
                               for _, path, value, _ in RUN_TIME_LIMITS])
 def test_cli_run_time_limit_exits_2_without_traceback(config, path, value,
                                                       message, tmp_path):

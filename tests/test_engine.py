@@ -8,16 +8,20 @@ change a result.
 """
 import json
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linksim.baseband import ChainConfig, CodecConfig
 from linksim.baseband.chain import ChannelKnowledge
 from linksim.channel import ChannelModel, ChannelTap, make_preset
 from linksim.cli import main
 from linksim.harness import sweep
+from linksim.harness.seeding import stable_seed
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 RECEIVER = {"correct_cfo": False, "timing_search": 8}
@@ -57,6 +61,38 @@ def test_batch_gives_each_trial_its_one_row_result(name):
     assert all_wrong[[0, 3, 5]].all() and lost[[0, 3, 5]].all()
     assert ((errors > 0) & ~all_wrong).any()
     assert (lost == 0).any()
+
+
+POOL_ROWS = 34   # past one and two 16-frame coded chunks, one 32-frame uncoded
+
+
+@cache
+def _seeded_pool(name):
+    """A sweep-like pool of rows (payload, model with its own noise seed) on
+    ``CHAINS[name]``, mixing sync losses, errored and clean frames, and the
+    per-frame results of the pool sent in order."""
+    cfg = CHAINS[name]
+    harsh = make_preset("coupling-harsh")
+    models = [replace(harsh, snr_db=(-10.0, 0.0, 1.0, 2.0, 20.0)[r % 5],
+                      seed=stable_seed(3, r, 1)) for r in range(POOL_ROWS)]
+    payloads = np.stack([
+        np.random.default_rng(stable_seed(3, r, 0)).integers(
+            0, 2, cfg.payload_bits, dtype=np.uint8) for r in range(POOL_ROWS)])
+    knowledge = sweep.genie_knowledge(cfg, replace(harsh, snr_db=2.0))
+    reference = sweep.link_trials(payloads, cfg, models, knowledge)
+    return payloads, models, knowledge, reference
+
+
+@pytest.mark.parametrize("name", CHAINS)
+@settings(max_examples=12, deadline=None)
+@given(order=st.permutations(range(POOL_ROWS)), rows=st.integers(15, POOL_ROWS))
+def test_row_order_does_not_change_any_frame_result(name, order, rows):
+    payloads, models, knowledge, (errors, lost) = _seeded_pool(name)
+    order = list(order[:rows])
+    got_errors, got_lost = sweep.link_trials(
+        payloads[order], CHAINS[name], [models[r] for r in order], knowledge)
+    assert got_errors.tolist() == errors[order].tolist()
+    assert got_lost.tolist() == lost[order].tolist()
 
 
 def test_zero_response_knowledge_loses_every_frame_of_a_batch():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linksim.errors import (AmbiguousVelocityError, MeasurementError,
                             NoTargetError)
 from linksim.ranging import (SPEED_OF_LIGHT, EchoScene, TwrExchange,
+                             _correlation, _matched_filter, _strongest_echo,
                              doppler_velocity, echo_range, generate_echo,
                              resolve_echoes, simulate_twr_exchange, twr_range)
 
@@ -178,6 +181,73 @@ class TestEchoRange:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             echo_range(np.ones(8, complex), np.ones(9, complex), 1e9)
+
+
+def direct_correlation(tx, work):
+    """Reference correlator: the direct form, O(N^2), at delays 0 .. N-1."""
+    return np.correlate(work, tx, mode="full")[len(tx) - 1:]
+
+
+@st.composite
+def echo_pairs(draw, max_len=4096):
+    """(tx, work) of one random length: complex Gaussian tx, and work an
+    echo of it at a random delay and gain (possibly zero) plus noise."""
+    n = draw(st.one_of(st.sampled_from([1, 2, 3, 255, 1023, 1024, max_len]),
+                       st.integers(1, max_len)))
+    delay = draw(st.integers(0, n - 1))
+    gain = draw(st.floats(0.0, 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tx = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    work = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    work[delay:] += gain * tx[: n - delay]
+    return tx, work
+
+
+class TestMatchedFilter:
+    @settings(max_examples=60, deadline=None)
+    @given(echo_pairs())
+    @example((np.array([1 + 2j]), np.array([3 - 1j])))
+    @example((np.array([1j, 2.0]), np.array([0.5, -1j])))
+    def test_fft_correlation_matches_direct_form(self, pair):
+        tx, work = pair
+        n = len(tx)
+        matched = _matched_filter(tx)
+        # the next power of two at or above 2N - 1
+        assert 2 * n - 1 <= len(matched) < 4 * n - 2
+        assert len(matched) & (len(matched) - 1) == 0
+        reference = direct_correlation(tx, work)
+        tol = 1e-9 * np.linalg.norm(tx) * np.linalg.norm(work)
+        assert np.all(np.abs(_correlation(matched, work) - reference) <= tol)
+        mags = np.sort(np.abs(reference))
+        if n == 1 or mags[-1] - mags[-2] > tol:
+            d, _, _ = _strongest_echo(tx, matched, work, 1e9)
+            assert d == int(np.argmax(np.abs(reference)))
+
+    def test_no_direct_form_correlation(self, monkeypatch):
+        # O(N^2) at 8192 samples would dominate every ranging trial
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.correlate called")
+
+        ffts = []
+        fft = np.fft.fft
+
+        def counting_fft(*args, **kwargs):
+            ffts.append(args)
+            return fft(*args, **kwargs)
+
+        monkeypatch.setattr(np, "correlate", forbidden)
+        monkeypatch.setattr(np.fft, "fft", counting_fft)
+        scene = EchoScene(true_range=6.0, sample_rate=1e9, bandwidth=500e6,
+                          reflection_gain_db=-20.0, residual_si_power_db=20.0,
+                          echo_snr_db=20.0)
+        tx = qpsk_waveform(8192, 14)
+        rx = generate_echo(tx, scene, seed=3)
+        assert abs(echo_range(tx, rx, 1e9).range - 6.0) <= SPEED_OF_LIGHT / 2e9
+        assert len(ffts) == 2
+        # one transmit spectrum serves every cancellation pass
+        ffts.clear()
+        resolve_echoes(tx, rx, 1e9, n_targets=3)
+        assert len(ffts) == 4
 
 
 class TestDopplerVelocity:
