@@ -21,6 +21,7 @@ receive call: a single frame is a batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -100,10 +101,31 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class ChannelKnowledge:
-    """What the receiver is told about the channel (genie mode)."""
+    """What the receiver is told about the channel (genie mode).
+
+    One object serves every frame that shares the channel's taps and SNR
+    (a sweep point, a mux run), so what the receiver derives from it is
+    computed once per object; ``freq_response`` must not be written to
+    after the first frame.
+    """
 
     freq_response: np.ndarray | None = None   # fft_size bins
     noise_variance: float = 0.0
+
+    @cached_property
+    def timing_referenced_response(self) -> np.ndarray:
+        """``freq_response`` re-referenced to the delay of its strongest tap.
+
+        Preamble correlation locks onto the strongest tap, so the genie
+        response must be re-referenced to that delay (derived from the
+        response itself; tx-side padding does not shift the channel).
+        """
+        h_time = np.fft.ifft(self.freq_response)
+        d0 = int(np.argmax(np.abs(h_time)))
+        k = np.arange(len(h_time))
+        response = self.freq_response * np.exp(2j * np.pi * k * d0 / len(h_time))
+        response.setflags(write=False)
+        return response
 
 
 def tx_chain(info_bits: np.ndarray, cfg: ChainConfig) -> np.ndarray:
@@ -143,8 +165,13 @@ def rx_front_end(waveform: np.ndarray, cfg: ChainConfig,
                         estimate_cfo=cfg.correct_cfo)
 
     seg = waveform[sync.timing_offset: sync.timing_offset + fcfg.frame_len]
-    n = np.arange(len(seg))
-    seg = seg * np.exp(-1j * (sync.cfo_estimate * n + sync.phase))
+    if sync.cfo_estimate == 0.0:
+        # the per-sample form below in one scalar, bit for bit (acquire_sync
+        # wraps its phase with wrap_phase, which never returns -0.0)
+        seg = seg * np.exp(-1j * sync.phase)
+    else:
+        n = np.arange(len(seg))
+        seg = seg * np.exp(-1j * (sync.cfo_estimate * n + sync.phase))
 
     hdr_len = fcfg.header_len
     block_shape = (fcfg.n_payload_blocks, fcfg.block_len)
@@ -159,14 +186,7 @@ def rx_front_end(waveform: np.ndarray, cfg: ChainConfig,
         elif channel is None or channel.freq_response is None:
             raise ValueError("genie estimator needs a ChannelKnowledge response")
         else:
-            # Preamble correlation locks onto the strongest tap, so the genie
-            # response must be re-referenced to that delay (derived from the
-            # response itself; tx-side padding does not shift the channel).
-            h_time = np.fft.ifft(channel.freq_response)
-            d0 = int(np.argmax(np.abs(h_time)))
-            k = np.arange(fcfg.fft_size)
-            freq_response = (channel.freq_response *
-                             np.exp(2j * np.pi * k * d0 / fcfg.fft_size))
+            freq_response = channel.timing_referenced_response
         payload = seg[hdr_len:].reshape(block_shape)
         equalized = fd_equalize(remove_cyclic_prefix(payload, fcfg.cp_len),
                                 freq_response, noise_var)

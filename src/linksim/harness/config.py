@@ -206,7 +206,9 @@ _LATENCY = _table(coded_rate_bps=float, distance_m=float)
 # -- sections -------------------------------------------------------------------
 
 def _check_genie_response(chain: ChainConfig, channel: ChannelModel) -> None:
-    """Genie knowledge is computed once per sweep point or mux run, so
+    """Genie knowledge is computed once per sweep point or mux run and
+    shared by every frame of it in the engine's stream (the receiver
+    re-references its response once per knowledge object, too), so
     per-trial tap phases would leave the receiver decoding against a stale
     response."""
     if channel.randomize_tap_phases and chain.channel_estimator == "genie":

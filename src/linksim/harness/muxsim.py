@@ -15,14 +15,16 @@ with a definite fate, and the conservation identity
 A copy's CRC verdict never feeds back into scheduling, so the event loop
 only records the copies it transmits.  Their verdicts come afterwards, all
 at once, from an iid per-modem loss probability (a stable hash of (channel,
-sequence, modem)) or from one ``link_trials`` call (the full baseband +
-channel pipeline), and ``Mux.receive`` replays them in completion order.
+sequence, modem)) or from one ``link_trials`` call fed the copies as a
+stream (the full baseband + channel pipeline), and ``Mux.receive`` replays
+them in completion order.
 """
 from __future__ import annotations
 
 import heapq
 import time
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from ..mux import (DEFAULT_MTU, DEFAULT_QUEUE_DEPTH, N_MODEMS, AppFrame,
                    DataLinkPacket, FrameSource, LogicalChannel, Mux, Redundancy)
 from ..profiles import ModemCapacity, admit_channels
 from .seeding import stable_seed, stable_uniform
-from .sweep import genie_knowledge, link_trials
+from .sweep import Frame, genie_knowledge, link_trials
 
 #: latency histogram bucket upper edges (seconds); the last bucket is open
 LATENCY_BUCKETS = (1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
@@ -205,13 +207,17 @@ def _copies_received(spec: MuxSimSpec, copies: list[tuple[float, int, DataLinkPa
         return [stable_uniform(master_seed, *key) >= spec.loss.per_modem[key[2]]
                 for key in keys]
     cfg, channel = spec.loss.chain, spec.loss.channel
-    payloads = np.zeros((len(copies), cfg.payload_bits), dtype=np.uint8)
-    for row, (_, _, packet) in zip(payloads, copies):
-        bits = np.unpackbits(np.frombuffer(packet.payload, dtype=np.uint8))
-        row[: len(bits)] = bits
-    models = [replace(channel, seed=stable_seed(master_seed, *key)) for key in keys]
-    _, packet_errors = link_trials(payloads, cfg, models,
-                                   genie_knowledge(cfg, channel))
+    knowledge = genie_knowledge(cfg, channel)
+
+    def frames() -> Iterator[Frame]:
+        for (_, _, packet), key in zip(copies, keys):
+            payload = np.zeros(cfg.payload_bits, dtype=np.uint8)
+            bits = np.unpackbits(np.frombuffer(packet.payload, dtype=np.uint8))
+            payload[: len(bits)] = bits
+            yield (payload, replace(channel, seed=stable_seed(master_seed, *key)),
+                   knowledge)
+
+    _, packet_errors = link_trials(frames(), cfg)
     return (packet_errors == 0).tolist()
 
 

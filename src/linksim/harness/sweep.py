@@ -6,14 +6,17 @@ seed stable_seed(master, i, t, 0) and its channel noise from
 stable_seed(master, i, t, 1), so results are bit-identical regardless of
 execution order or batching.
 
-``link_trials`` is the one trial engine of the package; a sweep point
-passes it all of its trials, and the baseband-backed mux simulation every
-packet copy of a run, after scheduling.  It runs transmit, channel and
-the receiver front end frame by frame, then decodes the codewords of the
-surviving frames together, ``DECODE_ROWS`` codewords' worth of frames
-at a time: one Viterbi call and one CRC check per chunk, which bounds
-memory whatever the trial count.  A frame lost to sync failure or a
-degenerate channel counts as a packet error with every payload bit wrong.
+``link_trials`` is the one trial engine of the package.  A sweep makes one
+call for all of its points, and the baseband-backed mux simulation one
+for every packet copy of a run, after scheduling; both feed it a stream
+of frames, each with its own payload, channel model and genie knowledge.
+It runs transmit, channel and the receiver front end frame by frame, and
+decodes the received frames ``DECODE_ROWS`` codewords' worth at a time:
+one Viterbi call and one CRC check per chunk.  A chunk counts received
+frames, so it runs across sweep points, and only its payloads and soft
+bits are held, which bounds memory whatever the number of frames.  A
+frame lost to sync failure or a degenerate channel counts as a packet
+error with every payload bit wrong.
 
 The axis is either the per-sample (= per-chip) SNR in dB, or Eb/N0 in dB,
 which is converted per point via
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -40,8 +43,8 @@ from .seeding import stable_seed
 
 Z_95 = 1.959963984540054   # two-sided 95% normal quantile
 
-#: codeword rows ``link_trials`` decodes per chunk (at least one frame); it
-#: bounds the memory of a batch, not its results
+#: codeword rows ``link_trials`` decodes per chunk of received frames (at
+#: least one frame); it bounds the engine's memory, not its results
 DECODE_ROWS = 32
 
 
@@ -127,43 +130,58 @@ def genie_knowledge(cfg: ChainConfig,
     return ChannelKnowledge(freq_response=h, noise_variance=sigma2)
 
 
-def link_trials(payloads: np.ndarray, cfg: ChainConfig,
-                models: Sequence[ChannelModel],
-                knowledge: ChannelKnowledge | None
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Send a batch of frames tx -> channel -> rx.
+#: one frame for ``link_trials``: payload bits, the channel it goes
+#: through and what the genie estimator is told about that channel
+Frame = tuple[np.ndarray, ChannelModel, ChannelKnowledge | None]
 
-    ``payloads`` is (frames, payload_bits) and frame f goes through
-    ``models[f]``.  Returns per-frame (bit_errors, packet_errors); a packet
+
+def link_trials(frames: Iterable[Frame], cfg: ChainConfig
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Send a stream of frames tx -> channel -> rx.
+
+    Returns per-frame (bit_errors, packet_errors) in stream order; a packet
     is in error (1) when any payload bit differs or a codeword fails its
     CRC.  A frame the receiver cannot acquire (sync loss) or equalize (a
     channel response zero on every bin) is a counted outcome: every
-    payload bit is wrong and the packet is in error.  The received frames
-    of each run of ``DECODE_ROWS`` codewords' worth of frames are decoded
-    together.
+    payload bit is wrong and the packet is in error.  Received frames are
+    decoded together once ``DECODE_ROWS`` codewords' worth of them are
+    in, and the rest at the end of the stream; only that chunk's payloads
+    and soft bits are held.
     """
-    payloads = np.asarray(payloads, dtype=np.uint8)
-    bit_errors = np.full(len(payloads), cfg.payload_bits, dtype=np.int64)
-    packet_errors = np.ones(len(payloads), dtype=np.int64)
+    bit_errors: list[int] = []
+    packet_errors: list[int] = []
     chunk = max(1, DECODE_ROWS // max(1, cfg.n_codewords()))
-    soft, received = [], []
-    for f, (payload, model) in enumerate(zip(payloads, models, strict=True)):
+    soft, sent, received = [], [], []
+
+    def decode() -> None:
+        decoded = decode_frames(np.stack(soft), cfg)
+        errors = np.count_nonzero(decoded.info_bits != np.stack(sent), axis=1)
+        failed = (errors > 0) | (decoded.codewords_failed > 0)
+        for f, e, p in zip(received, errors.tolist(), failed.tolist()):
+            bit_errors[f], packet_errors[f] = e, int(p)
+        soft.clear()
+        sent.clear()
+        received.clear()
+
+    for f, (payload, model, knowledge) in enumerate(frames):
+        bit_errors.append(cfg.payload_bits)
+        packet_errors.append(1)
+        payload = np.asarray(payload, dtype=np.uint8)
         waveform = tx_chain(payload, cfg)
         try:
             soft_bits, _ = rx_front_end(apply_channel(waveform, model), cfg,
                                         knowledge)
         except (SyncError, DegenerateChannelError):
-            pass
-        else:
-            soft.append(soft_bits)
-            received.append(f)
-        if received and (f % chunk == chunk - 1 or f == len(payloads) - 1):
-            decoded = decode_frames(np.stack(soft), cfg)
-            errors = np.count_nonzero(decoded.info_bits != payloads[received], axis=1)
-            bit_errors[received] = errors
-            packet_errors[received] = (errors > 0) | (decoded.codewords_failed > 0)
-            soft, received = [], []
-    return bit_errors, packet_errors
+            continue
+        soft.append(soft_bits)
+        sent.append(payload)
+        received.append(f)
+        if len(received) == chunk:
+            decode()
+    if received:
+        decode()
+    return (np.array(bit_errors, dtype=np.int64),
+            np.array(packet_errors, dtype=np.int64))
 
 
 def _payload(seed: int, n_bits: int) -> np.ndarray:
@@ -173,26 +191,29 @@ def _payload(seed: int, n_bits: int) -> np.ndarray:
 
 def run_sweep(cfg: ChainConfig, base_model: ChannelModel, spec: SweepSpec,
               master_seed: int, threads: int = 1) -> SweepResult:
-    """Run every sweep point; aggregation is an order-independent fold.
+    """Run every sweep point through one engine call, then sum per point.
 
     ``threads`` is accepted for compatibility and ignored.
     """
     start = time.perf_counter()
-    points = []
-    for i, axis_value in enumerate(spec.values):
-        model = replace(base_model,
-                        snr_db=snr_for_axis(axis_value, spec.axis, cfg))
-        payloads = np.stack([
-            _payload(stable_seed(master_seed, i, t, 0), cfg.payload_bits)
-            for t in range(spec.trials)])
-        models = [replace(model, seed=stable_seed(master_seed, i, t, 1))
-                  for t in range(spec.trials)]
-        frame_bits, frame_packets = link_trials(
-            payloads, cfg, models, genie_knowledge(cfg, model))
-        bit_errors = int(frame_bits.sum())
-        packet_errors = int(frame_packets.sum())
+    models = [replace(base_model, snr_db=snr_for_axis(v, spec.axis, cfg))
+              for v in spec.values]
 
-        bits = spec.trials * cfg.payload_bits
+    def frames() -> Iterator[Frame]:
+        for i, model in enumerate(models):
+            knowledge = genie_knowledge(cfg, model)
+            for t in range(spec.trials):
+                yield (_payload(stable_seed(master_seed, i, t, 0), cfg.payload_bits),
+                       replace(model, seed=stable_seed(master_seed, i, t, 1)),
+                       knowledge)
+
+    frame_bits, frame_packets = link_trials(frames(), cfg)
+    shape = (len(models), spec.trials)
+    bits = spec.trials * cfg.payload_bits
+    points = []
+    for axis_value, bit_errors, packet_errors in zip(
+            spec.values, frame_bits.reshape(shape).sum(axis=1).tolist(),
+            frame_packets.reshape(shape).sum(axis=1).tolist()):
         points.append(SweepPoint(
             axis_value=axis_value, trials=spec.trials, bits=bits,
             bit_errors=bit_errors, ber=bit_errors / bits,

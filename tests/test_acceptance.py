@@ -85,9 +85,9 @@ def test_criterion_2_cp_fde_exactness():
     def run_frames(cfg, frames):
         # a frame is exact when every payload bit is right and every
         # codeword passes its CRC (packet error 0)
-        payloads = np.stack([rng.integers(0, 2, cfg.payload_bits).astype(np.uint8)
-                             for _ in range(frames)])
-        _, packet_errors = link_trials(payloads, cfg, [model] * frames, knowledge)
+        stream = ((rng.integers(0, 2, cfg.payload_bits).astype(np.uint8),
+                   model, knowledge) for _ in range(frames))
+        _, packet_errors = link_trials(stream, cfg)
         return int(np.count_nonzero(packet_errors == 0))
 
     short_cfg = ChainConfig.for_payload(

@@ -1,13 +1,18 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linksim.baseband import (ChainConfig, ChannelKnowledge, CodecConfig,
                               EqualizerConfig, EqualizerVariant,
                               ModulationScheme, SpreadingConfig, decode_frames,
-                              rx_front_end, tx_chain)
+                              rx_front_end, tx_chain, wrap_phase)
 from linksim.baseband.framing import FrameConfig
-from linksim.channel import (apply_channel, estimate_frequency_response,
-                             make_preset)
+from linksim.channel import (ChannelModel, ChannelTap, apply_channel,
+                             estimate_frequency_response, make_preset)
 from linksim.errors import CapacityError, SyncError
 
 IDENTITY = ChannelKnowledge(freq_response=np.ones(256), noise_variance=0.0)
@@ -163,6 +168,69 @@ class TestMultipath:
         assert np.array_equal(info, bits)
         assert failed == 0
         assert sync.cfo_estimate == pytest.approx(0.008, abs=2e-4)
+
+
+# a coded-harsh frame's worth of received samples, with exact zeros and
+# axis points among them
+SEGMENT = np.concatenate([
+    [0j, 1.0, -1.0, 1j, -1j, complex(0.0, -0.0)],
+    [1.0, 1j] @ np.random.default_rng(8).standard_normal((2, 3002))])
+
+
+class TestFrontEndShortcuts:
+    """What ``rx_front_end`` does once per knowledge object or per frame is
+    the per-frame or per-sample computation it replaces, bit for bit."""
+
+    # acquire_sync wraps its phase estimate to (-pi, pi] with wrap_phase,
+    # which yields 0.0, never -0.0
+    @settings(max_examples=300, deadline=None)
+    @given(phase=st.floats(-np.pi, np.pi, exclude_min=True).filter(
+        lambda p: math.copysign(1.0, p) > 0 or p != 0))
+    @example(phase=0.0)
+    @example(phase=np.pi)
+    @example(phase=np.nextafter(-np.pi, 0.0))
+    @example(phase=1e-300)
+    @example(phase=5e-324)
+    @example(phase=-5e-324)
+    def test_zero_cfo_derotation_is_the_per_sample_form(self, phase):
+        n = np.arange(len(SEGMENT))
+        per_sample = SEGMENT * np.exp(-1j * (0.0 * n + phase))
+        scalar = SEGMENT * np.exp(-1j * phase)
+        assert np.array_equal(scalar.view(np.uint64), per_sample.view(np.uint64))
+        assert math.copysign(1.0, wrap_phase(-0.0)) == 1.0
+
+    @pytest.mark.parametrize("strongest", [0, 4, 24])
+    def test_cached_response_is_the_inline_re_reference(self, strongest):
+        # even-bounce reflections keep their gain through the antenna pattern
+        taps = tuple(ChannelTap(d, (1.0 if d == strongest else 0.4) * np.exp(1j * d),
+                                bounce_count=0 if d == 0 else 2)
+                     for d in (0, 4, 9, 24))
+        h = estimate_frequency_response(ChannelModel(taps=taps), 256)
+        h_time = np.fft.ifft(h)
+        d0 = int(np.argmax(np.abs(h_time)))
+        k = np.arange(256)
+        inline = h * np.exp(2j * np.pi * k * d0 / 256)
+        cached = ChannelKnowledge(h, 0.0).timing_referenced_response
+        assert d0 == strongest
+        assert np.array_equal(cached.view(np.uint64), inline.view(np.uint64))
+
+    def test_shared_knowledge_takes_one_ifft(self, monkeypatch):
+        cfg = ChainConfig.for_payload(300, codec=None, timing_search=8)
+        model = make_preset("coupling-harsh", snr_db=20.0)
+        knowledge = ChannelKnowledge(estimate_frequency_response(model, 256), 0.0)
+        calls = []
+        ifft = np.fft.ifft
+
+        def spy(a, *args, **kwargs):
+            calls.append(a is knowledge.freq_response)
+            return ifft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", spy)
+        for seed in range(20):
+            waveform = apply_channel(tx_chain(payload(300, seed), cfg),
+                                     replace(model, seed=seed))
+            rx_front_end(waveform, cfg, knowledge)
+        assert calls.count(True) == 1
 
 
 class TestContracts:

@@ -1,10 +1,10 @@
-"""The batched trial engine gives every trial the result it gets alone.
+"""The streaming trial engine gives every trial the result it gets alone.
 
-``link_trials`` decodes the codewords of a batch of frames together,
-``DECODE_ROWS`` codewords' worth of frames at a time; a sweep point hands
-it all of its trials, and a baseband-backed mux run all of its packet
-copies.  Neither the batch a trial lands in nor where a chunk ends may
-change a result.
+``link_trials`` takes a stream of frames and decodes the codewords of the
+received ones together, ``DECODE_ROWS`` codewords' worth of frames at a
+time; a sweep hands it every trial of every point, and a baseband-backed
+mux run all of its packet copies.  Neither the chunk a trial lands in nor
+where a chunk ends may change a result.
 """
 import json
 from dataclasses import replace
@@ -33,30 +33,32 @@ CHAINS = {
 
 
 def _mixed_trials(cfg):
-    """Payloads and channels of a batch where some frames lose sync (-10 dB
-    and a channel whose only tap is zero), some decode with errors and some
-    decode cleanly."""
+    """Frames of a stream where some lose sync (-10 dB and a channel whose
+    only tap is zero), some decode with errors and some decode cleanly; the
+    genie knowledge alternates between two objects (4 dB and 8 dB)."""
     harsh = make_preset("coupling-harsh")
     models = [replace(harsh, snr_db=snr, seed=seed) for seed, snr in
               enumerate((-10.0, 0.0, 2.0, 4.0, -10.0, 8.0, 3.0, 20.0))]
     models.insert(3, ChannelModel(taps=(ChannelTap(0, 0j),), snr_db=10.0))
     rng = np.random.default_rng(5)
     payloads = rng.integers(0, 2, (len(models), cfg.payload_bits), dtype=np.uint8)
-    knowledge = sweep.genie_knowledge(cfg, replace(harsh, snr_db=4.0))
-    return payloads, models, knowledge
+    knowledge = [sweep.genie_knowledge(cfg, replace(harsh, snr_db=snr))
+                 for snr in (4.0, 8.0)]
+    return [(payload, model, knowledge[f % 2])
+            for f, (payload, model) in enumerate(zip(payloads, models))]
 
 
 @pytest.mark.parametrize("name", CHAINS)
 def test_batch_gives_each_trial_its_one_row_result(name):
     cfg = CHAINS[name]
-    payloads, models, knowledge = _mixed_trials(cfg)
-    errors, lost = sweep.link_trials(payloads, cfg, models, knowledge)
-    alone = [sweep.link_trials(p[None, :], cfg, [m], knowledge)
-             for p, m in zip(payloads, models)]
+    frames = _mixed_trials(cfg)
+    errors, lost = sweep.link_trials(frames, cfg)
+    alone = [sweep.link_trials([frame], cfg) for frame in frames]
     assert errors.tolist() == [int(e[0]) for e, _ in alone]
     assert lost.tolist() == [int(p[0]) for _, p in alone]
-    # the batch really mixes outcomes: sync losses (every bit wrong),
-    # frames with some bit errors and clean frames
+    # the stream really mixes knowledge objects and outcomes: sync losses
+    # (every bit wrong), frames with some bit errors and clean frames
+    assert len({id(knowledge) for _, _, knowledge in frames}) == 2
     all_wrong = errors == cfg.payload_bits
     assert all_wrong[[0, 3, 5]].all() and lost[[0, 3, 5]].all()
     assert ((errors > 0) & ~all_wrong).any()
@@ -68,49 +70,91 @@ POOL_ROWS = 34   # past one and two 16-frame coded chunks, one 32-frame uncoded
 
 @cache
 def _seeded_pool(name):
-    """A sweep-like pool of rows (payload, model with its own noise seed) on
-    ``CHAINS[name]``, mixing sync losses, errored and clean frames, and the
-    per-frame results of the pool sent in order."""
+    """A sweep-like pool of frames (payload, model with its own noise seed,
+    knowledge) on ``CHAINS[name]``, mixing sync losses, errored and clean
+    frames, and the per-frame results of the pool sent in order."""
     cfg = CHAINS[name]
     harsh = make_preset("coupling-harsh")
-    models = [replace(harsh, snr_db=(-10.0, 0.0, 1.0, 2.0, 20.0)[r % 5],
-                      seed=stable_seed(3, r, 1)) for r in range(POOL_ROWS)]
-    payloads = np.stack([
-        np.random.default_rng(stable_seed(3, r, 0)).integers(
-            0, 2, cfg.payload_bits, dtype=np.uint8) for r in range(POOL_ROWS)])
     knowledge = sweep.genie_knowledge(cfg, replace(harsh, snr_db=2.0))
-    reference = sweep.link_trials(payloads, cfg, models, knowledge)
-    return payloads, models, knowledge, reference
+    frames = [(np.random.default_rng(stable_seed(3, r, 0)).integers(
+                   0, 2, cfg.payload_bits, dtype=np.uint8),
+               replace(harsh, snr_db=(-10.0, 0.0, 1.0, 2.0, 20.0)[r % 5],
+                       seed=stable_seed(3, r, 1)),
+               knowledge) for r in range(POOL_ROWS)]
+    return frames, sweep.link_trials(frames, cfg)
 
 
 @pytest.mark.parametrize("name", CHAINS)
 @settings(max_examples=12, deadline=None)
 @given(order=st.permutations(range(POOL_ROWS)), rows=st.integers(15, POOL_ROWS))
 def test_row_order_does_not_change_any_frame_result(name, order, rows):
-    payloads, models, knowledge, (errors, lost) = _seeded_pool(name)
+    frames, (errors, lost) = _seeded_pool(name)
     order = list(order[:rows])
-    got_errors, got_lost = sweep.link_trials(
-        payloads[order], CHAINS[name], [models[r] for r in order], knowledge)
+    got_errors, got_lost = sweep.link_trials((frames[r] for r in order),
+                                             CHAINS[name])
     assert got_errors.tolist() == errors[order].tolist()
     assert got_lost.tolist() == lost[order].tolist()
 
 
 def test_zero_response_knowledge_loses_every_frame_of_a_batch():
     cfg = CHAINS["coded"]
-    payloads, models, _ = _mixed_trials(cfg)
     zero = ChannelKnowledge(freq_response=np.zeros(cfg.frame.fft_size),
                             noise_variance=0.0)
-    errors, lost = sweep.link_trials(payloads, cfg, models, zero)
-    assert errors.tolist() == [cfg.payload_bits] * len(models)
-    assert lost.tolist() == [1] * len(models)
+    frames = [(payload, model, zero)
+              for payload, model, _ in _mixed_trials(cfg)]
+    errors, lost = sweep.link_trials(frames, cfg)
+    assert errors.tolist() == [cfg.payload_bits] * len(frames)
+    assert lost.tolist() == [1] * len(frames)
 
 
-# Coded sweeps whose trial counts are not multiples of a chunk (33 trials of
-# one codeword, 70 trials of two), with the CSVs the one-frame-at-a-time
-# engine wrote for them and the frames each decode call gets per point.
-# ``link_trials`` cuts a point into chunks of DECODE_ROWS codewords (32 or
-# 16 frames); frames lost to sync never reach the decoder, which is every
-# frame at -10 dB and all but three at -7 dB.
+def test_engine_holds_one_chunk_of_received_frames(monkeypatch):
+    # two codewords a frame: chunks of 16 received frames; every fourth
+    # frame is sent at -10 dB and loses sync
+    cfg = CHAINS["coded"]
+    chunk = sweep.DECODE_ROWS // cfg.n_codewords()
+    harsh = make_preset("coupling-harsh")
+    knowledge = sweep.genie_knowledge(cfg, replace(harsh, snr_db=8.0))
+    n_frames = 3 * chunk + 10
+    missed = range(0, n_frames, 4)
+    rng = np.random.default_rng(11)
+    drawn = 0
+
+    def stream():
+        nonlocal drawn
+        for f in range(n_frames):
+            drawn += 1
+            snr = -10.0 if f in missed else 8.0
+            yield (rng.integers(0, 2, cfg.payload_bits, dtype=np.uint8),
+                   replace(harsh, snr_db=snr, seed=f), knowledge)
+
+    calls = []   # (frames drawn, frames in the batch) at every decode call
+    decode = sweep.decode_frames
+
+    def spy(soft_bits, *args):
+        calls.append((drawn, len(soft_bits)))
+        return decode(soft_bits, *args)
+
+    monkeypatch.setattr(sweep, "decode_frames", spy)
+    errors, lost = sweep.link_trials(stream(), cfg)
+    assert errors[missed].tolist() == [cfg.payload_bits] * len(missed)
+    assert lost[missed].all()
+    decoded = 0
+    for drawn_then, batch in calls:
+        received = drawn_then - sum(f < drawn_then for f in missed)
+        assert received - decoded == batch <= chunk
+        decoded += batch
+    assert decoded == n_frames - len(missed)
+    assert len(calls) > 2
+    assert [batch for _, batch in calls[:-1]] == [chunk] * (len(calls) - 1)
+
+
+# Coded sweeps whose received frames are not multiples of a chunk (33
+# trials of one codeword, 70 trials of two), with the CSVs the
+# one-frame-at-a-time engine wrote for them and the frames each decode call
+# gets.  A sweep is one ``link_trials`` call, which decodes a chunk once
+# DECODE_ROWS codewords' worth of received frames (32 or 16) are in, across
+# point boundaries; frames lost to sync never reach the decoder, which is
+# every frame at -10 dB and all but three at -7 dB (66 and 143 received).
 SWEEPS = {
     "one_codeword_33_trials": (
         {"scenario": "per-sweep", "master_seed": 20261018,
@@ -122,7 +166,7 @@ SWEEPS = {
         "-10,33,32736,32736,1,0,33,33,1,0\n"
         "-1,33,32736,1714,0.05235826,0.0024129592,33,33,1,0\n"
         "1,33,32736,29,0.000885874878,0.000322276789,33,3,0.0909090909,0.0980840604\n",
-        [[], [32, 1], [32, 1]]),
+        [32, 32, 2]),
     "two_codewords_70_trials": (
         {"scenario": "per-sweep", "master_seed": 5,
          "baseband": {"modulation": "qpsk", "payload_bits": 960,
@@ -134,7 +178,7 @@ SWEEPS = {
         "-7,70,67200,65736,0.978214286,0.00110373892,70,70,1,0\n"
         "3,70,67200,803,0.0119494048,0.000821535212,70,44,0.628571429,0.113191559\n"
         "5,70,67200,12,0.000178571429,0.000101025419,70,1,0.0142857143,0.0277987697\n",
-        [[1, 2], [16, 16, 16, 16, 6], [16, 16, 16, 16, 6]]),
+        [16] * 8 + [15]),
 }
 
 
@@ -155,7 +199,7 @@ def test_chunked_sweep_writes_the_one_frame_engine_csv(name, tmp_path,
     out = tmp_path / f"{name}.csv"
     assert main(["per-sweep", "--config", str(config), "--out", str(out)]) == 0
     assert out.read_text() == expected
-    assert batches == sum(decode_calls, [])
+    assert batches == decode_calls
 
 
 @pytest.mark.parametrize("rows", [1, 5])
