@@ -1,31 +1,40 @@
-"""End-to-end transmit and receive chains.
+"""End-to-end transmit and receive chains, a group of frames at a time.
 
-Transmit (``tx_chain``, one frame, returns the waveform): payload bits ->
-``coding.encode`` (codewords of info bits + CRC, convolutionally encoded)
--> spreading -> BPSK/QPSK mapping -> ``framing.build_frame``.  Uncoded
-operation (codec=None) maps payload bits straight to chips.
+Every stage puts the frame axis first and gives each row what that frame
+alone gets, bit for bit; one frame is a group of one.
 
-Receive, in two steps.  The per-frame front end (``rx_front_end``) alone
-decides where a frame may start: at every offset where the whole frame
-fits, up to ``timing_search`` when set.  It acquires the preamble there
-(timing / CFO / phase), corrects, estimates the channel (genie response
-handed in, or least squares from the pilot block), cuts the payload into
-one ``(n_payload_blocks, block_len)`` matrix laid out by ``FrameConfig``,
-and equalizes it (FD-MMSE or TD-LMS), phase-tracks it on the pilots and
-extracts its data in one call each, then demaps and despreads.  The decode
-step (``decode_frames``) takes the soft bits of any number of frames as one
+Transmit (``tx_chain``, a ``(frames, payload_bits)`` matrix, returns one
+waveform per row): payload bits -> ``coding.encode`` (codewords of info
+bits + CRC, convolutionally encoded) -> spreading -> BPSK/QPSK mapping ->
+``framing.build_frame``.  Uncoded operation (codec=None) maps payload bits
+straight to chips.
+
+Receive, in two steps.  The front end (``rx_front_end``) takes a group of
+received waveforms, whose lengths may differ, and alone decides where each
+frame may start: at every offset where the whole frame fits in its own
+waveform, up to ``timing_search`` when set.  It acquires every preamble in
+one ``acquire_sync`` call (timing / CFO / phase), corrects, estimates each
+frame's channel (genie response handed in, or least squares from the pilot
+block), cuts the payloads into one ``(frames, n_payload_blocks, block_len)``
+array laid out by ``FrameConfig``, equalizes it (FD-MMSE; the sequential
+TD-LMS recursion runs row by row), phase-tracks it on the pilots and
+extracts its data in one call each, then demaps and despreads.  A frame
+whose preamble misses the sync threshold, or whose channel response is
+zero on every bin, is masked out of the result; a lone 1-D frame raises
+``SyncError`` or ``DegenerateChannelError`` instead.  The decode step
+(``decode_frames``) takes the soft bits of any number of frames as one
 matrix and hands them to ``coding.decode``, which decodes every codeword
-of the batch at once; uncoded frames are sliced.  There is no one-frame
-receive call: a single frame is a batch of one.
+of the batch at once; uncoded frames are sliced.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from ..errors import CapacityError
+from ..errors import CapacityError, DegenerateChannelError, SyncError
 from . import coding
 from .coding import CodecConfig
 from .equalizers import EqualizerConfig, EqualizerVariant, fd_equalize, td_equalize
@@ -129,65 +138,126 @@ class ChannelKnowledge:
 
 
 def tx_chain(info_bits: np.ndarray, cfg: ChainConfig) -> np.ndarray:
-    """Build the transmit waveform for one frame of payload bits."""
+    """Build the transmit waveform of each row of payload bits:
+    ``(frames, payload_bits)`` gives ``(frames, frame_len)``, and one row of
+    bits one waveform."""
     info_bits = np.asarray(info_bits, dtype=np.uint8)
-    if len(info_bits) != cfg.payload_bits:
+    if info_bits.shape[-1] != cfg.payload_bits:
         raise ValueError(
-            f"got {len(info_bits)} payload bits, config says {cfg.payload_bits}")
-    coded = info_bits
-    if cfg.codec is not None:
-        coded = coding.encode(info_bits[None, :], cfg.codec)[0]
+            f"got {info_bits.shape[-1]} payload bits, config says {cfg.payload_bits}")
+    rows = info_bits.reshape(-1, cfg.payload_bits)
+    coded = rows if cfg.codec is None else coding.encode(rows, cfg.codec)
     chips = spread(coded, cfg.spreading)
     bps = cfg.modulation.bits_per_symbol
-    if chips.size % bps:
-        pad = np.zeros(bps - chips.size % bps, dtype=np.uint8)
-        chips = np.concatenate([chips, pad])
-    symbols = modulate(chips, cfg.modulation)
-    return build_frame(symbols, cfg.frame)
+    if chips.shape[-1] % bps:
+        pad = np.zeros((len(chips), bps - chips.shape[-1] % bps), dtype=np.uint8)
+        chips = np.concatenate([chips, pad], axis=-1)
+    waveform = build_frame(modulate(chips, cfg.modulation), cfg.frame)
+    return waveform.reshape(info_bits.shape[:-1] + waveform.shape[-1:])
 
 
-def rx_front_end(waveform: np.ndarray, cfg: ChainConfig,
-                 channel: ChannelKnowledge | None = None
-                 ) -> tuple[np.ndarray, SyncState]:
-    """Sync, equalize, demap and despread one received frame.
+def rx_front_end(waveform, cfg: ChainConfig,
+                 channel: ChannelKnowledge | Sequence[ChannelKnowledge | None] | None = None
+                 ) -> tuple[np.ndarray, SyncState | np.ndarray]:
+    """Sync, equalize, demap and despread a group of received frames.
 
-    Returns the ``cfg.coded_bits_total()`` soft bits (positive means 0)
-    and the acquisition state; ``decode_frames`` takes it from there.
+    The group is a ``(frames, samples)`` matrix or a sequence of 1-D
+    waveforms whose lengths may differ; ``channel`` is one knowledge object
+    for every frame or one per frame.  Returns the ``cfg.coded_bits_total()`` soft
+    bits (positive means 0) of each received frame, one row each, and a
+    ``(frames,)`` mask of the frames received: a frame whose preamble
+    misses the sync threshold, or whose channel response is zero on every
+    bin, is masked out.  ``decode_frames`` takes it from there.
+
+    One waveform (1-D) is a group of one.  It returns its soft bits and
+    its ``SyncState``, and raises ``SyncError`` or ``DegenerateChannelError``
+    when it is lost.
     """
-    waveform = np.asarray(waveform, dtype=np.complex128)
+    if isinstance(waveform, np.ndarray) and waveform.ndim == 1:
+        soft, sync, received = _front_end([waveform], cfg, [channel])
+        if sync.timing_offset[0] < 0:
+            raise SyncError(f"normalized correlation peak below threshold "
+                            f"{cfg.sync_threshold}")
+        if not received[0]:
+            raise DegenerateChannelError("channel response is zero on every bin")
+        return soft[0], SyncState(timing_offset=int(sync.timing_offset[0]),
+                                  cfo_estimate=float(sync.cfo_estimate[0]),
+                                  phase=float(sync.phase[0]))
+    soft, _, received = _front_end(waveform, cfg, channel)
+    return soft, received
+
+
+def _front_end(waveform, cfg: ChainConfig, channel
+               ) -> tuple[np.ndarray, SyncState, np.ndarray]:
+    """The group front end: received frames' soft bits, every frame's sync
+    state and the mask of frames received."""
+    rows = [np.asarray(row, dtype=np.complex128) for row in waveform]
+    lengths = np.array([len(row) for row in rows], dtype=np.int64)
+    knowledge = (list(channel) if isinstance(channel, Sequence)
+                 else [channel] * len(rows))
+    if len(knowledge) != len(rows):
+        raise ValueError(f"{len(knowledge)} channel knowledge objects for "
+                         f"{len(rows)} frames")
     fcfg = cfg.frame
+    fd = cfg.equalizer.variant is EqualizerVariant.FREQUENCY_DOMAIN_MMSE
+    if fd and cfg.channel_estimator == "genie" and any(
+            k is None or k.freq_response is None for k in knowledge):
+        raise ValueError("genie estimator needs a ChannelKnowledge response")
     # a frame may start at any offset where it fits whole, up to timing_search
-    last_start = len(waveform) - fcfg.frame_len
+    last_start = lengths - fcfg.frame_len
     if cfg.timing_search is not None:
-        last_start = min(last_start, cfg.timing_search)
-    sync = acquire_sync(waveform, fcfg.preamble, fcfg.header, last_start,
+        last_start = np.minimum(last_start, cfg.timing_search)
+    if last_start.min() < 0:
+        raise ValueError(
+            f"the {fcfg.frame_len}-sample frame does not fit in a "
+            f"{lengths[np.argmin(last_start)]}-sample waveform")
+    # the samples any candidate offset's header reads, zero past a row's end
+    head = np.zeros((len(rows), int(last_start.max()) + fcfg.header_len),
+                    dtype=np.complex128)
+    for r, row in enumerate(rows):
+        part = row[: head.shape[1]]
+        head[r, : len(part)] = part
+    sync = acquire_sync(head, fcfg.preamble, fcfg.header, last_start,
                         threshold=cfg.sync_threshold,
                         estimate_cfo=cfg.correct_cfo)
+    received = sync.timing_offset >= 0
+    kept = np.flatnonzero(received)
+    if not len(kept):
+        return np.empty((0, cfg.coded_bits_total())), sync, received
 
-    seg = waveform[sync.timing_offset: sync.timing_offset + fcfg.frame_len]
-    if sync.cfo_estimate == 0.0:
-        # the per-sample form below in one scalar, bit for bit (acquire_sync
-        # wraps its phase with wrap_phase, which never returns -0.0)
-        seg = seg * np.exp(-1j * sync.phase)
+    # the frames found, each cut at its own offset and derotated
+    seg = np.stack([rows[r][o: o + fcfg.frame_len]
+                    for r, o in zip(kept.tolist(), sync.timing_offset[kept].tolist())])
+    cfo, phase = sync.cfo_estimate[kept], sync.phase[kept]
+    if np.any(cfo != 0.0):
+        n = np.arange(fcfg.frame_len)
+        seg *= np.exp(-1j * (cfo[:, None] * n + phase[:, None]))
     else:
-        n = np.arange(len(seg))
-        seg = seg * np.exp(-1j * (sync.cfo_estimate * n + sync.phase))
+        # the per-sample form above in one scalar per frame, bit for bit
+        # (acquire_sync wraps its phase with wrap_phase, never to -0.0)
+        seg *= np.exp(-1j * phase)[:, None]
 
     hdr_len = fcfg.header_len
-    block_shape = (fcfg.n_payload_blocks, fcfg.block_len)
-    noise_var = cfg.equalizer.noise_variance_hint
-    if noise_var is None:
-        noise_var = channel.noise_variance if channel is not None else 0.0
-
-    if cfg.equalizer.variant is EqualizerVariant.FREQUENCY_DOMAIN_MMSE:
+    blocks = (fcfg.n_payload_blocks, fcfg.block_len)
+    if fd:
         if cfg.channel_estimator == "pilot-ls":
-            pilot_rx = seg[hdr_len - fcfg.fft_size: hdr_len]
-            freq_response = np.fft.fft(pilot_rx) / np.fft.fft(fcfg.pilot_block)
-        elif channel is None or channel.freq_response is None:
-            raise ValueError("genie estimator needs a ChannelKnowledge response")
+            freq_response = np.fft.fft(seg[:, hdr_len - fcfg.fft_size: hdr_len])
+            freq_response /= fcfg.pilot_spectrum
         else:
-            freq_response = channel.timing_referenced_response
-        payload = seg[hdr_len:].reshape(block_shape)
+            freq_response = np.array(
+                [knowledge[r].timing_referenced_response for r in kept],
+                dtype=np.complex128)
+        usable = np.any(freq_response, axis=-1)
+        if not usable.all():
+            received[kept[~usable]] = False
+            if not usable.any():
+                return np.empty((0, cfg.coded_bits_total())), sync, received
+            kept, seg, freq_response = kept[usable], seg[usable], freq_response[usable]
+        noise_var = cfg.equalizer.noise_variance_hint
+        if noise_var is None:
+            noise_var = np.array([0.0 if knowledge[r] is None else
+                                  knowledge[r].noise_variance for r in kept])
+        payload = seg[:, hdr_len:].reshape(-1, *blocks)
         equalized = fd_equalize(remove_cyclic_prefix(payload, fcfg.cp_len),
                                 freq_response, noise_var)
     else:
@@ -197,15 +267,17 @@ def rx_front_end(waveform: np.ndarray, cfg: ChainConfig,
             table = ((bits[:, None] >> np.arange(
                 cfg.modulation.bits_per_symbol)[::-1]) & 1).astype(np.uint8)
             constellation = modulate(table.reshape(-1), cfg.modulation)
-        stream = td_equalize(seg, fcfg.header, cfg.equalizer, constellation)
-        equalized = remove_cyclic_prefix(stream.reshape(block_shape), fcfg.cp_len)
+        # the LMS recursion runs sample by sample, so frame by frame too
+        stream = np.array([td_equalize(row, fcfg.header, cfg.equalizer, constellation)
+                           for row in seg], dtype=np.complex128)
+        equalized = remove_cyclic_prefix(stream.reshape(-1, *blocks), fcfg.cp_len)
+    del seg
 
     if cfg.track_pilot_phase and fcfg.pilots_per_block:
         equalized = track_phase(equalized, fcfg.pilot_values, fcfg.pilot_positions)
-    data = extract_data_symbols(equalized, fcfg)[: cfg.required_symbols()]
-
-    soft_chips = demodulate(data, cfg.modulation)[: cfg.chip_count()]
-    return despread(soft_chips, cfg.spreading), sync
+    data = extract_data_symbols(equalized, fcfg)[:, : cfg.required_symbols()]
+    soft_chips = demodulate(data, cfg.modulation)[:, : cfg.chip_count()]
+    return despread(soft_chips, cfg.spreading), sync, received
 
 
 @dataclass

@@ -43,22 +43,33 @@ class EqualizerConfig:
 
 
 def fd_equalize(rx_block: np.ndarray, channel_freq_response: np.ndarray,
-                noise_variance: float = 0.0) -> np.ndarray:
+                noise_variance: float | np.ndarray = 0.0) -> np.ndarray:
     """MMSE-equalize CP-free blocks (along the last axis) given the per-bin
-    channel response."""
+    channel response.
+
+    One response and noise variance serve every block; for a group of
+    frames, ``(frames, blocks, fft_size)``, a ``(frames, fft_size)`` response
+    and a ``(frames,)`` noise variance give each frame its own.
+    """
     rx_block = np.asarray(rx_block, dtype=np.complex128)
     h = np.asarray(channel_freq_response, dtype=np.complex128)
-    if rx_block.shape[-1] != len(h):
+    noise_variance = np.asarray(noise_variance, dtype=np.float64)
+    if rx_block.shape[-1] != h.shape[-1]:
         raise ValueError("block and channel response lengths differ")
-    if noise_variance < 0:
+    if np.any(noise_variance < 0):
         raise ValueError("noise_variance must be >= 0")
-    if not np.any(h):
+    if not np.all(np.any(h, axis=-1)):
         raise DegenerateChannelError("channel response is zero on every bin")
-    denom = np.abs(h) ** 2 + noise_variance
+    denom = np.abs(h) ** 2 + noise_variance[..., None]
     weights = np.zeros_like(h)
     nonzero = denom > 0
     weights[nonzero] = np.conj(h[nonzero]) / denom[nonzero]
-    return np.fft.ifft(np.fft.fft(rx_block) * weights)
+    # a frame's weights serve each of its blocks
+    weights = weights.reshape(
+        h.shape[:-1] + (1,) * (rx_block.ndim - h.ndim) + h.shape[-1:])
+    spectrum = np.fft.fft(rx_block)
+    spectrum *= weights
+    return np.fft.ifft(spectrum)
 
 
 def _regression_matrix(samples: np.ndarray, n_taps: int) -> np.ndarray:

@@ -13,8 +13,10 @@ per-block phase tracking.
 
 Only this module knows the layout.  ``FrameConfig`` builds the constant
 parts of a frame once per config, as read-only arrays shared by every
-frame, and the block helpers work along the last axis, so a receiver takes
-the payload blocks of a frame as one ``(n_payload_blocks, fft_size)`` matrix.
+frame, and the helpers put the frame axis first and work along the last
+axis: ``build_frame`` turns a ``(frames, symbols)`` matrix into one waveform
+per row, and a receiver takes the payload blocks of a group of frames as
+one ``(frames, n_payload_blocks, fft_size)`` array.
 """
 from __future__ import annotations
 
@@ -113,6 +115,11 @@ class FrameConfig:
         return _read_only(chu_sequence(self.fft_size))
 
     @cached_property
+    def pilot_spectrum(self) -> np.ndarray:
+        """DFT of ``pilot_block``, the reference of least-squares estimation."""
+        return _read_only(np.fft.fft(self.pilot_block))
+
+    @cached_property
     def header(self) -> np.ndarray:
         """Preamble plus CP'd pilot block: every transmitted header sample."""
         return _read_only(np.concatenate([
@@ -147,21 +154,44 @@ class FrameConfig:
 
 
 def build_frame(data_symbols: np.ndarray, cfg: FrameConfig) -> np.ndarray:
-    """The waveform of one frame carrying ``data_symbols`` (then filler)."""
+    """The waveform of each frame carrying a row of ``data_symbols`` (then
+    filler): ``(frames, symbols)`` gives ``(frames, frame_len)``, and one
+    row of symbols one waveform."""
     data_symbols = np.asarray(data_symbols, dtype=np.complex128)
-    if len(data_symbols) > cfg.capacity_symbols:
+    n = data_symbols.shape[-1]
+    if n > cfg.capacity_symbols:
         raise ValueError(
-            f"{len(data_symbols)} payload symbols exceed frame capacity "
-            f"{cfg.capacity_symbols}")
-    padded = np.concatenate([
-        data_symbols, cfg.filler[: cfg.capacity_symbols - len(data_symbols)]])
-    blocks = np.empty((cfg.n_payload_blocks, cfg.fft_size), dtype=np.complex128)
-    blocks[:, cfg.pilot_positions] = cfg.pilot_values
-    blocks[:, cfg.data_mask] = padded.reshape(cfg.n_payload_blocks, -1)
-    return np.concatenate([
-        cfg.header, add_cyclic_prefix(blocks, cfg.cp_len).reshape(-1)])
+            f"{n} payload symbols exceed frame capacity {cfg.capacity_symbols}")
+    lead = data_symbols.shape[:-1]
+    padded = np.empty(lead + (cfg.capacity_symbols,), dtype=np.complex128)
+    padded[..., :n] = data_symbols
+    padded[..., n:] = cfg.filler[: cfg.capacity_symbols - n]
+    waveform = np.empty(lead + (cfg.frame_len,), dtype=np.complex128)
+    waveform[..., : cfg.header_len] = cfg.header
+    blocks = waveform[..., cfg.header_len:].reshape(
+        lead + (cfg.n_payload_blocks, cfg.block_len))
+    payload = blocks[..., cfg.cp_len:]
+    payload[..., cfg.pilot_positions] = cfg.pilot_values
+    slots = _data_slots(payload, cfg)
+    slots[...] = padded.reshape(slots.shape)
+    # the cyclic prefix repeats the last cp_len symbols of its block
+    blocks[..., : cfg.cp_len] = blocks[..., cfg.fft_size:]
+    return waveform
 
 
 def extract_data_symbols(blocks: np.ndarray, cfg: FrameConfig) -> np.ndarray:
-    """The data symbols of equalized (CP-free) blocks, in transmit order."""
-    return np.asarray(blocks)[..., cfg.data_mask].reshape(-1)
+    """The data symbols of equalized (CP-free) blocks, in transmit order:
+    ``(n_payload_blocks, fft_size)`` gives one row of symbols, and
+    ``(frames, n_payload_blocks, fft_size)`` one row per frame."""
+    blocks = np.asarray(blocks)
+    return _data_slots(blocks, cfg).reshape(blocks.shape[:-2] + (-1,))
+
+
+def _data_slots(blocks: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+    """A view of the ``data_mask`` positions of blocks (along the last axis),
+    in order: a block is ``pilots_per_block`` equal runs, each led by its
+    pilot, so the data are every run but its first slot."""
+    if not cfg.pilots_per_block:
+        return blocks[..., None, :]
+    runs = blocks.reshape(blocks.shape[:-1] + (cfg.pilots_per_block, -1))
+    return runs[..., 1:]

@@ -10,6 +10,8 @@ Conventions fixed here once for the whole simulator:
 * The spreading pattern of length SF is the Thue-Morse parity sequence
   (chip j is popcount(j) mod 2); spreading XORs it onto each repeated bit,
   despreading correlates with the same pattern and averages.
+* Every function works along the last axis, so a ``(frames, bits)`` matrix
+  maps one frame per row.
 """
 from __future__ import annotations
 
@@ -49,8 +51,9 @@ def spread(bits: np.ndarray, cfg: SpreadingConfig) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.uint8)
     if cfg.sf == 1:
         return bits.copy()
-    chips = np.repeat(bits, cfg.sf).reshape(-1, cfg.sf) ^ thue_morse(cfg.sf)
-    return chips.reshape(-1)
+    chips = (np.repeat(bits, cfg.sf, axis=-1).reshape(bits.shape + (cfg.sf,))
+             ^ thue_morse(cfg.sf))
+    return chips.reshape(bits.shape[:-1] + (-1,))
 
 
 def despread(soft_chips: np.ndarray, cfg: SpreadingConfig) -> np.ndarray:
@@ -60,22 +63,24 @@ def despread(soft_chips: np.ndarray, cfg: SpreadingConfig) -> np.ndarray:
     variance sigma^2 shrinks to sigma^2 / sf.
     """
     soft_chips = np.asarray(soft_chips, dtype=np.float64)
-    if soft_chips.size % cfg.sf:
+    if soft_chips.shape[-1] % cfg.sf:
         raise ValueError("chip count is not a multiple of the spreading factor")
     if cfg.sf == 1:
         return soft_chips.copy()
     pattern = 1.0 - 2.0 * thue_morse(cfg.sf)
-    return soft_chips.reshape(-1, cfg.sf) @ pattern / cfg.sf
+    # a stacked matmul makes the per-row product of a lone frame, bit for bit
+    chips = soft_chips.reshape(soft_chips.shape[:-1] + (-1, cfg.sf))
+    return chips @ pattern / cfg.sf
 
 
 def modulate(bits: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.uint8)
     if scheme is ModulationScheme.BPSK:
         return (1.0 - 2.0 * bits).astype(np.complex128)
-    if bits.size % 2:
+    if bits.shape[-1] % 2:
         raise ValueError("QPSK needs an even number of bits")
-    i = 1.0 - 2.0 * bits[0::2]
-    q = 1.0 - 2.0 * bits[1::2]
+    i = 1.0 - 2.0 * bits[..., 0::2]
+    q = 1.0 - 2.0 * bits[..., 1::2]
     return (i + 1j * q) / _SQRT2
 
 
@@ -84,9 +89,9 @@ def demodulate(symbols: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
     symbols = np.asarray(symbols, dtype=np.complex128)
     if scheme is ModulationScheme.BPSK:
         return symbols.real.copy()
-    soft = np.empty(symbols.size * 2)
-    soft[0::2] = symbols.real * _SQRT2
-    soft[1::2] = symbols.imag * _SQRT2
+    soft = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],))
+    soft[..., 0::2] = symbols.real * _SQRT2
+    soft[..., 1::2] = symbols.imag * _SQRT2
     return soft
 
 

@@ -9,6 +9,10 @@ length, and is refined over the full known header (preamble plus pilot
 block), which is what brings the error down to a few 1e-5 rad/sample at
 moderate SNR.  The residual common phase is read off the header after CFO
 removal.
+
+``acquire_sync`` takes a group of frames as a ``(frames, samples)`` matrix,
+each row with its own search window, and gives each row what that row
+alone gives; one waveform is a group of one.
 """
 from __future__ import annotations
 
@@ -23,23 +27,42 @@ DEFAULT_SYNC_THRESHOLD = 0.5
 
 @dataclass(frozen=True)
 class SyncState:
-    timing_offset: int
-    cfo_estimate: float   # radians/sample
-    phase: float          # radians, wrapped to (-pi, pi]
+    """Acquisition of one frame, or of a group with one value per row.
+
+    In a group a row whose correlation peak misses the threshold has
+    ``timing_offset`` -1 and a CFO and phase of 0.
+    """
+
+    timing_offset: int | np.ndarray
+    cfo_estimate: float | np.ndarray   # radians/sample
+    phase: float | np.ndarray          # radians, wrapped to (-pi, pi]
 
     def __post_init__(self) -> None:
-        if not -np.pi < self.phase <= np.pi:
+        phase = np.asarray(self.phase)
+        if not np.all((-np.pi < phase) & (phase <= np.pi)):
             raise ValueError("phase must be wrapped to (-pi, pi]")
 
 
-def wrap_phase(phi: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    wrapped = (phi + np.pi) % (2 * np.pi) - np.pi
-    return np.pi if wrapped == -np.pi else wrapped
+def wrap_phase(phi: float | np.ndarray) -> float | np.ndarray:
+    """Wrap an angle, or each of an array of angles, to (-pi, pi]."""
+    wrapped = (np.asarray(phi) + np.pi) % (2 * np.pi) - np.pi
+    return np.where(wrapped == -np.pi, np.pi, wrapped)[()]
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b`` elementwise as numpy multiplies two complex scalars.
+
+    The SIMD loop of an array product fuses a multiply-add, so it rounds
+    differently from the scalar product a one-frame receiver took.
+    """
+    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def acquire_sync(rx_waveform: np.ndarray, preamble: np.ndarray,
-                 header: np.ndarray, search_window: int,
+                 header: np.ndarray, search_window: int | np.ndarray,
                  threshold: float = DEFAULT_SYNC_THRESHOLD,
                  estimate_cfo: bool = True) -> SyncState:
     """Locate the preamble at offsets ``0 .. search_window`` and estimate
@@ -50,42 +73,67 @@ def acquire_sync(rx_waveform: np.ndarray, preamble: np.ndarray,
     ``estimate_cfo`` off the CFO is pinned to zero and the phase estimate
     is not conditioned on it; receivers that will not apply CFO correction
     must pin it, otherwise estimator noise leaks into the phase reference.
+
+    A ``(frames, samples)`` matrix is a group: ``search_window`` is one
+    window or one per row, and each field of the result holds one value per
+    row, a missed row marked as ``SyncState`` says.  One waveform raises
+    ``SyncError`` when it misses instead.
     """
     rx = np.asarray(rx_waveform, dtype=np.complex128)
+    if rx.ndim == 1:
+        group = acquire_sync(rx[None, :], preamble, header, search_window,
+                             threshold, estimate_cfo)
+        if group.timing_offset[0] < 0:
+            raise SyncError(f"normalized correlation peak below threshold {threshold}")
+        return SyncState(timing_offset=int(group.timing_offset[0]),
+                         cfo_estimate=float(group.cfo_estimate[0]),
+                         phase=float(group.phase[0]))
     p = np.asarray(preamble, dtype=np.complex128)
     ref = np.asarray(header, dtype=np.complex128)
-    if search_window < 0 or len(rx) < search_window + len(ref):
+    frames = len(rx)
+    windows = np.broadcast_to(np.asarray(search_window, dtype=np.int64), (frames,))
+    if windows.min() < 0 or rx.shape[1] < windows.max() + len(ref):
         raise ValueError(
             f"the {len(ref)}-sample header does not fit at every offset "
-            f"0..{search_window} of a {len(rx)}-sample waveform")
+            f"0..{windows.max()} of a {rx.shape[1]}-sample waveform")
     half = len(p) // 2
+    rows = np.arange(frames)
 
-    head = rx[: search_window + len(p)]
-    corr = np.correlate(head, p, mode="valid")
-    window_energy = np.convolve(np.abs(head) ** 2, np.ones(len(p)), mode="valid")
+    # every candidate window of every row; vecdot takes the same dot
+    # product per window as np.correlate / np.convolve over one waveform
+    width = int(windows.max()) + 1
+    head = rx[:, : width - 1 + len(p)]
+    corr = np.vecdot(p, np.lib.stride_tricks.sliding_window_view(head, len(p), axis=-1))
+    power = np.abs(head) ** 2
+    window_energy = np.vecdot(
+        np.lib.stride_tricks.sliding_window_view(power, len(p), axis=-1), np.ones(len(p)))
     norm = np.sqrt(window_energy * np.sum(np.abs(p) ** 2))
     metric = np.abs(corr) / np.maximum(norm, 1e-300)
-    offset = int(np.argmax(metric))
-    peak = float(metric[offset])
-    if peak < threshold:
-        raise SyncError(
-            f"normalized correlation peak {peak:.3f} below threshold {threshold}")
+    # offsets past a row's own window never win
+    metric[np.arange(width) > windows[:, None]] = -1.0
+    offset = np.argmax(metric, axis=-1)
+    locked = metric[rows, offset] >= threshold
 
-    cfo = 0.0
-    segment = rx[offset: offset + len(ref)]
+    # a pinned CFO is the same 0.0 on every row, so one row of it serves all
+    cfo = np.zeros(1)
+    segment = rx[rows[:, None], offset[:, None] + np.arange(len(ref))]
     n = np.arange(len(ref))
+    conj_ref = np.conj(ref)
     if estimate_cfo:
-        halves = np.sum(rx[offset + half: offset + 2 * half] *
-                        np.conj(rx[offset: offset + half]))
-        cfo = float(np.angle(halves)) / half
+        first = np.conj(segment[:, :half])
+        halves = np.sum(segment[:, half: 2 * half] * first, axis=-1)
+        cfo = np.angle(halves) / half
         # two-segment refinement over every known header sample
-        z = segment * np.conj(ref) * np.exp(-1j * cfo * n)
+        z = segment * conj_ref * np.exp(-1j * cfo[:, None] * n)
         h2 = len(ref) // 2
         baseline = len(ref) - h2
-        cfo += float(np.angle(np.sum(z[h2:]) * np.conj(np.sum(z[:h2])))) / baseline
-    phase = float(np.angle(np.sum(segment * np.conj(ref) * np.exp(-1j * cfo * n))))
-    return SyncState(timing_offset=offset, cfo_estimate=cfo,
-                     phase=wrap_phase(phase))
+        cfo += np.angle(_product(np.sum(z[:, h2:], axis=-1),
+                                 np.conj(np.sum(z[:, :h2], axis=-1)))) / baseline
+    phase = wrap_phase(np.angle(np.sum(
+        segment * conj_ref * np.exp(-1j * cfo[:, None] * n), axis=-1)))
+    return SyncState(timing_offset=np.where(locked, offset, -1),
+                     cfo_estimate=np.where(locked, cfo, 0.0),
+                     phase=np.where(locked, phase, 0.0))
 
 
 def track_phase(block: np.ndarray, pilot_values: np.ndarray,

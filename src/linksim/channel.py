@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -106,21 +107,32 @@ def impulse_response(model: ChannelModel,
     return h
 
 
-def apply_channel(tx: np.ndarray, model: ChannelModel) -> np.ndarray:
-    """Convolve, rotate and add noise; output length = input + max delay."""
+def apply_channel(tx: np.ndarray, model: ChannelModel | Sequence[ChannelModel]
+                  ) -> np.ndarray | list[np.ndarray]:
+    """Convolve, rotate and add noise; output length = input + max delay.
+
+    A ``(frames, samples)`` group takes one model per row and returns the
+    received rows as a list, since models of different delay spreads give
+    rows of different lengths.  Each row is what it gets alone: its own
+    generator, seeded by its model, draws its tap phases and then its noise.
+    """
     tx = np.asarray(tx, dtype=np.complex128)
+    if tx.ndim == 2:
+        return [apply_channel(row, row_model)
+                for row, row_model in zip(tx, model, strict=True)]
     if tx.size == 0:
         raise ValueError("input waveform must be non-empty")
     rng = np.random.default_rng(model.seed)
     rx = np.convolve(tx, impulse_response(model, rng))
     if model.cfo != 0.0 or model.phase_offset != 0.0:
         n = np.arange(len(rx))
-        rx = rx * np.exp(1j * (model.cfo * n + model.phase_offset))
+        rx *= np.exp(1j * (model.cfo * n + model.phase_offset))
     if model.snr_db is not None:
         power = np.mean(np.abs(rx) ** 2)
         sigma2 = power / 10.0 ** (model.snr_db / 10.0)
         noise = rng.standard_normal(len(rx)) + 1j * rng.standard_normal(len(rx))
-        rx = rx + noise * math.sqrt(sigma2 / 2.0)
+        noise *= math.sqrt(sigma2 / 2.0)
+        rx += noise
     return rx
 
 

@@ -10,13 +10,16 @@ execution order or batching.
 call for all of its points, and the baseband-backed mux simulation one
 for every packet copy of a run, after scheduling; both feed it a stream
 of frames, each with its own payload, channel model and genie knowledge.
-It runs transmit, channel and the receiver front end frame by frame, and
-decodes the received frames ``DECODE_ROWS`` codewords' worth at a time:
-one Viterbi call and one CRC check per chunk.  A chunk counts received
-frames, so it runs across sweep points, and only its payloads and soft
-bits are held, which bounds memory whatever the number of frames.  A
-frame lost to sync failure or a degenerate channel counts as a packet
-error with every payload bit wrong.
+It runs transmit, channel and the receiver front end a group of frames at
+a time, and decodes the received frames ``DECODE_ROWS`` codewords' worth
+at a time: one Viterbi call and one CRC check per chunk.  A chunk counts
+received frames, so it runs across sweep points.  A group is the next
+``chunk - held`` frames of the stream, where ``held`` counts the received
+frames waiting to be decoded, so no frame is drawn that the chunk could
+not take; only one group's waveforms and one chunk's payloads and soft
+bits are held, which bounds memory whatever the number of frames.  The
+front end masks out a frame lost to sync failure or a degenerate channel,
+and the engine counts it as a packet error with every payload bit wrong.
 
 The axis is either the per-sample (= per-chip) SNR in dB, or Eb/N0 in dB,
 which is converted per point via
@@ -31,6 +34,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -38,7 +42,6 @@ import numpy as np
 from ..baseband.chain import (ChainConfig, ChannelKnowledge, decode_frames,
                               rx_front_end, tx_chain)
 from ..channel import ChannelModel, apply_channel, estimate_frequency_response
-from ..errors import DegenerateChannelError, SyncError
 from .seeding import stable_seed
 
 Z_95 = 1.959963984540054   # two-sided 95% normal quantile
@@ -143,42 +146,50 @@ def link_trials(frames: Iterable[Frame], cfg: ChainConfig
     is in error (1) when any payload bit differs or a codeword fails its
     CRC.  A frame the receiver cannot acquire (sync loss) or equalize (a
     channel response zero on every bin) is a counted outcome: every
-    payload bit is wrong and the packet is in error.  Received frames are
-    decoded together once ``DECODE_ROWS`` codewords' worth of them are
-    in, and the rest at the end of the stream; only that chunk's payloads
-    and soft bits are held.
+    payload bit is wrong and the packet is in error.
+
+    Frames go through transmit, channel and the receiver front end a group
+    at a time: the next ``chunk - held`` frames of the stream, where a chunk
+    is ``DECODE_ROWS`` codewords' worth of frames and ``held`` the received
+    frames waiting to be decoded.  A full chunk is decoded at once, and the
+    rest at the end of the stream; only that chunk's payloads and soft bits
+    are held, and no frame is drawn that the chunk could not take.
     """
     bit_errors: list[int] = []
     packet_errors: list[int] = []
     chunk = max(1, DECODE_ROWS // max(1, cfg.n_codewords()))
-    soft, sent, received = [], [], []
+    stream = iter(frames)
+    soft, sent, received = [], [], []   # the held frames, group by group
 
     def decode() -> None:
-        decoded = decode_frames(np.stack(soft), cfg)
-        errors = np.count_nonzero(decoded.info_bits != np.stack(sent), axis=1)
+        index = np.concatenate(received)
+        decoded = decode_frames(np.concatenate(soft), cfg)
+        errors = np.count_nonzero(decoded.info_bits != np.concatenate(sent), axis=1)
         failed = (errors > 0) | (decoded.codewords_failed > 0)
-        for f, e, p in zip(received, errors.tolist(), failed.tolist()):
+        for f, e, p in zip(index.tolist(), errors.tolist(), failed.tolist()):
             bit_errors[f], packet_errors[f] = e, int(p)
         soft.clear()
         sent.clear()
         received.clear()
 
-    for f, (payload, model, knowledge) in enumerate(frames):
-        bit_errors.append(cfg.payload_bits)
-        packet_errors.append(1)
-        payload = np.asarray(payload, dtype=np.uint8)
-        waveform = tx_chain(payload, cfg)
-        try:
-            soft_bits, _ = rx_front_end(apply_channel(waveform, model), cfg,
-                                        knowledge)
-        except (SyncError, DegenerateChannelError):
-            continue
-        soft.append(soft_bits)
-        sent.append(payload)
-        received.append(f)
-        if len(received) == chunk:
+    held = 0
+    while group := list(islice(stream, chunk - held)):
+        first = len(bit_errors)
+        bit_errors.extend([cfg.payload_bits] * len(group))
+        packet_errors.extend([1] * len(group))
+        payloads = np.array([payload for payload, _, _ in group], dtype=np.uint8)
+        rx = apply_channel(tx_chain(payloads, cfg), [model for _, model, _ in group])
+        soft_bits, found = rx_front_end(rx, cfg, [knowledge for _, _, knowledge in group])
+        del rx   # the group's waveforms are not needed while decoding
+        if len(soft_bits):
+            soft.append(soft_bits)
+            sent.append(payloads[found])
+            received.append(first + np.flatnonzero(found))
+            held += len(soft_bits)
+        if held == chunk:
             decode()
-    if received:
+            held = 0
+    if held:
         decode()
     return (np.array(bit_errors, dtype=np.int64),
             np.array(packet_errors, dtype=np.int64))

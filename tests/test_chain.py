@@ -13,7 +13,7 @@ from linksim.baseband import (ChainConfig, ChannelKnowledge, CodecConfig,
 from linksim.baseband.framing import FrameConfig
 from linksim.channel import (ChannelModel, ChannelTap, apply_channel,
                              estimate_frequency_response, make_preset)
-from linksim.errors import CapacityError, SyncError
+from linksim.errors import CapacityError, DegenerateChannelError, SyncError
 
 IDENTITY = ChannelKnowledge(freq_response=np.ones(256), noise_variance=0.0)
 
@@ -66,6 +66,27 @@ class TestFrameSearch:
         cfg = ChainConfig.for_payload(300, codec=None)
         with pytest.raises(ValueError, match="does not fit"):
             rx_front_end(tx_chain(payload(300, 5), cfg)[:-1], cfg, IDENTITY)
+
+
+    def test_each_row_is_searched_only_where_it_fits_whole(self):
+        # the first row holds a frame 16 samples in, cut 6 samples short, so
+        # its own window (0..10) misses it, beside a row 24 samples longer
+        cfg = ChainConfig.for_payload(300, codec=None)
+        frame = tx_chain(payload(300, 3), cfg)
+        late = np.concatenate([np.zeros(16, complex), frame])[: len(frame) + 10]
+        longer = np.concatenate([frame, np.zeros(24, complex)])
+        soft, received = rx_front_end([late, longer], cfg, IDENTITY)
+        assert received.tolist() == [False, True]
+        with pytest.raises(SyncError):
+            rx_front_end(late, cfg, IDENTITY)
+        assert np.array_equal(soft[0], rx_front_end(longer, cfg, IDENTITY)[0])
+
+    def test_a_row_shorter_than_a_frame_is_a_caller_error(self):
+        cfg = ChainConfig.for_payload(300, codec=None)
+        frame = tx_chain(payload(300, 5), cfg)
+        with pytest.raises(ValueError, match="does not fit"):
+            rx_front_end([np.concatenate([frame, np.zeros(30, complex)]),
+                          frame[:-1]], cfg, IDENTITY)
 
 
 class TestLoopback:
@@ -231,6 +252,82 @@ class TestFrontEndShortcuts:
                                      replace(model, seed=seed))
             rx_front_end(waveform, cfg, knowledge)
         assert calls.count(True) == 1
+
+
+    def test_pilot_ls_takes_one_fft_of_the_pilot_block(self, monkeypatch):
+        cfg = ChainConfig.for_payload(300, codec=None, channel_estimator="pilot-ls")
+        model = make_preset("coupling-mild", snr_db=20.0)
+        calls = []
+        fft = np.fft.fft
+
+        def spy(a, *args, **kwargs):
+            calls.append(a is cfg.frame.pilot_block)
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", spy)
+        for seed in range(20):
+            waveform = apply_channel(tx_chain(payload(300, seed), cfg),
+                                     replace(model, seed=seed))
+            rx_front_end(waveform, cfg)
+        assert calls.count(True) <= 1
+
+
+# receivers for the group property: a coded one that corrects CFO on a
+# channel with an offset, and an uncoded QPSK one with a pinned CFO
+GROUP_RECEIVERS = (
+    (ChainConfig.for_payload(600, codec=CodecConfig(info_bits_per_codeword=320),
+                             timing_search=8),
+     {"cfo": 0.003, "phase_offset": 1.3}),
+    (ChainConfig.for_payload(600, codec=None, modulation=ModulationScheme.QPSK,
+                             correct_cfo=False, timing_search=8), {}),
+)
+
+
+class TestGroupFrontEnd:
+    """A group of frames through the front end gives each row what the row
+    alone gives: the same soft bits, bit for bit, or the same loss."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(receiver=st.sampled_from(GROUP_RECEIVERS),
+           rows=st.lists(st.tuples(st.integers(0, 2 ** 32 - 1),
+                                   st.sampled_from((-10.0, 0.0, 4.0, 12.0, 30.0)),
+                                   st.booleans()),
+                         min_size=1, max_size=9))
+    @example(receiver=GROUP_RECEIVERS[0],
+             rows=[(1, -10.0, False), (2, 12.0, True), (3, 4.0, False)])
+    def test_each_surviving_row_is_its_frame_alone(self, receiver, rows):
+        cfg, overrides = receiver
+        model = make_preset("coupling-harsh", **overrides)
+        genie = ChannelKnowledge(estimate_frequency_response(model, 256), 0.05)
+        zero = ChannelKnowledge(np.zeros(256), 0.0)
+        frames = np.array([tx_chain(payload(cfg.payload_bits, seed), cfg)
+                           for seed, _, _ in rows])
+        waveforms = np.array(apply_channel(frames, [
+            replace(model, snr_db=snr, seed=seed) for seed, snr, _ in rows]))
+        knowledge = [zero if zeroed else genie for _, _, zeroed in rows]
+        soft, received = rx_front_end(waveforms, cfg, knowledge)
+        assert received.shape == (len(rows),)
+        assert soft.shape == (np.count_nonzero(received), cfg.coded_bits_total())
+        survivors = iter(soft)
+        for waveform, k, found in zip(waveforms, knowledge, received):
+            try:
+                alone, _ = rx_front_end(waveform, cfg, k)
+            except (SyncError, DegenerateChannelError):
+                assert not found
+                continue
+            assert found
+            assert np.array_equal(next(survivors).view(np.uint64),
+                                  alone.view(np.uint64))
+
+    def test_group_transmit_is_each_row_alone(self):
+        cfg = ChainConfig.for_payload(
+            500, codec=CodecConfig(info_bits_per_codeword=256),
+            modulation=ModulationScheme.QPSK, spreading=SpreadingConfig(2))
+        bits = np.array([payload(500, seed) for seed in range(4)])
+        group = tx_chain(bits, cfg)
+        assert group.shape == (4, cfg.frame.frame_len)
+        for row, frame_bits in zip(group, bits):
+            assert np.array_equal(row, tx_chain(frame_bits, cfg))
 
 
 class TestContracts:

@@ -129,6 +129,49 @@ class TestApplyChannel:
         assert not np.allclose(a, c)  # reflected phases differ from preset
 
 
+def per_frame_channel(tx, model):
+    """One frame through the channel, written out step by step: one
+    generator from the model's seed draws the reflected taps' phases, then
+    the noise."""
+    rng = np.random.default_rng(model.seed)
+    h = np.zeros(model.max_delay + 1, dtype=complex)
+    for tap, (delay, gain) in zip(model.taps, effective_taps(model)):
+        if tap.bounce_count > 0:
+            gain *= np.exp(2j * np.pi * rng.random())
+        h[delay] += gain
+    rx = np.convolve(tx, h)
+    n = np.arange(len(rx))
+    rx = rx * np.exp(1j * (model.cfo * n + model.phase_offset))
+    power = np.mean(np.abs(rx) ** 2)
+    sigma2 = power / 10.0 ** (model.snr_db / 10.0)
+    noise = rng.standard_normal(len(rx)) + 1j * rng.standard_normal(len(rx))
+    return rx + noise * math.sqrt(sigma2 / 2.0)
+
+
+class TestGroup:
+    """A ``(frames, samples)`` group through the channel, one model a row."""
+
+    def test_each_row_draws_tap_phases_then_noise_from_its_own_seed(self):
+        rng = np.random.default_rng(4)
+        tx = np.exp(2j * np.pi * rng.random((4, 300)))
+        models = [make_preset(preset, randomize_tap_phases=True, snr_db=snr,
+                              cfo=0.002, phase_offset=0.4, seed=seed)
+                  for preset, snr, seed in (
+                      ("coupling-harsh", 3.0, 11), ("coupling-mild", 10.0, 12),
+                      ("coupling-harsh", -5.0, 13), ("coupling-los", 20.0, 14))]
+        rows = apply_channel(tx, models)
+        assert [len(row) for row in rows] == [324, 307, 324, 300]
+        for row, frame, model in zip(rows, tx, models):
+            expected = per_frame_channel(frame, model)
+            assert np.array_equal(row.view(np.uint64), expected.view(np.uint64))
+            alone = apply_channel(frame, model)
+            assert np.array_equal(row.view(np.uint64), alone.view(np.uint64))
+
+    def test_one_model_per_row(self):
+        with pytest.raises(ValueError):
+            apply_channel(np.ones((3, 10), complex), [los_model()] * 2)
+
+
 class TestFrequencyResponse:
     def test_single_tap_all_ones(self):
         h = estimate_frequency_response(los_model(), 64)

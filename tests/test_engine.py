@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linksim.baseband import ChainConfig, CodecConfig
+from linksim.baseband import (ChainConfig, CodecConfig, EqualizerConfig,
+                              EqualizerVariant, ModulationScheme,
+                              SpreadingConfig)
 from linksim.baseband.chain import ChannelKnowledge
 from linksim.channel import ChannelModel, ChannelTap, make_preset
 from linksim.cli import main
@@ -63,6 +65,76 @@ def test_batch_gives_each_trial_its_one_row_result(name):
     assert all_wrong[[0, 3, 5]].all() and lost[[0, 3, 5]].all()
     assert ((errors > 0) & ~all_wrong).any()
     assert (lost == 0).any()
+
+
+LMS = EqualizerVariant.TIME_DOMAIN_LMS
+CODEC = CodecConfig(info_bits_per_codeword=512)
+# receivers no benchmark workload runs, each with the base channel of its
+# stream: (chain, preset, channel overrides)
+RECEIVERS = {
+    "pilot-ls": (ChainConfig.for_payload(
+        960, codec=CODEC, channel_estimator="pilot-ls", **RECEIVER),
+        "coupling-harsh", {}),
+    "td-lms": (ChainConfig.for_payload(
+        480, codec=None, equalizer=EqualizerConfig(variant=LMS), **RECEIVER),
+        "coupling-mild", {}),
+    "td-lms-decision-directed": (ChainConfig.for_payload(
+        480, codec=None, equalizer=EqualizerConfig(
+            variant=LMS, decision_directed=True), **RECEIVER),
+        "coupling-mild", {}),
+    "cfo-correction": (ChainConfig.for_payload(
+        960, codec=CODEC, correct_cfo=True, timing_search=8),
+        "coupling-harsh", {"cfo": 0.004, "phase_offset": -2.1}),
+    "qpsk": (ChainConfig.for_payload(
+        960, codec=CODEC, modulation=ModulationScheme.QPSK, **RECEIVER),
+        "coupling-harsh", {}),
+    "sf4": (ChainConfig.for_payload(
+        480, codec=None, spreading=SpreadingConfig(4), **RECEIVER),
+        "coupling-harsh", {}),
+}
+
+
+def _stream(cfg, models):
+    """Frames on ``models`` with seeded payloads and the genie knowledge of
+    each frame's own model."""
+    rng = np.random.default_rng(6)
+    return [(rng.integers(0, 2, cfg.payload_bits, dtype=np.uint8), model,
+             sweep.genie_knowledge(cfg, model)) for model in models]
+
+
+def _each_frame_alone(frames, cfg):
+    errors, lost = sweep.link_trials(frames, cfg)
+    alone = [sweep.link_trials([frame], cfg) for frame in frames]
+    assert errors.tolist() == [int(e[0]) for e, _ in alone]
+    assert lost.tolist() == [int(p[0]) for _, p in alone]
+    return errors, lost
+
+
+@pytest.mark.parametrize("name", RECEIVERS)
+def test_every_receiver_gives_each_trial_its_one_row_result(name):
+    cfg, preset, overrides = RECEIVERS[name]
+    base = make_preset(preset, **overrides)
+    models = [replace(base, snr_db=snr, seed=seed) for seed, snr in
+              enumerate((-10.0, 0.0, 3.0, 6.0, 20.0, -10.0, 2.0, 9.0))]
+    errors, lost = _each_frame_alone(_stream(cfg, models), cfg)
+    # the frames at -10 dB are lost, and others are received
+    assert errors[[0, 5]].tolist() == [cfg.payload_bits] * 2
+    assert lost[[0, 5]].all() and (errors < cfg.payload_bits).any()
+
+
+def test_a_group_of_mixed_channel_lengths():
+    # with no timing_search, a frame is searched for at every offset where
+    # it fits, so rows of one group have windows of 0 (los and the zero
+    # tap) and 24 (harsh) samples
+    cfg = ChainConfig.for_payload(960, codec=CODEC, correct_cfo=False)
+    zero = ChannelModel(taps=(ChannelTap(0, 0j),), snr_db=10.0)
+    models = [zero if f % 4 == 3 else
+              make_preset(("coupling-los", "coupling-harsh")[f % 2],
+                          snr_db=(2.0, 8.0, 25.0)[f % 3], seed=f)
+              for f in range(12)]
+    errors, lost = _each_frame_alone(_stream(cfg, models), cfg)
+    assert errors[3::4].tolist() == [cfg.payload_bits] * 3
+    assert lost[3::4].all() and (lost == 0).any()
 
 
 POOL_ROWS = 34   # past one and two 16-frame coded chunks, one 32-frame uncoded

@@ -106,6 +106,23 @@ class TestFrameAssembly:
                                       cfg.cp_len)
         assert np.array_equal(extract_data_symbols(blocks, cfg), data)
 
+    @pytest.mark.parametrize("pilots", [0, 1, 8, 32])
+    def test_group_frames_and_data_follow_the_data_mask(self, pilots):
+        # a (frames, symbols) matrix gives each row its lone frame, and the
+        # data come back from the data_mask positions, block after block
+        cfg = FrameConfig(n_payload_blocks=3, pilots_per_block=pilots)
+        rng = np.random.default_rng(pilots)
+        data = rng.standard_normal((4, cfg.capacity_symbols - 5)) + 0j
+        group = build_frame(data, cfg)
+        assert group.shape == (4, cfg.frame_len)
+        for row, symbols in zip(group, data):
+            assert np.array_equal(row, build_frame(symbols, cfg))
+        blocks = rng.standard_normal((4, 3, cfg.fft_size)) + 0j
+        assert np.array_equal(extract_data_symbols(blocks, cfg),
+                              blocks[..., cfg.data_mask].reshape(4, -1))
+        assert np.array_equal(extract_data_symbols(blocks[0], cfg),
+                              blocks[0][:, cfg.data_mask].reshape(-1))
+
     def test_capacity_overflow(self):
         cfg = FrameConfig(n_payload_blocks=1)
         with pytest.raises(ValueError, match="capacity"):
@@ -125,7 +142,7 @@ class TestFrameAssembly:
     def test_constants_are_read_only(self):
         cfg = FrameConfig()
         for name in ("pilot_positions", "pilot_values", "data_mask", "preamble",
-                     "pilot_block", "header", "filler"):
+                     "pilot_block", "pilot_spectrum", "header", "filler"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(cfg, name)[0] = 0
 

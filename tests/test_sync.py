@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from linksim.baseband.framing import FrameConfig, build_preamble
-from linksim.baseband.sync import (SyncState, acquire_sync, track_phase,
-                                   wrap_phase)
+from linksim.baseband.sync import (DEFAULT_SYNC_THRESHOLD, SyncState,
+                                   acquire_sync, track_phase, wrap_phase)
 from linksim.errors import SyncError
 
 
@@ -95,6 +95,69 @@ class TestAcquire:
             there = acquire_sync(wave[offset:], p, header, 0, threshold=0.0)
             assert acquire_sync(wave, p, header, w, threshold=0.0) == replace(
                 there, timing_offset=offset)
+
+
+def one_frame_sync(rx, p, ref, window):
+    """The estimator for one waveform, written out step by step with numpy
+    scalars; returns (offset, cfo, phase, peak)."""
+    head = rx[: window + len(p)]
+    corr = np.correlate(head, p, mode="valid")
+    energy = np.convolve(np.abs(head) ** 2, np.ones(len(p)), mode="valid")
+    norm = np.sqrt(energy * np.sum(np.abs(p) ** 2))
+    metric = np.abs(corr) / np.maximum(norm, 1e-300)
+    offset = int(np.argmax(metric))
+    half = len(p) // 2
+    halves = np.sum(rx[offset + half: offset + 2 * half] *
+                    np.conj(rx[offset: offset + half]))
+    cfo = float(np.angle(halves)) / half
+    segment = rx[offset: offset + len(ref)]
+    n = np.arange(len(ref))
+    z = segment * np.conj(ref) * np.exp(-1j * cfo * n)
+    h2 = len(ref) // 2
+    cfo += float(np.angle(np.sum(z[h2:]) * np.conj(np.sum(z[:h2])))) / (len(ref) - h2)
+    phase = float(np.angle(np.sum(segment * np.conj(ref) * np.exp(-1j * cfo * n))))
+    return offset, cfo, wrap_phase(phase), float(metric[offset])
+
+
+class TestGroup:
+    def test_each_row_gets_the_one_frame_estimate_bit_for_bit(self):
+        # rows with their own windows, offsets, CFOs and SNRs, some of them
+        # too noisy to lock; a locked row's CFO and phase are those of the
+        # step-by-step estimator, a missed row is marked -1
+        cfg = FrameConfig()
+        p, header = cfg.preamble, cfg.header
+        rng = np.random.default_rng(21)
+        frames, windows = 12, rng.integers(0, 30, 12)
+        total = len(header) + 40
+        rx = np.empty((frames, total), dtype=complex)
+        for r in range(frames):
+            sigma = (0.05, 0.5, 3.0)[r % 3]
+            rx[r] = sigma * (rng.standard_normal(total) +
+                             1j * rng.standard_normal(total))
+            at = int(rng.integers(0, windows[r] + 1))
+            n = np.arange(len(header))
+            rx[r, at: at + len(header)] += header * np.exp(
+                1j * (rng.uniform(-0.01, 0.01) * n + rng.uniform(-3, 3)))
+        group = acquire_sync(rx, p, header, windows)
+        locked = 0
+        for r in range(frames):
+            offset, cfo, phase, peak = one_frame_sync(rx[r], p, header, windows[r])
+            if peak < DEFAULT_SYNC_THRESHOLD:
+                assert group.timing_offset[r] == -1
+                continue
+            locked += 1
+            assert group.timing_offset[r] == offset
+            assert group.cfo_estimate[r].view(np.uint64) == np.float64(cfo).view(np.uint64)
+            assert group.phase[r].view(np.uint64) == np.float64(phase).view(np.uint64)
+        assert 0 < locked < frames
+
+    def test_one_waveform_is_a_group_of_one(self):
+        p = build_preamble()
+        wave = embed(p * np.exp(1j * 0.3), 9)
+        group = acquire_sync(wave[None, :], p, p, 20)
+        state = acquire_sync(wave, p, p, 20)
+        assert (group.timing_offset[0], group.cfo_estimate[0], group.phase[0]) == (
+            state.timing_offset, state.cfo_estimate, state.phase)
 
 
 class TestTrackPhase:
