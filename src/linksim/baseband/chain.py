@@ -1,7 +1,7 @@
 """End-to-end transmit and receive chains, a group of frames at a time.
 
 Every stage puts the frame axis first and gives each row what that frame
-alone gets, bit for bit; one frame is a group of one.
+alone gets, bit for bit.
 
 Transmit (``tx_chain``, a ``(frames, payload_bits)`` matrix, returns one
 waveform per row): payload bits -> ``coding.encode`` (codewords of info
@@ -18,13 +18,13 @@ frame's channel (genie response handed in, or least squares from the pilot
 block), cuts the payloads into one ``(frames, n_payload_blocks, block_len)``
 array laid out by ``FrameConfig``, equalizes it (FD-MMSE; the sequential
 TD-LMS recursion runs row by row), phase-tracks it on the pilots and
-extracts its data in one call each, then demaps and despreads.  A frame
-whose preamble misses the sync threshold, or whose channel response is
-zero on every bin, is masked out of the result; a lone 1-D frame raises
-``SyncError`` or ``DegenerateChannelError`` instead.  The decode step
-(``decode_frames``) takes the soft bits of any number of frames as one
-matrix and hands them to ``coding.decode``, which decodes every codeword
-of the batch at once; uncoded frames are sliced.
+extracts its data in one call each, then demaps and despreads.  A lost
+frame is an outcome, never an exception: one whose preamble misses the
+sync threshold, or whose channel response is zero on every bin, is masked
+out of the result and marked in the returned mask and ``SyncState``.  The
+decode step (``decode_frames``) takes the soft bits of any number of
+frames as one matrix and hands them to ``coding.decode``, which decodes
+every codeword of the batch at once; uncoded frames are sliced.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import CapacityError, DegenerateChannelError, SyncError
+from ..errors import CapacityError
 from . import coding
 from .coding import CodecConfig
 from .equalizers import EqualizerConfig, EqualizerVariant, fd_equalize, td_equalize
@@ -156,52 +156,30 @@ def tx_chain(info_bits: np.ndarray, cfg: ChainConfig) -> np.ndarray:
     return waveform.reshape(info_bits.shape[:-1] + waveform.shape[-1:])
 
 
-def rx_front_end(waveform, cfg: ChainConfig,
-                 channel: ChannelKnowledge | Sequence[ChannelKnowledge | None] | None = None
-                 ) -> tuple[np.ndarray, SyncState | np.ndarray]:
+def rx_front_end(waveforms, cfg: ChainConfig,
+                 channel: Sequence[ChannelKnowledge | None]
+                 ) -> tuple[np.ndarray, SyncState, np.ndarray]:
     """Sync, equalize, demap and despread a group of received frames.
 
     The group is a ``(frames, samples)`` matrix or a sequence of 1-D
-    waveforms whose lengths may differ; ``channel`` is one knowledge object
-    for every frame or one per frame.  Returns the ``cfg.coded_bits_total()`` soft
-    bits (positive means 0) of each received frame, one row each, and a
-    ``(frames,)`` mask of the frames received: a frame whose preamble
-    misses the sync threshold, or whose channel response is zero on every
-    bin, is masked out.  ``decode_frames`` takes it from there.
-
-    One waveform (1-D) is a group of one.  It returns its soft bits and
-    its ``SyncState``, and raises ``SyncError`` or ``DegenerateChannelError``
-    when it is lost.
+    waveforms whose lengths may differ; ``channel`` holds one knowledge
+    entry per frame (None where the receiver is told nothing).  Returns the
+    ``cfg.coded_bits_total()`` soft bits (positive means 0) of each
+    received frame, one row each, every frame's ``SyncState`` and the
+    ``(frames,)`` mask of the frames received.  A lost frame is marked, not
+    raised: one whose preamble misses the sync threshold has
+    ``timing_offset`` -1, and one whose channel response is zero on every
+    bin is locked but not received.  ``decode_frames`` takes it from there.
     """
-    if isinstance(waveform, np.ndarray) and waveform.ndim == 1:
-        soft, sync, received = _front_end([waveform], cfg, [channel])
-        if sync.timing_offset[0] < 0:
-            raise SyncError(f"normalized correlation peak below threshold "
-                            f"{cfg.sync_threshold}")
-        if not received[0]:
-            raise DegenerateChannelError("channel response is zero on every bin")
-        return soft[0], SyncState(timing_offset=int(sync.timing_offset[0]),
-                                  cfo_estimate=float(sync.cfo_estimate[0]),
-                                  phase=float(sync.phase[0]))
-    soft, _, received = _front_end(waveform, cfg, channel)
-    return soft, received
-
-
-def _front_end(waveform, cfg: ChainConfig, channel
-               ) -> tuple[np.ndarray, SyncState, np.ndarray]:
-    """The group front end: received frames' soft bits, every frame's sync
-    state and the mask of frames received."""
-    rows = [np.asarray(row, dtype=np.complex128) for row in waveform]
+    rows = [np.asarray(row, dtype=np.complex128) for row in waveforms]
     lengths = np.array([len(row) for row in rows], dtype=np.int64)
-    knowledge = (list(channel) if isinstance(channel, Sequence)
-                 else [channel] * len(rows))
-    if len(knowledge) != len(rows):
-        raise ValueError(f"{len(knowledge)} channel knowledge objects for "
+    if len(channel) != len(rows):
+        raise ValueError(f"{len(channel)} channel knowledge entries for "
                          f"{len(rows)} frames")
     fcfg = cfg.frame
     fd = cfg.equalizer.variant is EqualizerVariant.FREQUENCY_DOMAIN_MMSE
     if fd and cfg.channel_estimator == "genie" and any(
-            k is None or k.freq_response is None for k in knowledge):
+            k is None or k.freq_response is None for k in channel):
         raise ValueError("genie estimator needs a ChannelKnowledge response")
     # a frame may start at any offset where it fits whole, up to timing_search
     last_start = lengths - fcfg.frame_len
@@ -245,7 +223,7 @@ def _front_end(waveform, cfg: ChainConfig, channel
             freq_response /= fcfg.pilot_spectrum
         else:
             freq_response = np.array(
-                [knowledge[r].timing_referenced_response for r in kept],
+                [channel[r].timing_referenced_response for r in kept],
                 dtype=np.complex128)
         usable = np.any(freq_response, axis=-1)
         if not usable.all():
@@ -255,8 +233,8 @@ def _front_end(waveform, cfg: ChainConfig, channel
             kept, seg, freq_response = kept[usable], seg[usable], freq_response[usable]
         noise_var = cfg.equalizer.noise_variance_hint
         if noise_var is None:
-            noise_var = np.array([0.0 if knowledge[r] is None else
-                                  knowledge[r].noise_variance for r in kept])
+            noise_var = np.array([0.0 if channel[r] is None else
+                                  channel[r].noise_variance for r in kept])
         payload = seg[:, hdr_len:].reshape(-1, *blocks)
         equalized = fd_equalize(remove_cyclic_prefix(payload, fcfg.cp_len),
                                 freq_response, noise_var)

@@ -12,7 +12,8 @@ removal.
 
 ``acquire_sync`` takes a group of frames as a ``(frames, samples)`` matrix,
 each row with its own search window, and gives each row what that row
-alone gives; one waveform is a group of one.
+alone would give.  A row that misses the threshold is marked in the
+result, never raised.
 """
 from __future__ import annotations
 
@@ -20,22 +21,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SyncError
-
 DEFAULT_SYNC_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
 class SyncState:
-    """Acquisition of one frame, or of a group with one value per row.
+    """Acquisition of a group of frames, one value per row in each field.
 
-    In a group a row whose correlation peak misses the threshold has
-    ``timing_offset`` -1 and a CFO and phase of 0.
+    A row whose correlation peak misses the threshold has ``timing_offset``
+    -1 and a CFO and phase of 0.
     """
 
-    timing_offset: int | np.ndarray
-    cfo_estimate: float | np.ndarray   # radians/sample
-    phase: float | np.ndarray          # radians, wrapped to (-pi, pi]
+    timing_offset: np.ndarray
+    cfo_estimate: np.ndarray   # radians/sample
+    phase: np.ndarray          # radians, wrapped to (-pi, pi]
 
     def __post_init__(self) -> None:
         phase = np.asarray(self.phase)
@@ -61,12 +60,12 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def acquire_sync(rx_waveform: np.ndarray, preamble: np.ndarray,
+def acquire_sync(rx_waveforms: np.ndarray, preamble: np.ndarray,
                  header: np.ndarray, search_window: int | np.ndarray,
                  threshold: float = DEFAULT_SYNC_THRESHOLD,
                  estimate_cfo: bool = True) -> SyncState:
-    """Locate the preamble at offsets ``0 .. search_window`` and estimate
-    CFO and common phase.
+    """Locate the preamble of each row of a ``(frames, samples)`` matrix at
+    offsets ``0 .. search_window`` and estimate its CFO and common phase.
 
     ``header`` holds all known samples from the preamble start (preamble +
     CP'd pilot block); it must fit at every candidate offset.  With
@@ -74,20 +73,13 @@ def acquire_sync(rx_waveform: np.ndarray, preamble: np.ndarray,
     is not conditioned on it; receivers that will not apply CFO correction
     must pin it, otherwise estimator noise leaks into the phase reference.
 
-    A ``(frames, samples)`` matrix is a group: ``search_window`` is one
-    window or one per row, and each field of the result holds one value per
-    row, a missed row marked as ``SyncState`` says.  One waveform raises
-    ``SyncError`` when it misses instead.
+    ``search_window`` is one window or one per row; each field of the
+    result holds one value per row, a missed row marked as ``SyncState``
+    says.
     """
-    rx = np.asarray(rx_waveform, dtype=np.complex128)
-    if rx.ndim == 1:
-        group = acquire_sync(rx[None, :], preamble, header, search_window,
-                             threshold, estimate_cfo)
-        if group.timing_offset[0] < 0:
-            raise SyncError(f"normalized correlation peak below threshold {threshold}")
-        return SyncState(timing_offset=int(group.timing_offset[0]),
-                         cfo_estimate=float(group.cfo_estimate[0]),
-                         phase=float(group.phase[0]))
+    rx = np.asarray(rx_waveforms, dtype=np.complex128)
+    if rx.ndim != 2:
+        raise ValueError("acquire_sync takes a (frames, samples) matrix")
     p = np.asarray(preamble, dtype=np.complex128)
     ref = np.asarray(header, dtype=np.complex128)
     frames = len(rx)

@@ -179,7 +179,7 @@ def link_trials(frames: Iterable[Frame], cfg: ChainConfig
         packet_errors.extend([1] * len(group))
         payloads = np.array([payload for payload, _, _ in group], dtype=np.uint8)
         rx = apply_channel(tx_chain(payloads, cfg), [model for _, model, _ in group])
-        soft_bits, found = rx_front_end(rx, cfg, [knowledge for _, _, knowledge in group])
+        soft_bits, _, found = rx_front_end(rx, cfg, [knowledge for _, _, knowledge in group])
         del rx   # the group's waveforms are not needed while decoding
         if len(soft_bits):
             soft.append(soft_bits)

@@ -13,7 +13,7 @@ from linksim.baseband import (ChainConfig, ChannelKnowledge, CodecConfig,
 from linksim.baseband.framing import FrameConfig
 from linksim.channel import (ChannelModel, ChannelTap, apply_channel,
                              estimate_frequency_response, make_preset)
-from linksim.errors import CapacityError, DegenerateChannelError, SyncError
+from linksim.errors import CapacityError
 
 IDENTITY = ChannelKnowledge(freq_response=np.ones(256), noise_variance=0.0)
 
@@ -23,11 +23,12 @@ def payload(n, seed):
 
 
 def receive(waveform, cfg, knowledge=None):
-    """Front end and decode of one frame, a batch of one; returns the
+    """Front end and decode of one frame, a group of one; returns the
     frame's row of ``DecodedFrames`` as (info_bits, codewords_failed,
-    channel_bit_errors or None) and the sync state."""
-    soft, sync = rx_front_end(waveform, cfg, knowledge)
-    decoded = decode_frames(soft[None, :], cfg)
+    channel_bit_errors or None) and the group's sync state."""
+    soft, sync, received = rx_front_end([waveform], cfg, [knowledge])
+    assert received[0], "the frame was lost"
+    decoded = decode_frames(soft, cfg)
     errors = decoded.channel_bit_errors
     return (decoded.info_bits[0], int(decoded.codewords_failed[0]),
             None if errors is None else int(errors[0])), sync
@@ -55,17 +56,18 @@ class TestFrameSearch:
                                    np.zeros(15, complex)])
         waveform = waveform[: 20 + cfg.frame.frame_len + tail]
         if offset is None:
-            with pytest.raises(SyncError):
-                rx_front_end(waveform, cfg, IDENTITY)
+            soft, sync, received = rx_front_end([waveform], cfg, [IDENTITY])
+            assert sync.timing_offset.tolist() == [-1]
+            assert received.tolist() == [False] and soft.shape == (0, 300)
         else:
             (info, _, _), sync = receive(waveform, cfg, IDENTITY)
-            assert sync.timing_offset == offset
+            assert sync.timing_offset.tolist() == [offset]
             assert np.array_equal(info, bits)
 
     def test_waveform_shorter_than_a_frame_is_a_caller_error(self):
         cfg = ChainConfig.for_payload(300, codec=None)
         with pytest.raises(ValueError, match="does not fit"):
-            rx_front_end(tx_chain(payload(300, 5), cfg)[:-1], cfg, IDENTITY)
+            rx_front_end([tx_chain(payload(300, 5), cfg)[:-1]], cfg, [IDENTITY])
 
 
     def test_each_row_is_searched_only_where_it_fits_whole(self):
@@ -75,18 +77,17 @@ class TestFrameSearch:
         frame = tx_chain(payload(300, 3), cfg)
         late = np.concatenate([np.zeros(16, complex), frame])[: len(frame) + 10]
         longer = np.concatenate([frame, np.zeros(24, complex)])
-        soft, received = rx_front_end([late, longer], cfg, IDENTITY)
+        soft, _, received = rx_front_end([late, longer], cfg, [IDENTITY] * 2)
         assert received.tolist() == [False, True]
-        with pytest.raises(SyncError):
-            rx_front_end(late, cfg, IDENTITY)
-        assert np.array_equal(soft[0], rx_front_end(longer, cfg, IDENTITY)[0])
+        assert rx_front_end([late], cfg, [IDENTITY])[1].timing_offset.tolist() == [-1]
+        assert np.array_equal(soft, rx_front_end([longer], cfg, [IDENTITY])[0])
 
     def test_a_row_shorter_than_a_frame_is_a_caller_error(self):
         cfg = ChainConfig.for_payload(300, codec=None)
         frame = tx_chain(payload(300, 5), cfg)
         with pytest.raises(ValueError, match="does not fit"):
             rx_front_end([np.concatenate([frame, np.zeros(30, complex)]),
-                          frame[:-1]], cfg, IDENTITY)
+                          frame[:-1]], cfg, [IDENTITY] * 2)
 
 
 class TestLoopback:
@@ -136,7 +137,7 @@ class TestLoopback:
         for seed, snr in ((0, 30.0), (1, -1.0), (2, 6.0)):
             model = make_preset("coupling-los", snr_db=snr, seed=seed)
             waveform = apply_channel(tx_chain(payload(2500, seed), cfg), model)
-            soft.append(rx_front_end(waveform, cfg, knowledge)[0])
+            soft.append(rx_front_end([waveform], cfg, [knowledge])[0][0])
         together = decode_frames(np.stack(soft), cfg)
         assert together.codewords_failed[0] == 0
         assert 0 < together.codewords_failed[1] < 3
@@ -188,7 +189,7 @@ class TestMultipath:
             apply_channel(tx_chain(bits, cfg), model), cfg, knowledge)
         assert np.array_equal(info, bits)
         assert failed == 0
-        assert sync.cfo_estimate == pytest.approx(0.008, abs=2e-4)
+        assert sync.cfo_estimate[0] == pytest.approx(0.008, abs=2e-4)
 
 
 # a coded-harsh frame's worth of received samples, with exact zeros and
@@ -250,7 +251,7 @@ class TestFrontEndShortcuts:
         for seed in range(20):
             waveform = apply_channel(tx_chain(payload(300, seed), cfg),
                                      replace(model, seed=seed))
-            rx_front_end(waveform, cfg, knowledge)
+            rx_front_end([waveform], cfg, [knowledge])
         assert calls.count(True) == 1
 
 
@@ -268,7 +269,7 @@ class TestFrontEndShortcuts:
         for seed in range(20):
             waveform = apply_channel(tx_chain(payload(300, seed), cfg),
                                      replace(model, seed=seed))
-            rx_front_end(waveform, cfg)
+            rx_front_end([waveform], cfg, [None])
         assert calls.count(True) <= 1
 
 
@@ -285,7 +286,8 @@ GROUP_RECEIVERS = (
 
 class TestGroupFrontEnd:
     """A group of frames through the front end gives each row what the row
-    alone gives: the same soft bits, bit for bit, or the same loss."""
+    alone, a group of one, gives: the same sync state and soft bits, bit
+    for bit, or the same loss."""
 
     @settings(max_examples=25, deadline=None)
     @given(receiver=st.sampled_from(GROUP_RECEIVERS),
@@ -305,19 +307,33 @@ class TestGroupFrontEnd:
         waveforms = np.array(apply_channel(frames, [
             replace(model, snr_db=snr, seed=seed) for seed, snr, _ in rows]))
         knowledge = [zero if zeroed else genie for _, _, zeroed in rows]
-        soft, received = rx_front_end(waveforms, cfg, knowledge)
+        soft, sync, received = rx_front_end(waveforms, cfg, knowledge)
         assert received.shape == (len(rows),)
         assert soft.shape == (np.count_nonzero(received), cfg.coded_bits_total())
         survivors = iter(soft)
-        for waveform, k, found in zip(waveforms, knowledge, received):
-            try:
-                alone, _ = rx_front_end(waveform, cfg, k)
-            except (SyncError, DegenerateChannelError):
-                assert not found
-                continue
-            assert found
-            assert np.array_equal(next(survivors).view(np.uint64),
-                                  alone.view(np.uint64))
+        for r, (waveform, k) in enumerate(zip(waveforms, knowledge)):
+            alone, alone_sync, alone_received = rx_front_end(waveform[None, :], cfg, [k])
+            for field in ("timing_offset", "cfo_estimate", "phase"):
+                assert (getattr(sync, field)[r: r + 1].tobytes()
+                        == getattr(alone_sync, field).tobytes())
+            assert received[r] == alone_received[0]
+            if received[r]:
+                assert np.array_equal(next(survivors).view(np.uint64),
+                                      alone[0].view(np.uint64))
+
+    def test_a_lost_frame_is_marked_not_raised(self):
+        # rows: noise with no frame in it, a clean frame whose genie response
+        # is zero on every bin, a clean frame
+        cfg = ChainConfig.for_payload(300, codec=None, timing_search=8)
+        bits = payload(300, 12)
+        frame = tx_chain(bits, cfg)
+        noise = [1.0, 1j] @ np.random.default_rng(13).standard_normal((2, len(frame)))
+        zero = ChannelKnowledge(np.zeros(256), 0.0)
+        soft, sync, received = rx_front_end([noise, frame, frame], cfg,
+                                            [IDENTITY, zero, IDENTITY])
+        assert sync.timing_offset.tolist() == [-1, 0, 0]
+        assert received.tolist() == [False, False, True]
+        assert np.array_equal(decode_frames(soft, cfg).info_bits, bits[None, :])
 
     def test_group_transmit_is_each_row_alone(self):
         cfg = ChainConfig.for_payload(
@@ -345,7 +361,13 @@ class TestContracts:
         cfg = ChainConfig.for_payload(100, codec=None)
         waveform = tx_chain(payload(100, 8), cfg)
         with pytest.raises(ValueError, match="genie"):
-            rx_front_end(waveform, cfg, None)
+            rx_front_end([waveform], cfg, [None])
+
+    def test_one_knowledge_entry_per_frame(self):
+        cfg = ChainConfig.for_payload(100, codec=None)
+        waveform = tx_chain(payload(100, 8), cfg)
+        with pytest.raises(ValueError, match="1 channel knowledge entries for 2 frames"):
+            rx_front_end([waveform, waveform], cfg, [IDENTITY])
 
     def test_frame_geometry(self):
         # 992 payload bits fill one 2060-bit codeword; the waveform is the
@@ -355,8 +377,8 @@ class TestContracts:
         assert cfg.coded_bits_total() == 2060
         waveform = tx_chain(payload(992, 9), cfg)
         assert len(waveform) == 128 + (cfg.frame.n_payload_blocks + 1) * (256 + 32)
-        soft, _ = rx_front_end(waveform, cfg, IDENTITY)
-        assert soft.shape == (2060,)
+        soft, _, _ = rx_front_end([waveform], cfg, [IDENTITY])
+        assert soft.shape == (1, 2060)
 
     def test_channel_bit_errors_track_channel(self):
         cfg = ChainConfig.for_payload(992)

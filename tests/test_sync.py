@@ -1,12 +1,9 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from linksim.baseband.framing import FrameConfig, build_preamble
 from linksim.baseband.sync import (DEFAULT_SYNC_THRESHOLD, SyncState,
                                    acquire_sync, track_phase, wrap_phase)
-from linksim.errors import SyncError
 
 
 def embed(preamble, offset, total=600):
@@ -19,20 +16,20 @@ class TestAcquire:
     def test_clean_offset(self):
         p = build_preamble()
         wave = embed(p, 37)
-        state = acquire_sync(wave, p, p, len(wave) - len(p))
-        assert state.timing_offset == 37
-        assert abs(state.cfo_estimate) < 1e-9
-        assert abs(state.phase) < 1e-9
+        state = acquire_sync(wave[None, :], p, p, len(wave) - len(p))
+        assert state.timing_offset[0] == 37
+        assert abs(state.cfo_estimate[0]) < 1e-9
+        assert abs(state.phase[0]) < 1e-9
 
     def test_cfo_and_phase_recovered(self):
         p = build_preamble()
         n = np.arange(len(p))
         wave = embed(p * np.exp(1j * (0.004 * n + 0.9)), 12)
-        state = acquire_sync(wave, p, p, len(wave) - len(p))
-        assert state.timing_offset == 12
-        assert state.cfo_estimate == pytest.approx(0.004, abs=1e-6)
+        state = acquire_sync(wave[None, :], p, p, len(wave) - len(p))
+        assert state.timing_offset[0] == 12
+        assert state.cfo_estimate[0] == pytest.approx(0.004, abs=1e-6)
         # phase reference is the preamble start after CFO removal
-        assert wrap_phase(state.phase - 0.9) == pytest.approx(0.0, abs=1e-6)
+        assert wrap_phase(state.phase[0] - 0.9) == pytest.approx(0.0, abs=1e-6)
 
     def test_cfo_accuracy_at_20db(self):
         # 95th percentile error within 2e-4 rad/sample at 20 dB, using the
@@ -48,28 +45,33 @@ class TestAcquire:
             clean = header * np.exp(1j * (0.01 * n + 0.3))
             noisy = clean + sigma * (rng.standard_normal(len(header)) +
                                      1j * rng.standard_normal(len(header)))
-            state = acquire_sync(noisy, p, header, 0)
-            errors.append(abs(state.cfo_estimate - 0.01))
+            state = acquire_sync(noisy[None, :], p, header, 0)
+            errors.append(abs(state.cfo_estimate[0] - 0.01))
         assert np.percentile(errors, 95) < 2e-4
 
     def test_pure_noise_fails(self):
         p = build_preamble()
         rng = np.random.default_rng(7)
         noise = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-        with pytest.raises(SyncError):
-            acquire_sync(noise, p, p, len(noise) - len(p))
+        state = acquire_sync(noise[None, :], p, p, len(noise) - len(p))
+        assert state.timing_offset[0] == -1
 
     def test_too_short_waveform(self):
         # the header must fit at every candidate offset
         p = build_preamble()
         with pytest.raises(ValueError, match="does not fit"):
-            acquire_sync(np.zeros(16, complex), p, p, 0)
+            acquire_sync(np.zeros((1, 16), complex), p, p, 0)
+
+    def test_one_waveform_is_a_caller_error(self):
+        # a lone waveform is a group of one, a (1, samples) matrix
+        p = build_preamble()
+        with pytest.raises(ValueError, match="matrix"):
+            acquire_sync(embed(p, 9), p, p, 20)
 
     def test_search_window_limits_offsets(self):
         p = build_preamble()
         wave = embed(p, 200)
-        with pytest.raises(SyncError):
-            acquire_sync(wave, p, p, 50)
+        assert acquire_sync(wave[None, :], p, p, 50).timing_offset[0] == -1
 
     @pytest.mark.parametrize("window", [0, 8, None])
     def test_window_matches_full_metric_cut_to_it(self, window):
@@ -92,9 +94,11 @@ class TestAcquire:
             energy = np.convolve(np.abs(wave) ** 2, np.ones(len(p)), mode="valid")
             metric = corr / np.sqrt(energy * np.sum(np.abs(p) ** 2))
             offset = int(np.argmax(metric[: w + 1]))
-            there = acquire_sync(wave[offset:], p, header, 0, threshold=0.0)
-            assert acquire_sync(wave, p, header, w, threshold=0.0) == replace(
-                there, timing_offset=offset)
+            there = acquire_sync(wave[None, offset:], p, header, 0, threshold=0.0)
+            here = acquire_sync(wave[None, :], p, header, w, threshold=0.0)
+            assert here.timing_offset[0] == offset
+            assert (here.cfo_estimate[0], here.phase[0]) == (
+                there.cfo_estimate[0], there.phase[0])
 
 
 def one_frame_sync(rx, p, ref, window):
@@ -151,14 +155,6 @@ class TestGroup:
             assert group.phase[r].view(np.uint64) == np.float64(phase).view(np.uint64)
         assert 0 < locked < frames
 
-    def test_one_waveform_is_a_group_of_one(self):
-        p = build_preamble()
-        wave = embed(p * np.exp(1j * 0.3), 9)
-        group = acquire_sync(wave[None, :], p, p, 20)
-        state = acquire_sync(wave, p, p, 20)
-        assert (group.timing_offset[0], group.cfo_estimate[0], group.phase[0]) == (
-            state.timing_offset, state.cfo_estimate, state.phase)
-
 
 class TestTrackPhase:
     def test_removes_rotation(self):
@@ -204,7 +200,8 @@ class TestTrackPhase:
 class TestSyncState:
     def test_phase_wrap_enforced(self):
         with pytest.raises(ValueError):
-            SyncState(timing_offset=0, cfo_estimate=0.0, phase=4.0)
+            SyncState(timing_offset=np.zeros(2, dtype=np.int64),
+                      cfo_estimate=np.zeros(2), phase=np.array([0.0, 4.0]))
 
     def test_wrap_phase(self):
         assert wrap_phase(np.pi) == pytest.approx(np.pi)
