@@ -172,6 +172,9 @@ def rx_front_end(waveforms, cfg: ChainConfig,
     bin is locked but not received.  ``decode_frames`` takes it from there.
     """
     rows = [np.asarray(row, dtype=np.complex128) for row in waveforms]
+    if any(row.ndim != 1 for row in rows):
+        raise ValueError("rx_front_end takes a group of frames: a (frames, "
+                         "samples) matrix or a sequence of 1-D waveforms")
     lengths = np.array([len(row) for row in rows], dtype=np.int64)
     if len(channel) != len(rows):
         raise ValueError(f"{len(channel)} channel knowledge entries for "

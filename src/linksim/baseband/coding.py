@@ -12,9 +12,12 @@ The CRC is linear over GF(2) apart from its all-ones initial
 value, so it is computed as the affine map ``(bits @ A + c) mod 2`` with
 ``A`` and ``c`` cached per (length, width): one matrix product for a whole
 batch of rows.  Decoding is a full-trellis maximum-likelihood search over
-soft values, every codeword of a batch in one loop over the trellis steps;
-ties between merging paths resolve to the branch whose departing register
-bit is 0, which makes decoding bit-exactly reproducible.
+soft values, every codeword of a batch in one add-compare-select loop over
+the trellis steps; ties between merging paths resolve to the branch whose
+departing register bit is 0, which makes decoding bit-exactly reproducible.
+The traceback walks a table of predecessors as flat (state, row) indices,
+built from the decisions one block of steps at a time from the end, so a
+step back is one ``take`` for every codeword of the batch.
 """
 from __future__ import annotations
 
@@ -135,7 +138,7 @@ def conv_encode_batch(bits: np.ndarray, cfg: CodecConfig) -> np.ndarray:
             if (g >> (k - 1 - tap)) & 1:
                 acc[:, tap:] ^= u[:, : steps - tap]
         out[:, :, gi] = acc
-    return out.reshape(batch, -1)
+    return out.reshape(batch, steps * len(cfg.generators))
 
 
 @dataclass(frozen=True)
@@ -145,13 +148,13 @@ class _Trellis:
     # the predecessor of state t = h * n_states / 2 + u on branch j is 2u + j
     branch_combo: np.ndarray  # (2 * S,)
     combo_sign: np.ndarray    # (2**n_out, n_out) soft signs, +1 for bit 0
-    input_bit: np.ndarray     # (S,) input bit consumed on entering the state
 
 
 _TRELLIS_CACHE: dict[tuple[int, tuple[int, ...]], _Trellis] = {}
 
-#: trellis steps whose branch metrics are gathered at once; bounds the
-#: gathered table to (16, 2 * states, batch)
+#: trellis steps handled as one block: the branch metrics gathered for the
+#: add-compare-select loop, (16, 2 * states, batch), and the slice of the
+#: predecessor table built for the traceback, (16, states * batch)
 _STEP_CHUNK = 16
 
 
@@ -173,9 +176,8 @@ def _trellis(k: int, generators: tuple[int, ...]) -> _Trellis:
     n_out = len(generators)
     combo_bits = (np.arange(1 << n_out)[:, None]
                   >> np.arange(n_out - 1, -1, -1)) & 1
-    input_bit = ((t >> (k - 2)) & 1).astype(np.uint8)
     trellis = _Trellis(n_states, combo.reshape(-1).astype(np.intp),
-                       1.0 - 2.0 * combo_bits, input_bit)
+                       1.0 - 2.0 * combo_bits)
     _TRELLIS_CACHE[key] = trellis
     return trellis
 
@@ -188,7 +190,10 @@ def viterbi_decode_batch(soft: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     first.  Returns the (batch, info + crc) decoded bits, tail removed.
     Every row runs through one add-compare-select loop over the trellis
     steps; arrays are state-major, (states, batch), so each step is three
-    whole-array operations whatever the batch.
+    whole-array operations whatever the batch.  The traceback turns the
+    decisions into a table of predecessors, one ``_STEP_CHUNK`` slice at a
+    time from the end, each entry the flat (state, row) index of the state
+    before it, so a step back is one ``take`` for every row.
     """
     cfg_len = cfg.coded_bits_per_codeword
     soft = np.asarray(soft, dtype=np.float64)
@@ -196,19 +201,26 @@ def viterbi_decode_batch(soft: np.ndarray, cfg: CodecConfig) -> np.ndarray:
         raise ValueError(
             f"coded length {soft.shape[-1]} does not match codec "
             f"(expected {cfg_len})")
+    batch = soft.shape[0]
+    if not batch:
+        return np.empty((0, cfg.info_bits_per_codeword), dtype=np.uint8)
     n_out = len(cfg.generators)
     tr = _trellis(cfg.constraint_length, cfg.generators)
-    batch = soft.shape[0]
     steps = cfg_len // n_out
     half = tr.n_states // 2
-    soft = soft.reshape(batch, steps, n_out).transpose(1, 2, 0)[:, :, None]
 
-    # branch metric of every sign combination per step, the outputs added
-    # in order o = 0..n_out-1; laid out (steps, combos, batch)
-    sign = tr.combo_sign[:, :, None]
-    bm = np.multiply(soft[:, 0], sign[:, 0], order="C")
-    for o in range(1, n_out):
-        bm += soft[:, o] * sign[:, o]
+    # branch metric of every sign combination per step, laid out
+    # (steps, combos, batch), the outputs added in order o = 0..n_out-1;
+    # the signs are +-1, so adding or subtracting an output is exactly
+    # adding its signed product
+    outputs = soft.reshape(batch, steps, n_out).transpose(2, 1, 0).copy()
+    bm = np.empty((steps, len(tr.combo_sign), batch))
+    for c, signs in enumerate(tr.combo_sign):
+        np.multiply(outputs[0], signs[0], out=bm[:, c])
+        for o in range(1, n_out):
+            (np.add if signs[o] > 0 else np.subtract)(
+                bm[:, c], outputs[o], out=bm[:, c])
+    del outputs                   # keeps it out of the loop's peak memory
 
     metric = np.full((tr.n_states, batch), -1e30)
     metric[0] = 0.0
@@ -216,25 +228,38 @@ def viterbi_decode_batch(soft: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     # halves h of the states share
     pred = metric.reshape(half, 2, batch).transpose(1, 0, 2)[:, None]
     cand = np.empty((2, tr.n_states, batch))      # (branch, state, batch)
+    cand_jhu = cand.reshape(2, 2, half, batch)
+    cand0, cand1 = cand
     decisions = np.empty((steps, tr.n_states, batch), dtype=bool)
     for n0 in range(0, steps, _STEP_CHUNK):
-        branches = bm[n0:n0 + _STEP_CHUNK][:, tr.branch_combo]
-        for n, branch in enumerate(
-                branches.reshape(-1, 2, 2, half, batch), n0):
-            np.add(pred, branch, out=cand.reshape(2, 2, half, batch))
+        branches = bm[n0:n0 + _STEP_CHUNK].take(tr.branch_combo, axis=1)
+        for branch, decision in zip(branches.reshape(-1, 2, 2, half, batch),
+                                    decisions[n0:n0 + _STEP_CHUNK]):
+            np.add(pred, branch, out=cand_jhu)
             # strict comparison keeps ties on the 0-branch; the maximum is
             # the surviving metric (equal candidates are equal values)
-            np.greater(cand[1], cand[0], out=decisions[n])
-            np.maximum(cand[0], cand[1], out=metric)
+            np.greater(cand1, cand0, out=decision)
+            np.maximum(cand0, cand1, out=metric)
 
+    # predecessor table, one _STEP_CHUNK slice at a time: state t of row r
+    # on decision d came from state 2 * (t % half) + d, and every state is
+    # held as its flat index state * batch + r into a step's slice
+    base = ((np.arange(tr.n_states) % half * 2 * batch)[:, None]
+            + np.arange(batch)).reshape(-1)
+    table = np.empty((_STEP_CHUNK, tr.n_states * batch), dtype=np.intp)
     # terminated trellis: trace back from state 0
-    rows = np.arange(batch)
-    state = np.zeros(batch, dtype=np.intp)
+    flat = np.arange(batch)
     states = np.empty((steps, batch), dtype=np.intp)
-    for n in range(steps - 1, -1, -1):
-        states[n] = state
-        state = ((state << 1) & (tr.n_states - 1)) | decisions[n][state, rows]
-    return tr.input_bit[states[: steps - cfg.tail_bits].T]
+    for n0 in reversed(range(0, steps, _STEP_CHUNK)):
+        block = table[: min(_STEP_CHUNK, steps - n0)]
+        np.multiply(decisions[n0:n0 + _STEP_CHUNK].reshape(len(block), -1),
+                    batch, out=block)
+        block += base
+        for n in range(n0 + len(block) - 1, n0 - 1, -1):
+            states[n] = flat
+            flat = block[n - n0].take(flat)
+    # the input bit of a state is its MSB: 1 from flat index half * batch on
+    return (states[: steps - cfg.tail_bits].T >= half * batch).view(np.uint8)
 
 
 def encode(info_bits: np.ndarray, cfg: CodecConfig) -> np.ndarray:
@@ -254,7 +279,8 @@ def encode(info_bits: np.ndarray, cfg: CodecConfig) -> np.ndarray:
                       dtype=np.uint8)
     framed[:, :cap] = padded.reshape(-1, cap)
     framed[:, cap:] = crc_bits_batch(framed[:, :cap], cfg.crc_width)
-    return conv_encode_batch(framed, cfg).reshape(batch, -1)
+    return conv_encode_batch(framed, cfg).reshape(
+        batch, cfg.n_codewords(n) * cfg.coded_bits_per_codeword)
 
 
 def decode(soft: np.ndarray, cfg: CodecConfig
@@ -279,6 +305,7 @@ def decode(soft: np.ndarray, cfg: CodecConfig
     if coded_len == 0 or coded_len % cw_len:
         raise ValueError(f"coded length {coded_len} does not match codec "
                          f"(a multiple of {cw_len})")
+    n_cw = coded_len // cw_len
     soft_cw = soft.reshape(-1, cw_len)
     framed = viterbi_decode_batch(soft_cw, cfg)
     cap = cfg.info_capacity
@@ -286,5 +313,6 @@ def decode(soft: np.ndarray, cfg: CodecConfig
                     == framed[:, cap:], axis=1)
     corrected = np.count_nonzero(conv_encode_batch(framed, cfg) != (soft_cw < 0),
                                  axis=1)
-    return (framed[:, :cap].reshape(batch, -1), crc_ok.reshape(batch, -1),
-            corrected.reshape(batch, -1).sum(axis=1))
+    return (framed[:, :cap].reshape(batch, n_cw * cap),
+            crc_ok.reshape(batch, n_cw),
+            corrected.reshape(batch, n_cw).sum(axis=1))

@@ -369,6 +369,13 @@ class TestContracts:
         with pytest.raises(ValueError, match="1 channel knowledge entries for 2 frames"):
             rx_front_end([waveform, waveform], cfg, [IDENTITY])
 
+    def test_one_waveform_is_a_caller_error(self):
+        # a lone waveform is a group of one: [waveform] or a (1, samples) matrix
+        cfg = ChainConfig.for_payload(100, codec=None)
+        waveform = tx_chain(payload(100, 8), cfg)
+        with pytest.raises(ValueError, match="group of frames"):
+            rx_front_end(waveform, cfg, [IDENTITY])
+
     def test_frame_geometry(self):
         # 992 payload bits fill one 2060-bit codeword; the waveform is the
         # 128-sample preamble, then the pilot block and the payload blocks,

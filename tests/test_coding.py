@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linksim.baseband.coding import (CRC_POLYNOMIALS, CodecConfig,
-                                     conv_encode_batch, crc_bits_batch, decode,
-                                     encode, viterbi_decode_batch)
+from linksim.baseband.coding import (_STEP_CHUNK, CRC_POLYNOMIALS, CodecConfig,
+                                     _trellis, conv_encode_batch,
+                                     crc_bits_batch, decode, encode,
+                                     viterbi_decode_batch)
 
 SMALL = CodecConfig(info_bits_per_codeword=128, crc_width=32)
 RATE_THIRD = CodecConfig(info_bits_per_codeword=128, crc_width=32,
@@ -19,6 +22,65 @@ def random_bits(n, seed):
 def bpsk(coded):
     """Noiseless soft values of coded bits: 0 -> +1, 1 -> -1."""
     return 1.0 - 2.0 * coded
+
+
+def reference_viterbi(soft, cfg):
+    """Reference decoder: the same add-compare-select loop, traced back one
+    step at a time through the decision bits by fancy indexing."""
+    cfg_len = cfg.coded_bits_per_codeword
+    soft = np.asarray(soft, dtype=np.float64)
+    n_out = len(cfg.generators)
+    tr = _trellis(cfg.constraint_length, cfg.generators)
+    batch = soft.shape[0]
+    steps = cfg_len // n_out
+    half = tr.n_states // 2
+    soft = soft.reshape(batch, steps, n_out).transpose(1, 2, 0)[:, :, None]
+
+    sign = tr.combo_sign[:, :, None]
+    bm = np.multiply(soft[:, 0], sign[:, 0], order="C")
+    for o in range(1, n_out):
+        bm += soft[:, o] * sign[:, o]
+
+    metric = np.full((tr.n_states, batch), -1e30)
+    metric[0] = 0.0
+    pred = metric.reshape(half, 2, batch).transpose(1, 0, 2)[:, None]
+    cand = np.empty((2, tr.n_states, batch))
+    decisions = np.empty((steps, tr.n_states, batch), dtype=bool)
+    for n0 in range(0, steps, _STEP_CHUNK):
+        branches = bm[n0:n0 + _STEP_CHUNK][:, tr.branch_combo]
+        for n, branch in enumerate(
+                branches.reshape(-1, 2, 2, half, batch), n0):
+            np.add(pred, branch, out=cand.reshape(2, 2, half, batch))
+            np.greater(cand[1], cand[0], out=decisions[n])
+            np.maximum(cand[0], cand[1], out=metric)
+
+    rows = np.arange(batch)
+    state = np.zeros(batch, dtype=np.intp)
+    states = np.empty((steps, batch), dtype=np.intp)
+    for n in range(steps - 1, -1, -1):
+        states[n] = state
+        state = ((state << 1) & (tr.n_states - 1)) | decisions[n][state, rows]
+    input_bit = (states[: steps - cfg.tail_bits].T >> (cfg.constraint_length - 2)) & 1
+    return input_bit.astype(np.uint8)
+
+
+@st.composite
+def tied_soft_matrices(draw):
+    """(codec, soft values) for a random rate-1/2 or rate-1/3 code of
+    constraint length 3..9 and 1..40 rows; the soft values are rounded to
+    integers, so merging paths often tie."""
+    k = draw(st.integers(3, 9))
+    n_out = draw(st.sampled_from([2, 3]))
+    generators = tuple(draw(st.lists(st.integers(1, (1 << k) - 1),
+                                     min_size=n_out, max_size=n_out)))
+    cfg = CodecConfig(info_bits_per_codeword=draw(st.integers(9, 120)),
+                      crc_width=8, constraint_length=k, generators=generators)
+    rows = draw(st.integers(1, 40))
+    scale = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    soft = np.round(rng.normal(scale=scale,
+                               size=(rows, cfg.coded_bits_per_codeword)))
+    return cfg, soft
 
 
 class TestConvolutionalCode:
@@ -107,6 +169,45 @@ class TestConvolutionalCode:
         batch = viterbi_decode_batch(soft, cfg)
         for i, row in enumerate(soft):
             assert np.array_equal(batch[i], viterbi_decode_batch(row[None, :], cfg)[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(tied_soft_matrices())
+    def test_decoder_matches_step_by_step_reference(self, case):
+        cfg, soft = case
+        decoded = viterbi_decode_batch(soft, cfg)
+        expected = reference_viterbi(soft, cfg)
+        assert decoded.dtype == expected.dtype == np.uint8
+        assert np.array_equal(decoded, expected)
+
+    def test_empty_batch(self):
+        cfg = CodecConfig()
+        bits = viterbi_decode_batch(np.zeros((0, cfg.coded_bits_per_codeword)), cfg)
+        assert bits.shape == (0, cfg.info_bits_per_codeword)
+        assert bits.dtype == np.uint8
+        coded = encode(np.zeros((0, 2 * cfg.info_capacity), dtype=np.uint8), cfg)
+        assert coded.shape == (0, 2 * cfg.coded_bits_per_codeword)
+        info, crc_ok, corrected = decode(coded.astype(np.float64), cfg)
+        assert info.shape == (0, 2 * cfg.info_capacity)
+        assert crc_ok.shape == (0, 2)
+        assert corrected.shape == (0,)
+
+    def test_peak_memory_of_a_decode_chunk(self):
+        # one DECODE_ROWS call at the default codec: the decisions take
+        # steps * states * rows bytes and the rest stays small beside them;
+        # a predecessor table for the whole call at once would take 8 (intp)
+        # or 2 (int16) times the decisions on its own
+        cfg, rows = CodecConfig(), 32
+        soft = np.random.default_rng(18).normal(
+            size=(rows, cfg.coded_bits_per_codeword))
+        viterbi_decode_batch(soft, cfg)               # trellis cached
+        tracemalloc.start()
+        try:
+            viterbi_decode_batch(soft, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        steps = cfg.coded_bits_per_codeword // len(cfg.generators)
+        assert peak <= 2.5 * steps * (1 << (cfg.constraint_length - 1)) * rows
 
     def test_random_garbage_fails_crc(self):
         garbage = random_bits(4 * SMALL.coded_bits_per_codeword, 7).reshape(4, -1)
