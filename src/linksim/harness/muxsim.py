@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -214,8 +214,7 @@ def _copies_received(spec: MuxSimSpec, copies: list[tuple[float, int, DataLinkPa
             payload = np.zeros(cfg.payload_bits, dtype=np.uint8)
             bits = np.unpackbits(np.frombuffer(packet.payload, dtype=np.uint8))
             payload[: len(bits)] = bits
-            yield (payload, replace(channel, seed=stable_seed(master_seed, *key)),
-                   knowledge)
+            yield payload, channel, stable_seed(master_seed, *key), knowledge
 
     _, packet_errors = link_trials(frames(), cfg)
     return (packet_errors == 0).tolist()

@@ -12,6 +12,15 @@ where splitmix64 is the standard finalizer
 The mapping is documented here because byte-identical reproducibility of
 every Monte Carlo output depends on it, independent of execution order or
 thread count.
+
+Because each step only reads the running value, a seed chains: the seed
+of a prefix of the indices is the master of the rest,
+
+    stable_seed(stable_seed(m, i, t), s) == stable_seed(m, i, t, s)
+
+so a caller that derives many seeds below one coordinate hashes that
+coordinate once (a sweep hashes its point once, each trial once, then each
+salt).
 """
 from __future__ import annotations
 

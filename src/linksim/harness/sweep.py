@@ -4,12 +4,15 @@ Each sweep point runs ``trials`` independent frames through the full
 tx -> channel -> rx pipeline.  Trial t of point i draws its payload from
 seed stable_seed(master, i, t, 0) and its channel noise from
 stable_seed(master, i, t, 1), so results are bit-identical regardless of
-execution order or batching.
+execution order or batching.  The seeds are chained (``stable_seed`` of a
+prefix, then the rest): the point is hashed once, each trial once, then
+the two salts.
 
 ``link_trials`` is the one trial engine of the package.  A sweep makes one
 call for all of its points, and the baseband-backed mux simulation one
 for every packet copy of a run, after scheduling; both feed it a stream
-of frames, each with its own payload, channel model and genie knowledge.
+of frames, each with its own payload, channel model, noise seed and genie
+knowledge.
 It runs transmit, channel and the receiver front end a group of frames at
 a time, and decodes the received frames ``DECODE_ROWS`` codewords' worth
 at a time: one Viterbi call and one CRC check per chunk.  A chunk counts
@@ -134,8 +137,9 @@ def genie_knowledge(cfg: ChainConfig,
 
 
 #: one frame for ``link_trials``: payload bits, the channel it goes
-#: through and what the genie estimator is told about that channel
-Frame = tuple[np.ndarray, ChannelModel, ChannelKnowledge | None]
+#: through, the seed of that channel's noise and what the genie estimator
+#: is told about that channel
+Frame = tuple[np.ndarray, ChannelModel, int, ChannelKnowledge | None]
 
 
 def link_trials(frames: Iterable[Frame], cfg: ChainConfig
@@ -177,9 +181,10 @@ def link_trials(frames: Iterable[Frame], cfg: ChainConfig
         first = len(bit_errors)
         bit_errors.extend([cfg.payload_bits] * len(group))
         packet_errors.extend([1] * len(group))
-        payloads = np.array([payload for payload, _, _ in group], dtype=np.uint8)
-        rx = apply_channel(tx_chain(payloads, cfg), [model for _, model, _ in group])
-        soft_bits, _, found = rx_front_end(rx, cfg, [knowledge for _, _, knowledge in group])
+        payloads, models, seeds, knowledge = zip(*group)
+        payloads = np.array(payloads, dtype=np.uint8)
+        rx = apply_channel(tx_chain(payloads, cfg), models, seeds)
+        soft_bits, _, found = rx_front_end(rx, cfg, knowledge)
         del rx   # the group's waveforms are not needed while decoding
         if len(soft_bits):
             soft.append(soft_bits)
@@ -213,10 +218,11 @@ def run_sweep(cfg: ChainConfig, base_model: ChannelModel, spec: SweepSpec,
     def frames() -> Iterator[Frame]:
         for i, model in enumerate(models):
             knowledge = genie_knowledge(cfg, model)
+            point = stable_seed(master_seed, i)
             for t in range(spec.trials):
-                yield (_payload(stable_seed(master_seed, i, t, 0), cfg.payload_bits),
-                       replace(model, seed=stable_seed(master_seed, i, t, 1)),
-                       knowledge)
+                trial = stable_seed(point, t)
+                yield (_payload(stable_seed(trial, 0), cfg.payload_bits),
+                       model, stable_seed(trial, 1), knowledge)
 
     frame_bits, frame_packets = link_trials(frames(), cfg)
     shape = (len(models), spec.trials)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import add_noise
 from .errors import AmbiguousVelocityError, MeasurementError, NoTargetError
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -156,12 +157,25 @@ def generate_echo(tx: np.ndarray, scene: EchoScene, seed: int = 0) -> np.ndarray
         si_amp = echo_amp * 10.0 ** (scene.residual_si_power_db / 20.0)
         rx = rx + si_amp * tx
     if scene.echo_snr_db is not None:
-        rng = np.random.default_rng(seed)
         echo_power = np.mean(np.abs(tx) ** 2) * echo_amp ** 2
         sigma2 = echo_power / 10.0 ** (scene.echo_snr_db / 10.0)
-        noise = rng.standard_normal(len(rx)) + 1j * rng.standard_normal(len(rx))
-        rx = rx + noise * math.sqrt(sigma2 / 2.0)
+        add_noise(rx, np.random.default_rng(seed), math.sqrt(sigma2 / 2.0))
     return rx
+
+
+def _echo_pair(tx: np.ndarray, rx: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """``tx`` and ``rx`` as complex arrays, and the transmit energy; both
+    must be sampled alike, and the transmit waveform must carry energy to
+    correlate against."""
+    tx = np.asarray(tx, dtype=np.complex128)
+    rx = np.asarray(rx, dtype=np.complex128)
+    if len(tx) != len(rx):
+        raise ValueError("tx and rx must be sampled alike (equal lengths)")
+    energy = float(np.vdot(tx, tx).real)
+    if energy == 0.0:
+        raise ValueError("transmit waveform has zero energy; there is no "
+                         "echo to correlate against")
+    return tx, rx, energy
 
 
 def _cancel_self_interference(tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
@@ -201,10 +215,7 @@ def echo_range(tx: np.ndarray, rx: np.ndarray, sample_rate: float,
                peak_threshold: float = DEFAULT_PEAK_THRESHOLD) -> RangeEstimate:
     """Range from the correlation peak of the (SI-cancelled) echo, to the
     nearest sample."""
-    tx = np.asarray(tx, dtype=np.complex128)
-    rx = np.asarray(rx, dtype=np.complex128)
-    if len(tx) != len(rx):
-        raise ValueError("tx and rx must be sampled alike (equal lengths)")
+    tx, rx, _ = _echo_pair(tx, rx)
     work = _cancel_self_interference(tx, rx) if cancel_si else rx.copy()
     _, _, estimate = _strongest_echo(tx, _matched_filter(tx), work, sample_rate)
     if estimate.peak_quality < peak_threshold:
@@ -222,10 +233,8 @@ def resolve_echoes(tx: np.ndarray, rx: np.ndarray, sample_rate: float,
     full-bandwidth waveform this resolves targets separated by one sample,
     i.e. c / (2 * sample_rate) in range.
     """
-    tx = np.asarray(tx, dtype=np.complex128)
-    rx = np.asarray(rx, dtype=np.complex128)
+    tx, rx, tx_energy = _echo_pair(tx, rx)
     work = _cancel_self_interference(tx, rx) if cancel_si else rx.copy()
-    tx_energy = float(np.vdot(tx, tx).real)
     matched = _matched_filter(tx)
     estimates = []
     for _ in range(n_targets):

@@ -86,7 +86,7 @@ def test_criterion_2_cp_fde_exactness():
         # a frame is exact when every payload bit is right and every
         # codeword passes its CRC (packet error 0)
         stream = ((rng.integers(0, 2, cfg.payload_bits).astype(np.uint8),
-                   model, knowledge) for _ in range(frames))
+                   model, 0, knowledge) for _ in range(frames))
         _, packet_errors = link_trials(stream, cfg)
         return int(np.count_nonzero(packet_errors == 0))
 

@@ -135,8 +135,8 @@ class TestLoopback:
         knowledge = ChannelKnowledge(np.ones(256), 1.0)
         soft = []
         for seed, snr in ((0, 30.0), (1, -1.0), (2, 6.0)):
-            model = make_preset("coupling-los", snr_db=snr, seed=seed)
-            waveform = apply_channel(tx_chain(payload(2500, seed), cfg), model)
+            model = make_preset("coupling-los", snr_db=snr)
+            waveform = apply_channel(tx_chain(payload(2500, seed), cfg), model, seed)
             soft.append(rx_front_end([waveform], cfg, [knowledge])[0][0])
         together = decode_frames(np.stack(soft), cfg)
         assert together.codewords_failed[0] == 0
@@ -181,12 +181,12 @@ class TestMultipath:
     def test_cfo_phase_and_noise(self):
         cfg = ChainConfig.for_payload(992)
         model = make_preset("coupling-los", cfo=0.008, phase_offset=-1.2,
-                            snr_db=15.0, seed=77)
+                            snr_db=15.0)
         bits = payload(992, 6)
         knowledge = ChannelKnowledge(estimate_frequency_response(model, 256),
                                      10 ** (-1.5))
         (info, failed, _), sync = receive(
-            apply_channel(tx_chain(bits, cfg), model), cfg, knowledge)
+            apply_channel(tx_chain(bits, cfg), model, 77), cfg, knowledge)
         assert np.array_equal(info, bits)
         assert failed == 0
         assert sync.cfo_estimate[0] == pytest.approx(0.008, abs=2e-4)
@@ -249,8 +249,7 @@ class TestFrontEndShortcuts:
 
         monkeypatch.setattr(np.fft, "ifft", spy)
         for seed in range(20):
-            waveform = apply_channel(tx_chain(payload(300, seed), cfg),
-                                     replace(model, seed=seed))
+            waveform = apply_channel(tx_chain(payload(300, seed), cfg), model, seed)
             rx_front_end([waveform], cfg, [knowledge])
         assert calls.count(True) == 1
 
@@ -267,8 +266,7 @@ class TestFrontEndShortcuts:
 
         monkeypatch.setattr(np.fft, "fft", spy)
         for seed in range(20):
-            waveform = apply_channel(tx_chain(payload(300, seed), cfg),
-                                     replace(model, seed=seed))
+            waveform = apply_channel(tx_chain(payload(300, seed), cfg), model, seed)
             rx_front_end([waveform], cfg, [None])
         assert calls.count(True) <= 1
 
@@ -304,8 +302,9 @@ class TestGroupFrontEnd:
         zero = ChannelKnowledge(np.zeros(256), 0.0)
         frames = np.array([tx_chain(payload(cfg.payload_bits, seed), cfg)
                            for seed, _, _ in rows])
-        waveforms = np.array(apply_channel(frames, [
-            replace(model, snr_db=snr, seed=seed) for seed, snr, _ in rows]))
+        waveforms = np.array(apply_channel(
+            frames, [replace(model, snr_db=snr) for _, snr, _ in rows],
+            [seed for seed, _, _ in rows]))
         knowledge = [zero if zeroed else genie for _, _, zeroed in rows]
         soft, sync, received = rx_front_end(waveforms, cfg, knowledge)
         assert received.shape == (len(rows),)
@@ -389,11 +388,11 @@ class TestContracts:
 
     def test_channel_bit_errors_track_channel(self):
         cfg = ChainConfig.for_payload(992)
-        model = make_preset("coupling-los", snr_db=4.0, seed=11)
+        model = make_preset("coupling-los", snr_db=4.0)
         bits = payload(992, 10)
         knowledge = ChannelKnowledge(np.ones(256), 10 ** (-0.4))
         (info, failed, channel_errors), _ = receive(
-            apply_channel(tx_chain(bits, cfg), model), cfg, knowledge)
+            apply_channel(tx_chain(bits, cfg), model, 11), cfg, knowledge)
         # raw channel BER at 4 dB per-sample SNR is ~1.25e-2
         assert 0.002 < channel_errors / cfg.coded_bits_total() < 0.04
         assert np.array_equal(info, bits) and failed == 0

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linksim.channel import (AntennaPattern, ChannelModel, ChannelTap,
                              CHANNEL_PRESETS, apply_channel, effective_taps,
-                             estimate_frequency_response, make_preset)
+                             estimate_frequency_response, impulse_response,
+                             make_preset)
 
 
 def q_function(x):
@@ -69,18 +72,19 @@ class TestApplyChannel:
         n = 400_000
         rng = np.random.default_rng(1)
         tx = (1.0 - 2.0 * rng.integers(0, 2, n)).astype(complex)
-        rx = apply_channel(tx, los_model(snr_db=6.0, seed=42))
+        rx = apply_channel(tx, los_model(snr_db=6.0), 42)
         errors = np.count_nonzero((rx.real < 0) != (tx.real < 0))
         p = q_function(math.sqrt(2 * 10 ** 0.6))
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(errors / n - p) < 3 * sigma
 
     def test_determinism(self):
-        model = make_preset("coupling-mild", snr_db=10.0, cfo=0.003, seed=7)
+        model = make_preset("coupling-mild", snr_db=10.0, cfo=0.003)
         tx = np.exp(1j * np.linspace(0, 5, 300))
-        a = apply_channel(tx, model)
-        b = apply_channel(tx.copy(), model)
+        a = apply_channel(tx, model, 7)
+        b = apply_channel(tx.copy(), model, 7)
         assert np.array_equal(a, b)
+        assert not np.array_equal(a, apply_channel(tx, model, 8))
 
     def test_noiseless_linearity(self):
         model = make_preset("coupling-harsh", cfo=0.002, phase_offset=0.4)
@@ -114,62 +118,130 @@ class TestApplyChannel:
         # empirical noise variance over 1e6 samples within 1% of configured
         n = 1_000_000
         tx = np.ones(n, dtype=complex)
-        model = los_model(snr_db=10.0, seed=5)
-        noise = apply_channel(tx, model) - tx
+        model = los_model(snr_db=10.0)
+        noise = apply_channel(tx, model, 5) - tx
         measured = np.mean(np.abs(noise) ** 2)
         assert measured == pytest.approx(10 ** (-1.0), rel=0.01)
 
     def test_randomized_tap_phases_keep_los(self):
-        model = make_preset("coupling-mild", randomize_tap_phases=True, seed=9)
+        model = make_preset("coupling-mild", randomize_tap_phases=True)
         tx = np.ones(100, complex)
-        a = apply_channel(tx, model)
-        b = apply_channel(tx, model)
+        a = apply_channel(tx, model, 9)
+        b = apply_channel(tx, model, 9)
         assert np.array_equal(a, b)   # same seed, same draw
-        c = apply_channel(tx, make_preset("coupling-mild", seed=9))
+        c = apply_channel(tx, make_preset("coupling-mild"), 9)
         assert not np.allclose(a, c)  # reflected phases differ from preset
 
 
-def per_frame_channel(tx, model):
-    """One frame through the channel, written out step by step: one
-    generator from the model's seed draws the reflected taps' phases, then
-    the noise."""
-    rng = np.random.default_rng(model.seed)
-    h = np.zeros(model.max_delay + 1, dtype=complex)
-    for tap, (delay, gain) in zip(model.taps, effective_taps(model)):
-        if tap.bounce_count > 0:
-            gain *= np.exp(2j * np.pi * rng.random())
-        h[delay] += gain
-    rx = np.convolve(tx, h)
-    n = np.arange(len(rx))
-    rx = rx * np.exp(1j * (model.cfo * n + model.phase_offset))
-    power = np.mean(np.abs(rx) ** 2)
-    sigma2 = power / 10.0 ** (model.snr_db / 10.0)
-    noise = rng.standard_normal(len(rx)) + 1j * rng.standard_normal(len(rx))
-    return rx + noise * math.sqrt(sigma2 / 2.0)
+def reference_channel(tx, model, seed):
+    """One frame through the channel as the per-row implementation computed
+    it before the group form: ``np.convolve`` for every response, the noise
+    power of the row alone, and complex noise built and scaled out of place.
+    The group channel must match it bit for bit."""
+    tx = np.asarray(tx, dtype=np.complex128)
+    rng = np.random.default_rng(seed)
+    rx = np.convolve(tx, impulse_response(model, rng))
+    if model.cfo != 0.0 or model.phase_offset != 0.0:
+        n = np.arange(len(rx))
+        rx *= np.exp(1j * (model.cfo * n + model.phase_offset))
+    if model.snr_db is not None:
+        power = np.mean(np.abs(rx) ** 2)
+        sigma2 = power / 10.0 ** (model.snr_db / 10.0)
+        noise = rng.standard_normal(len(rx)) + 1j * rng.standard_normal(len(rx))
+        noise *= math.sqrt(sigma2 / 2.0)
+        rx += noise
+    return rx
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+# gains and samples with signed zeros, unit and huge magnitudes: a huge
+# sample times a huge gain overflows to inf, and inf - inf gives NaN
+SPECIAL = (0.0, -0.0, 1.0, -1.0, 1e200, -1e200)
+parts = st.one_of(st.sampled_from(SPECIAL),
+                  st.floats(-1e3, 1e3, allow_subnormal=False))
+one_tap = st.builds(
+    lambda re, im, bounces: ChannelModel(taps=(ChannelTap(0, complex(re, im),
+                                                          bounces),)),
+    parts, parts, st.integers(0, 3))
+channels = st.builds(
+    lambda base, snr_db, cfo, phase, randomize: ChannelModel(
+        taps=base.taps, snr_db=snr_db, cfo=cfo, phase_offset=phase,
+        randomize_tap_phases=randomize),
+    st.one_of(st.sampled_from(CHANNEL_PRESETS).map(make_preset), one_tap),
+    st.one_of(st.none(), st.floats(-10.0, 40.0)),
+    st.sampled_from((0.0, 0.003, -0.01)), st.sampled_from((0.0, 0.4, -2.0)),
+    st.booleans())
+
+
+@st.composite
+def groups(draw):
+    """(tx, models, seeds): 1-40 rows over a pool of 1-4 models, so rows
+    share model objects and mix delay spreads, with ±0.0 and huge values
+    scattered over a random waveform."""
+    pool = draw(st.lists(channels, min_size=1, max_size=4))
+    rows = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tx = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    for r, k, re, im in draw(st.lists(st.tuples(
+            st.integers(0, rows - 1), st.integers(0, n - 1), parts, parts),
+            max_size=20)):
+        tx[r, k] = complex(re, im)
+    models = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(rows)]
+    seeds = draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=rows,
+                          max_size=rows))
+    return tx, models, seeds
 
 
 class TestGroup:
-    """A ``(frames, samples)`` group through the channel, one model a row."""
+    """A ``(frames, samples)`` group through the channel, one model and one
+    seed a row, gives every row what the per-row reference gives it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(group=groups())
+    @example(group=(np.array([[0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                               complex(-0.0, -0.0), 1e200 + 1e200j, 1 - 1j]]),
+                    [ChannelModel(taps=(ChannelTap(0, complex(-0.0, 1e200)),))],
+                    [0]))
+    # a silent row: zero power, so every noise sample is a signed zero
+    @example(group=(np.zeros((1, 1), dtype=complex),
+                    [make_preset("coupling-los", snr_db=0.0, phase_offset=-2.0)],
+                    [0]))
+    def test_each_row_is_the_per_row_reference(self, group):
+        tx, models, seeds = group
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = apply_channel(tx, models, seeds)
+            expected = [reference_channel(row, model, seed)
+                        for row, model, seed in zip(tx, models, seeds)]
+            alone = apply_channel(tx[0], models[0], seeds[0])
+        assert len(rows) == len(tx)
+        for row, want in zip(rows, expected):
+            assert same_bits(row, want)
+        assert same_bits(alone, expected[0])
 
     def test_each_row_draws_tap_phases_then_noise_from_its_own_seed(self):
         rng = np.random.default_rng(4)
         tx = np.exp(2j * np.pi * rng.random((4, 300)))
         models = [make_preset(preset, randomize_tap_phases=True, snr_db=snr,
-                              cfo=0.002, phase_offset=0.4, seed=seed)
-                  for preset, snr, seed in (
-                      ("coupling-harsh", 3.0, 11), ("coupling-mild", 10.0, 12),
-                      ("coupling-harsh", -5.0, 13), ("coupling-los", 20.0, 14))]
-        rows = apply_channel(tx, models)
+                              cfo=0.002, phase_offset=0.4)
+                  for preset, snr in (("coupling-harsh", 3.0), ("coupling-mild", 10.0),
+                                      ("coupling-harsh", -5.0), ("coupling-los", 20.0))]
+        seeds = [11, 12, 13, 14]
+        rows = apply_channel(tx, models, seeds)
         assert [len(row) for row in rows] == [324, 307, 324, 300]
-        for row, frame, model in zip(rows, tx, models):
-            expected = per_frame_channel(frame, model)
-            assert np.array_equal(row.view(np.uint64), expected.view(np.uint64))
-            alone = apply_channel(frame, model)
-            assert np.array_equal(row.view(np.uint64), alone.view(np.uint64))
+        for row, frame, model, seed in zip(rows, tx, models, seeds):
+            assert same_bits(row, reference_channel(frame, model, seed))
+            assert same_bits(row, apply_channel(frame, model, seed))
 
-    def test_one_model_per_row(self):
+    def test_one_model_and_one_seed_per_row(self):
         with pytest.raises(ValueError):
-            apply_channel(np.ones((3, 10), complex), [los_model()] * 2)
+            apply_channel(np.ones((3, 10), complex), [los_model()] * 2, [0] * 3)
+        with pytest.raises(ValueError):
+            apply_channel(np.ones((3, 10), complex), [los_model()] * 3, [0] * 2)
 
 
 class TestFrequencyResponse:

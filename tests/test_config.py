@@ -290,7 +290,7 @@ def test_degenerate_channel_is_a_lost_packet():
     zero = ChannelKnowledge(freq_response=np.zeros(cfg.frame.fft_size),
                             noise_variance=0.0)
     payload = np.ones(256, dtype=np.uint8)
-    errors, lost = link_trials([(payload, make_preset("coupling-los"), zero)],
+    errors, lost = link_trials([(payload, make_preset("coupling-los"), 0, zero)],
                                cfg)
     assert (errors.tolist(), lost.tolist()) == ([256], [1])
 

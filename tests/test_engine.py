@@ -39,15 +39,15 @@ def _mixed_trials(cfg):
     only tap is zero), some decode with errors and some decode cleanly; the
     genie knowledge alternates between two objects (4 dB and 8 dB)."""
     harsh = make_preset("coupling-harsh")
-    models = [replace(harsh, snr_db=snr, seed=seed) for seed, snr in
-              enumerate((-10.0, 0.0, 2.0, 4.0, -10.0, 8.0, 3.0, 20.0))]
-    models.insert(3, ChannelModel(taps=(ChannelTap(0, 0j),), snr_db=10.0))
+    channels = [(replace(harsh, snr_db=snr), seed) for seed, snr in
+                enumerate((-10.0, 0.0, 2.0, 4.0, -10.0, 8.0, 3.0, 20.0))]
+    channels.insert(3, (ChannelModel(taps=(ChannelTap(0, 0j),), snr_db=10.0), 0))
     rng = np.random.default_rng(5)
-    payloads = rng.integers(0, 2, (len(models), cfg.payload_bits), dtype=np.uint8)
+    payloads = rng.integers(0, 2, (len(channels), cfg.payload_bits), dtype=np.uint8)
     knowledge = [sweep.genie_knowledge(cfg, replace(harsh, snr_db=snr))
                  for snr in (4.0, 8.0)]
-    return [(payload, model, knowledge[f % 2])
-            for f, (payload, model) in enumerate(zip(payloads, models))]
+    return [(payload, model, seed, knowledge[f % 2])
+            for f, (payload, (model, seed)) in enumerate(zip(payloads, channels))]
 
 
 @pytest.mark.parametrize("name", CHAINS)
@@ -60,7 +60,7 @@ def test_batch_gives_each_trial_its_one_row_result(name):
     assert lost.tolist() == [int(p[0]) for _, p in alone]
     # the stream really mixes knowledge objects and outcomes: sync losses
     # (every bit wrong), frames with some bit errors and clean frames
-    assert len({id(knowledge) for _, _, knowledge in frames}) == 2
+    assert len({id(knowledge) for _, _, _, knowledge in frames}) == 2
     all_wrong = errors == cfg.payload_bits
     assert all_wrong[[0, 3, 5]].all() and lost[[0, 3, 5]].all()
     assert ((errors > 0) & ~all_wrong).any()
@@ -94,12 +94,13 @@ RECEIVERS = {
 }
 
 
-def _stream(cfg, models):
-    """Frames on ``models`` with seeded payloads and the genie knowledge of
-    each frame's own model."""
+def _stream(cfg, models, seeds):
+    """Frames on ``models`` with seeded payloads, the noise seeds ``seeds``
+    and the genie knowledge of each frame's own model."""
     rng = np.random.default_rng(6)
-    return [(rng.integers(0, 2, cfg.payload_bits, dtype=np.uint8), model,
-             sweep.genie_knowledge(cfg, model)) for model in models]
+    return [(rng.integers(0, 2, cfg.payload_bits, dtype=np.uint8), model, seed,
+             sweep.genie_knowledge(cfg, model))
+            for model, seed in zip(models, seeds, strict=True)]
 
 
 def _each_frame_alone(frames, cfg):
@@ -114,9 +115,9 @@ def _each_frame_alone(frames, cfg):
 def test_every_receiver_gives_each_trial_its_one_row_result(name):
     cfg, preset, overrides = RECEIVERS[name]
     base = make_preset(preset, **overrides)
-    models = [replace(base, snr_db=snr, seed=seed) for seed, snr in
-              enumerate((-10.0, 0.0, 3.0, 6.0, 20.0, -10.0, 2.0, 9.0))]
-    errors, lost = _each_frame_alone(_stream(cfg, models), cfg)
+    models = [replace(base, snr_db=snr)
+              for snr in (-10.0, 0.0, 3.0, 6.0, 20.0, -10.0, 2.0, 9.0)]
+    errors, lost = _each_frame_alone(_stream(cfg, models, range(8)), cfg)
     # the frames at -10 dB are lost, and others are received
     assert errors[[0, 5]].tolist() == [cfg.payload_bits] * 2
     assert lost[[0, 5]].all() and (errors < cfg.payload_bits).any()
@@ -130,9 +131,10 @@ def test_a_group_of_mixed_channel_lengths():
     zero = ChannelModel(taps=(ChannelTap(0, 0j),), snr_db=10.0)
     models = [zero if f % 4 == 3 else
               make_preset(("coupling-los", "coupling-harsh")[f % 2],
-                          snr_db=(2.0, 8.0, 25.0)[f % 3], seed=f)
+                          snr_db=(2.0, 8.0, 25.0)[f % 3])
               for f in range(12)]
-    errors, lost = _each_frame_alone(_stream(cfg, models), cfg)
+    seeds = [0 if f % 4 == 3 else f for f in range(12)]
+    errors, lost = _each_frame_alone(_stream(cfg, models, seeds), cfg)
     assert errors[3::4].tolist() == [cfg.payload_bits] * 3
     assert lost[3::4].all() and (lost == 0).any()
 
@@ -142,7 +144,7 @@ POOL_ROWS = 34   # past one and two 16-frame coded chunks, one 32-frame uncoded
 
 @cache
 def _seeded_pool(name):
-    """A sweep-like pool of frames (payload, model with its own noise seed,
+    """A sweep-like pool of frames (payload, model, its own noise seed,
     knowledge) on ``CHAINS[name]``, mixing sync losses, errored and clean
     frames, and the per-frame results of the pool sent in order."""
     cfg = CHAINS[name]
@@ -150,9 +152,8 @@ def _seeded_pool(name):
     knowledge = sweep.genie_knowledge(cfg, replace(harsh, snr_db=2.0))
     frames = [(np.random.default_rng(stable_seed(3, r, 0)).integers(
                    0, 2, cfg.payload_bits, dtype=np.uint8),
-               replace(harsh, snr_db=(-10.0, 0.0, 1.0, 2.0, 20.0)[r % 5],
-                       seed=stable_seed(3, r, 1)),
-               knowledge) for r in range(POOL_ROWS)]
+               replace(harsh, snr_db=(-10.0, 0.0, 1.0, 2.0, 20.0)[r % 5]),
+               stable_seed(3, r, 1), knowledge) for r in range(POOL_ROWS)]
     return frames, sweep.link_trials(frames, cfg)
 
 
@@ -172,8 +173,8 @@ def test_zero_response_knowledge_loses_every_frame_of_a_batch():
     cfg = CHAINS["coded"]
     zero = ChannelKnowledge(freq_response=np.zeros(cfg.frame.fft_size),
                             noise_variance=0.0)
-    frames = [(payload, model, zero)
-              for payload, model, _ in _mixed_trials(cfg)]
+    frames = [(payload, model, seed, zero)
+              for payload, model, seed, _ in _mixed_trials(cfg)]
     errors, lost = sweep.link_trials(frames, cfg)
     assert errors.tolist() == [cfg.payload_bits] * len(frames)
     assert lost.tolist() == [1] * len(frames)
@@ -197,7 +198,7 @@ def test_engine_holds_one_chunk_of_received_frames(monkeypatch):
             drawn += 1
             snr = -10.0 if f in missed else 8.0
             yield (rng.integers(0, 2, cfg.payload_bits, dtype=np.uint8),
-                   replace(harsh, snr_db=snr, seed=f), knowledge)
+                   replace(harsh, snr_db=snr), f, knowledge)
 
     calls = []   # (frames drawn, frames in the batch) at every decode call
     decode = sweep.decode_frames

@@ -50,6 +50,17 @@ class TestSeeding:
         assert stable_seed(1, 2, 3) == 13592992832856903821
         assert stable_seed(2 ** 64 - 1, 7) == 9870940514099297810
 
+    @settings(max_examples=200, deadline=None)
+    @given(master=st.integers(-2 ** 70, 2 ** 70),
+           indices=st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=6),
+           cut=st.integers(0, 6))
+    def test_a_prefix_seed_chains_into_the_rest(self, master, indices, cut):
+        # the sweep hashes (point) once and (trial) once per frame, then
+        # each salt, instead of the whole (point, trial, salt) per frame
+        head, tail = indices[:cut], indices[cut:]
+        assert (stable_seed(stable_seed(master, *head), *tail)
+                == stable_seed(master, *indices))
+
     def test_uniform_range(self):
         values = [stable_uniform(9, i) for i in range(1000)]
         assert all(0.0 <= v < 1.0 for v in values)

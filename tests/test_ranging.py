@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -102,6 +105,30 @@ class TestGenerateEcho:
         with pytest.raises(ValueError, match="delay"):
             generate_echo(qpsk_waveform(64, 4), scene)
 
+    @pytest.mark.parametrize("scene", [
+        EchoScene(true_range=3.0, sample_rate=1e9, bandwidth=5e8,
+                  residual_si_power_db=20.0, echo_snr_db=20.0,
+                  reflection_gain_db=-10.0),
+        EchoScene(true_range=0.6, sample_rate=1e9, bandwidth=5e8,
+                  relative_velocity=25.0, block_len=16, echo_snr_db=-3.0),
+        # a silent echo: zero noise power, so every noise sample is a zero
+        EchoScene(true_range=0.6, sample_rate=1e9, bandwidth=5e8,
+                  reflection_gain_db=-8000.0, echo_snr_db=10.0),
+    ])
+    @pytest.mark.parametrize("seed", [0, 99, 2 ** 64 - 1])
+    def test_noise_is_the_complex_form_bit_for_bit(self, scene, seed):
+        tx = qpsk_waveform(1000, seed % 7)
+        got = generate_echo(tx, scene, seed=seed)
+        noiseless = generate_echo(tx, EchoScene(**{
+            **scene.__dict__, "echo_snr_db": None}))
+        rng = np.random.default_rng(seed)
+        echo_amp = 10.0 ** (scene.reflection_gain_db / 20.0)
+        sigma2 = (np.mean(np.abs(tx) ** 2) * echo_amp ** 2
+                  / 10.0 ** (scene.echo_snr_db / 10.0))
+        noise = rng.standard_normal(len(tx)) + 1j * rng.standard_normal(len(tx))
+        expected = noiseless + noise * math.sqrt(sigma2 / 2.0)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
     def test_scene_validation(self):
         with pytest.raises(ValueError):
             EchoScene(true_range=0.0, sample_rate=1e9, bandwidth=500e6)
@@ -178,9 +205,19 @@ class TestEchoRange:
                     SPEED_OF_LIGHT * (d1 + 1) / (2 * fs)]
         assert [e.range for e in estimates] == pytest.approx(expected)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            echo_range(np.ones(8, complex), np.ones(9, complex), 1e9)
+    @pytest.mark.parametrize("estimator", [echo_range, resolve_echoes])
+    def test_length_mismatch(self, estimator):
+        with pytest.raises(ValueError, match="equal lengths"):
+            estimator(np.ones(8, complex), np.ones(9, complex), 1e9)
+
+    @pytest.mark.parametrize("estimator", [echo_range, resolve_echoes])
+    @pytest.mark.parametrize("cancel_si", [True, False])
+    def test_zero_energy_transmit_is_rejected_on_entry(self, estimator,
+                                                       cancel_si):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="zero energy"):
+                estimator(np.zeros(8), np.ones(8), 1e9, cancel_si=cancel_si)
 
 
 def direct_correlation(tx, work):
