@@ -74,6 +74,13 @@ class ChainConfig:
             raise ValueError("channel_estimator must be 'genie' or 'pilot-ls'")
         if self.timing_search is not None and self.timing_search < 0:
             raise ValueError("timing_search must be >= 0")
+        # the LMS filter trains on the frame header (lms_train's 10x rule)
+        taps = self.equalizer.lms_taps
+        if (self.equalizer.variant is EqualizerVariant.TIME_DOMAIN_LMS
+                and self.frame.header_len < 10 * taps):
+            raise ValueError(
+                f"equalizer lms_taps {taps} needs a {10 * taps}-symbol training "
+                f"header, above the frame's {self.frame.header_len}")
         self.required_symbols()   # validates capacity
 
     # -- derived geometry -------------------------------------------------
@@ -188,12 +195,12 @@ def rx_front_end(waveforms, cfg: ChainConfig,
     last_start = lengths - fcfg.frame_len
     if cfg.timing_search is not None:
         last_start = np.minimum(last_start, cfg.timing_search)
-    if last_start.min() < 0:
+    if np.any(last_start < 0):
         raise ValueError(
             f"the {fcfg.frame_len}-sample frame does not fit in a "
             f"{lengths[np.argmin(last_start)]}-sample waveform")
     # the samples any candidate offset's header reads, zero past a row's end
-    head = np.zeros((len(rows), int(last_start.max()) + fcfg.header_len),
+    head = np.zeros((len(rows), int(last_start.max(initial=0)) + fcfg.header_len),
                     dtype=np.complex128)
     for r, row in enumerate(rows):
         part = row[: head.shape[1]]

@@ -184,7 +184,8 @@ def extract_data_symbols(blocks: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     ``(n_payload_blocks, fft_size)`` gives one row of symbols, and
     ``(frames, n_payload_blocks, fft_size)`` one row per frame."""
     blocks = np.asarray(blocks)
-    return _data_slots(blocks, cfg).reshape(blocks.shape[:-2] + (-1,))
+    width = blocks.shape[-2] * cfg.data_symbols_per_block
+    return _data_slots(blocks, cfg).reshape(blocks.shape[:-2] + (width,))
 
 
 def _data_slots(blocks: np.ndarray, cfg: FrameConfig) -> np.ndarray:
@@ -193,5 +194,6 @@ def _data_slots(blocks: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     pilot, so the data are every run but its first slot."""
     if not cfg.pilots_per_block:
         return blocks[..., None, :]
-    runs = blocks.reshape(blocks.shape[:-1] + (cfg.pilots_per_block, -1))
+    runs = blocks.reshape(blocks.shape[:-1] + (
+        cfg.pilots_per_block, cfg.fft_size // cfg.pilots_per_block))
     return runs[..., 1:]

@@ -53,7 +53,7 @@ def spread(bits: np.ndarray, cfg: SpreadingConfig) -> np.ndarray:
         return bits.copy()
     chips = (np.repeat(bits, cfg.sf, axis=-1).reshape(bits.shape + (cfg.sf,))
              ^ thue_morse(cfg.sf))
-    return chips.reshape(bits.shape[:-1] + (-1,))
+    return chips.reshape(bits.shape[:-1] + (bits.shape[-1] * cfg.sf,))
 
 
 def despread(soft_chips: np.ndarray, cfg: SpreadingConfig) -> np.ndarray:
@@ -69,7 +69,8 @@ def despread(soft_chips: np.ndarray, cfg: SpreadingConfig) -> np.ndarray:
         return soft_chips.copy()
     pattern = 1.0 - 2.0 * thue_morse(cfg.sf)
     # a stacked matmul makes the per-row product of a lone frame, bit for bit
-    chips = soft_chips.reshape(soft_chips.shape[:-1] + (-1, cfg.sf))
+    chips = soft_chips.reshape(soft_chips.shape[:-1] + (
+        soft_chips.shape[-1] // cfg.sf, cfg.sf))
     return chips @ pattern / cfg.sf
 
 

@@ -83,6 +83,9 @@ def acquire_sync(rx_waveforms: np.ndarray, preamble: np.ndarray,
     p = np.asarray(preamble, dtype=np.complex128)
     ref = np.asarray(header, dtype=np.complex128)
     frames = len(rx)
+    if not frames:
+        return SyncState(timing_offset=np.empty(0, dtype=np.int64),
+                         cfo_estimate=np.empty(0), phase=np.empty(0))
     windows = np.broadcast_to(np.asarray(search_window, dtype=np.int64), (frames,))
     if windows.min() < 0 or rx.shape[1] < windows.max() + len(ref):
         raise ValueError(

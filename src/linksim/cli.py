@@ -3,16 +3,19 @@
     sim ber-sweep|per-sweep|mux-sim|ranging|latency-budget
         --config <file> [--seed N] [--out <path>] [--threads N]
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error.  Every run
-writes its result CSV plus a JSON manifest (config echo, seed, version,
-wall clock) alongside it.  ``--threads`` is accepted for compatibility and
-has no effect: trials hold the interpreter lock, and running them on a
-thread pool was measured slower than one loop.
+Exit codes: 0 success, 2 configuration error, 3 I/O error.  A scenario
+takes its parsed spec and returns its result; ``_run`` is the one place
+that times it and writes the files: the result CSV plus a JSON manifest
+(config echo, seed, version, and the wall clock of the scenario call)
+alongside it.  ``--threads`` is accepted for compatibility and has no
+effect: trials hold the interpreter lock, and running them on a thread
+pool was measured slower than one loop.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from .errors import ConfigError
 from .harness.config import SCENARIOS, SimulationConfig, load_config
@@ -47,11 +50,11 @@ def _run(cfg: SimulationConfig, args: argparse.Namespace) -> None:
     out = args.out or cfg.output
     if not out:
         raise ConfigError("output: give --out or the config 'output' key")
-    result = SCENARIOS[cfg.scenario].run(cfg)
-    rows, fields = result.csv_rows()
+    start = time.perf_counter()
+    rows, fields = SCENARIOS[cfg.scenario].run(cfg).csv_rows()
+    wall_clock_s = time.perf_counter() - start
     emit_csv(rows, fields, out)
-    write_manifest(out, cfg.raw, cfg.master_seed,
-                   wall_clock_s=result.wall_clock_s)
+    write_manifest(out, cfg.raw, cfg.master_seed, wall_clock_s)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -29,7 +29,7 @@ from ..errors import ConfigError
 from ..mux import FrameSource, LogicalChannel, Redundancy
 from ..profiles import (SERVICE_PROFILES, ModemCapacity, RequirementProfile,
                         Robustness, SecurityLevel, ServiceProfile)
-from .latency import LatencySpec, run_latency_budget
+from .latency import LatencySpec, latency_budget
 from .muxsim import (BasebandLossModel, IidLossModel, MuxSimSpec,
                      PeriodicTraffic, run_mux_sim)
 from .rangingrun import RangingSpec, run_ranging
@@ -386,32 +386,29 @@ def _plain(cls: type, section: str, table: Table) -> Callable:
 @dataclass(frozen=True)
 class Scenario:
     """A CLI scenario: the sections it requires, the section parsed into its
-    spec (the SimulationConfig attribute of the same name) and its runner,
-    which returns a result with ``csv_rows()`` and ``wall_clock_s``."""
+    spec (the SimulationConfig attribute of the same name) by ``parse``, and
+    its runner, which returns a result with ``csv_rows()``."""
     requires: tuple[str, ...]
     section: str
+    parse: Callable[[Any, SimulationConfig, dict[str, ServiceProfile]], Any]
     run: Callable[[SimulationConfig], Any]
 
 
-def _run_sweep(cfg: SimulationConfig) -> Any:
-    return run_sweep(cfg.chain, cfg.channel, cfg.sweep, cfg.master_seed)
-
-
-_SWEEP_SECTIONS = ("baseband", "channel", "sweep")
+_SWEEP_SCENARIO = Scenario(
+    ("baseband", "channel", "sweep"), "sweep", _parse_sweep,
+    lambda cfg: run_sweep(cfg.chain, cfg.channel, cfg.sweep, cfg.master_seed))
 SCENARIOS: dict[str, Scenario] = {
-    "ber-sweep": Scenario(_SWEEP_SECTIONS, "sweep", _run_sweep),
-    "per-sweep": Scenario(_SWEEP_SECTIONS, "sweep", _run_sweep),
-    "mux-sim": Scenario(("mux",), "mux",
+    "ber-sweep": _SWEEP_SCENARIO,
+    "per-sweep": _SWEEP_SCENARIO,
+    "mux-sim": Scenario(("mux",), "mux", _parse_mux,
                         lambda cfg: run_mux_sim(cfg.mux, cfg.master_seed)),
     "ranging": Scenario(("ranging",), "ranging",
+                        _plain(RangingSpec, "ranging", _RANGING),
                         lambda cfg: run_ranging(cfg.ranging, cfg.master_seed)),
     "latency-budget": Scenario((), "latency",
-                               lambda cfg: run_latency_budget(cfg.latency, cfg.chain)),
+                               _plain(LatencySpec, "latency", _LATENCY),
+                               lambda cfg: latency_budget(cfg.latency, cfg.chain)),
 }
-
-_SPEC_PARSERS = {"sweep": _parse_sweep, "mux": _parse_mux,
-                 "ranging": _plain(RangingSpec, "ranging", _RANGING),
-                 "latency": _plain(LatencySpec, "latency", _LATENCY)}
 
 
 def parse_config(data: Mapping[str, Any], scenario: str) -> SimulationConfig:
@@ -436,8 +433,7 @@ def parse_config(data: Mapping[str, Any], scenario: str) -> SimulationConfig:
     for section in sc.requires:
         if section not in top:
             raise ConfigError(f"{section}: section required for {scenario}")
-    setattr(cfg, sc.section,
-            _SPEC_PARSERS[sc.section](top.get(sc.section, {}), cfg, service))
+    setattr(cfg, sc.section, sc.parse(top.get(sc.section, {}), cfg, service))
     return cfg
 
 

@@ -14,12 +14,12 @@ Stage model (all deterministic functions of the configuration):
 * decoding: modeled equal to serialization (the decoder is assumed to be
   pipelined at line rate; the paper gives no processing-time model).
 
-``run_latency_budget`` runs the scenario on the configured baseband's
-codec, frame, modulation and spreading (defaults where there is none).
+``latency_budget`` takes the codec, frame, modulation and spreading of a
+baseband chain (defaults where there is none) and returns the budget, which
+is also the latency-budget scenario's result.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from ..baseband.chain import ChainConfig
@@ -69,56 +69,40 @@ class LatencyBudget:
                 return duration
         raise KeyError(name)
 
+    def csv_rows(self) -> tuple[list[dict], list[str]]:
+        rows = [{"stage": name, "seconds": seconds}
+                for name, seconds in self.stages]
+        rows.append({"stage": "total", "seconds": self.total})
+        rows.append({"stage": "within_rp1", "seconds": float(self.within_rp1)})
+        return rows, ["stage", "seconds"]
 
-def latency_budget(codec: CodecConfig = CodecConfig(),
-                   coded_rate_bps: float = DEFAULT_CODED_RATE_BPS,
-                   frame: FrameConfig = FrameConfig(),
-                   distance_m: float = 0.5,
-                   modulation: ModulationScheme = ModulationScheme.BPSK,
-                   spreading_factor: int = 1) -> LatencyBudget:
-    """Budget for one codeword at the given coded bit rate and distance."""
-    LatencySpec(coded_rate_bps, distance_m)   # raises ValueError if invalid
-    symbol_rate = coded_rate_bps / modulation.bits_per_symbol
+
+def latency_budget(spec: LatencySpec = LatencySpec(),
+                   chain: ChainConfig | None = None) -> LatencyBudget:
+    """Budget for one codeword at the spec's coded bit rate and distance,
+    on ``chain``'s codec, frame, modulation and spreading.
+
+    Without a chain: the default codec and frame, BPSK and no spreading;
+    an uncoded chain is budgeted with the default codec.
+    """
+    if chain is None:
+        codec, frame = CodecConfig(), FrameConfig()
+        modulation, sf = ModulationScheme.BPSK, 1
+    else:
+        codec = chain.codec if chain.codec is not None else CodecConfig()
+        frame, modulation, sf = chain.frame, chain.modulation, chain.spreading.sf
+
+    symbol_rate = spec.coded_rate_bps / modulation.bits_per_symbol
     coded_bits = codec.coded_bits_per_codeword
-    codeword_symbols = -(-coded_bits * spreading_factor
-                         // modulation.bits_per_symbol)
+    codeword_symbols = -(-coded_bits * sf // modulation.bits_per_symbol)
     blocks = -(-codeword_symbols // frame.data_symbols_per_block)
 
     stages = (
         ("frame_assembly", frame.header_len / symbol_rate),
         ("encoding", 0.0),
-        ("serialization", coded_bits / coded_rate_bps),
+        ("serialization", coded_bits / spec.coded_rate_bps),
         ("cp_overhead", blocks * frame.cp_len / symbol_rate),
-        ("propagation", distance_m / SPEED_OF_LIGHT),
-        ("decoding", coded_bits / coded_rate_bps),
+        ("propagation", spec.distance_m / SPEED_OF_LIGHT),
+        ("decoding", coded_bits / spec.coded_rate_bps),
     )
     return LatencyBudget(stages=stages)
-
-
-@dataclass
-class LatencyResult:
-    budget: LatencyBudget
-    wall_clock_s: float
-
-    def csv_rows(self) -> tuple[list[dict], list[str]]:
-        rows = [{"stage": name, "seconds": seconds}
-                for name, seconds in self.budget.stages]
-        rows.append({"stage": "total", "seconds": self.budget.total})
-        rows.append({"stage": "within_rp1",
-                     "seconds": float(self.budget.within_rp1)})
-        return rows, ["stage", "seconds"]
-
-
-def run_latency_budget(spec: LatencySpec,
-                       chain: ChainConfig | None) -> LatencyResult:
-    start = time.perf_counter()
-    link = {}
-    if chain is not None:
-        link = dict(frame=chain.frame, modulation=chain.modulation,
-                    spreading_factor=chain.spreading.sf)
-        if chain.codec is not None:
-            link["codec"] = chain.codec
-    budget = latency_budget(coded_rate_bps=spec.coded_rate_bps,
-                            distance_m=spec.distance_m, **link)
-    return LatencyResult(budget=budget,
-                         wall_clock_s=time.perf_counter() - start)

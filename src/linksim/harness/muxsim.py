@@ -22,7 +22,6 @@ them in completion order.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -108,6 +107,8 @@ class MuxSimSpec:
                     f"loss chain carries {self.loss.chain.payload_bits} "
                     f"payload bits, below the {8 * largest}-bit largest packet")
         known = {ch.id for ch in self.channels}
+        if len(known) != len(self.channels):
+            raise ValueError("channels must have unique ids")
         for name, ids in (("trace", {row[1] for row in self.trace}),
                           ("traffic", set(self.traffic))):
             if ids - known:
@@ -139,7 +140,6 @@ class MuxChannelStats:
 class MuxSimResult:
     stats: list[MuxChannelStats]
     modem_bytes: tuple[int, ...]
-    wall_clock_s: float
 
     def csv_rows(self) -> tuple[list[dict], list[str]]:
         fields = ["channel_id", "sp_id", "redundancy", "enqueued", "delivered",
@@ -223,7 +223,6 @@ def _copies_received(spec: MuxSimSpec, copies: list[tuple[float, int, DataLinkPa
 def run_mux_sim(spec: MuxSimSpec, master_seed: int) -> MuxSimResult:
     """Simulate the dual-modem mux and return per-channel statistics."""
     check_admission(spec)
-    start = time.perf_counter()
     mux = Mux(list(spec.channels), mtu=spec.mtu, queue_depth=spec.queue_depth)
     channels = {ch.id: ch for ch in spec.channels}
 
@@ -309,5 +308,4 @@ def run_mux_sim(spec: MuxSimSpec, master_seed: int) -> MuxSimResult:
             e2e_per=e2e_per, latency_min_s=lmin, latency_mean_s=lmean,
             latency_max_s=lmax, latency_p95_s=lp95,
             histogram=_histogram(c.latencies)))
-    return MuxSimResult(stats=stats, modem_bytes=tuple(mux.modem_bytes),
-                        wall_clock_s=time.perf_counter() - start)
+    return MuxSimResult(stats=stats, modem_bytes=tuple(mux.modem_bytes))

@@ -8,7 +8,6 @@ peak_quality) make up the result CSV.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +70,6 @@ class RangingTrialRecord:
 @dataclass
 class RangingResult:
     records: list[RangingTrialRecord]
-    wall_clock_s: float
 
     CSV_FIELDS = ("trial", "true_range_m", "est_range_m", "error_m",
                   "peak_quality")
@@ -92,7 +90,6 @@ def ranging_waveform(n_samples: int, oversample: int,
 
 
 def run_ranging(spec: RangingSpec, master_seed: int) -> RangingResult:
-    start = time.perf_counter()
     oversample = max(1, int(round(spec.sample_rate_hz / spec.bandwidth_hz)))
     records = []
     for trial in range(spec.trials):
@@ -119,5 +116,4 @@ def run_ranging(spec: RangingSpec, master_seed: int) -> RangingResult:
         records.append(RangingTrialRecord(
             trial=trial, true_range_m=true_range, est_range_m=est_range,
             error_m=est_range - true_range, peak_quality=quality))
-    return RangingResult(records=records,
-                         wall_clock_s=time.perf_counter() - start)
+    return RangingResult(records=records)

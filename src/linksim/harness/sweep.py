@@ -35,7 +35,6 @@ documented here).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterable, Iterator
@@ -87,7 +86,6 @@ class SweepPoint:
 class SweepResult:
     axis: str
     points: list[SweepPoint]
-    wall_clock_s: float
 
     CSV_FIELDS = ("trials", "bits", "bit_errors", "ber", "ber_ci95",
                   "packets", "packet_errors", "per", "per_ci95")
@@ -211,7 +209,6 @@ def run_sweep(cfg: ChainConfig, base_model: ChannelModel, spec: SweepSpec,
 
     ``threads`` is accepted for compatibility and ignored.
     """
-    start = time.perf_counter()
     models = [replace(base_model, snr_db=snr_for_axis(v, spec.axis, cfg))
               for v in spec.values]
 
@@ -238,5 +235,4 @@ def run_sweep(cfg: ChainConfig, base_model: ChannelModel, spec: SweepSpec,
             packets=spec.trials, packet_errors=packet_errors,
             per=packet_errors / spec.trials,
             per_ci95=ci95_halfwidth(packet_errors, spec.trials)))
-    return SweepResult(axis=spec.axis, points=points,
-                       wall_clock_s=time.perf_counter() - start)
+    return SweepResult(axis=spec.axis, points=points)

@@ -345,6 +345,26 @@ class TestGroupFrontEnd:
             assert np.array_equal(row, tx_chain(frame_bits, cfg))
 
 
+    @pytest.mark.parametrize("cfg", [
+        ChainConfig.for_payload(300, timing_search=8),
+        ChainConfig.for_payload(300, codec=None, spreading=SpreadingConfig(2),
+                                modulation=ModulationScheme.QPSK),
+        ChainConfig.for_payload(
+            300, codec=None, frame=FrameConfig(pilots_per_block=0),
+            equalizer=EqualizerConfig(variant=EqualizerVariant.TIME_DOMAIN_LMS)),
+    ], ids=["coded", "uncoded-spread-qpsk", "no-pilots-td-lms"])
+    def test_a_group_of_zero_frames_is_empty_at_every_stage(self, cfg):
+        frames = tx_chain(np.zeros((0, cfg.payload_bits), dtype=np.uint8), cfg)
+        assert frames.shape == (0, cfg.frame.frame_len)
+        waveforms = apply_channel(frames, [], [])
+        soft, sync, received = rx_front_end(waveforms, cfg, [])
+        assert soft.shape == (0, cfg.coded_bits_total())
+        assert sync.timing_offset.shape == received.shape == (0,)
+        decoded = decode_frames(soft, cfg)
+        assert decoded.info_bits.shape == (0, cfg.payload_bits)
+        assert decoded.codewords_failed.shape == (0,)
+
+
 class TestContracts:
     def test_capacity_overflow_names_symbols(self):
         frame = FrameConfig(n_payload_blocks=1)
@@ -402,6 +422,17 @@ class TestContracts:
             ChainConfig.for_payload(0, codec=None)
         with pytest.raises(ValueError):
             ChainConfig.for_payload(16, codec=None, channel_estimator="magic")
+
+    def test_td_lms_taps_must_fit_the_training_header(self):
+        # the 416-symbol default header trains at most 41 (odd) taps
+        for taps, ok in ((41, True), (43, False)):
+            equalizer = EqualizerConfig(variant=EqualizerVariant.TIME_DOMAIN_LMS,
+                                        lms_taps=taps)
+            if ok:
+                ChainConfig.for_payload(16, codec=None, equalizer=equalizer)
+            else:
+                with pytest.raises(ValueError, match="^equalizer lms_taps 43 "):
+                    ChainConfig.for_payload(16, codec=None, equalizer=equalizer)
 
     @pytest.mark.parametrize("scheme", [ModulationScheme.BPSK,
                                         ModulationScheme.QPSK])

@@ -242,6 +242,11 @@ RUN_TIME_LIMITS = [
     ("configs/ranging.json", ("ranging", "range_max_m"), HUGE,
      "ranging.range_max_m: expected a finite number, got an integer beyond "
      "the float range"),
+    # TD-LMS trains on the 416-symbol header, 10 symbols a tap
+    ("configs/ber_sweep.json", ("baseband", "equalizer"),
+     {"variant": "td-lms", "lms_taps": 51},
+     "baseband.equalizer: equalizer lms_taps 51 needs a 510-symbol training "
+     "header, above the frame's 416"),
 ]
 
 
@@ -260,6 +265,22 @@ def test_cli_run_time_limit_exits_2_without_traceback(config, path, value,
         capture_output=True, text=True, cwd=tmp_path, env=cli_env())
     assert proc.returncode == 2
     assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_duplicate_mux_channel_id_exits_2_without_traceback(tmp_path):
+    # enough capacity for two copies of the channel to pass admission
+    data = json.loads((REPO / "configs" / "mux_sim.json").read_text())
+    data["mux"]["modem_capacity_mbps"] = 1000.0
+    data["mux"]["channels"] *= 2
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    proc = subprocess.run(
+        [sys.executable, "-m", "linksim", "mux-sim", "--config", str(bad),
+         "--out", str(tmp_path / "o.csv")],
+        capture_output=True, text=True, cwd=tmp_path, env=cli_env())
+    assert proc.returncode == 2
+    assert "config error: mux.channels: channels must have unique ids" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,15 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cli_env
-from linksim.baseband import ChainConfig, CodecConfig
+from linksim.baseband import (ChainConfig, CodecConfig, ModulationScheme,
+                              SpreadingConfig)
 from linksim.baseband.framing import FrameConfig
 from linksim.channel import make_preset
 from linksim.errors import ConfigError
-from linksim.harness import (IidLossModel, MuxSimSpec, PeriodicTraffic,
-                             SweepSpec, ci95_halfwidth, emit_csv,
-                             latency_budget, manifest_path, parse_config,
-                             run_mux_sim, run_ranging, run_sweep, stable_seed,
-                             stable_uniform)
+from linksim.harness import (IidLossModel, LatencySpec, MuxSimSpec,
+                             PeriodicTraffic, SweepSpec, ci95_halfwidth,
+                             emit_csv, latency_budget, manifest_path,
+                             parse_config, run_mux_sim, run_ranging, run_sweep,
+                             stable_seed, stable_uniform)
 from linksim.harness.config import RangingSpec
 from linksim.harness.muxsim import LATENCY_BUCKETS, _histogram
 from linksim.mux import LogicalChannel, Redundancy
@@ -79,7 +81,7 @@ class TestLatencyBudget:
         assert budget.stage("decoding") == budget.stage("serialization")
 
     def test_propagation(self):
-        budget = latency_budget(distance_m=0.5)
+        budget = latency_budget(LatencySpec(distance_m=0.5))
         assert budget.stage("propagation") == pytest.approx(1.6678e-9, rel=1e-3)
 
     def test_total_below_rp1(self):
@@ -95,7 +97,19 @@ class TestLatencyBudget:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            latency_budget(coded_rate_bps=0.0)
+            LatencySpec(coded_rate_bps=0.0)
+
+    def test_the_chain_sets_frame_modulation_and_spreading(self):
+        chain = ChainConfig.for_payload(
+            992, modulation=ModulationScheme.QPSK, spreading=SpreadingConfig(2),
+            frame=FrameConfig(cp_len=16))
+        budget = latency_budget(LatencySpec(), chain)
+        symbol_rate = 500e6 / 2
+        assert budget.stage("frame_assembly") == chain.frame.header_len / symbol_rate
+        # 2060 coded bits, 4120 chips: 2060 QPSK symbols in 9 blocks of 248
+        assert budget.stage("cp_overhead") == 9 * 16 / symbol_rate
+        # an uncoded chain is budgeted with the default codec
+        assert latency_budget(LatencySpec(), replace(chain, codec=None)) == budget
 
 
 class TestRunSweep:
@@ -450,6 +464,8 @@ class TestCli:
         manifest = json.loads(Path(manifest_path(str(out))).read_text())
         assert manifest["master_seed"] == 77
         assert manifest["config"]["sweep"]["trials"] == 4
+        wall = manifest["wall_clock_s"]
+        assert isinstance(wall, float) and math.isfinite(wall) and wall >= 0
 
     def test_seed_override(self, tmp_path):
         config = self._write_config(tmp_path)
@@ -499,6 +515,8 @@ class TestCli:
         text = out.read_text()
         assert "serialization,4.12e-06" in text
         assert "within_rp1,1" in text
+        golden = Path(__file__).resolve().parent / "golden" / "latency_budget.csv"
+        assert out.read_bytes() == golden.read_bytes()
 
     def test_per_sweep_subcommand(self, tmp_path):
         config = {
