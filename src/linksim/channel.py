@@ -19,6 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .rng import SeededGenerators
+
 
 @dataclass(frozen=True)
 class AntennaPattern:
@@ -121,8 +123,11 @@ def apply_channel(tx: np.ndarray, models: ChannelModel | Sequence[ChannelModel],
     delay spreads give rows of different lengths; the rows of one-tap
     responses are views into one matrix.  A 1-D ``tx`` is a group of one:
     one model, one seed, one array back.  Each row is what it gets alone:
-    its own generator, seeded by its seed, draws its tap phases and then
-    its noise, the real part before the imaginary part.
+    the generator ``np.random.default_rng`` makes of its seed draws its tap
+    phases and then its noise, the real part before the imaginary part.
+    The group's generator states are derived at once and played in turn on
+    one generator (``rng.SeededGenerators``); a row that draws tap phases
+    carries its state on to its noise.
     """
     tx = np.ascontiguousarray(tx, dtype=np.complex128)
     if tx.ndim == 1:
@@ -134,12 +139,13 @@ def apply_channel(tx: np.ndarray, models: ChannelModel | Sequence[ChannelModel],
                          f"got {len(models)} models and {len(seeds)} seeds")
     if len(tx) == 0:
         return []
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = SeededGenerators(seeds)
     fixed: dict[int, np.ndarray] = {}   # id(model) -> response, no phase draws
     responses = []
-    for model, rng in zip(models, rngs):
+    for r, model in enumerate(models):
         if model.randomize_tap_phases:
-            responses.append(impulse_response(model, rng))
+            responses.append(impulse_response(model, rngs[r]))
+            rngs.keep(r)
         else:
             if id(model) not in fixed:
                 fixed[id(model)] = impulse_response(model)

@@ -33,7 +33,7 @@ from .latency import LatencySpec, latency_budget
 from .muxsim import (BasebandLossModel, IidLossModel, MuxSimSpec,
                      PeriodicTraffic, run_mux_sim)
 from .rangingrun import RangingSpec, run_ranging
-from .sweep import SweepSpec, run_sweep
+from .sweep import SweepSpec, run_sweep, snr_for_axis
 
 
 @dataclass
@@ -210,11 +210,18 @@ def _check_genie_response(chain: ChainConfig, channel: ChannelModel) -> None:
     shared by every frame of it in the engine's stream (the receiver
     re-references its response once per knowledge object, too), so
     per-trial tap phases would leave the receiver decoding against a stale
-    response."""
-    if channel.randomize_tap_phases and chain.channel_estimator == "genie":
+    response.  The response is the taps' DFT on ``fft_size`` bins, which
+    ``estimate_frequency_response`` refuses for a tap delayed past them."""
+    if chain.channel_estimator != "genie":
+        return
+    if channel.randomize_tap_phases:
         raise ConfigError(
             "channel.randomize_tap_phases: requires the pilot-ls estimator "
             "(the genie response would be stale)")
+    if channel.max_delay > chain.frame.fft_size:
+        raise ConfigError(
+            f"channel.taps: max tap delay {channel.max_delay} is beyond the "
+            f"genie estimator's fft_size {chain.frame.fft_size}")
 
 
 def _parse_profiles(data: Any) -> dict[str, ServiceProfile]:
@@ -295,7 +302,20 @@ def _parse_sweep(data: Any, cfg: SimulationConfig,
     _check_genie_response(cfg.chain, cfg.channel)
     kw = _read(data, "sweep", _SWEEP, SweepSpec)
     kw["values"] = _items(kw["values"], "sweep.values", float)
-    return _make(SweepSpec, "sweep", _SWEEP, **kw)
+    spec = _make(SweepSpec, "sweep", _SWEEP, **kw)
+    for i, value in enumerate(spec.values):
+        # the channel divides the signal power by the linear SNR
+        snr_db = snr_for_axis(value, spec.axis, cfg.chain)
+        try:
+            linear = 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            linear = math.inf
+        if not 0.0 < linear < math.inf:
+            raise ConfigError(
+                f"sweep.values[{i}]: {value:g} {spec.axis} is a per-sample SNR "
+                f"of {snr_db:g} dB, whose linear ratio {linear:g} is not a "
+                "finite nonzero number")
+    return spec
 
 
 def _load_trace(path: str) -> tuple[tuple[float, int, int], ...]:

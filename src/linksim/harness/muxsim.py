@@ -92,6 +92,8 @@ class MuxSimSpec:
             raise ValueError("trace packet sizes must be >= 1")
         if self.mtu < 1:
             raise ValueError("mtu must be >= 1")
+        if self.queue_depth < 1:
+            raise ValueError("queue_depth must be >= 1")
         for ch_id, traffic in self.traffic.items():
             if traffic.payload_size > self.mtu:
                 raise ValueError(

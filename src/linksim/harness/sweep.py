@@ -6,7 +6,11 @@ seed stable_seed(master, i, t, 0) and its channel noise from
 stable_seed(master, i, t, 1), so results are bit-identical regardless of
 execution order or batching.  The seeds are chained (``stable_seed`` of a
 prefix, then the rest): the point is hashed once, each trial once, then
-the two salts.
+the two salts.  Each seed means the generator ``np.random.default_rng``
+makes of it, but the generators' states are derived a group of seeds at
+once (``linksim.rng``): the payloads of a chunk's worth of trials in one
+``random_bits`` call, and the noise of a group of frames in one
+``apply_channel`` call.
 
 ``link_trials`` is the one trial engine of the package.  A sweep makes one
 call for all of its points, and the baseband-backed mux simulation one
@@ -44,6 +48,7 @@ import numpy as np
 from ..baseband.chain import (ChainConfig, ChannelKnowledge, decode_frames,
                               rx_front_end, tx_chain)
 from ..channel import ChannelModel, apply_channel, estimate_frequency_response
+from ..rng import random_bits
 from .seeding import stable_seed
 
 Z_95 = 1.959963984540054   # two-sided 95% normal quantile
@@ -159,7 +164,7 @@ def link_trials(frames: Iterable[Frame], cfg: ChainConfig
     """
     bit_errors: list[int] = []
     packet_errors: list[int] = []
-    chunk = max(1, DECODE_ROWS // max(1, cfg.n_codewords()))
+    chunk = _chunk(cfg)
     stream = iter(frames)
     soft, sent, received = [], [], []   # the held frames, group by group
 
@@ -198,9 +203,9 @@ def link_trials(frames: Iterable[Frame], cfg: ChainConfig
             np.array(packet_errors, dtype=np.int64))
 
 
-def _payload(seed: int, n_bits: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 2, n_bits, dtype=np.int64).astype(np.uint8)
+def _chunk(cfg: ChainConfig) -> int:
+    """Frames in a chunk: ``DECODE_ROWS`` codewords' worth, at least one."""
+    return max(1, DECODE_ROWS // max(1, cfg.n_codewords()))
 
 
 def run_sweep(cfg: ChainConfig, base_model: ChannelModel, spec: SweepSpec,
@@ -211,15 +216,19 @@ def run_sweep(cfg: ChainConfig, base_model: ChannelModel, spec: SweepSpec,
     """
     models = [replace(base_model, snr_db=snr_for_axis(v, spec.axis, cfg))
               for v in spec.values]
+    block = _chunk(cfg)
 
     def frames() -> Iterator[Frame]:
         for i, model in enumerate(models):
             knowledge = genie_knowledge(cfg, model)
             point = stable_seed(master_seed, i)
-            for t in range(spec.trials):
-                trial = stable_seed(point, t)
-                yield (_payload(stable_seed(trial, 0), cfg.payload_bits),
-                       model, stable_seed(trial, 1), knowledge)
+            for start in range(0, spec.trials, block):
+                trials = [stable_seed(point, t) for t in
+                          range(start, min(start + block, spec.trials))]
+                payloads = random_bits([stable_seed(trial, 0) for trial in trials],
+                                       cfg.payload_bits)
+                for payload, trial in zip(payloads, trials):
+                    yield payload, model, stable_seed(trial, 1), knowledge
 
     frame_bits, frame_packets = link_trials(frames(), cfg)
     shape = (len(models), spec.trials)

@@ -242,6 +242,19 @@ RUN_TIME_LIMITS = [
     ("configs/ranging.json", ("ranging", "range_max_m"), HUGE,
      "ranging.range_max_m: expected a finite number, got an integer beyond "
      "the float range"),
+    # the genie's response has fft_size bins; a tap delayed past them
+    ("configs/ber_sweep.json", ("channel",), {"taps": [{"delay": 2000}]},
+     "channel.taps: max tap delay 2000 is beyond the genie estimator's "
+     "fft_size 256"),
+    ("configs/mux_sim.json", ("mux", "queue_depth"), 0,
+     "mux.queue_depth: queue_depth must be >= 1"),
+    # 10 ** (snr_db / 10) overflows, or is 0.0 and divides the signal power
+    ("configs/ber_sweep.json", ("sweep", "values"), [4.0, 1e12],
+     "sweep.values[1]: 1e+12 ebn0_db is a per-sample SNR of 1e+12 dB, whose "
+     "linear ratio inf is not a finite nonzero number"),
+    ("configs/ber_sweep.json", ("sweep", "values"), [-1e12],
+     "sweep.values[0]: -1e+12 ebn0_db is a per-sample SNR of -1e+12 dB, "
+     "whose linear ratio 0 is not a finite nonzero number"),
     # TD-LMS trains on the 416-symbol header, 10 symbols a tap
     ("configs/ber_sweep.json", ("baseband", "equalizer"),
      {"variant": "td-lms", "lms_taps": 51},
@@ -266,6 +279,18 @@ def test_cli_run_time_limit_exits_2_without_traceback(config, path, value,
     assert proc.returncode == 2
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_genie_taps_may_reach_fft_size():
+    # a tap at delay fft_size aliases onto bin 0 but runs; one past it cannot
+    data = json.loads((REPO / "configs" / "ber_sweep.json").read_text())
+    data["channel"] = {"taps": [{"delay": 256}]}
+    parse_config(data, "ber-sweep")
+    data["channel"] = {"taps": [{"delay": 257}]}
+    assert _error(data, "ber-sweep").startswith("channel.taps: max tap delay 257")
+    data["baseband"]["receiver"]["channel_estimator"] = "pilot-ls"
+    data["baseband"].update(pilots_per_block=8, payload_blocks=None)
+    parse_config(data, "ber-sweep")
 
 
 def test_cli_duplicate_mux_channel_id_exits_2_without_traceback(tmp_path):
