@@ -76,6 +76,15 @@ def _db_to_amplitude(db: float) -> float:
     return 10.0 ** (db / 20.0)
 
 
+def power_ratio(db: float) -> float:
+    """``10 ** (db / 10)``, or inf where that overflows.  A level the
+    simulator scales or divides by needs a finite nonzero ratio."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def effective_taps(model: ChannelModel) -> list[tuple[int, complex]]:
     """Tap gains after the antenna pattern is applied.
 

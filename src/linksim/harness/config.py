@@ -24,7 +24,8 @@ from ..baseband.coding import CodecConfig
 from ..baseband.equalizers import EqualizerConfig, EqualizerVariant
 from ..baseband.framing import FrameConfig
 from ..baseband.modulation import ModulationScheme, SpreadingConfig
-from ..channel import AntennaPattern, ChannelModel, ChannelTap, make_preset
+from ..channel import (AntennaPattern, ChannelModel, ChannelTap, make_preset,
+                       power_ratio)
 from ..errors import ConfigError
 from ..mux import FrameSource, LogicalChannel, Redundancy
 from ..profiles import (SERVICE_PROFILES, ModemCapacity, RequirementProfile,
@@ -306,10 +307,7 @@ def _parse_sweep(data: Any, cfg: SimulationConfig,
     for i, value in enumerate(spec.values):
         # the channel divides the signal power by the linear SNR
         snr_db = snr_for_axis(value, spec.axis, cfg.chain)
-        try:
-            linear = 10.0 ** (snr_db / 10.0)
-        except OverflowError:
-            linear = math.inf
+        linear = power_ratio(snr_db)
         if not 0.0 < linear < math.inf:
             raise ConfigError(
                 f"sweep.values[{i}]: {value:g} {spec.axis} is a per-sample SNR "
@@ -359,6 +357,13 @@ def _parse_loss(data: Any, cfg: SimulationConfig) -> IidLossModel | BasebandLoss
             raise ConfigError(
                 "mux.loss: baseband mode needs 'baseband' and 'channel' sections")
         _check_genie_response(cfg.chain, cfg.channel)
+        # the channel divides the signal power by the linear SNR
+        snr_db = cfg.channel.snr_db
+        linear = 1.0 if snr_db is None else power_ratio(snr_db)
+        if not 0.0 < linear < math.inf:
+            raise ConfigError(
+                f"channel.snr_db: {snr_db:g} dB has a linear ratio of "
+                f"{linear:g}, not a finite nonzero number")
         return BasebandLossModel(chain=cfg.chain, channel=cfg.channel)
     raise ConfigError("mux.loss.mode: must be 'iid' or 'baseband'")
 

@@ -2,19 +2,35 @@
 
 Each trial draws a true range uniformly from the configured window, builds
 a random full-bandwidth QPSK chip waveform (chips are held for
-sample_rate / bandwidth samples), generates the back-scattered signal and
-estimates the range.  Rows of (trial, true_range, est_range, error,
-peak_quality) make up the result CSV.
+sample_rate / bandwidth samples, at most the whole waveform), generates the
+back-scattered signal and estimates the range.  Rows of (trial, true_range,
+est_range, error, peak_quality) make up the result CSV.
+
+Trial t draws its range and chips from ``default_rng(stable_seed(master,
+t, 0))`` and its echo noise from ``default_rng(stable_seed(master, t, 1))``.
+The generators are derived ``BLOCK_TRIALS`` trials at a time, each set by
+one ``rng.SeededGenerators``; the block bounds the states held, not the
+results.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..channel import power_ratio
 from ..errors import NoTargetError
 from ..ranging import EchoScene, echo_range, generate_echo
+from ..rng import SeededGenerators
 from .seeding import stable_seed
+
+BLOCK_TRIALS = 64
+
+# the chip of real bit re and imaginary bit im at index re + 2 * im, by the
+# formula of two integers(0, 2) draws
+_CHIPS = (np.array([0, 1, 0, 1]) * 2 - 1 +
+          1j * (np.array([0, 0, 1, 1]) * 2 - 1)) / np.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -50,6 +66,13 @@ class RangingSpec:
             raise ValueError("block_len must be >= 1")
         if self.carrier_wavelength_m <= 0:
             raise ValueError("carrier_wavelength_m must be > 0")
+        # the echo scales and divides by these levels
+        for name in ("reflection_gain_db", "residual_si_power_db", "echo_snr_db"):
+            db = getattr(self, name)
+            linear = 1.0 if db is None else power_ratio(db)
+            if not 0.0 < linear < math.inf:
+                raise ValueError(f"{name} {db:g} dB has a linear ratio of "
+                                 f"{linear:g}, not a finite nonzero number")
         delay = EchoScene(self.range_max_m, self.sample_rate_hz,
                           self.bandwidth_hz).round_trip_samples
         if delay >= self.waveform_len:
@@ -82,38 +105,55 @@ class RangingResult:
 
 def ranging_waveform(n_samples: int, oversample: int,
                      rng: np.random.Generator) -> np.ndarray:
-    """Random QPSK chips, each held for ``oversample`` samples."""
+    """Random QPSK chips, each held for ``oversample`` samples.
+
+    The chips are ``(re * 2 - 1 + 1j * (im * 2 - 1)) / sqrt(2)`` for
+    ``re`` and ``im`` two ``rng.integers(0, 2, n_chips)`` draws, bit for
+    bit, when ``rng`` holds no spare 32-bit half (as after ``random()``).
+    Each bit is the top bit of a 32-bit half of ``random_raw``, low half
+    first (see ``rng.random_bits``); ``re`` takes the first ``n_chips``
+    halves and ``im`` the next, because the second call starts on the
+    half the first one left spare.
+    """
     n_chips = -(-n_samples // oversample)
-    chips = (rng.integers(0, 2, n_chips) * 2 - 1 +
-             1j * (rng.integers(0, 2, n_chips) * 2 - 1)) / np.sqrt(2)
+    raw = rng.bit_generator.random_raw(n_chips)
+    bits = raw.astype("<u8", copy=False).view("<u4") >> 31
+    chips = _CHIPS[bits[:n_chips] + 2 * bits[n_chips:]]
     return np.repeat(chips, oversample)[:n_samples]
 
 
 def run_ranging(spec: RangingSpec, master_seed: int) -> RangingResult:
-    oversample = max(1, int(round(spec.sample_rate_hz / spec.bandwidth_hz)))
+    # every chip at least as long as the waveform gives the same one-chip
+    # waveform
+    oversample = max(1, int(round(min(spec.sample_rate_hz / spec.bandwidth_hz,
+                                      spec.waveform_len))))
     records = []
-    for trial in range(spec.trials):
-        rng = np.random.default_rng(stable_seed(master_seed, trial, 0))
-        true_range = spec.range_min_m + rng.random() * (
-            spec.range_max_m - spec.range_min_m)
-        scene = EchoScene(
-            true_range=true_range,
-            sample_rate=spec.sample_rate_hz,
-            bandwidth=spec.bandwidth_hz,
-            relative_velocity=spec.relative_velocity_mps,
-            reflection_gain_db=spec.reflection_gain_db,
-            residual_si_power_db=spec.residual_si_power_db,
-            echo_snr_db=spec.echo_snr_db,
-            block_len=spec.block_len,
-            carrier_wavelength=spec.carrier_wavelength_m)
-        tx = ranging_waveform(spec.waveform_len, oversample, rng)
-        rx = generate_echo(tx, scene, seed=stable_seed(master_seed, trial, 1))
-        try:
-            est = echo_range(tx, rx, spec.sample_rate_hz)
-            est_range, quality = est.range, est.peak_quality
-        except NoTargetError:
-            est_range, quality = float("nan"), 0.0
-        records.append(RangingTrialRecord(
-            trial=trial, true_range_m=true_range, est_range_m=est_range,
-            error_m=est_range - true_range, peak_quality=quality))
+    for start in range(0, spec.trials, BLOCK_TRIALS):
+        trials = range(start, min(start + BLOCK_TRIALS, spec.trials))
+        draws = SeededGenerators([stable_seed(master_seed, t, 0) for t in trials])
+        noises = SeededGenerators([stable_seed(master_seed, t, 1) for t in trials])
+        for row, trial in enumerate(trials):
+            rng = draws[row]
+            true_range = spec.range_min_m + rng.random() * (
+                spec.range_max_m - spec.range_min_m)
+            scene = EchoScene(
+                true_range=true_range,
+                sample_rate=spec.sample_rate_hz,
+                bandwidth=spec.bandwidth_hz,
+                relative_velocity=spec.relative_velocity_mps,
+                reflection_gain_db=spec.reflection_gain_db,
+                residual_si_power_db=spec.residual_si_power_db,
+                echo_snr_db=spec.echo_snr_db,
+                block_len=spec.block_len,
+                carrier_wavelength=spec.carrier_wavelength_m)
+            tx = ranging_waveform(spec.waveform_len, oversample, rng)
+            rx = generate_echo(tx, scene, seed=noises[row])
+            try:
+                est = echo_range(tx, rx, spec.sample_rate_hz)
+                est_range, quality = est.range, est.peak_quality
+            except NoTargetError:
+                est_range, quality = float("nan"), 0.0
+            records.append(RangingTrialRecord(
+                trial=trial, true_range_m=true_range, est_range_m=est_range,
+                error_m=est_range - true_range, peak_quality=quality))
     return RangingResult(records=records)

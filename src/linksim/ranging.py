@@ -135,8 +135,12 @@ def simulate_twr_exchange(true_range: float, reply_time: float = 1e-6,
                        responder_clock_drift_ppm=clock_drift_ppm)
 
 
-def generate_echo(tx: np.ndarray, scene: EchoScene, seed: int = 0) -> np.ndarray:
-    """Back-scattered waveform: delayed echo + self-interference + noise."""
+def generate_echo(tx: np.ndarray, scene: EchoScene,
+                  seed: int | np.random.Generator = 0) -> np.ndarray:
+    """Back-scattered waveform: delayed echo + self-interference + noise.
+
+    ``seed`` seeds the noise, or is the generator it is drawn from.
+    """
     tx = np.asarray(tx, dtype=np.complex128)
     if tx.size == 0:
         raise ValueError("transmit waveform must be non-empty")
@@ -145,17 +149,17 @@ def generate_echo(tx: np.ndarray, scene: EchoScene, seed: int = 0) -> np.ndarray
         raise ValueError(
             f"round-trip delay of {delay} samples exceeds waveform length {len(tx)}")
     echo_amp = 10.0 ** (scene.reflection_gain_db / 20.0)
-    echo = np.zeros(len(tx), dtype=np.complex128)
-    echo[delay:] = tx[: len(tx) - delay] * echo_amp
+    rx = np.zeros(len(tx), dtype=np.complex128)
+    np.multiply(tx[: len(tx) - delay], echo_amp, out=rx[delay:])
     if scene.relative_velocity != 0.0:
         t_block = scene.block_len / scene.sample_rate
         dphi = 4 * np.pi * scene.relative_velocity * t_block / scene.carrier_wavelength
         block_idx = np.arange(len(tx)) // scene.block_len
-        echo = echo * np.exp(1j * dphi * block_idx)
-    rx = echo
+        rotation = 1j * dphi * block_idx
+        rx *= np.exp(rotation, out=rotation)
     if scene.residual_si_power_db is not None:
         si_amp = echo_amp * 10.0 ** (scene.residual_si_power_db / 20.0)
-        rx = rx + si_amp * tx
+        rx += si_amp * tx
     if scene.echo_snr_db is not None:
         echo_power = np.mean(np.abs(tx) ** 2) * echo_amp ** 2
         sigma2 = echo_power / 10.0 ** (scene.echo_snr_db / 10.0)
@@ -163,37 +167,42 @@ def generate_echo(tx: np.ndarray, scene: EchoScene, seed: int = 0) -> np.ndarray
     return rx
 
 
-def _echo_pair(tx: np.ndarray, rx: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """``tx`` and ``rx`` as complex arrays, and the transmit energy; both
-    must be sampled alike, and the transmit waveform must carry energy to
-    correlate against."""
+def _echo_pair(tx: np.ndarray, rx: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
+    """``tx`` and ``rx`` as complex arrays, and ``vdot(tx, tx)``, the
+    transmit energy; both must be sampled alike, and the transmit waveform
+    must carry energy to correlate against."""
     tx = np.asarray(tx, dtype=np.complex128)
     rx = np.asarray(rx, dtype=np.complex128)
     if len(tx) != len(rx):
         raise ValueError("tx and rx must be sampled alike (equal lengths)")
-    energy = float(np.vdot(tx, tx).real)
-    if energy == 0.0:
+    energy = np.vdot(tx, tx)
+    if energy.real == 0.0:
         raise ValueError("transmit waveform has zero energy; there is no "
                          "echo to correlate against")
     return tx, rx, energy
 
 
-def _cancel_self_interference(tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
-    """Subtract the least-squares zero-delay projection of tx from rx."""
-    alpha = np.vdot(tx, rx) / np.vdot(tx, tx)
-    return rx - alpha * tx
+def _cancel_self_interference(tx: np.ndarray, rx: np.ndarray,
+                              energy: complex) -> np.ndarray:
+    """rx minus the least-squares zero-delay projection of tx, in a new
+    array; ``energy`` is ``vdot(tx, tx)``."""
+    work = np.multiply(np.vdot(tx, rx) / energy, tx)
+    return np.subtract(rx, work, out=work)
 
 
 def _matched_filter(tx: np.ndarray) -> np.ndarray:
     """Conjugate spectrum of ``tx`` zero-padded to the next power of two at
     or above 2N - 1."""
-    return np.conj(np.fft.fft(tx, 1 << (2 * len(tx) - 2).bit_length()))
+    spectrum = np.fft.fft(tx, 1 << (2 * len(tx) - 2).bit_length())
+    return np.conj(spectrum, out=spectrum)
 
 
 def _correlation(matched: np.ndarray, work: np.ndarray) -> np.ndarray:
     """sum_n work[n + d] * conj(tx[n]) at the delays d = 0 .. N-1, for the
     ``tx`` whose ``_matched_filter`` is ``matched``."""
-    return np.fft.ifft(np.fft.fft(work, len(matched)) * matched)[:len(work)]
+    spectrum = np.fft.fft(work, len(matched))
+    spectrum *= matched
+    return np.fft.ifft(spectrum, out=spectrum)[:len(work)]
 
 
 def _strongest_echo(tx: np.ndarray, matched: np.ndarray, work: np.ndarray,
@@ -215,8 +224,8 @@ def echo_range(tx: np.ndarray, rx: np.ndarray, sample_rate: float,
                peak_threshold: float = DEFAULT_PEAK_THRESHOLD) -> RangeEstimate:
     """Range from the correlation peak of the (SI-cancelled) echo, to the
     nearest sample."""
-    tx, rx, _ = _echo_pair(tx, rx)
-    work = _cancel_self_interference(tx, rx) if cancel_si else rx.copy()
+    tx, rx, energy = _echo_pair(tx, rx)
+    work = _cancel_self_interference(tx, rx, energy) if cancel_si else rx.copy()
     _, _, estimate = _strongest_echo(tx, _matched_filter(tx), work, sample_rate)
     if estimate.peak_quality < peak_threshold:
         raise NoTargetError(f"normalized correlation peak "
@@ -233,8 +242,8 @@ def resolve_echoes(tx: np.ndarray, rx: np.ndarray, sample_rate: float,
     full-bandwidth waveform this resolves targets separated by one sample,
     i.e. c / (2 * sample_rate) in range.
     """
-    tx, rx, tx_energy = _echo_pair(tx, rx)
-    work = _cancel_self_interference(tx, rx) if cancel_si else rx.copy()
+    tx, rx, energy = _echo_pair(tx, rx)
+    work = _cancel_self_interference(tx, rx, energy) if cancel_si else rx.copy()
     matched = _matched_filter(tx)
     estimates = []
     for _ in range(n_targets):
@@ -242,7 +251,7 @@ def resolve_echoes(tx: np.ndarray, rx: np.ndarray, sample_rate: float,
         estimates.append(estimate)
         shifted = np.zeros_like(work)
         shifted[d:] = tx[: len(tx) - d]
-        work = work - (peak / tx_energy) * shifted
+        work = work - (peak / energy.real) * shifted
     return sorted(estimates, key=lambda e: e.range)
 
 

@@ -255,6 +255,29 @@ RUN_TIME_LIMITS = [
     ("configs/ber_sweep.json", ("sweep", "values"), [-1e12],
      "sweep.values[0]: -1e+12 ebn0_db is a per-sample SNR of -1e+12 dB, "
      "whose linear ratio 0 is not a finite nonzero number"),
+    # a fixed channel SNR under the baseband loss model, by the same rule
+    ("tests/golden/mux_baseband.json", ("channel", "snr_db"), 1e12,
+     "channel.snr_db: 1e+12 dB has a linear ratio of inf, not a finite "
+     "nonzero number"),
+    ("tests/golden/mux_baseband.json", ("channel", "snr_db"), -1e12,
+     "channel.snr_db: -1e+12 dB has a linear ratio of 0, not a finite "
+     "nonzero number"),
+    # the echo scales by the gain and SI levels and divides by the SNR
+    ("configs/ranging.json", ("ranging", "reflection_gain_db"), 1e12,
+     "ranging.reflection_gain_db: reflection_gain_db 1e+12 dB has a linear "
+     "ratio of inf, not a finite nonzero number"),
+    ("configs/ranging.json", ("ranging", "reflection_gain_db"), -1e12,
+     "ranging.reflection_gain_db: reflection_gain_db -1e+12 dB has a linear "
+     "ratio of 0, not a finite nonzero number"),
+    ("configs/ranging.json", ("ranging", "residual_si_power_db"), 1e12,
+     "ranging.residual_si_power_db: residual_si_power_db 1e+12 dB has a "
+     "linear ratio of inf, not a finite nonzero number"),
+    ("configs/ranging.json", ("ranging", "echo_snr_db"), 1e12,
+     "ranging.echo_snr_db: echo_snr_db 1e+12 dB has a linear ratio of inf, "
+     "not a finite nonzero number"),
+    ("configs/ranging.json", ("ranging", "echo_snr_db"), -1e12,
+     "ranging.echo_snr_db: echo_snr_db -1e+12 dB has a linear ratio of 0, "
+     "not a finite nonzero number"),
     # TD-LMS trains on the 416-symbol header, 10 symbols a tap
     ("configs/ber_sweep.json", ("baseband", "equalizer"),
      {"variant": "td-lms", "lms_taps": 51},
@@ -279,6 +302,13 @@ def test_cli_run_time_limit_exits_2_without_traceback(config, path, value,
     assert proc.returncode == 2
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_a_sweep_replaces_the_channel_snr():
+    # only the baseband loss model runs at the channel's own snr_db
+    data = json.loads((REPO / "configs" / "ber_sweep.json").read_text())
+    data["channel"]["snr_db"] = 1e12
+    assert parse_config(data, "ber-sweep").channel.snr_db == 1e12
 
 
 def test_genie_taps_may_reach_fft_size():

@@ -2,12 +2,12 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cli_env
@@ -15,7 +15,7 @@ from linksim.baseband import (ChainConfig, CodecConfig, ModulationScheme,
                               SpreadingConfig)
 from linksim.baseband.framing import FrameConfig
 from linksim.channel import make_preset
-from linksim.errors import ConfigError
+from linksim.errors import ConfigError, NoTargetError
 from linksim.harness import (IidLossModel, LatencySpec, MuxSimSpec,
                              PeriodicTraffic, SweepSpec, ci95_halfwidth,
                              emit_csv, latency_budget, manifest_path,
@@ -23,8 +23,10 @@ from linksim.harness import (IidLossModel, LatencySpec, MuxSimSpec,
                              stable_seed, stable_uniform)
 from linksim.harness.config import RangingSpec
 from linksim.harness.muxsim import LATENCY_BUCKETS, _histogram
+from linksim.harness.rangingrun import BLOCK_TRIALS, ranging_waveform
 from linksim.mux import LogicalChannel, Redundancy
 from linksim.profiles import RP1, SP1, ModemCapacity
+from linksim.ranging import EchoScene, echo_range, generate_echo
 
 
 def q_function(x):
@@ -294,6 +296,43 @@ class TestEmitCsv:
             emit_csv([], ["a"], "/nonexistent-dir/out.csv")
 
 
+def two_draw_waveform(n_samples, oversample, rng):
+    """QPSK chips from two ``integers(0, 2)`` draws, each held for
+    ``oversample`` samples."""
+    n_chips = -(-n_samples // oversample)
+    chips = (rng.integers(0, 2, n_chips) * 2 - 1 +
+             1j * (rng.integers(0, 2, n_chips) * 2 - 1)) / np.sqrt(2)
+    return np.repeat(chips, oversample)[:n_samples]
+
+
+def reference_ranging(spec, master_seed):
+    """run_ranging's rows with one default_rng per seed, trial by trial."""
+    oversample = max(1, int(round(spec.sample_rate_hz / spec.bandwidth_hz)))
+    rows = []
+    for trial in range(spec.trials):
+        rng = np.random.default_rng(stable_seed(master_seed, trial, 0))
+        true_range = spec.range_min_m + rng.random() * (
+            spec.range_max_m - spec.range_min_m)
+        scene = EchoScene(
+            true_range=true_range, sample_rate=spec.sample_rate_hz,
+            bandwidth=spec.bandwidth_hz,
+            relative_velocity=spec.relative_velocity_mps,
+            reflection_gain_db=spec.reflection_gain_db,
+            residual_si_power_db=spec.residual_si_power_db,
+            echo_snr_db=spec.echo_snr_db, block_len=spec.block_len,
+            carrier_wavelength=spec.carrier_wavelength_m)
+        tx = two_draw_waveform(spec.waveform_len, oversample, rng)
+        rx = generate_echo(tx, scene, seed=stable_seed(master_seed, trial, 1))
+        try:
+            est = echo_range(tx, rx, spec.sample_rate_hz)
+            est_range, quality = est.range, est.peak_quality
+        except NoTargetError:
+            est_range, quality = float("nan"), 0.0
+        rows.append((trial, true_range, est_range, est_range - true_range,
+                     quality))
+    return rows
+
+
 class TestRanging:
     def test_run_ranging_records(self):
         spec = RangingSpec(sample_rate_hz=1e9, bandwidth_hz=5e8,
@@ -305,6 +344,58 @@ class TestRanging:
         for record in result.records:
             assert abs(record.error_m) <= bound
             assert record.peak_quality > 0.5
+
+    @settings(max_examples=80, deadline=None)
+    @given(n_samples=st.integers(1, 3000), oversample=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 64 - 1))
+    @example(n_samples=7, oversample=1, seed=0)      # odd chip count
+    @example(n_samples=8, oversample=1, seed=0)      # even chip count
+    @example(n_samples=4097, oversample=2, seed=5)   # 2049 chips
+    @example(n_samples=8192, oversample=3, seed=11)  # 2731 chips
+    def test_waveform_is_two_integers_draws(self, n_samples, oversample, seed):
+        # run_ranging draws the range with random() just before the chips
+        rng, reference = (np.random.default_rng(seed) for _ in range(2))
+        rng.random()
+        reference.random()
+        got = ranging_waveform(n_samples, oversample, rng)
+        expected = two_draw_waveform(n_samples, oversample, reference)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        # both leave the generator at the same place, with no spare half
+        state, ref_state = rng.bit_generator.state, reference.bit_generator.state
+        assert state["state"] == ref_state["state"]
+        assert state["has_uint32"] == ref_state["has_uint32"] == 0
+
+    @pytest.mark.parametrize("changes", [
+        {},
+        {"relative_velocity_mps": -35.0, "block_len": 64},
+        {"residual_si_power_db": None},
+        {"echo_snr_db": None, "relative_velocity_mps": 12.0},
+        # some trials find no target
+        {"echo_snr_db": -22.0, "reflection_gain_db": -3.0},
+    ])
+    def test_rows_are_per_trial_default_rng_rows(self, changes):
+        # more trials than one block of generators, and an odd chip count
+        spec = RangingSpec(**{
+            "sample_rate_hz": 1e9, "bandwidth_hz": 1e9 / 3, "waveform_len": 301,
+            "trials": BLOCK_TRIALS + 5, "range_min_m": 0.5, "range_max_m": 9.0,
+            "reflection_gain_db": -10.0, "residual_si_power_db": 20.0,
+            "echo_snr_db": 20.0, **changes})
+        got = [astuple(r) for r in run_ranging(spec, 2 ** 63 + 7).records]
+        expected = reference_ranging(spec, 2 ** 63 + 7)
+        np.testing.assert_array_equal(np.array(got), np.array(expected))
+        if "reflection_gain_db" in changes:
+            assert any(math.isnan(row[2]) for row in got)
+
+    def test_a_chip_is_at_most_the_whole_waveform(self):
+        # a 1000-sample chip and a 1e21-sample one are the same waveform
+        spec = RangingSpec(sample_rate_hz=1e9, bandwidth_hz=1e6,
+                           waveform_len=1000, trials=3, range_min_m=0.5,
+                           range_max_m=9.0, echo_snr_db=10.0)
+        expected = [astuple(r) for r in run_ranging(spec, 4).records]
+        for bandwidth in (1e-12, 5e-324, 1e9 / 1000.4):
+            narrow = replace(spec, bandwidth_hz=bandwidth)
+            got = [astuple(r) for r in run_ranging(narrow, 4).records]
+            np.testing.assert_array_equal(np.array(got), np.array(expected))
 
 
 class TestConfigParsing:

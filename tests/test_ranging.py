@@ -287,6 +287,101 @@ class TestMatchedFilter:
         assert len(ffts) == 4
 
 
+def reference_echo(tx, scene):
+    """generate_echo's noiseless formulas, each step into a new array."""
+    echo_amp = 10.0 ** (scene.reflection_gain_db / 20.0)
+    delay = scene.round_trip_samples
+    echo = np.zeros(len(tx), dtype=np.complex128)
+    echo[delay:] = tx[: len(tx) - delay] * echo_amp
+    if scene.relative_velocity != 0.0:
+        t_block = scene.block_len / scene.sample_rate
+        dphi = (4 * np.pi * scene.relative_velocity * t_block
+                / scene.carrier_wavelength)
+        echo = echo * np.exp(1j * dphi * (np.arange(len(tx)) // scene.block_len))
+    if scene.residual_si_power_db is not None:
+        si_amp = echo_amp * 10.0 ** (scene.residual_si_power_db / 20.0)
+        echo = echo + si_amp * tx
+    return echo
+
+
+def reference_estimates(tx, rx, fs, n_targets, cancel_si):
+    """resolve_echoes' formulas, each step into a new array, unsorted."""
+    if cancel_si:
+        work = rx - (np.vdot(tx, rx) / np.vdot(tx, tx)) * tx
+    else:
+        work = rx.copy()
+    tx_energy = float(np.vdot(tx, tx).real)
+    matched = np.conj(np.fft.fft(tx, 1 << (2 * len(tx) - 2).bit_length()))
+    estimates = []
+    for _ in range(n_targets):
+        corr = np.fft.ifft(np.fft.fft(work, len(matched)) * matched)[:len(work)]
+        mags = np.abs(corr)
+        d = int(np.argmax(mags))
+        quality = float(min(mags[d] / (np.linalg.norm(tx) * np.linalg.norm(work)
+                                       + 1e-300), 1.0))
+        estimates.append((SPEED_OF_LIGHT * d / (2.0 * fs), quality))
+        shifted = np.zeros_like(work)
+        shifted[d:] = tx[: len(tx) - d]
+        work = work - (corr[d] / tx_energy) * shifted
+    return estimates
+
+
+ECHO_SCENES = [
+    EchoScene(true_range=3.0, sample_rate=1e9, bandwidth=5e8,
+              residual_si_power_db=20.0, echo_snr_db=20.0,
+              reflection_gain_db=-10.0),
+    EchoScene(true_range=0.6, sample_rate=1e9, bandwidth=5e8,
+              relative_velocity=25.0, block_len=16, echo_snr_db=-3.0,
+              residual_si_power_db=6.0),
+    EchoScene(true_range=7.5, sample_rate=1e9, bandwidth=1e9,
+              relative_velocity=-40.0, reflection_gain_db=-20.0),
+]
+
+
+class TestInPlaceFormulas:
+    """generate_echo and the estimators reuse their buffers; each value is
+    the out-of-place formula's, bit for bit."""
+
+    @pytest.mark.parametrize("scene", ECHO_SCENES)
+    @pytest.mark.parametrize("n", [333, 1000, 2048])
+    def test_echo_is_the_reference_formula(self, scene, n):
+        tx = qpsk_waveform(n, n, oversample=2)
+        noiseless = EchoScene(**{**scene.__dict__, "echo_snr_db": None})
+        got = generate_echo(tx, noiseless)
+        assert np.array_equal(got.view(np.uint64),
+                              reference_echo(tx, scene).view(np.uint64))
+
+    def test_a_generator_seed_is_drawn_from_as_given(self):
+        tx = qpsk_waveform(1000, 4)
+        scene = ECHO_SCENES[1]
+        rng = np.random.default_rng(17)
+        got = generate_echo(tx, scene, seed=rng)
+        expected = generate_echo(tx, scene, seed=17)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        # the echo's noise came from the generator passed in
+        assert (rng.bit_generator.state
+                != np.random.default_rng(17).bit_generator.state)
+
+    @pytest.mark.parametrize("scene", ECHO_SCENES)
+    @pytest.mark.parametrize("n", [333, 1000, 4097])
+    @pytest.mark.parametrize("cancel_si", [True, False])
+    def test_estimates_are_the_reference_formulas(self, scene, n, cancel_si):
+        tx = qpsk_waveform(n, n + 1)
+        rx = generate_echo(tx, scene, seed=n)
+        expected = reference_estimates(tx, rx, 1e9, 3, cancel_si)
+        got = resolve_echoes(tx, rx, 1e9, n_targets=3, cancel_si=cancel_si)
+        assert [(e.range, e.peak_quality) for e in got] == sorted(
+            expected, key=lambda e: e[0])
+        try:
+            single = echo_range(tx, rx, 1e9, cancel_si=cancel_si)
+        except NoTargetError:
+            assert expected[0][1] < 0.3
+        else:
+            assert (single.range, single.peak_quality) == expected[0]
+        # the estimators leave their inputs alone
+        assert np.array_equal(rx, generate_echo(tx, scene, seed=n))
+
+
 class TestDopplerVelocity:
     def test_zero_progression(self):
         assert doppler_velocity(np.zeros(16), 1e-6, 0.05) == 0.0
