@@ -258,10 +258,11 @@ def estimate_frequency_response(model: ChannelModel, fft_size: int) -> np.ndarra
     return h
 
 
-def _tap(delay: int, gain_db: float, phase_deg: float, bounces: int,
-         sidelobe: bool = False) -> ChannelTap:
+def make_tap(delay: int, gain_db: float = 0.0, phase_deg: float = 0.0,
+             bounce_count: int = 0, via_sidelobe: bool = False) -> ChannelTap:
+    """A tap of amplitude gain ``gain_db`` and phase ``phase_deg``."""
     gain = _db_to_amplitude(gain_db) * np.exp(1j * np.deg2rad(phase_deg))
-    return ChannelTap(delay, gain, bounces, sidelobe)
+    return ChannelTap(delay, gain, bounce_count, via_sidelobe)
 
 
 # Synthetic fixtures, not measurements: the coupling geometry is only
@@ -269,18 +270,18 @@ def _tap(delay: int, gain_db: float, phase_deg: float, bounces: int,
 # deterministic tap sets with the right flavor (LOS-dominant, delay spread
 # within the default CP of 32 samples).
 _PRESET_TAPS = {
-    "coupling-los": (_tap(0, 0.0, 0.0, 0),),
+    "coupling-los": (make_tap(0, 0.0, 0.0, 0),),
     "coupling-mild": (
-        _tap(0, 0.0, 0.0, 0),
-        _tap(3, -10.0, 120.0, 2),
-        _tap(7, -15.0, -60.0, 2),
+        make_tap(0, 0.0, 0.0, 0),
+        make_tap(3, -10.0, 120.0, 2),
+        make_tap(7, -15.0, -60.0, 2),
     ),
     "coupling-harsh": (
-        _tap(0, 0.0, 0.0, 0),
-        _tap(4, -6.0, 70.0, 1),
-        _tap(9, -8.0, 160.0, 2),
-        _tap(15, -10.0, -120.0, 2, sidelobe=True),
-        _tap(24, -13.0, 40.0, 3, sidelobe=True),
+        make_tap(0, 0.0, 0.0, 0),
+        make_tap(4, -6.0, 70.0, 1),
+        make_tap(9, -8.0, 160.0, 2),
+        make_tap(15, -10.0, -120.0, 2, via_sidelobe=True),
+        make_tap(24, -13.0, 40.0, 3, via_sidelobe=True),
     ),
 }
 

@@ -17,15 +17,13 @@ from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from typing import Any, Callable, Mapping
 
-import numpy as np
-
 from ..baseband.chain import ChainConfig
 from ..baseband.coding import CodecConfig
 from ..baseband.equalizers import EqualizerConfig, EqualizerVariant
 from ..baseband.framing import FrameConfig
 from ..baseband.modulation import ModulationScheme, SpreadingConfig
 from ..channel import (AntennaPattern, ChannelModel, ChannelTap, make_preset,
-                       power_ratio)
+                       make_tap, power_ratio)
 from ..errors import ConfigError
 from ..mux import FrameSource, LogicalChannel, Redundancy
 from ..profiles import (SERVICE_PROFILES, ModemCapacity, RequirementProfile,
@@ -272,10 +270,7 @@ def _parse_baseband(data: Any) -> ChainConfig:
 
 
 def _parse_tap(data: Any, path: str) -> ChannelTap:
-    kw = _read(data, path, _TAP, ChannelTap)
-    kw["gain"] = 10.0 ** (kw.pop("gain_db", 0.0) / 20.0) * np.exp(
-        1j * np.deg2rad(kw.pop("phase_deg", 0.0)))
-    return _make(ChannelTap, path, _TAP, **kw)
+    return _make(make_tap, path, _TAP, **_read(data, path, _TAP, ChannelTap))
 
 
 def _parse_channel(data: Any) -> ChannelModel:

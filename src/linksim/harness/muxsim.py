@@ -31,7 +31,7 @@ from ..baseband.chain import ChainConfig
 from ..channel import ChannelModel
 from ..errors import ConfigError
 from ..mux import (DEFAULT_MTU, DEFAULT_QUEUE_DEPTH, N_MODEMS, AppFrame,
-                   DataLinkPacket, FrameSource, LogicalChannel, Mux, Redundancy)
+                   DataLinkPacket, FrameSource, LogicalChannel, Mux)
 from ..profiles import ModemCapacity, admit_channels
 from .seeding import stable_seed, stable_uniform
 from .sweep import Frame, genie_knowledge, link_trials
@@ -163,16 +163,11 @@ def check_admission(spec: MuxSimSpec) -> None:
     """Reject channel sets that overload either modem.
 
     Conservative accounting: a channel's load counts against every modem
-    it may use (redundant and distributive against both, single against
-    modem 0 only).
+    it may use (``LogicalChannel.modems``).
     """
     per_modem: list[list] = [[] for _ in range(N_MODEMS)]
     for ch in spec.channels:
-        if ch.redundancy in (Redundancy.REDUNDANT, Redundancy.DISTRIBUTIVE):
-            targets = range(N_MODEMS)
-        else:
-            targets = (0,)
-        for m in targets:
+        for m in ch.modems:
             per_modem[m].append((ch.sp, 1))
     for m, channels in enumerate(per_modem):
         if not channels:

@@ -22,7 +22,7 @@ import numpy as np
 from ..channel import power_ratio
 from ..errors import NoTargetError
 from ..ranging import EchoScene, echo_range, generate_echo
-from ..rng import SeededGenerators
+from ..rng import SeededGenerators, raw_bits
 from .seeding import stable_seed
 
 BLOCK_TRIALS = 64
@@ -73,6 +73,18 @@ class RangingSpec:
             if not 0.0 < linear < math.inf:
                 raise ValueError(f"{name} {db:g} dB has a linear ratio of "
                                  f"{linear:g}, not a finite nonzero number")
+        # and by the levels it makes of them together: the noise (gain - SNR)
+        # and the self-interference (gain + SI)
+        gain = self.reflection_gain_db
+        for name, level, sign in (("echo_snr_db", "noise", -1),
+                                  ("residual_si_power_db", "self-interference", 1)):
+            db = getattr(self, name)
+            total = gain + sign * (db or 0.0)
+            if db is not None and not 0.0 < power_ratio(total) < math.inf:
+                raise ValueError(
+                    f"{name} {db:g} dB at reflection_gain_db {gain:g} dB makes a "
+                    f"{level} level of {total:g} dB, whose linear ratio "
+                    f"{power_ratio(total):g} is not a finite nonzero number")
         delay = EchoScene(self.range_max_m, self.sample_rate_hz,
                           self.bandwidth_hz).round_trip_samples
         if delay >= self.waveform_len:
@@ -110,14 +122,12 @@ def ranging_waveform(n_samples: int, oversample: int,
     The chips are ``(re * 2 - 1 + 1j * (im * 2 - 1)) / sqrt(2)`` for
     ``re`` and ``im`` two ``rng.integers(0, 2, n_chips)`` draws, bit for
     bit, when ``rng`` holds no spare 32-bit half (as after ``random()``).
-    Each bit is the top bit of a 32-bit half of ``random_raw``, low half
-    first (see ``rng.random_bits``); ``re`` takes the first ``n_chips``
-    halves and ``im`` the next, because the second call starts on the
-    half the first one left spare.
+    The bits are the ``rng.raw_bits`` of ``random_raw(n_chips)``; ``re``
+    takes the first ``n_chips`` and ``im`` the next, because the second
+    call starts on the half the first one left spare.
     """
     n_chips = -(-n_samples // oversample)
-    raw = rng.bit_generator.random_raw(n_chips)
-    bits = raw.astype("<u8", copy=False).view("<u4") >> 31
+    bits = raw_bits(rng.bit_generator.random_raw(n_chips))
     chips = _CHIPS[bits[:n_chips] + 2 * bits[n_chips:]]
     return np.repeat(chips, oversample)[:n_samples]
 

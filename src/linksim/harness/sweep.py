@@ -8,7 +8,7 @@ execution order or batching.  The seeds are chained (``stable_seed`` of a
 prefix, then the rest): the point is hashed once, each trial once, then
 the two salts.  Each seed means the generator ``np.random.default_rng``
 makes of it, but the generators' states are derived a group of seeds at
-once (``linksim.rng``): the payloads of a chunk's worth of trials in one
+once (``linksim.rng``): the payloads of a group's worth of trials in one
 ``random_bits`` call, and the noise of a group of frames in one
 ``apply_channel`` call.
 
@@ -17,16 +17,15 @@ call for all of its points, and the baseband-backed mux simulation one
 for every packet copy of a run, after scheduling; both feed it a stream
 of frames, each with its own payload, channel model, noise seed and genie
 knowledge.
-It runs transmit, channel and the receiver front end a group of frames at
-a time, and decodes the received frames ``DECODE_ROWS`` codewords' worth
-at a time: one Viterbi call and one CRC check per chunk.  A chunk counts
-received frames, so it runs across sweep points.  A group is the next
-``chunk - held`` frames of the stream, where ``held`` counts the received
-frames waiting to be decoded, so no frame is drawn that the chunk could
-not take; only one group's waveforms and one chunk's payloads and soft
-bits are held, which bounds memory whatever the number of frames.  The
-front end masks out a frame lost to sync failure or a degenerate channel,
-and the engine counts it as a packet error with every payload bit wrong.
+Its one unit of work is a group: the next ``DECODE_ROWS`` codewords' worth
+of frames of the stream (at least one frame), which it draws, sends
+through transmit, the channel and the receiver front end, decodes in one
+Viterbi call and one CRC check, and records before it draws the next.  A
+group runs across sweep points.  Only one group's waveforms, payloads and
+soft bits are held, which bounds memory whatever the number of frames.
+The front end masks out a frame lost to sync failure or a degenerate
+channel; it never reaches the decoder, and the engine counts it as a
+packet error with every payload bit wrong.
 
 The axis is either the per-sample (= per-chip) SNR in dB, or Eb/N0 in dB,
 which is converted per point via
@@ -53,8 +52,9 @@ from .seeding import stable_seed
 
 Z_95 = 1.959963984540054   # two-sided 95% normal quantile
 
-#: codeword rows ``link_trials`` decodes per chunk of received frames (at
-#: least one frame); it bounds the engine's memory, not its results
+#: codeword rows in a group of frames, the unit ``link_trials`` draws,
+#: sends, decodes and records (at least one frame); it bounds the engine's
+#: memory, not its results
 DECODE_ROWS = 32
 
 
@@ -155,56 +155,38 @@ def link_trials(frames: Iterable[Frame], cfg: ChainConfig
     channel response zero on every bin) is a counted outcome: every
     payload bit is wrong and the packet is in error.
 
-    Frames go through transmit, channel and the receiver front end a group
-    at a time: the next ``chunk - held`` frames of the stream, where a chunk
-    is ``DECODE_ROWS`` codewords' worth of frames and ``held`` the received
-    frames waiting to be decoded.  A full chunk is decoded at once, and the
-    rest at the end of the stream; only that chunk's payloads and soft bits
-    are held, and no frame is drawn that the chunk could not take.
+    The stream goes a group of ``_chunk(cfg)`` frames at a time through
+    transmit, channel and the receiver front end, and the group's received
+    frames through one ``decode_frames`` call (none when every frame of
+    the group is lost); the group's results are final before the next
+    group is drawn.
     """
     bit_errors: list[int] = []
     packet_errors: list[int] = []
     chunk = _chunk(cfg)
     stream = iter(frames)
-    soft, sent, received = [], [], []   # the held frames, group by group
-
-    def decode() -> None:
-        index = np.concatenate(received)
-        decoded = decode_frames(np.concatenate(soft), cfg)
-        errors = np.count_nonzero(decoded.info_bits != np.concatenate(sent), axis=1)
-        failed = (errors > 0) | (decoded.codewords_failed > 0)
-        for f, e, p in zip(index.tolist(), errors.tolist(), failed.tolist()):
-            bit_errors[f], packet_errors[f] = e, int(p)
-        soft.clear()
-        sent.clear()
-        received.clear()
-
-    held = 0
-    while group := list(islice(stream, chunk - held)):
-        first = len(bit_errors)
-        bit_errors.extend([cfg.payload_bits] * len(group))
-        packet_errors.extend([1] * len(group))
+    while group := list(islice(stream, chunk)):
         payloads, models, seeds, knowledge = zip(*group)
         payloads = np.array(payloads, dtype=np.uint8)
         rx = apply_channel(tx_chain(payloads, cfg), models, seeds)
-        soft_bits, _, found = rx_front_end(rx, cfg, knowledge)
+        soft_bits, _, received = rx_front_end(rx, cfg, knowledge)
         del rx   # the group's waveforms are not needed while decoding
+        errors = np.full(len(group), cfg.payload_bits)
+        failed = ~received
         if len(soft_bits):
-            soft.append(soft_bits)
-            sent.append(payloads[found])
-            received.append(first + np.flatnonzero(found))
-            held += len(soft_bits)
-        if held == chunk:
-            decode()
-            held = 0
-    if held:
-        decode()
+            decoded = decode_frames(soft_bits, cfg)
+            wrong = np.count_nonzero(decoded.info_bits != payloads[received], axis=1)
+            errors[received] = wrong
+            failed[received] = (wrong > 0) | (decoded.codewords_failed > 0)
+            del decoded, wrong   # held into the next group, they fragment the heap
+        bit_errors += errors.tolist()
+        packet_errors += failed.tolist()
     return (np.array(bit_errors, dtype=np.int64),
             np.array(packet_errors, dtype=np.int64))
 
 
 def _chunk(cfg: ChainConfig) -> int:
-    """Frames in a chunk: ``DECODE_ROWS`` codewords' worth, at least one."""
+    """Frames in a group: ``DECODE_ROWS`` codewords' worth, at least one."""
     return max(1, DECODE_ROWS // max(1, cfg.n_codewords()))
 
 

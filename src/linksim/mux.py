@@ -54,6 +54,14 @@ class LogicalChannel:
         if self.id < 0:
             raise ValueError("id must be >= 0")
 
+    @property
+    def modems(self) -> tuple[int, ...]:
+        """The modems this channel may load: every modem for redundant and
+        distributive channels, modem 0 for a single one."""
+        if self.redundancy is Redundancy.SINGLE:
+            return (0,)
+        return tuple(range(N_MODEMS))
+
 
 @dataclass(frozen=True)
 class AppFrame:
@@ -144,12 +152,9 @@ class Mux:
             return head
 
     def _targets(self, channel: LogicalChannel) -> tuple[int, ...]:
-        if channel.redundancy is Redundancy.REDUNDANT:
-            return tuple(range(N_MODEMS))
         if channel.redundancy is Redundancy.DISTRIBUTIVE:
-            return (int(min(range(N_MODEMS),
-                            key=lambda m: (self.modem_bytes[m], m))),)
-        return (0,)
+            return (min(channel.modems, key=lambda m: (self.modem_bytes[m], m)),)
+        return channel.modems
 
     def peek_next(self, now: float) -> tuple[DataLinkPacket, tuple[int, ...]] | None:
         """Next packet and its target modems without dequeuing it."""

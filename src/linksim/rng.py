@@ -141,19 +141,26 @@ class SeededGenerators:
         self._states[row] = self._rng.bit_generator.state
 
 
-def random_bits(seeds: Sequence[int], n_bits: int) -> np.ndarray:
-    """``np.random.default_rng(seed).integers(0, 2, n_bits, dtype=np.int64)``
-    as one ``uint8`` row per seed, bit for bit.
+def raw_bits(raw: np.ndarray) -> np.ndarray:
+    """The ``integers(0, 2)`` draws that the PCG64 outputs ``raw`` (from
+    ``random_raw``) serve, two per output along the last axis, bit for bit.
 
     For a range of two, ``integers`` runs Lemire's method on 32-bit draws
     with a rejection threshold of 0, so each bit is the top bit of one
     draw; PCG64 serves 32-bit draws as the low, then the high half of one
-    64-bit output.  So a row is the top bit of each half of
-    ``random_raw((n_bits + 1) // 2)``, low half first, cut to ``n_bits``.
+    64-bit output.  So the bits are the top bit of each 32-bit half of
+    ``raw``, low half first, as ``uint32`` 0s and 1s.
+    """
+    return raw.astype("<u8", copy=False).view("<u4") >> 31
+
+
+def random_bits(seeds: Sequence[int], n_bits: int) -> np.ndarray:
+    """``np.random.default_rng(seed).integers(0, 2, n_bits, dtype=np.int64)``
+    as one ``uint8`` row per seed, bit for bit: the ``raw_bits`` of
+    ``random_raw((n_bits + 1) // 2)``, cut to ``n_bits``.
     """
     gens = SeededGenerators(seeds)
     raw = np.empty((len(seeds), (n_bits + 1) // 2), dtype=np.uint64)
     for r, row in enumerate(raw):
         row[:] = gens[r].bit_generator.random_raw(len(row))
-    halves = raw.astype("<u8", copy=False).view("<u4")
-    return (halves[:, :n_bits] >> 31).astype(np.uint8)
+    return raw_bits(raw)[:, :n_bits].astype(np.uint8)

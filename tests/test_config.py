@@ -278,6 +278,21 @@ RUN_TIME_LIMITS = [
     ("configs/ranging.json", ("ranging", "echo_snr_db"), -1e12,
      "ranging.echo_snr_db: echo_snr_db -1e+12 dB has a linear ratio of 0, "
      "not a finite nonzero number"),
+    # levels that pass one at a time but overflow together in the echo (a
+    # tuple of paths sets each to its value)
+    ("configs/ranging.json", (("ranging", "reflection_gain_db"),
+                              ("ranging", "echo_snr_db"), ("ranging", "trials")),
+     (3080, -3080, 2),
+     "ranging.echo_snr_db: echo_snr_db -3080 dB at reflection_gain_db 3080 dB "
+     "makes a noise level of 6160 dB, whose linear ratio inf is not a finite "
+     "nonzero number"),
+    ("configs/ranging.json", (("ranging", "reflection_gain_db"),
+                              ("ranging", "residual_si_power_db"),
+                              ("ranging", "trials")),
+     (3000, 3000, 2),
+     "ranging.residual_si_power_db: residual_si_power_db 3000 dB at "
+     "reflection_gain_db 3000 dB makes a self-interference level of 6000 dB, "
+     "whose linear ratio inf is not a finite nonzero number"),
     # TD-LMS trains on the 416-symbol header, 10 symbols a tap
     ("configs/ber_sweep.json", ("baseband", "equalizer"),
      {"variant": "td-lms", "lms_taps": 51},
@@ -286,15 +301,23 @@ RUN_TIME_LIMITS = [
 ]
 
 
+def _leaves(path, value):
+    """The (path, value) pairs a RUN_TIME_LIMITS row sets."""
+    return list(zip(path, value)) if isinstance(path[0], tuple) else [(path, value)]
+
+
 @pytest.mark.parametrize("config, path, value, message", RUN_TIME_LIMITS,
-                         ids=[f"{'.'.join(path)}={value}".replace(
+                         ids=[",".join(f"{'.'.join(leaf)}={v}" for leaf, v in
+                                       _leaves(path, value)).replace(
                                   str(HUGE), "10**400")
                               for _, path, value, _ in RUN_TIME_LIMITS])
 def test_cli_run_time_limit_exits_2_without_traceback(config, path, value,
                                                       message, tmp_path):
     data = json.loads((REPO / config).read_text())
+    for leaf, v in _leaves(path, value):
+        data = _replaced(data, leaf, v)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(_replaced(data, path, value)))
+    bad.write_text(json.dumps(data))
     proc = subprocess.run(
         [sys.executable, "-m", "linksim", data["scenario"], "--config", str(bad),
          "--out", str(tmp_path / "o.csv")],

@@ -1,10 +1,11 @@
 """The streaming trial engine gives every trial the result it gets alone.
 
-``link_trials`` takes a stream of frames and decodes the codewords of the
-received ones together, ``DECODE_ROWS`` codewords' worth of frames at a
-time; a sweep hands it every trial of every point, and a baseband-backed
-mux run all of its packet copies.  Neither the chunk a trial lands in nor
-where a chunk ends may change a result.
+``link_trials`` takes a stream of frames a group at a time: the next
+``DECODE_ROWS`` codewords' worth of frames are drawn, sent, received,
+decoded together and recorded before the next group is drawn.  A sweep
+hands it every trial of every point, and a baseband-backed mux run all of
+its packet copies.  Neither the group a trial lands in nor which of its
+group's frames are lost may change a result.
 """
 import json
 from dataclasses import replace
@@ -139,7 +140,7 @@ def test_a_group_of_mixed_channel_lengths():
     assert lost[3::4].all() and (lost == 0).any()
 
 
-POOL_ROWS = 34   # past one and two 16-frame coded chunks, one 32-frame uncoded
+POOL_ROWS = 34   # past one and two 16-frame coded groups, one 32-frame uncoded
 
 
 @cache
@@ -180,54 +181,59 @@ def test_zero_response_knowledge_loses_every_frame_of_a_batch():
     assert lost.tolist() == [1] * len(frames)
 
 
-def test_engine_holds_one_chunk_of_received_frames(monkeypatch):
-    # two codewords a frame: chunks of 16 received frames; every fourth
-    # frame is sent at -10 dB and loses sync
+def test_engine_decodes_each_group_before_drawing_the_next(monkeypatch):
+    # two codewords a frame: groups of 16 frames; every fourth frame and the
+    # whole second group are sent at -10 dB and lose sync
     cfg = CHAINS["coded"]
-    chunk = sweep.DECODE_ROWS // cfg.n_codewords()
+    chunk = sweep._chunk(cfg)
+    assert chunk == 16
     harsh = make_preset("coupling-harsh")
-    knowledge = sweep.genie_knowledge(cfg, replace(harsh, snr_db=8.0))
+    knowledge = sweep.genie_knowledge(cfg, replace(harsh, snr_db=20.0))
     n_frames = 3 * chunk + 10
-    missed = range(0, n_frames, 4)
-    rng = np.random.default_rng(11)
+    missed = {f for f in range(n_frames) if f % 4 == 0 or chunk <= f < 2 * chunk}
+    payloads = np.random.default_rng(11).integers(
+        0, 2, (n_frames, cfg.payload_bits), dtype=np.uint8)
     drawn = 0
 
     def stream():
         nonlocal drawn
-        for f in range(n_frames):
+        for f, payload in enumerate(payloads):
             drawn += 1
-            snr = -10.0 if f in missed else 8.0
-            yield (rng.integers(0, 2, cfg.payload_bits, dtype=np.uint8),
-                   replace(harsh, snr_db=snr), f, knowledge)
+            snr = -10.0 if f in missed else 20.0
+            yield payload, replace(harsh, snr_db=snr), f, knowledge
 
-    calls = []   # (frames drawn, frames in the batch) at every decode call
+    calls = []   # (frames drawn, payload rows decoded) at every decode call
     decode = sweep.decode_frames
 
     def spy(soft_bits, *args):
-        calls.append((drawn, len(soft_bits)))
-        return decode(soft_bits, *args)
+        decoded = decode(soft_bits, *args)
+        calls.append((drawn, decoded.info_bits))
+        return decoded
 
     monkeypatch.setattr(sweep, "decode_frames", spy)
     errors, lost = sweep.link_trials(stream(), cfg)
-    assert errors[missed].tolist() == [cfg.payload_bits] * len(missed)
-    assert lost[missed].all()
-    decoded = 0
-    for drawn_then, batch in calls:
-        received = drawn_then - sum(f < drawn_then for f in missed)
-        assert received - decoded == batch <= chunk
-        decoded += batch
-    assert decoded == n_frames - len(missed)
-    assert len(calls) > 2
-    assert [batch for _, batch in calls[:-1]] == [chunk] * (len(calls) - 1)
+    assert errors[sorted(missed)].tolist() == [cfg.payload_bits] * len(missed)
+    assert lost.tolist() == [int(f in missed) for f in range(n_frames)]
+    # one call per group that kept a frame, made once the group is drawn and
+    # before the next is, on exactly that group's received frames
+    groups = [range(start, min(start + chunk, n_frames))
+              for start in range(0, n_frames, chunk)]
+    expected = [(group.stop, [f for f in group if f not in missed])
+                for group in groups if not missed.issuperset(group)]
+    assert len(expected) == len(groups) - 1   # the second group makes none
+    assert [drawn for drawn, _ in calls] == [stop for stop, _ in expected]
+    for (_, rows), (_, frames) in zip(calls, expected):
+        assert rows.tolist() == payloads[frames].tolist()
 
 
-# Coded sweeps whose received frames are not multiples of a chunk (33
-# trials of one codeword, 70 trials of two), with the CSVs the
-# one-frame-at-a-time engine wrote for them and the frames each decode call
-# gets.  A sweep is one ``link_trials`` call, which decodes a chunk once
-# DECODE_ROWS codewords' worth of received frames (32 or 16) are in, across
-# point boundaries; frames lost to sync never reach the decoder, which is
-# every frame at -10 dB and all but three at -7 dB (66 and 143 received).
+# Coded sweeps whose trials are not multiples of a group (33 trials of one
+# codeword, 70 trials of two), with the CSVs the one-frame-at-a-time engine
+# wrote for them and the frames each decode call gets.  A sweep is one
+# ``link_trials`` call, which draws groups of DECODE_ROWS codewords' worth
+# of frames (32 or 16) across point boundaries and decodes each group's
+# received frames; frames lost to sync never reach the decoder, which is
+# every frame at -10 dB and all but three at -7 dB (66 and 143 received),
+# and a group that loses every frame makes no call.
 SWEEPS = {
     "one_codeword_33_trials": (
         {"scenario": "per-sweep", "master_seed": 20261018,
@@ -239,7 +245,7 @@ SWEEPS = {
         "-10,33,32736,32736,1,0,33,33,1,0\n"
         "-1,33,32736,1714,0.05235826,0.0024129592,33,33,1,0\n"
         "1,33,32736,29,0.000885874878,0.000322276789,33,3,0.0909090909,0.0980840604\n",
-        [32, 32, 2]),
+        [31, 32, 3]),
     "two_codewords_70_trials": (
         {"scenario": "per-sweep", "master_seed": 5,
          "baseband": {"modulation": "qpsk", "payload_bits": 960,
@@ -251,7 +257,7 @@ SWEEPS = {
         "-7,70,67200,65736,0.978214286,0.00110373892,70,70,1,0\n"
         "3,70,67200,803,0.0119494048,0.000821535212,70,44,0.628571429,0.113191559\n"
         "5,70,67200,12,0.000178571429,0.000101025419,70,1,0.0142857143,0.0277987697\n",
-        [16] * 8 + [15]),
+        [1, 2, 10] + [16] * 8 + [2]),
 }
 
 
@@ -286,7 +292,7 @@ def test_chunk_size_does_not_change_results(rows, monkeypatch):
 
 
 def test_mux_run_decodes_every_copy_in_one_engine_call(tmp_path, monkeypatch):
-    # 20 copies of 3 codewords each: DECODE_ROWS 32 makes chunks of 10 frames
+    # 20 copies of 3 codewords each: DECODE_ROWS 32 makes groups of 10 frames
     batches = []
     decode = sweep.decode_frames
 

@@ -60,6 +60,12 @@ class TestEnqueue:
 
 
 class TestScheduling:
+    @pytest.mark.parametrize("redundancy, modems", [
+        (Redundancy.REDUNDANT, (0, 1)), (Redundancy.DISTRIBUTIVE, (0, 1)),
+        (Redundancy.SINGLE, (0,))])
+    def test_modem_set_of_each_redundancy(self, redundancy, modems):
+        assert channel(0, redundancy=redundancy).modems == modems
+
     def test_single_packet_redundant_goes_to_both(self):
         ch = channel(0, redundancy=Redundancy.REDUNDANT)
         mux = Mux([ch])
