@@ -10,18 +10,19 @@ bits + CRC, convolutionally encoded) -> spreading -> BPSK/QPSK mapping ->
 straight to chips.
 
 Receive, in two steps.  The front end (``rx_front_end``) takes a group of
-received waveforms, whose lengths may differ, and alone decides where each
-frame may start: at every offset where the whole frame fits in its own
-waveform, up to ``timing_search`` when set.  It acquires every preamble in
-one ``acquire_sync`` call (timing / CFO / phase), corrects, estimates each
+received waveforms as one ``(frames, samples)`` matrix and alone decides
+where a frame may start: at every offset where the whole frame fits, up to
+``timing_search`` when set.  It acquires every preamble in one
+``acquire_sync`` call (timing / CFO / phase), corrects, estimates each
 frame's channel (genie response handed in, or least squares from the pilot
 block), cuts the payloads into one ``(frames, n_payload_blocks, block_len)``
 array laid out by ``FrameConfig``, equalizes it (FD-MMSE; the sequential
 TD-LMS recursion runs row by row), phase-tracks it on the pilots and
 extracts its data in one call each, then demaps and despreads.  A lost
 frame is an outcome, never an exception: one whose preamble misses the
-sync threshold, or whose channel response is zero on every bin, is masked
-out of the result and marked in the returned mask and ``SyncState``.  The
+sync threshold, whose channel response is zero on every bin, or whose
+TD-LMS equalizer diverges to non-finite samples, is masked out of the
+result and marked in the returned mask and ``SyncState``.  The
 decode step (``decode_frames``) takes the soft bits of any number of
 frames as one matrix and hands them to ``coding.decode``, which decodes
 every codeword of the batch at once; uncoded frames are sliced.
@@ -163,49 +164,41 @@ def tx_chain(info_bits: np.ndarray, cfg: ChainConfig) -> np.ndarray:
     return waveform.reshape(info_bits.shape[:-1] + waveform.shape[-1:])
 
 
-def rx_front_end(waveforms, cfg: ChainConfig,
+def rx_front_end(waveforms: np.ndarray, cfg: ChainConfig,
                  channel: Sequence[ChannelKnowledge | None]
                  ) -> tuple[np.ndarray, SyncState, np.ndarray]:
     """Sync, equalize, demap and despread a group of received frames.
 
-    The group is a ``(frames, samples)`` matrix or a sequence of 1-D
-    waveforms whose lengths may differ; ``channel`` holds one knowledge
-    entry per frame (None where the receiver is told nothing).  Returns the
-    ``cfg.coded_bits_total()`` soft bits (positive means 0) of each
-    received frame, one row each, every frame's ``SyncState`` and the
+    The group is a ``(frames, samples)`` matrix; ``channel`` holds one
+    knowledge entry per frame (None where the receiver is told nothing).
+    Returns the ``cfg.coded_bits_total()`` soft bits (positive means 0) of
+    each received frame, one row each, every frame's ``SyncState`` and the
     ``(frames,)`` mask of the frames received.  A lost frame is marked, not
     raised: one whose preamble misses the sync threshold has
     ``timing_offset`` -1, and one whose channel response is zero on every
-    bin is locked but not received.  ``decode_frames`` takes it from there.
+    bin, or whose TD-LMS equalizer diverges, is locked but not received.
+    ``decode_frames`` takes it from there.
     """
-    rows = [np.asarray(row, dtype=np.complex128) for row in waveforms]
-    if any(row.ndim != 1 for row in rows):
+    rx = np.asarray(waveforms, dtype=np.complex128)
+    if rx.ndim != 2:
         raise ValueError("rx_front_end takes a group of frames: a (frames, "
-                         "samples) matrix or a sequence of 1-D waveforms")
-    lengths = np.array([len(row) for row in rows], dtype=np.int64)
-    if len(channel) != len(rows):
+                         "samples) matrix")
+    if len(channel) != len(rx):
         raise ValueError(f"{len(channel)} channel knowledge entries for "
-                         f"{len(rows)} frames")
+                         f"{len(rx)} frames")
     fcfg = cfg.frame
     fd = cfg.equalizer.variant is EqualizerVariant.FREQUENCY_DOMAIN_MMSE
     if fd and cfg.channel_estimator == "genie" and any(
             k is None or k.freq_response is None for k in channel):
         raise ValueError("genie estimator needs a ChannelKnowledge response")
     # a frame may start at any offset where it fits whole, up to timing_search
-    last_start = lengths - fcfg.frame_len
+    last_start = rx.shape[1] - fcfg.frame_len
+    if last_start < 0:
+        raise ValueError(f"the {fcfg.frame_len}-sample frame does not fit in "
+                         f"a {rx.shape[1]}-sample waveform")
     if cfg.timing_search is not None:
-        last_start = np.minimum(last_start, cfg.timing_search)
-    if np.any(last_start < 0):
-        raise ValueError(
-            f"the {fcfg.frame_len}-sample frame does not fit in a "
-            f"{lengths[np.argmin(last_start)]}-sample waveform")
-    # the samples any candidate offset's header reads, zero past a row's end
-    head = np.zeros((len(rows), int(last_start.max(initial=0)) + fcfg.header_len),
-                    dtype=np.complex128)
-    for r, row in enumerate(rows):
-        part = row[: head.shape[1]]
-        head[r, : len(part)] = part
-    sync = acquire_sync(head, fcfg.preamble, fcfg.header, last_start,
+        last_start = min(last_start, cfg.timing_search)
+    sync = acquire_sync(rx, fcfg.preamble, fcfg.header, last_start,
                         threshold=cfg.sync_threshold,
                         estimate_cfo=cfg.correct_cfo)
     received = sync.timing_offset >= 0
@@ -214,7 +207,7 @@ def rx_front_end(waveforms, cfg: ChainConfig,
         return np.empty((0, cfg.coded_bits_total())), sync, received
 
     # the frames found, each cut at its own offset and derotated
-    seg = np.stack([rows[r][o: o + fcfg.frame_len]
+    seg = np.stack([rx[r, o: o + fcfg.frame_len]
                     for r, o in zip(kept.tolist(), sync.timing_offset[kept].tolist())])
     cfo, phase = sync.cfo_estimate[kept], sync.phase[kept]
     if np.any(cfo != 0.0):
@@ -238,8 +231,6 @@ def rx_front_end(waveforms, cfg: ChainConfig,
         usable = np.any(freq_response, axis=-1)
         if not usable.all():
             received[kept[~usable]] = False
-            if not usable.any():
-                return np.empty((0, cfg.coded_bits_total())), sync, received
             kept, seg, freq_response = kept[usable], seg[usable], freq_response[usable]
         noise_var = cfg.equalizer.noise_variance_hint
         if noise_var is None:
@@ -255,10 +246,16 @@ def rx_front_end(waveforms, cfg: ChainConfig,
             table = ((bits[:, None] >> np.arange(
                 cfg.modulation.bits_per_symbol)[::-1]) & 1).astype(np.uint8)
             constellation = modulate(table.reshape(-1), cfg.modulation)
-        # the LMS recursion runs sample by sample, so frame by frame too
-        stream = np.array([td_equalize(row, fcfg.header, cfg.equalizer, constellation)
-                           for row in seg], dtype=np.complex128)
-        equalized = remove_cyclic_prefix(stream.reshape(-1, *blocks), fcfg.cp_len)
+        # the LMS recursion runs sample by sample, so frame by frame too; a
+        # step too large for its frame diverges, and the frame is lost
+        with np.errstate(over="ignore", invalid="ignore"):
+            stream = np.array([td_equalize(row, fcfg.header, cfg.equalizer,
+                                           constellation) for row in seg],
+                              dtype=np.complex128)
+        finite = np.isfinite(stream).all(axis=-1)
+        received[kept[~finite]] = False
+        equalized = remove_cyclic_prefix(stream[finite].reshape(-1, *blocks),
+                                         fcfg.cp_len)
     del seg
 
     if cfg.track_pilot_phase and fcfg.pilots_per_block:

@@ -10,8 +10,8 @@ block), which is what brings the error down to a few 1e-5 rad/sample at
 moderate SNR.  The residual common phase is read off the header after CFO
 removal.
 
-``acquire_sync`` takes a group of frames as a ``(frames, samples)`` matrix,
-each row with its own search window, and gives each row what that row
+``acquire_sync`` takes a group of frames as a ``(frames, samples)`` matrix
+with one search window for the group, and gives each row what that row
 alone would give.  A row that misses the threshold is marked in the
 result, never raised.
 """
@@ -61,7 +61,7 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def acquire_sync(rx_waveforms: np.ndarray, preamble: np.ndarray,
-                 header: np.ndarray, search_window: int | np.ndarray,
+                 header: np.ndarray, search_window: int,
                  threshold: float = DEFAULT_SYNC_THRESHOLD,
                  estimate_cfo: bool = True) -> SyncState:
     """Locate the preamble of each row of a ``(frames, samples)`` matrix at
@@ -73,39 +73,30 @@ def acquire_sync(rx_waveforms: np.ndarray, preamble: np.ndarray,
     is not conditioned on it; receivers that will not apply CFO correction
     must pin it, otherwise estimator noise leaks into the phase reference.
 
-    ``search_window`` is one window or one per row; each field of the
-    result holds one value per row, a missed row marked as ``SyncState``
-    says.
+    Each field of the result holds one value per row, a missed row marked
+    as ``SyncState`` says.
     """
     rx = np.asarray(rx_waveforms, dtype=np.complex128)
     if rx.ndim != 2:
         raise ValueError("acquire_sync takes a (frames, samples) matrix")
     p = np.asarray(preamble, dtype=np.complex128)
     ref = np.asarray(header, dtype=np.complex128)
-    frames = len(rx)
-    if not frames:
-        return SyncState(timing_offset=np.empty(0, dtype=np.int64),
-                         cfo_estimate=np.empty(0), phase=np.empty(0))
-    windows = np.broadcast_to(np.asarray(search_window, dtype=np.int64), (frames,))
-    if windows.min() < 0 or rx.shape[1] < windows.max() + len(ref):
+    if search_window < 0 or rx.shape[1] < search_window + len(ref):
         raise ValueError(
             f"the {len(ref)}-sample header does not fit at every offset "
-            f"0..{windows.max()} of a {rx.shape[1]}-sample waveform")
+            f"0..{search_window} of a {rx.shape[1]}-sample waveform")
     half = len(p) // 2
-    rows = np.arange(frames)
+    rows = np.arange(len(rx))
 
     # every candidate window of every row; vecdot takes the same dot
     # product per window as np.correlate / np.convolve over one waveform
-    width = int(windows.max()) + 1
-    head = rx[:, : width - 1 + len(p)]
+    head = rx[:, : search_window + len(p)]
     corr = np.vecdot(p, np.lib.stride_tricks.sliding_window_view(head, len(p), axis=-1))
     power = np.abs(head) ** 2
     window_energy = np.vecdot(
         np.lib.stride_tricks.sliding_window_view(power, len(p), axis=-1), np.ones(len(p)))
     norm = np.sqrt(window_energy * np.sum(np.abs(p) ** 2))
     metric = np.abs(corr) / np.maximum(norm, 1e-300)
-    # offsets past a row's own window never win
-    metric[np.arange(width) > windows[:, None]] = -1.0
     offset = np.argmax(metric, axis=-1)
     locked = metric[rows, offset] >= threshold
 

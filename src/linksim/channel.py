@@ -76,13 +76,16 @@ def _db_to_amplitude(db: float) -> float:
     return 10.0 ** (db / 20.0)
 
 
-def power_ratio(db: float) -> float:
-    """``10 ** (db / 10)``, or inf where that overflows.  A level the
-    simulator scales or divides by needs a finite nonzero ratio."""
+def check_power_ratio(db: float, what: str) -> None:
+    """A level the simulator scales or divides by needs a finite nonzero
+    ``10 ** (db / 10)``; a ValueError naming ``what`` otherwise."""
     try:
-        return 10.0 ** (db / 10.0)
+        linear = 10.0 ** (db / 10.0)
     except OverflowError:
-        return math.inf
+        linear = math.inf
+    if not 0.0 < linear < math.inf:
+        raise ValueError(f"{what} is {db:g} dB, whose linear ratio {linear:g} "
+                         "is not a finite nonzero number")
 
 
 def effective_taps(model: ChannelModel) -> list[tuple[int, complex]]:
@@ -124,15 +127,14 @@ _POWER_ROWS = 8
 
 
 def apply_channel(tx: np.ndarray, models: ChannelModel | Sequence[ChannelModel],
-                  seeds: int | Sequence[int] = 0) -> np.ndarray | list[np.ndarray]:
+                  seeds: int | Sequence[int] = 0) -> np.ndarray:
     """Convolve, rotate and add noise; output length = input + max delay.
 
     A ``(frames, samples)`` group takes one model and one noise seed per
-    row and returns the received rows as a list, since models of different
-    delay spreads give rows of different lengths; the rows of one-tap
-    responses are views into one matrix.  A 1-D ``tx`` is a group of one:
-    one model, one seed, one array back.  Each row is what it gets alone:
-    the generator ``np.random.default_rng`` makes of its seed draws its tap
+    row, all models of one delay spread, and returns one ``(frames,
+    samples + max_delay)`` matrix.  A 1-D ``tx`` is a group of one: one
+    model, one seed, one array back.  Each row is what it gets alone: the
+    generator ``np.random.default_rng`` makes of its seed draws its tap
     phases and then its noise, the real part before the imaginary part.
     The group's generator states are derived at once and played in turn on
     one generator (``rng.SeededGenerators``); a row that draws tap phases
@@ -146,8 +148,12 @@ def apply_channel(tx: np.ndarray, models: ChannelModel | Sequence[ChannelModel],
     if len(models) != len(tx) or len(seeds) != len(tx):
         raise ValueError(f"{len(tx)} frames need one model and one seed each, "
                          f"got {len(models)} models and {len(seeds)} seeds")
-    if len(tx) == 0:
-        return []
+    spreads = {model.max_delay for model in models}
+    if len(spreads) > 1:
+        raise ValueError(f"a group's models must share one delay spread, "
+                         f"got max delays {sorted(spreads)}")
+    delay = max(spreads, default=0)
+    rx = np.empty((len(tx), tx.shape[1] + delay), dtype=np.complex128)
     rngs = SeededGenerators(seeds)
     fixed: dict[int, np.ndarray] = {}   # id(model) -> response, no phase draws
     responses = []
@@ -159,24 +165,20 @@ def apply_channel(tx: np.ndarray, models: ChannelModel | Sequence[ChannelModel],
             if id(model) not in fixed:
                 fixed[id(model)] = impulse_response(model)
             responses.append(fixed[id(model)])
-    rows = [np.convolve(row, h) if len(h) > 1 else None
-            for row, h in zip(tx, responses)]
-    one_tap = [r for r, h in enumerate(responses) if len(h) == 1]
-    if one_tap:
-        block = np.empty((len(one_tap), tx.shape[1]), dtype=np.complex128)
-        _scale(tx if len(one_tap) == len(tx) else tx[one_tap],
-               np.array([responses[r][0] for r in one_tap]), block)
-        for r, row in zip(one_tap, block):
-            rows[r] = row
-    for row, model in zip(rows, models):
+    if delay == 0:   # one-tap responses are scaled, not convolved
+        _scale(tx, np.array([h[0] for h in responses]), rx)
+    else:
+        for row, frame, h in zip(rx, tx, responses):
+            row[:] = np.convolve(frame, h)
+    for row, model in zip(rx, models):
         if model.cfo != 0.0 or model.phase_offset != 0.0:
             n = np.arange(len(row))
             row *= np.exp(1j * (model.cfo * n + model.phase_offset))
     noisy = [r for r, m in enumerate(models) if m.snr_db is not None]
-    for r, power in zip(noisy, _row_power(rows, noisy)):
+    for r, power in zip(noisy, _row_power(rx, noisy)):
         sigma2 = power / 10.0 ** (models[r].snr_db / 10.0)
-        add_noise(rows[r], rngs[r], math.sqrt(sigma2 / 2.0))
-    return rows
+        add_noise(rx[r], rngs[r], math.sqrt(sigma2 / 2.0))
+    return rx
 
 
 def add_noise(row: np.ndarray, rng: np.random.Generator, scale: float) -> None:
@@ -223,27 +225,23 @@ def _scale(tx: np.ndarray, gains: np.ndarray, out: np.ndarray) -> None:
     floats += 0.0
 
 
-def _row_power(rows: list[np.ndarray], picked: list[int]) -> list[float]:
+def _row_power(rows: np.ndarray, picked: list[int]) -> list[float]:
     """``np.mean(np.abs(rows[r]) ** 2)`` for each picked row, bit for bit.
 
-    Rows of one length go ``_POWER_ROWS`` at a time through one magnitude
-    buffer and one ``np.mean`` along its rows (the pairwise sum along a
-    matrix row is the 1-D sum), so no group-sized temporary is made.
+    The rows go ``_POWER_ROWS`` at a time through one magnitude buffer and
+    one ``np.mean`` along its rows (the pairwise sum along a matrix row is
+    the 1-D sum), so no group-sized temporary is made.
     """
-    by_length: dict[int, list[int]] = {}
-    for r in picked:
-        by_length.setdefault(len(rows[r]), []).append(r)
-    buffer = np.empty((min(_POWER_ROWS, len(picked)), max(by_length, default=0)))
-    power = {}
-    for length, same in by_length.items():
-        for start in range(0, len(same), _POWER_ROWS):
-            block = same[start: start + _POWER_ROWS]
-            mags = buffer[: len(block), :length]
-            for j, r in enumerate(block):
-                np.abs(rows[r], out=mags[j])
-            np.square(mags, out=mags)
-            power.update(zip(block, np.mean(mags, axis=1).tolist()))
-    return [power[r] for r in picked]
+    buffer = np.empty((min(_POWER_ROWS, len(picked)), rows.shape[1]))
+    power = []
+    for start in range(0, len(picked), _POWER_ROWS):
+        block = picked[start: start + _POWER_ROWS]
+        mags = buffer[: len(block)]
+        for j, r in enumerate(block):
+            np.abs(rows[r], out=mags[j])
+        np.square(mags, out=mags)
+        power += np.mean(mags, axis=1).tolist()
+    return power
 
 
 def estimate_frequency_response(model: ChannelModel, fft_size: int) -> np.ndarray:

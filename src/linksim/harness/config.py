@@ -22,8 +22,8 @@ from ..baseband.coding import CodecConfig
 from ..baseband.equalizers import EqualizerConfig, EqualizerVariant
 from ..baseband.framing import FrameConfig
 from ..baseband.modulation import ModulationScheme, SpreadingConfig
-from ..channel import (AntennaPattern, ChannelModel, ChannelTap, make_preset,
-                       make_tap, power_ratio)
+from ..channel import (AntennaPattern, ChannelModel, ChannelTap,
+                       check_power_ratio, make_preset, make_tap)
 from ..errors import ConfigError
 from ..mux import FrameSource, LogicalChannel, Redundancy
 from ..profiles import (SERVICE_PROFILES, ModemCapacity, RequirementProfile,
@@ -301,13 +301,9 @@ def _parse_sweep(data: Any, cfg: SimulationConfig,
     spec = _make(SweepSpec, "sweep", _SWEEP, **kw)
     for i, value in enumerate(spec.values):
         # the channel divides the signal power by the linear SNR
-        snr_db = snr_for_axis(value, spec.axis, cfg.chain)
-        linear = power_ratio(snr_db)
-        if not 0.0 < linear < math.inf:
-            raise ConfigError(
-                f"sweep.values[{i}]: {value:g} {spec.axis} is a per-sample SNR "
-                f"of {snr_db:g} dB, whose linear ratio {linear:g} is not a "
-                "finite nonzero number")
+        _make(check_power_ratio, f"sweep.values[{i}]", {},
+              snr_for_axis(value, spec.axis, cfg.chain),
+              f"{value:g} {spec.axis} as a per-sample SNR")
     return spec
 
 
@@ -353,12 +349,9 @@ def _parse_loss(data: Any, cfg: SimulationConfig) -> IidLossModel | BasebandLoss
                 "mux.loss: baseband mode needs 'baseband' and 'channel' sections")
         _check_genie_response(cfg.chain, cfg.channel)
         # the channel divides the signal power by the linear SNR
-        snr_db = cfg.channel.snr_db
-        linear = 1.0 if snr_db is None else power_ratio(snr_db)
-        if not 0.0 < linear < math.inf:
-            raise ConfigError(
-                f"channel.snr_db: {snr_db:g} dB has a linear ratio of "
-                f"{linear:g}, not a finite nonzero number")
+        if cfg.channel.snr_db is not None:
+            _make(check_power_ratio, "channel.snr_db", {}, cfg.channel.snr_db,
+                  "snr_db")
         return BasebandLossModel(chain=cfg.chain, channel=cfg.channel)
     raise ConfigError("mux.loss.mode: must be 'iid' or 'baseband'")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..channel import power_ratio
+from ..channel import check_power_ratio
 from ..errors import NoTargetError
 from ..ranging import EchoScene, echo_range, generate_echo
 from ..rng import SeededGenerators, raw_bits
@@ -67,24 +67,28 @@ class RangingSpec:
         if self.carrier_wavelength_m <= 0:
             raise ValueError("carrier_wavelength_m must be > 0")
         # the echo scales and divides by these levels
-        for name in ("reflection_gain_db", "residual_si_power_db", "echo_snr_db"):
-            db = getattr(self, name)
-            linear = 1.0 if db is None else power_ratio(db)
-            if not 0.0 < linear < math.inf:
-                raise ValueError(f"{name} {db:g} dB has a linear ratio of "
-                                 f"{linear:g}, not a finite nonzero number")
+        gain, si, snr = (self.reflection_gain_db, self.residual_si_power_db,
+                         self.echo_snr_db)
+        for name, db in (("reflection_gain_db", gain),
+                         ("residual_si_power_db", si), ("echo_snr_db", snr)):
+            if db is not None:
+                check_power_ratio(db, name)
         # and by the levels it makes of them together: the noise (gain - SNR)
         # and the self-interference (gain + SI)
-        gain = self.reflection_gain_db
-        for name, level, sign in (("echo_snr_db", "noise", -1),
-                                  ("residual_si_power_db", "self-interference", 1)):
-            db = getattr(self, name)
-            total = gain + sign * (db or 0.0)
-            if db is not None and not 0.0 < power_ratio(total) < math.inf:
-                raise ValueError(
-                    f"{name} {db:g} dB at reflection_gain_db {gain:g} dB makes a "
-                    f"{level} level of {total:g} dB, whose linear ratio "
-                    f"{power_ratio(total):g} is not a finite nonzero number")
+        for name, db, level, sign in (("echo_snr_db", snr, "noise", -1),
+                                      ("residual_si_power_db", si,
+                                       "self-interference", 1)):
+            if db is not None:
+                check_power_ratio(gain + sign * db, f"{name} {db:g} dB: the "
+                                  f"{level} level at reflection_gain_db {gain:g} dB")
+        # the received energy, waveform_len unit-modulus chips times the
+        # squared sum of the echo, SI and noise amplitudes, must stay finite
+        amplitudes = 1.0 + sum(10.0 ** (sign * db / 20.0) for db, sign in
+                               ((si, 1), (snr, -1)) if db is not None)
+        energy_db = (gain + 20.0 * math.log10(amplitudes)
+                     + 10.0 * math.log10(self.waveform_len))
+        check_power_ratio(energy_db, f"reflection_gain_db {gain:g} dB: the "
+                          f"received energy of {self.waveform_len} samples")
         delay = EchoScene(self.range_max_m, self.sample_rate_hz,
                           self.bandwidth_hz).round_trip_samples
         if delay >= self.waveform_len:

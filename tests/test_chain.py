@@ -70,26 +70,6 @@ class TestFrameSearch:
             rx_front_end([tx_chain(payload(300, 5), cfg)[:-1]], cfg, [IDENTITY])
 
 
-    def test_each_row_is_searched_only_where_it_fits_whole(self):
-        # the first row holds a frame 16 samples in, cut 6 samples short, so
-        # its own window (0..10) misses it, beside a row 24 samples longer
-        cfg = ChainConfig.for_payload(300, codec=None)
-        frame = tx_chain(payload(300, 3), cfg)
-        late = np.concatenate([np.zeros(16, complex), frame])[: len(frame) + 10]
-        longer = np.concatenate([frame, np.zeros(24, complex)])
-        soft, _, received = rx_front_end([late, longer], cfg, [IDENTITY] * 2)
-        assert received.tolist() == [False, True]
-        assert rx_front_end([late], cfg, [IDENTITY])[1].timing_offset.tolist() == [-1]
-        assert np.array_equal(soft, rx_front_end([longer], cfg, [IDENTITY])[0])
-
-    def test_a_row_shorter_than_a_frame_is_a_caller_error(self):
-        cfg = ChainConfig.for_payload(300, codec=None)
-        frame = tx_chain(payload(300, 5), cfg)
-        with pytest.raises(ValueError, match="does not fit"):
-            rx_front_end([np.concatenate([frame, np.zeros(30, complex)]),
-                          frame[:-1]], cfg, [IDENTITY] * 2)
-
-
 class TestLoopback:
     @pytest.mark.parametrize("sf", [1, 2, 8])
     @pytest.mark.parametrize("scheme", [ModulationScheme.BPSK,
@@ -302,9 +282,9 @@ class TestGroupFrontEnd:
         zero = ChannelKnowledge(np.zeros(256), 0.0)
         frames = np.array([tx_chain(payload(cfg.payload_bits, seed), cfg)
                            for seed, _, _ in rows])
-        waveforms = np.array(apply_channel(
+        waveforms = apply_channel(
             frames, [replace(model, snr_db=snr) for _, snr, _ in rows],
-            [seed for seed, _, _ in rows]))
+            [seed for seed, _, _ in rows])
         knowledge = [zero if zeroed else genie for _, _, zeroed in rows]
         soft, sync, received = rx_front_end(waveforms, cfg, knowledge)
         assert received.shape == (len(rows),)

@@ -179,10 +179,11 @@ channels = st.builds(
 
 @st.composite
 def groups(draw):
-    """(tx, models, seeds): 1-40 rows over a pool of 1-4 models, so rows
-    share model objects and mix delay spreads, with ±0.0 and huge values
+    """(tx, models, seeds): 1-40 rows over a pool of 1-4 models of one
+    delay spread, so rows share model objects, with ±0.0 and huge values
     scattered over a random waveform."""
     pool = draw(st.lists(channels, min_size=1, max_size=4))
+    pool = [model for model in pool if model.max_delay == pool[0].max_delay]
     rows = draw(st.integers(1, 40))
     n = draw(st.integers(1, 600))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -218,7 +219,7 @@ class TestGroup:
             expected = [reference_channel(row, model, seed)
                         for row, model, seed in zip(tx, models, seeds)]
             alone = apply_channel(tx[0], models[0], seeds[0])
-        assert len(rows) == len(tx)
+        assert rows.shape == (len(tx), tx.shape[1] + models[0].max_delay)
         for row, want in zip(rows, expected):
             assert same_bits(row, want)
         assert same_bits(alone, expected[0])
@@ -226,13 +227,12 @@ class TestGroup:
     def test_each_row_draws_tap_phases_then_noise_from_its_own_seed(self):
         rng = np.random.default_rng(4)
         tx = np.exp(2j * np.pi * rng.random((4, 300)))
-        models = [make_preset(preset, randomize_tap_phases=True, snr_db=snr,
-                              cfo=0.002, phase_offset=0.4)
-                  for preset, snr in (("coupling-harsh", 3.0), ("coupling-mild", 10.0),
-                                      ("coupling-harsh", -5.0), ("coupling-los", 20.0))]
+        models = [make_preset("coupling-harsh", randomize_tap_phases=True,
+                              snr_db=snr, cfo=0.002, phase_offset=0.4)
+                  for snr in (3.0, 10.0, -5.0, 20.0)]
         seeds = [11, 12, 13, 14]
         rows = apply_channel(tx, models, seeds)
-        assert [len(row) for row in rows] == [324, 307, 324, 300]
+        assert rows.shape == (4, 324)
         for row, frame, model, seed in zip(rows, tx, models, seeds):
             assert same_bits(row, reference_channel(frame, model, seed))
             assert same_bits(row, apply_channel(frame, model, seed))
@@ -242,6 +242,11 @@ class TestGroup:
             apply_channel(np.ones((3, 10), complex), [los_model()] * 2, [0] * 3)
         with pytest.raises(ValueError):
             apply_channel(np.ones((3, 10), complex), [los_model()] * 3, [0] * 2)
+
+    def test_a_group_shares_one_delay_spread(self):
+        models = [make_preset("coupling-harsh"), make_preset("coupling-mild")]
+        with pytest.raises(ValueError, match=r"one delay spread, got max delays \[7, 24\]"):
+            apply_channel(np.ones((2, 10), complex), models, [0, 1])
 
 
 class TestFrequencyResponse:

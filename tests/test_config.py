@@ -250,49 +250,65 @@ RUN_TIME_LIMITS = [
      "mux.queue_depth: queue_depth must be >= 1"),
     # 10 ** (snr_db / 10) overflows, or is 0.0 and divides the signal power
     ("configs/ber_sweep.json", ("sweep", "values"), [4.0, 1e12],
-     "sweep.values[1]: 1e+12 ebn0_db is a per-sample SNR of 1e+12 dB, whose "
+     "sweep.values[1]: 1e+12 ebn0_db as a per-sample SNR is 1e+12 dB, whose "
      "linear ratio inf is not a finite nonzero number"),
     ("configs/ber_sweep.json", ("sweep", "values"), [-1e12],
-     "sweep.values[0]: -1e+12 ebn0_db is a per-sample SNR of -1e+12 dB, "
+     "sweep.values[0]: -1e+12 ebn0_db as a per-sample SNR is -1e+12 dB, "
      "whose linear ratio 0 is not a finite nonzero number"),
     # a fixed channel SNR under the baseband loss model, by the same rule
     ("tests/golden/mux_baseband.json", ("channel", "snr_db"), 1e12,
-     "channel.snr_db: 1e+12 dB has a linear ratio of inf, not a finite "
-     "nonzero number"),
+     "channel.snr_db: snr_db is 1e+12 dB, whose linear ratio inf is not a "
+     "finite nonzero number"),
     ("tests/golden/mux_baseband.json", ("channel", "snr_db"), -1e12,
-     "channel.snr_db: -1e+12 dB has a linear ratio of 0, not a finite "
-     "nonzero number"),
+     "channel.snr_db: snr_db is -1e+12 dB, whose linear ratio 0 is not a "
+     "finite nonzero number"),
     # the echo scales by the gain and SI levels and divides by the SNR
     ("configs/ranging.json", ("ranging", "reflection_gain_db"), 1e12,
-     "ranging.reflection_gain_db: reflection_gain_db 1e+12 dB has a linear "
-     "ratio of inf, not a finite nonzero number"),
+     "ranging.reflection_gain_db: reflection_gain_db is 1e+12 dB, whose "
+     "linear ratio inf is not a finite nonzero number"),
     ("configs/ranging.json", ("ranging", "reflection_gain_db"), -1e12,
-     "ranging.reflection_gain_db: reflection_gain_db -1e+12 dB has a linear "
-     "ratio of 0, not a finite nonzero number"),
+     "ranging.reflection_gain_db: reflection_gain_db is -1e+12 dB, whose "
+     "linear ratio 0 is not a finite nonzero number"),
     ("configs/ranging.json", ("ranging", "residual_si_power_db"), 1e12,
-     "ranging.residual_si_power_db: residual_si_power_db 1e+12 dB has a "
-     "linear ratio of inf, not a finite nonzero number"),
+     "ranging.residual_si_power_db: residual_si_power_db is 1e+12 dB, whose "
+     "linear ratio inf is not a finite nonzero number"),
     ("configs/ranging.json", ("ranging", "echo_snr_db"), 1e12,
-     "ranging.echo_snr_db: echo_snr_db 1e+12 dB has a linear ratio of inf, "
-     "not a finite nonzero number"),
+     "ranging.echo_snr_db: echo_snr_db is 1e+12 dB, whose linear ratio inf "
+     "is not a finite nonzero number"),
     ("configs/ranging.json", ("ranging", "echo_snr_db"), -1e12,
-     "ranging.echo_snr_db: echo_snr_db -1e+12 dB has a linear ratio of 0, "
-     "not a finite nonzero number"),
+     "ranging.echo_snr_db: echo_snr_db is -1e+12 dB, whose linear ratio 0 "
+     "is not a finite nonzero number"),
     # levels that pass one at a time but overflow together in the echo (a
     # tuple of paths sets each to its value)
     ("configs/ranging.json", (("ranging", "reflection_gain_db"),
                               ("ranging", "echo_snr_db"), ("ranging", "trials")),
      (3080, -3080, 2),
-     "ranging.echo_snr_db: echo_snr_db -3080 dB at reflection_gain_db 3080 dB "
-     "makes a noise level of 6160 dB, whose linear ratio inf is not a finite "
-     "nonzero number"),
+     "ranging.echo_snr_db: echo_snr_db -3080 dB: the noise level at "
+     "reflection_gain_db 3080 dB is 6160 dB, whose linear ratio inf is not a "
+     "finite nonzero number"),
     ("configs/ranging.json", (("ranging", "reflection_gain_db"),
                               ("ranging", "residual_si_power_db"),
                               ("ranging", "trials")),
      (3000, 3000, 2),
-     "ranging.residual_si_power_db: residual_si_power_db 3000 dB at "
-     "reflection_gain_db 3000 dB makes a self-interference level of 6000 dB, "
-     "whose linear ratio inf is not a finite nonzero number"),
+     "ranging.residual_si_power_db: residual_si_power_db 3000 dB: the "
+     "self-interference level at reflection_gain_db 3000 dB is 6000 dB, whose "
+     "linear ratio inf is not a finite nonzero number"),
+    # levels that pass together but whose received energy, 8192 samples of
+    # the summed echo, SI and noise amplitudes, leaves the float range
+    ("configs/ranging.json", (("ranging", "reflection_gain_db"),
+                              ("ranging", "residual_si_power_db"),
+                              ("ranging", "trials")),
+     (3080, 0, 2),
+     "ranging.reflection_gain_db: reflection_gain_db 3080 dB: the received "
+     "energy of 8192 samples is 3125.58 dB, whose linear ratio inf is not a "
+     "finite nonzero number"),
+    ("configs/ranging.json", (("ranging", "reflection_gain_db"),
+                              ("ranging", "residual_si_power_db"),
+                              ("ranging", "echo_snr_db"), ("ranging", "trials")),
+     (3080, None, None, 2),
+     "ranging.reflection_gain_db: reflection_gain_db 3080 dB: the received "
+     "energy of 8192 samples is 3119.13 dB, whose linear ratio inf is not a "
+     "finite nonzero number"),
     # TD-LMS trains on the 416-symbol header, 10 symbols a tap
     ("configs/ber_sweep.json", ("baseband", "equalizer"),
      {"variant": "td-lms", "lms_taps": 51},
@@ -381,6 +397,27 @@ def test_sweep_below_sync_threshold_counts_every_packet_lost(
     point = dict(zip(header.split(","), row.split(",")))
     assert point["per"] == "1" and point["packet_errors"] == "20"
     assert (point["ber"] == "1") == every_frame_missed
+
+
+def test_a_diverging_td_lms_equalizer_loses_its_frames(tmp_path):
+    # a step of 0.5 drives the LMS weights to NaN on every frame; each frame
+    # is a counted loss with every bit wrong, not NaN samples sliced to 0
+    data = json.loads((REPO / "tests" / "golden" /
+                       "pilot_ls_td_lms_mild.json").read_text())
+    data["baseband"]["equalizer"]["lms_step"] = 0.5
+    data["sweep"]["trials"] = 2
+    config = tmp_path / "lms.json"
+    config.write_text(json.dumps(data))
+    proc = subprocess.run(
+        [sys.executable, "-m", "linksim", "ber-sweep", "--config", str(config),
+         "--out", str(tmp_path / "o.csv")],
+        capture_output=True, text=True, cwd=tmp_path, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr
+    header, *rows = (tmp_path / "o.csv").read_text().splitlines()
+    for row in rows:
+        point = dict(zip(header.split(","), row.split(",")))
+        assert point["ber"] == "1" and point["per"] == "1"
 
 
 def test_degenerate_channel_is_a_lost_packet():

@@ -21,7 +21,7 @@ from linksim.baseband import (ChainConfig, CodecConfig, EqualizerConfig,
                               EqualizerVariant, ModulationScheme,
                               SpreadingConfig)
 from linksim.baseband.chain import ChannelKnowledge
-from linksim.channel import ChannelModel, ChannelTap, make_preset
+from linksim.channel import make_preset
 from linksim.cli import main
 from linksim.harness import sweep
 from linksim.harness.seeding import stable_seed
@@ -35,14 +35,20 @@ CHAINS = {
 }
 
 
+def _zero_taps(model, **overrides):
+    """``model``'s tap set, and so its delay spread, with every gain 0j."""
+    return replace(model, taps=tuple(replace(tap, gain=0j) for tap in model.taps),
+                   **overrides)
+
+
 def _mixed_trials(cfg):
-    """Frames of a stream where some lose sync (-10 dB and a channel whose
-    only tap is zero), some decode with errors and some decode cleanly; the
-    genie knowledge alternates between two objects (4 dB and 8 dB)."""
+    """Frames of a stream where some lose sync (-10 dB and the harsh taps
+    with every gain zero), some decode with errors and some decode cleanly;
+    the genie knowledge alternates between two objects (4 dB and 8 dB)."""
     harsh = make_preset("coupling-harsh")
     channels = [(replace(harsh, snr_db=snr), seed) for seed, snr in
                 enumerate((-10.0, 0.0, 2.0, 4.0, -10.0, 8.0, 3.0, 20.0))]
-    channels.insert(3, (ChannelModel(taps=(ChannelTap(0, 0j),), snr_db=10.0), 0))
+    channels.insert(3, (_zero_taps(harsh, snr_db=10.0), 0))
     rng = np.random.default_rng(5)
     payloads = rng.integers(0, 2, (len(channels), cfg.payload_bits), dtype=np.uint8)
     knowledge = [sweep.genie_knowledge(cfg, replace(harsh, snr_db=snr))
@@ -124,15 +130,16 @@ def test_every_receiver_gives_each_trial_its_one_row_result(name):
     assert lost[[0, 5]].all() and (errors < cfg.payload_bits).any()
 
 
-def test_a_group_of_mixed_channel_lengths():
+def test_a_group_searched_at_every_offset_where_its_frames_fit():
     # with no timing_search, a frame is searched for at every offset where
-    # it fits, so rows of one group have windows of 0 (los and the zero
-    # tap) and 24 (harsh) samples
+    # it fits: 0..24 on the harsh channel's 24-sample delay spread; the rows
+    # mix fixed and drawn tap phases, and every fourth has zero gains
     cfg = ChainConfig.for_payload(960, codec=CODEC, correct_cfo=False)
-    zero = ChannelModel(taps=(ChannelTap(0, 0j),), snr_db=10.0)
+    harsh = make_preset("coupling-harsh")
+    zero = _zero_taps(harsh, snr_db=10.0)
     models = [zero if f % 4 == 3 else
-              make_preset(("coupling-los", "coupling-harsh")[f % 2],
-                          snr_db=(2.0, 8.0, 25.0)[f % 3])
+              replace(harsh, snr_db=(2.0, 8.0, 25.0)[f % 3],
+                      randomize_tap_phases=f % 2 == 1)
               for f in range(12)]
     seeds = [0 if f % 4 == 3 else f for f in range(12)]
     errors, lost = _each_frame_alone(_stream(cfg, models, seeds), cfg)

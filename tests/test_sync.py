@@ -125,27 +125,27 @@ def one_frame_sync(rx, p, ref, window):
 
 class TestGroup:
     def test_each_row_gets_the_one_frame_estimate_bit_for_bit(self):
-        # rows with their own windows, offsets, CFOs and SNRs, some of them
-        # too noisy to lock; a locked row's CFO and phase are those of the
-        # step-by-step estimator, a missed row is marked -1
+        # rows with their own offsets in one window, CFOs and SNRs, some of
+        # them too noisy to lock; a locked row's CFO and phase are those of
+        # the step-by-step estimator, a missed row is marked -1
         cfg = FrameConfig()
         p, header = cfg.preamble, cfg.header
         rng = np.random.default_rng(21)
-        frames, windows = 12, rng.integers(0, 30, 12)
+        frames, window = 12, 29
         total = len(header) + 40
         rx = np.empty((frames, total), dtype=complex)
         for r in range(frames):
             sigma = (0.05, 0.5, 3.0)[r % 3]
             rx[r] = sigma * (rng.standard_normal(total) +
                              1j * rng.standard_normal(total))
-            at = int(rng.integers(0, windows[r] + 1))
+            at = int(rng.integers(0, window + 1))
             n = np.arange(len(header))
             rx[r, at: at + len(header)] += header * np.exp(
                 1j * (rng.uniform(-0.01, 0.01) * n + rng.uniform(-3, 3)))
-        group = acquire_sync(rx, p, header, windows)
+        group = acquire_sync(rx, p, header, window)
         locked = 0
         for r in range(frames):
-            offset, cfo, phase, peak = one_frame_sync(rx[r], p, header, windows[r])
+            offset, cfo, phase, peak = one_frame_sync(rx[r], p, header, window)
             if peak < DEFAULT_SYNC_THRESHOLD:
                 assert group.timing_offset[r] == -1
                 continue
