@@ -11,10 +11,26 @@ t, 0))`` and its echo noise from ``default_rng(stable_seed(master, t, 1))``.
 The generators are derived ``BLOCK_TRIALS`` trials at a time, each set by
 one ``rng.SeededGenerators``; the block bounds the states held, not the
 results.
+
+A run splits its trials into one contiguous share per CPU the process may
+run on (``cpu_count``, which ``taskset`` limits), no share empty.  The
+calling thread runs the first share and one ``threading.Thread`` each of
+the others; a trial is almost all FFTs and noise draws, which release the
+interpreter lock.  The calling thread works rather than waits, so a run
+holds one malloc arena fewer: each thread's arena keeps one trial's
+working set.  No share holds another's generators, and a trial's
+draws depend only on its seeds, so the rows are the same, bit for bit, at
+any CPU count.  With one CPU, or one trial, the same share function runs
+on the calling thread alone.  Link trials stay on one thread: their numpy
+calls are small and hold the lock, and on a 2-vCPU host two threads
+decoding 15 rows each took 55-58 ms against 24 ms for one 30-row Viterbi
+call.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,17 +152,26 @@ def ranging_waveform(n_samples: int, oversample: int,
     return np.repeat(chips, oversample)[:n_samples]
 
 
-def run_ranging(spec: RangingSpec, master_seed: int) -> RangingResult:
-    # every chip at least as long as the waveform gives the same one-chip
-    # waveform
-    oversample = max(1, int(round(min(spec.sample_rate_hz / spec.bandwidth_hz,
-                                      spec.waveform_len))))
+def cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _ranging_trials(spec: RangingSpec, master_seed: int, oversample: int,
+                    share: range, stop: threading.Event
+                    ) -> list[RangingTrialRecord]:
+    """The records of the trials in ``share``, in order; it returns early
+    once ``stop`` is set."""
     records = []
-    for start in range(0, spec.trials, BLOCK_TRIALS):
-        trials = range(start, min(start + BLOCK_TRIALS, spec.trials))
+    for start in range(share.start, share.stop, BLOCK_TRIALS):
+        trials = range(start, min(start + BLOCK_TRIALS, share.stop))
         draws = SeededGenerators([stable_seed(master_seed, t, 0) for t in trials])
         noises = SeededGenerators([stable_seed(master_seed, t, 1) for t in trials])
         for row, trial in enumerate(trials):
+            if stop.is_set():
+                return records
             rng = draws[row]
             true_range = spec.range_min_m + rng.random() * (
                 spec.range_max_m - spec.range_min_m)
@@ -170,4 +195,49 @@ def run_ranging(spec: RangingSpec, master_seed: int) -> RangingResult:
             records.append(RangingTrialRecord(
                 trial=trial, true_range_m=true_range, est_range_m=est_range,
                 error_m=est_range - true_range, peak_quality=quality))
+    return records
+
+
+def run_ranging(spec: RangingSpec, master_seed: int) -> RangingResult:
+    """Every trial's record, in trial order, run one share per CPU.
+
+    An exception in any share stops the others at their next trial and is
+    raised here once every thread has ended.
+    """
+    # every chip at least as long as the waveform gives the same one-chip
+    # waveform
+    oversample = max(1, int(round(min(spec.sample_rate_hz / spec.bandwidth_hz,
+                                      spec.waveform_len))))
+    n_shares = min(cpu_count(), spec.trials)
+    bounds = [spec.trials * k // n_shares for k in range(n_shares + 1)]
+    shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    stop = threading.Event()
+    outcomes: list = [None] * n_shares   # a worker's records or exception
+
+    def run_share(k: int) -> None:
+        try:
+            outcomes[k] = _ranging_trials(spec, master_seed, oversample,
+                                          shares[k], stop)
+        except BaseException as exc:
+            stop.set()
+            outcomes[k] = exc
+
+    workers = []
+    try:
+        for k in range(1, n_shares):
+            worker = threading.Thread(target=run_share, args=(k,))
+            worker.start()
+            workers.append(worker)
+        records = _ranging_trials(spec, master_seed, oversample, shares[0],
+                                  stop)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        for worker in workers:
+            worker.join()
+    for outcome in outcomes[1:]:
+        if isinstance(outcome, BaseException):
+            raise outcome
+        records += outcome
     return RangingResult(records=records)

@@ -11,7 +11,11 @@ where splitmix64 is the standard finalizer
  x ^= x>>27; x *= 0x94D049BB133111EB; x ^= x>>31), all mod 2^64.
 The mapping is documented here because byte-identical reproducibility of
 every Monte Carlo output depends on it, independent of execution order or
-thread count.
+thread count: a ranging run splits its trials over every CPU the process
+may run on, and each trial's seeds, hence its row, are the same on any
+share.  Link trials run on one thread, because their small numpy calls
+hold the interpreter lock: on a 2-vCPU host two threads decoding 15 rows
+each took 55-58 ms against 24 ms for one 30-row Viterbi call.
 
 Because each step only reads the running value, a seed chains: the seed
 of a prefix of the indices is the master of the rest,

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import threading
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from linksim.harness import (IidLossModel, LatencySpec, MuxSimSpec,
                              emit_csv, latency_budget, manifest_path,
                              parse_config, run_mux_sim, run_ranging, run_sweep,
                              stable_seed, stable_uniform)
+from linksim.harness import rangingrun
 from linksim.harness.config import RangingSpec
 from linksim.harness.muxsim import LATENCY_BUCKETS, _histogram
 from linksim.harness.rangingrun import BLOCK_TRIALS, ranging_waveform
@@ -385,6 +387,70 @@ class TestRanging:
         np.testing.assert_array_equal(np.array(got), np.array(expected))
         if "reflection_gain_db" in changes:
             assert any(math.isnan(row[2]) for row in got)
+
+    # more trials than one block of generators, some finding no target
+    THREADED = RangingSpec(
+        sample_rate_hz=1e9, bandwidth_hz=1e9 / 3, waveform_len=301,
+        trials=BLOCK_TRIALS + 5, range_min_m=0.5, range_max_m=9.0,
+        reflection_gain_db=-3.0, residual_si_power_db=20.0, echo_snr_db=-22.0)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_rows_are_the_same_on_any_number_of_cpus(self, cpus, monkeypatch):
+        monkeypatch.setattr(rangingrun, "cpu_count", lambda: cpus)
+        threads = set()
+        real_echo_range = rangingrun.echo_range
+
+        def echo_range(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return real_echo_range(*args, **kwargs)
+
+        monkeypatch.setattr(rangingrun, "echo_range", echo_range)
+        # shares may outnumber the CPUs, and the threads switch often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = [astuple(r) for r in run_ranging(self.THREADED, 17).records]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads) == cpus
+        expected = reference_ranging(self.THREADED, 17)
+        np.testing.assert_array_equal(np.array(got), np.array(expected))
+        assert any(math.isnan(row[2]) for row in got)
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_a_failing_share_raises_after_every_thread_ends(self, failing,
+                                                            monkeypatch):
+        monkeypatch.setattr(rangingrun, "cpu_count", lambda: 3)
+        error = RuntimeError(f"a trial on the {failing} thread")
+        real_generate_echo = rangingrun.generate_echo
+
+        def generate_echo(*args, **kwargs):
+            caller = threading.current_thread() is threading.main_thread()
+            if caller == (failing == "caller"):
+                raise error
+            return real_generate_echo(*args, **kwargs)
+
+        monkeypatch.setattr(rangingrun, "generate_echo", generate_echo)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            run_ranging(self.THREADED, 17)
+        assert raised.value is error
+        assert threading.active_count() == before
+
+    def test_one_trial_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(rangingrun, "cpu_count", lambda: 4)
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        run_ranging(replace(self.THREADED, trials=1), 17)
+        assert started == []
+        run_ranging(replace(self.THREADED, trials=2), 17)
+        assert len(started) == 1 and not started[0].is_alive()
 
     def test_a_chip_is_at_most_the_whole_waveform(self):
         # a 1000-sample chip and a 1e21-sample one are the same waveform
