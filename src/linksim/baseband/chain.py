@@ -236,9 +236,11 @@ def rx_front_end(waveforms: np.ndarray, cfg: ChainConfig,
         if noise_var is None:
             noise_var = np.array([0.0 if channel[r] is None else
                                   channel[r].noise_variance for r in kept])
-        payload = seg[:, hdr_len:].reshape(-1, *blocks)
-        equalized = fd_equalize(remove_cyclic_prefix(payload, fcfg.cp_len),
-                                freq_response, noise_var)
+        # the CP-free blocks as a strided view of the frames: the FFT reads
+        # them in place
+        payload = seg[:, hdr_len:].reshape(-1, *blocks)[..., fcfg.cp_len:]
+        equalized = fd_equalize(payload, freq_response, noise_var)
+        del payload
     else:
         constellation = None
         if cfg.equalizer.decision_directed:
@@ -258,11 +260,16 @@ def rx_front_end(waveforms: np.ndarray, cfg: ChainConfig,
                                          fcfg.cp_len)
     del seg
 
+    # the front end owns ``equalized`` and the soft chips, so it rotates the
+    # one in place and, unspread, takes the other as its soft bits
     if cfg.track_pilot_phase and fcfg.pilots_per_block:
-        equalized = track_phase(equalized, fcfg.pilot_values, fcfg.pilot_positions)
+        track_phase(equalized, fcfg.pilot_values, fcfg.pilot_positions,
+                    out=equalized)
     data = extract_data_symbols(equalized, fcfg)[:, : cfg.required_symbols()]
     soft_chips = demodulate(data, cfg.modulation)[:, : cfg.chip_count()]
-    return despread(soft_chips, cfg.spreading), sync, received
+    if cfg.spreading.sf > 1:
+        soft_chips = despread(soft_chips, cfg.spreading)
+    return soft_chips, sync, received
 
 
 @dataclass

@@ -17,7 +17,8 @@ the trellis steps; ties between merging paths resolve to the branch whose
 departing register bit is 0, which makes decoding bit-exactly reproducible.
 The traceback walks a table of predecessors as flat (state, row) indices,
 built from the decisions one block of steps at a time from the end, so a
-step back is one ``take`` for every codeword of the batch.
+step back is one ``take`` for every codeword of the batch; the indices are
+int32 whenever they fit, which halves the table a step back reads.
 """
 from __future__ import annotations
 
@@ -75,10 +76,14 @@ class CodecConfig:
         return -(-info_bits // self.info_capacity)
 
     @property
+    def trellis_steps(self) -> int:
+        """Trellis steps of a codeword: its info bits, CRC and tail."""
+        return self.info_bits_per_codeword + self.tail_bits
+
+    @property
     def coded_bits_per_codeword(self) -> int:
         """Transmitted bits per codeword including the termination tail."""
-        n = len(self.generators)
-        return (self.info_bits_per_codeword + self.tail_bits) * n
+        return self.trellis_steps * len(self.generators)
 
 
 _CRC_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -206,21 +211,21 @@ def viterbi_decode_batch(soft: np.ndarray, cfg: CodecConfig) -> np.ndarray:
         return np.empty((0, cfg.info_bits_per_codeword), dtype=np.uint8)
     n_out = len(cfg.generators)
     tr = _trellis(cfg.constraint_length, cfg.generators)
-    steps = cfg_len // n_out
+    steps = cfg.trellis_steps
     half = tr.n_states // 2
 
     # branch metric of every sign combination per step, laid out
-    # (steps, combos, batch), the outputs added in order o = 0..n_out-1;
-    # the signs are +-1, so adding or subtracting an output is exactly
-    # adding its signed product
-    outputs = soft.reshape(batch, steps, n_out).transpose(2, 1, 0).copy()
+    # (steps, combos, batch), the outputs added in order o = 0..n_out-1 and
+    # read through a (n_out, steps, batch) view of ``soft``; the signs are
+    # +-1, so adding or subtracting an output is exactly adding its signed
+    # product
+    outputs = soft.reshape(batch, steps, n_out).transpose(2, 1, 0)
     bm = np.empty((steps, len(tr.combo_sign), batch))
     for c, signs in enumerate(tr.combo_sign):
         np.multiply(outputs[0], signs[0], out=bm[:, c])
         for o in range(1, n_out):
             (np.add if signs[o] > 0 else np.subtract)(
                 bm[:, c], outputs[o], out=bm[:, c])
-    del outputs                   # keeps it out of the loop's peak memory
 
     metric = np.full((tr.n_states, batch), -1e30)
     metric[0] = 0.0
@@ -231,8 +236,13 @@ def viterbi_decode_batch(soft: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     cand_jhu = cand.reshape(2, 2, half, batch)
     cand0, cand1 = cand
     decisions = np.empty((steps, tr.n_states, batch), dtype=bool)
+    gathered = np.empty((_STEP_CHUNK, 2 * tr.n_states, batch))
     for n0 in range(0, steps, _STEP_CHUNK):
-        branches = bm[n0:n0 + _STEP_CHUNK].take(tr.branch_combo, axis=1)
+        branches = gathered[: min(_STEP_CHUNK, steps - n0)]
+        # "clip" gathers straight into the buffer ("raise" would buffer the
+        # take); every index is in range
+        np.take(bm[n0:n0 + _STEP_CHUNK], tr.branch_combo, axis=1,
+                out=branches, mode="clip")
         for branch, decision in zip(branches.reshape(-1, 2, 2, half, batch),
                                     decisions[n0:n0 + _STEP_CHUNK]):
             np.add(pred, branch, out=cand_jhu)
@@ -244,16 +254,17 @@ def viterbi_decode_batch(soft: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     # predecessor table, one _STEP_CHUNK slice at a time: state t of row r
     # on decision d came from state 2 * (t % half) + d, and every state is
     # held as its flat index state * batch + r into a step's slice
-    base = ((np.arange(tr.n_states) % half * 2 * batch)[:, None]
-            + np.arange(batch)).reshape(-1)
-    table = np.empty((_STEP_CHUNK, tr.n_states * batch), dtype=np.intp)
+    index = np.int32 if tr.n_states * batch <= np.iinfo(np.int32).max else np.intp
+    base = ((np.arange(tr.n_states, dtype=index) % half * 2 * batch)[:, None]
+            + np.arange(batch, dtype=index)).reshape(-1)
+    table = np.empty((_STEP_CHUNK, tr.n_states * batch), dtype=index)
     # terminated trellis: trace back from state 0
-    flat = np.arange(batch)
-    states = np.empty((steps, batch), dtype=np.intp)
+    flat = np.arange(batch, dtype=index)
+    states = np.empty((steps, batch), dtype=index)
     for n0 in reversed(range(0, steps, _STEP_CHUNK)):
         block = table[: min(_STEP_CHUNK, steps - n0)]
         np.multiply(decisions[n0:n0 + _STEP_CHUNK].reshape(len(block), -1),
-                    batch, out=block)
+                    index(batch), out=block)
         block += base
         for n in range(n0 + len(block) - 1, n0 - 1, -1):
             states[n] = flat

@@ -69,7 +69,7 @@ def fd_equalize(rx_block: np.ndarray, channel_freq_response: np.ndarray,
         h.shape[:-1] + (1,) * (rx_block.ndim - h.ndim) + h.shape[-1:])
     spectrum = np.fft.fft(rx_block)
     spectrum *= weights
-    return np.fft.ifft(spectrum)
+    return np.fft.ifft(spectrum, out=spectrum)
 
 
 def _regression_matrix(samples: np.ndarray, n_taps: int) -> np.ndarray:

@@ -123,9 +123,14 @@ def acquire_sync(rx_waveforms: np.ndarray, preamble: np.ndarray,
 
 
 def track_phase(block: np.ndarray, pilot_values: np.ndarray,
-                pilot_positions: np.ndarray) -> np.ndarray:
+                pilot_positions: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Remove the common phase of each block (along the last axis),
-    estimated over its pilots."""
+    estimated over its pilots.
+
+    The rotated blocks go to ``out`` when given (``block`` itself rotates
+    it in place), else to a new array.
+    """
     block = np.asarray(block, dtype=np.complex128)
     pilot_positions = np.asarray(pilot_positions, dtype=int)
     if pilot_positions.size == 0:
@@ -134,4 +139,4 @@ def track_phase(block: np.ndarray, pilot_values: np.ndarray,
     # not), so each row of a block matrix gets exactly its one-block result
     terms = block[..., pilot_positions] * np.conj(pilot_values)
     rotation = np.cumsum(terms, axis=-1)[..., -1:]
-    return block * np.exp(-1j * np.angle(rotation))
+    return np.multiply(block, np.exp(-1j * np.angle(rotation)), out=out)

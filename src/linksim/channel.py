@@ -126,14 +126,14 @@ def impulse_response(model: ChannelModel,
 _POWER_ROWS = 8
 
 
-def apply_channel(tx: np.ndarray, models: ChannelModel | Sequence[ChannelModel],
-                  seeds: int | Sequence[int] = 0) -> np.ndarray:
+def apply_channel(tx: np.ndarray, models: Sequence[ChannelModel],
+                  seeds: Sequence[int]) -> np.ndarray:
     """Convolve, rotate and add noise; output length = input + max delay.
 
     A ``(frames, samples)`` group takes one model and one noise seed per
     row, all models of one delay spread, and returns one ``(frames,
-    samples + max_delay)`` matrix.  A 1-D ``tx`` is a group of one: one
-    model, one seed, one array back.  Each row is what it gets alone: the
+    samples + max_delay)`` matrix; a lone waveform is a group of one, a
+    ``(1, samples)`` matrix.  Each row is what it gets alone: the
     generator ``np.random.default_rng`` makes of its seed draws its tap
     phases and then its noise, the real part before the imaginary part.
     The group's generator states are derived at once and played in turn on
@@ -141,8 +141,9 @@ def apply_channel(tx: np.ndarray, models: ChannelModel | Sequence[ChannelModel],
     carries its state on to its noise.
     """
     tx = np.ascontiguousarray(tx, dtype=np.complex128)
-    if tx.ndim == 1:
-        return apply_channel(tx[None], [models], [seeds])[0]
+    if tx.ndim != 2:
+        raise ValueError("apply_channel takes a group of frames: a (frames, "
+                         "samples) matrix")
     if tx.shape[1] == 0:
         raise ValueError("input waveform must be non-empty")
     if len(models) != len(tx) or len(seeds) != len(tx):

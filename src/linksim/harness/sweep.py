@@ -17,12 +17,16 @@ call for all of its points, and the baseband-backed mux simulation one
 for every packet copy of a run, after scheduling; both feed it a stream
 of frames, each with its own payload, channel model, noise seed and genie
 knowledge.
-Its one unit of work is a group: the next ``DECODE_ROWS`` codewords' worth
-of frames of the stream (at least one frame), which it draws, sends
-through transmit, the channel and the receiver front end, decodes in one
-Viterbi call and one CRC check, and records before it draws the next.  A
-group runs across sweep points.  Only one group's waveforms, payloads and
-soft bits are held, which bounds memory whatever the number of frames.
+Its one unit of work is a group: the next frames of the stream, which it
+draws, sends through transmit, the channel and the receiver front end,
+decodes in one Viterbi call and one CRC check, and records before it draws
+the next.  A group is bounded by what it costs to hold: at most
+``GROUP_FRAMES`` frames, the rows of the front end's matrices, and at most
+``GROUP_TRELLIS_STEPS`` trellis steps of codewords, which size the
+decoder's decisions (uncoded frames count against the frame bound only);
+it holds at least one frame.  A group runs across sweep points.  Only one
+group's waveforms, payloads and soft bits are held, which bounds memory
+whatever the number of frames.
 The front end masks out a frame lost to sync failure or a degenerate
 channel; it never reaches the decoder, and the engine counts it as a
 packet error with every payload bit wrong.
@@ -46,16 +50,20 @@ import numpy as np
 
 from ..baseband.chain import (ChainConfig, ChannelKnowledge, decode_frames,
                               rx_front_end, tx_chain)
+from ..baseband.coding import CodecConfig
 from ..channel import ChannelModel, apply_channel, estimate_frequency_response
 from ..rng import random_bits
 from .seeding import stable_seed
 
 Z_95 = 1.959963984540054   # two-sided 95% normal quantile
 
-#: codeword rows in a group of frames, the unit ``link_trials`` draws,
-#: sends, decodes and records (at least one frame); it bounds the engine's
-#: memory, not its results
-DECODE_ROWS = 32
+# A group of frames is the unit ``link_trials`` draws, sends, decodes and
+# records; its two bounds size the engine's memory, not its results.
+#: frames in a group at most: the rows of the front end's group matrices
+GROUP_FRAMES = 32
+#: trellis steps of a group's codewords at most, those of ``GROUP_FRAMES``
+#: default codewords: they size the Viterbi decisions and branch metrics
+GROUP_TRELLIS_STEPS = GROUP_FRAMES * CodecConfig().trellis_steps
 
 
 @dataclass(frozen=True)
@@ -186,8 +194,12 @@ def link_trials(frames: Iterable[Frame], cfg: ChainConfig
 
 
 def _chunk(cfg: ChainConfig) -> int:
-    """Frames in a group: ``DECODE_ROWS`` codewords' worth, at least one."""
-    return max(1, DECODE_ROWS // max(1, cfg.n_codewords()))
+    """Frames in a group: at most ``GROUP_FRAMES`` and, coded, at most
+    ``GROUP_TRELLIS_STEPS`` trellis steps of codewords; at least one."""
+    if cfg.codec is None:
+        return GROUP_FRAMES
+    steps = cfg.n_codewords() * cfg.codec.trellis_steps
+    return max(1, min(GROUP_FRAMES, GROUP_TRELLIS_STEPS // steps))
 
 
 def run_sweep(cfg: ChainConfig, base_model: ChannelModel, spec: SweepSpec,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from linksim.baseband import (ChainConfig, ChannelKnowledge, CodecConfig,
                               EqualizerConfig, EqualizerVariant,
                               ModulationScheme, SpreadingConfig, decode_frames,
-                              rx_front_end, tx_chain, wrap_phase)
+                              despread, fd_equalize, rx_front_end, track_phase,
+                              tx_chain, wrap_phase)
 from linksim.baseband.framing import FrameConfig
 from linksim.channel import (ChannelModel, ChannelTap, apply_channel,
                              estimate_frequency_response, make_preset)
@@ -20,6 +22,12 @@ IDENTITY = ChannelKnowledge(freq_response=np.ones(256), noise_variance=0.0)
 
 def payload(n, seed):
     return np.random.default_rng(seed).integers(0, 2, n).astype(np.uint8)
+
+
+def one_frame(tx, model, seed=0):
+    """``tx`` through ``model`` with noise seed ``seed`` as a group of one;
+    returns its row."""
+    return apply_channel(np.asarray(tx)[None], [model], [seed])[0]
 
 
 def receive(waveform, cfg, knowledge=None):
@@ -116,7 +124,7 @@ class TestLoopback:
         soft = []
         for seed, snr in ((0, 30.0), (1, -1.0), (2, 6.0)):
             model = make_preset("coupling-los", snr_db=snr)
-            waveform = apply_channel(tx_chain(payload(2500, seed), cfg), model, seed)
+            waveform = one_frame(tx_chain(payload(2500, seed), cfg), model, seed)
             soft.append(rx_front_end([waveform], cfg, [knowledge])[0][0])
         together = decode_frames(np.stack(soft), cfg)
         assert together.codewords_failed[0] == 0
@@ -133,7 +141,7 @@ class TestMultipath:
         cfg = ChainConfig.for_payload(992)
         model = make_preset("coupling-harsh")
         bits = payload(992, 3)
-        rxw = apply_channel(tx_chain(bits, cfg), model)
+        rxw = one_frame(tx_chain(bits, cfg), model)
         knowledge = ChannelKnowledge(estimate_frequency_response(model, 256), 0.0)
         (info, failed, _), _ = receive(rxw, cfg, knowledge)
         assert np.array_equal(info, bits)
@@ -143,7 +151,7 @@ class TestMultipath:
         cfg = ChainConfig.for_payload(992, channel_estimator="pilot-ls")
         model = make_preset("coupling-mild")
         bits = payload(992, 4)
-        (info, failed, _), _ = receive(apply_channel(tx_chain(bits, cfg), model),
+        (info, failed, _), _ = receive(one_frame(tx_chain(bits, cfg), model),
                                        cfg)
         assert np.array_equal(info, bits)
         assert failed == 0
@@ -155,7 +163,7 @@ class TestMultipath:
             channel_estimator="pilot-ls")
         model = make_preset("coupling-mild")
         bits = payload(400, 5)
-        (info, _, _), _ = receive(apply_channel(tx_chain(bits, cfg), model), cfg)
+        (info, _, _), _ = receive(one_frame(tx_chain(bits, cfg), model), cfg)
         assert np.array_equal(info, bits)
 
     def test_cfo_phase_and_noise(self):
@@ -166,7 +174,7 @@ class TestMultipath:
         knowledge = ChannelKnowledge(estimate_frequency_response(model, 256),
                                      10 ** (-1.5))
         (info, failed, _), sync = receive(
-            apply_channel(tx_chain(bits, cfg), model, 77), cfg, knowledge)
+            one_frame(tx_chain(bits, cfg), model, 77), cfg, knowledge)
         assert np.array_equal(info, bits)
         assert failed == 0
         assert sync.cfo_estimate[0] == pytest.approx(0.008, abs=2e-4)
@@ -229,7 +237,7 @@ class TestFrontEndShortcuts:
 
         monkeypatch.setattr(np.fft, "ifft", spy)
         for seed in range(20):
-            waveform = apply_channel(tx_chain(payload(300, seed), cfg), model, seed)
+            waveform = one_frame(tx_chain(payload(300, seed), cfg), model, seed)
             rx_front_end([waveform], cfg, [knowledge])
         assert calls.count(True) == 1
 
@@ -246,7 +254,7 @@ class TestFrontEndShortcuts:
 
         monkeypatch.setattr(np.fft, "fft", spy)
         for seed in range(20):
-            waveform = apply_channel(tx_chain(payload(300, seed), cfg), model, seed)
+            waveform = one_frame(tx_chain(payload(300, seed), cfg), model, seed)
             rx_front_end([waveform], cfg, [None])
         assert calls.count(True) <= 1
 
@@ -345,6 +353,102 @@ class TestGroupFrontEnd:
         assert decoded.codewords_failed.shape == (0,)
 
 
+def _arrays(value):
+    """The arrays of an argument list or a result: arrays, the fields of a
+    dataclass (``SyncState``, ``DecodedFrames``, ``ChannelKnowledge``) and
+    the items of a tuple or list, in order."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        return [a for f in dataclasses.fields(value)
+                for a in _arrays(getattr(value, f.name))]
+    if isinstance(value, (list, tuple)):
+        return [a for item in value for a in _arrays(item)]
+    return []
+
+
+def _complex(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _front_end_args(cfg, seed):
+    """A received group of three frames on coupling-mild, genie-known."""
+    model = make_preset("coupling-mild", snr_db=6.0)
+    knowledge = ChannelKnowledge(estimate_frequency_response(model, 256), 0.25)
+    bits = np.array([payload(cfg.payload_bits, seed + f) for f in range(3)])
+    waveforms = apply_channel(tx_chain(bits, cfg), [model] * 3,
+                              [seed + f for f in range(3)])
+    return waveforms, cfg, [knowledge] * 3
+
+
+CODED = ChainConfig.for_payload(300, timing_search=8)
+SPREAD = ChainConfig.for_payload(
+    300, codec=None, spreading=SpreadingConfig(2),
+    modulation=ModulationScheme.QPSK, channel_estimator="pilot-ls",
+    timing_search=8)
+LMS = ChainConfig.for_payload(
+    300, codec=None, timing_search=8,
+    equalizer=EqualizerConfig(variant=EqualizerVariant.TIME_DOMAIN_LMS))
+PILOTS = FrameConfig()
+# public receive stages, each with the arguments of two groups
+OWNERSHIP = {
+    "fd_equalize": lambda: (fd_equalize, [
+        (_complex((3, 4, 256), 1), _complex((3, 256), 2), np.full(3, 0.1)),
+        # CP-free blocks as a strided view, as the front end hands them
+        (_complex((3, 4, 288), 3)[..., 32:], _complex((3, 256), 4),
+         np.array([0.0, 0.5, 2.0]))]),
+    "track_phase": lambda: (track_phase, [
+        (_complex((3, 4, 256), seed), PILOTS.pilot_values, PILOTS.pilot_positions)
+        for seed in (5, 6)]),
+    "despread-sf1": lambda: (despread, [
+        (np.random.default_rng(seed).standard_normal((3, 64)), SpreadingConfig(1))
+        for seed in (7, 8)]),
+    "despread-sf4": lambda: (despread, [
+        (np.random.default_rng(seed).standard_normal((3, 64)), SpreadingConfig(4))
+        for seed in (9, 10)]),
+    "rx_front_end-coded": lambda: (rx_front_end, [
+        _front_end_args(CODED, seed) for seed in (11, 21)]),
+    "rx_front_end-spread-pilot-ls": lambda: (rx_front_end, [
+        _front_end_args(SPREAD, seed) for seed in (31, 41)]),
+    "rx_front_end-td-lms": lambda: (rx_front_end, [
+        _front_end_args(LMS, seed) for seed in (51, 61)]),
+    "decode_frames-coded": lambda: (decode_frames, [
+        (rx_front_end(*_front_end_args(CODED, seed))[0], CODED)
+        for seed in (71, 81)]),
+    "decode_frames-uncoded": lambda: (decode_frames, [
+        (rx_front_end(*_front_end_args(SPREAD, seed))[0], SPREAD)
+        for seed in (91, 101)]),
+}
+
+
+class TestOwnership:
+    """A public receive stage writes to none of its arguments, returns no
+    array that shares memory with one and keeps nothing from one call to
+    the next."""
+
+    @pytest.mark.parametrize("name", OWNERSHIP)
+    def test_arguments_untouched_and_results_their_own(self, name):
+        stage, groups = OWNERSHIP[name]()
+        held = []
+        for args in groups:
+            before = [a.tobytes() for a in _arrays(args)]
+            result = stage(*args)
+            assert [a.tobytes() for a in _arrays(args)] == before
+            assert _arrays(result)
+            assert not any(np.shares_memory(r, a) for r in _arrays(result)
+                           for a in _arrays(args))
+            held.append(result)
+
+        def contents(result):
+            return [(a.dtype, a.shape, a.tobytes()) for a in _arrays(result)]
+
+        # both groups' results, read while held at once, are what fresh
+        # calls give each group
+        held = [contents(result) for result in held]
+        assert held == [contents(stage(*args)) for args in groups]
+
+
 class TestContracts:
     def test_capacity_overflow_names_symbols(self):
         frame = FrameConfig(n_payload_blocks=1)
@@ -392,7 +496,7 @@ class TestContracts:
         bits = payload(992, 10)
         knowledge = ChannelKnowledge(np.ones(256), 10 ** (-0.4))
         (info, failed, channel_errors), _ = receive(
-            apply_channel(tx_chain(bits, cfg), model, 11), cfg, knowledge)
+            one_frame(tx_chain(bits, cfg), model, 11), cfg, knowledge)
         # raw channel BER at 4 dB per-sample SNR is ~1.25e-2
         assert 0.002 < channel_errors / cfg.coded_bits_total() < 0.04
         assert np.array_equal(info, bits) and failed == 0

@@ -19,6 +19,12 @@ def los_model(**kwargs):
     return ChannelModel(taps=(ChannelTap(0, 1.0, 0),), **kwargs)
 
 
+def one_frame(tx, model, seed=0):
+    """``tx`` through ``model`` with noise seed ``seed`` as a group of one;
+    returns its row."""
+    return apply_channel(np.asarray(tx)[None], [model], [seed])[0]
+
+
 class TestEffectiveTaps:
     def test_los_unscaled(self):
         taps = effective_taps(los_model())
@@ -48,31 +54,35 @@ class TestApplyChannel:
     def test_identity(self):
         rng = np.random.default_rng(0)
         tx = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-        assert np.allclose(apply_channel(tx, los_model()), tx)
+        assert np.allclose(one_frame(tx, los_model()), tx)
 
     def test_pure_delay(self):
         model = ChannelModel(taps=(ChannelTap(5, 1.0, 0),))
         tx = np.arange(1, 21, dtype=complex)
-        rx = apply_channel(tx, model)
+        rx = one_frame(tx, model)
         assert len(rx) == len(tx) + 5
         assert np.allclose(rx[5:], tx)
         assert np.allclose(rx[:5], 0.0)
 
     def test_output_length(self):
         model = make_preset("coupling-harsh")
-        rx = apply_channel(np.ones(100, complex), model)
+        rx = one_frame(np.ones(100, complex), model)
         assert len(rx) == 100 + 24
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            apply_channel(np.array([]), los_model())
+            apply_channel(np.empty((1, 0), complex), [los_model()], [0])
+
+    def test_a_lone_waveform_is_a_caller_error(self):
+        with pytest.raises(ValueError, match="group of frames"):
+            apply_channel(np.ones(10, complex), [los_model()], [0])
 
     def test_bpsk_slicer_error_rate_matches_q(self):
         # per-sample SNR of 6 dB: hard-slicer error rate Q(sqrt(2*10^0.6))
         n = 400_000
         rng = np.random.default_rng(1)
         tx = (1.0 - 2.0 * rng.integers(0, 2, n)).astype(complex)
-        rx = apply_channel(tx, los_model(snr_db=6.0), 42)
+        rx = one_frame(tx, los_model(snr_db=6.0), 42)
         errors = np.count_nonzero((rx.real < 0) != (tx.real < 0))
         p = q_function(math.sqrt(2 * 10 ** 0.6))
         sigma = math.sqrt(p * (1 - p) / n)
@@ -81,18 +91,18 @@ class TestApplyChannel:
     def test_determinism(self):
         model = make_preset("coupling-mild", snr_db=10.0, cfo=0.003)
         tx = np.exp(1j * np.linspace(0, 5, 300))
-        a = apply_channel(tx, model, 7)
-        b = apply_channel(tx.copy(), model, 7)
+        a = one_frame(tx, model, 7)
+        b = one_frame(tx.copy(), model, 7)
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, apply_channel(tx, model, 8))
+        assert not np.array_equal(a, one_frame(tx, model, 8))
 
     def test_noiseless_linearity(self):
         model = make_preset("coupling-harsh", cfo=0.002, phase_offset=0.4)
         rng = np.random.default_rng(2)
         x = rng.standard_normal(200) + 1j * rng.standard_normal(200)
         y = rng.standard_normal(200) + 1j * rng.standard_normal(200)
-        lhs = apply_channel(2.0 * x + 0.5j * y, model)
-        rhs = 2.0 * apply_channel(x, model) + 0.5j * apply_channel(y, model)
+        lhs = one_frame(2.0 * x + 0.5j * y, model)
+        rhs = 2.0 * one_frame(x, model) + 0.5j * one_frame(y, model)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_crosspol_monotonicity(self):
@@ -103,7 +113,7 @@ class TestApplyChannel:
         for rejection in (0.0, 5.0, 10.0, 20.0, 40.0):
             ant = AntennaPattern(crosspol_rejection=rejection)
             model = ChannelModel(taps=taps, antenna=ant)
-            powers.append(np.sum(np.abs(apply_channel(tx, model)) ** 2))
+            powers.append(np.sum(np.abs(one_frame(tx, model)) ** 2))
         assert all(a > b for a, b in zip(powers, powers[1:]))
 
     def test_crosspol_leaves_los_only_unchanged(self):
@@ -112,24 +122,24 @@ class TestApplyChannel:
                            antenna=AntennaPattern(crosspol_rejection=0.0))
         high = ChannelModel(taps=(ChannelTap(0, 1.0, 0),),
                             antenna=AntennaPattern(crosspol_rejection=40.0))
-        assert np.array_equal(apply_channel(tx, low), apply_channel(tx, high))
+        assert np.array_equal(one_frame(tx, low), one_frame(tx, high))
 
     def test_noise_variance_calibration(self):
         # empirical noise variance over 1e6 samples within 1% of configured
         n = 1_000_000
         tx = np.ones(n, dtype=complex)
         model = los_model(snr_db=10.0)
-        noise = apply_channel(tx, model, 5) - tx
+        noise = one_frame(tx, model, 5) - tx
         measured = np.mean(np.abs(noise) ** 2)
         assert measured == pytest.approx(10 ** (-1.0), rel=0.01)
 
     def test_randomized_tap_phases_keep_los(self):
         model = make_preset("coupling-mild", randomize_tap_phases=True)
         tx = np.ones(100, complex)
-        a = apply_channel(tx, model, 9)
-        b = apply_channel(tx, model, 9)
+        a = one_frame(tx, model, 9)
+        b = one_frame(tx, model, 9)
         assert np.array_equal(a, b)   # same seed, same draw
-        c = apply_channel(tx, make_preset("coupling-mild"), 9)
+        c = one_frame(tx, make_preset("coupling-mild"), 9)
         assert not np.allclose(a, c)  # reflected phases differ from preset
 
 
@@ -218,7 +228,7 @@ class TestGroup:
             rows = apply_channel(tx, models, seeds)
             expected = [reference_channel(row, model, seed)
                         for row, model, seed in zip(tx, models, seeds)]
-            alone = apply_channel(tx[0], models[0], seeds[0])
+            alone = apply_channel(tx[:1], models[:1], seeds[:1])[0]
         assert rows.shape == (len(tx), tx.shape[1] + models[0].max_delay)
         for row, want in zip(rows, expected):
             assert same_bits(row, want)
@@ -235,7 +245,7 @@ class TestGroup:
         assert rows.shape == (4, 324)
         for row, frame, model, seed in zip(rows, tx, models, seeds):
             assert same_bits(row, reference_channel(frame, model, seed))
-            assert same_bits(row, apply_channel(frame, model, seed))
+            assert same_bits(row, one_frame(frame, model, seed))
 
     def test_one_model_and_one_seed_per_row(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linksim.baseband.coding import (_STEP_CHUNK, CRC_POLYNOMIALS, CodecConfig,
@@ -81,6 +81,77 @@ def tied_soft_matrices(draw):
     soft = np.round(rng.normal(scale=scale,
                                size=(rows, cfg.coded_bits_per_codeword)))
     return cfg, soft
+
+
+def intp_viterbi(soft, cfg):
+    """Reference batch decoder: the one-call add-compare-select loop over a
+    transposed copy of the soft values, a branch gather per step chunk, and
+    a traceback through an intp predecessor table.  ``viterbi_decode_batch``
+    must give its bits exactly."""
+    cfg_len = cfg.coded_bits_per_codeword
+    soft = np.asarray(soft, dtype=np.float64)
+    batch = soft.shape[0]
+    n_out = len(cfg.generators)
+    tr = _trellis(cfg.constraint_length, cfg.generators)
+    steps = cfg_len // n_out
+    half = tr.n_states // 2
+
+    outputs = soft.reshape(batch, steps, n_out).transpose(2, 1, 0).copy()
+    bm = np.empty((steps, len(tr.combo_sign), batch))
+    for c, signs in enumerate(tr.combo_sign):
+        np.multiply(outputs[0], signs[0], out=bm[:, c])
+        for o in range(1, n_out):
+            (np.add if signs[o] > 0 else np.subtract)(
+                bm[:, c], outputs[o], out=bm[:, c])
+    del outputs
+
+    metric = np.full((tr.n_states, batch), -1e30)
+    metric[0] = 0.0
+    pred = metric.reshape(half, 2, batch).transpose(1, 0, 2)[:, None]
+    cand = np.empty((2, tr.n_states, batch))
+    cand_jhu = cand.reshape(2, 2, half, batch)
+    cand0, cand1 = cand
+    decisions = np.empty((steps, tr.n_states, batch), dtype=bool)
+    for n0 in range(0, steps, _STEP_CHUNK):
+        branches = bm[n0:n0 + _STEP_CHUNK].take(tr.branch_combo, axis=1)
+        for branch, decision in zip(branches.reshape(-1, 2, 2, half, batch),
+                                    decisions[n0:n0 + _STEP_CHUNK]):
+            np.add(pred, branch, out=cand_jhu)
+            np.greater(cand1, cand0, out=decision)
+            np.maximum(cand0, cand1, out=metric)
+
+    base = ((np.arange(tr.n_states) % half * 2 * batch)[:, None]
+            + np.arange(batch)).reshape(-1)
+    table = np.empty((_STEP_CHUNK, tr.n_states * batch), dtype=np.intp)
+    flat = np.arange(batch)
+    states = np.empty((steps, batch), dtype=np.intp)
+    for n0 in reversed(range(0, steps, _STEP_CHUNK)):
+        block = table[: min(_STEP_CHUNK, steps - n0)]
+        np.multiply(decisions[n0:n0 + _STEP_CHUNK].reshape(len(block), -1),
+                    batch, out=block)
+        block += base
+        for n in range(n0 + len(block) - 1, n0 - 1, -1):
+            states[n] = flat
+            flat = block[n - n0].take(flat)
+    return (states[: steps - cfg.tail_bits].T >= half * batch).view(np.uint8)
+
+
+@st.composite
+def decoder_cases(draw):
+    """(codec, soft values) for a rate-1/2 or rate-1/3 code of constraint
+    length 3..7 with drawn generators and 1..70 rows.  The soft values are
+    normal draws, or drawn from {-1, 0, 1}, where merging paths tie often."""
+    k = draw(st.integers(3, 7))
+    n_out = draw(st.sampled_from([2, 3]))
+    generators = tuple(draw(st.lists(st.integers(1, (1 << k) - 1),
+                                     min_size=n_out, max_size=n_out)))
+    cfg = CodecConfig(info_bits_per_codeword=draw(st.integers(9, 64)),
+                      crc_width=8, constraint_length=k, generators=generators)
+    shape = (draw(st.integers(1, 70)), cfg.coded_bits_per_codeword)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return cfg, rng.normal(size=shape)
+    return cfg, rng.choice([-1.0, 0.0, 1.0], size=shape)
 
 
 class TestConvolutionalCode:
@@ -179,6 +250,18 @@ class TestConvolutionalCode:
         assert decoded.dtype == expected.dtype == np.uint8
         assert np.array_equal(decoded, expected)
 
+    @settings(max_examples=60, deadline=None)
+    @given(decoder_cases())
+    # a mux-baseband group's 63 codewords, every soft value a tie level
+    @example((CodecConfig(info_bits_per_codeword=512),
+              np.random.default_rng(3).choice([-1.0, 0.0, 1.0], size=(63, 1036))))
+    def test_decoder_matches_the_intp_batch_reference(self, case):
+        cfg, soft = case
+        decoded = viterbi_decode_batch(soft, cfg)
+        expected = intp_viterbi(soft, cfg)
+        assert decoded.dtype == expected.dtype == np.uint8
+        assert np.array_equal(decoded, expected)
+
     def test_empty_batch(self):
         cfg = CodecConfig()
         bits = viterbi_decode_batch(np.zeros((0, cfg.coded_bits_per_codeword)), cfg)
@@ -192,10 +275,11 @@ class TestConvolutionalCode:
         assert corrected.shape == (0,)
 
     def test_peak_memory_of_a_decode_chunk(self):
-        # one DECODE_ROWS call at the default codec: the decisions take
-        # steps * states * rows bytes and the rest stays small beside them;
-        # a predecessor table for the whole call at once would take 8 (intp)
-        # or 2 (int16) times the decisions on its own
+        # the largest decode of a group at the default codec, 32 codewords
+        # (the engine's trellis bound): the decisions take steps * states *
+        # rows bytes and the rest stays small beside them; a predecessor
+        # table for the whole call at once would take 8 (intp) or 4 (int32)
+        # times the decisions on its own
         cfg, rows = CodecConfig(), 32
         soft = np.random.default_rng(18).normal(
             size=(rows, cfg.coded_bits_per_codeword))

@@ -1,10 +1,11 @@
 """The streaming trial engine gives every trial the result it gets alone.
 
 ``link_trials`` takes a stream of frames a group at a time: the next
-``DECODE_ROWS`` codewords' worth of frames are drawn, sent, received,
-decoded together and recorded before the next group is drawn.  A sweep
-hands it every trial of every point, and a baseband-backed mux run all of
-its packet copies.  Neither the group a trial lands in nor which of its
+frames, at most ``GROUP_FRAMES`` of them and at most ``GROUP_TRELLIS_STEPS``
+trellis steps of codewords, are drawn, sent, received, decoded together
+and recorded before the next group is drawn.  A sweep hands it every
+trial of every point, and a baseband-backed mux run all of its packet
+copies.  Neither the group a trial lands in nor which of its
 group's frames are lost may change a result.
 """
 import json
@@ -23,10 +24,11 @@ from linksim.baseband import (ChainConfig, CodecConfig, EqualizerConfig,
 from linksim.baseband.chain import ChannelKnowledge
 from linksim.channel import make_preset
 from linksim.cli import main
-from linksim.harness import sweep
+from linksim.harness import parse_config, sweep
 from linksim.harness.seeding import stable_seed
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+WORKLOAD_DIR = Path(__file__).resolve().parent.parent / "bench" / "workloads"
 RECEIVER = {"correct_cfo": False, "timing_search": 8}
 CHAINS = {
     "coded": ChainConfig.for_payload(
@@ -189,11 +191,11 @@ def test_zero_response_knowledge_loses_every_frame_of_a_batch():
 
 
 def test_engine_decodes_each_group_before_drawing_the_next(monkeypatch):
-    # two codewords a frame: groups of 16 frames; every fourth frame and the
-    # whole second group are sent at -10 dB and lose sync
+    # two 518-step codewords a frame: groups of 31 frames; every fourth
+    # frame and the whole second group are sent at -10 dB and lose sync
     cfg = CHAINS["coded"]
     chunk = sweep._chunk(cfg)
-    assert chunk == 16
+    assert chunk == 31
     harsh = make_preset("coupling-harsh")
     knowledge = sweep.genie_knowledge(cfg, replace(harsh, snr_db=20.0))
     n_frames = 3 * chunk + 10
@@ -236,11 +238,12 @@ def test_engine_decodes_each_group_before_drawing_the_next(monkeypatch):
 # Coded sweeps whose trials are not multiples of a group (33 trials of one
 # codeword, 70 trials of two), with the CSVs the one-frame-at-a-time engine
 # wrote for them and the frames each decode call gets.  A sweep is one
-# ``link_trials`` call, which draws groups of DECODE_ROWS codewords' worth
-# of frames (32 or 16) across point boundaries and decodes each group's
-# received frames; frames lost to sync never reach the decoder, which is
-# every frame at -10 dB and all but three at -7 dB (66 and 143 received),
-# and a group that loses every frame makes no call.
+# ``link_trials`` call, which draws groups of frames (32 of one 1030-step
+# codeword, or 31 of two 518-step ones, by the trellis bound) across point
+# boundaries and decodes each group's received frames; frames lost to sync
+# never reach the decoder, which is every frame at -10 dB and all but three
+# at -7 dB (66 and 143 received), and a group that loses every frame makes
+# no call.
 SWEEPS = {
     "one_codeword_33_trials": (
         {"scenario": "per-sweep", "master_seed": 20261018,
@@ -264,7 +267,7 @@ SWEEPS = {
         "-7,70,67200,65736,0.978214286,0.00110373892,70,70,1,0\n"
         "3,70,67200,803,0.0119494048,0.000821535212,70,44,0.628571429,0.113191559\n"
         "5,70,67200,12,0.000178571429,0.000101025419,70,1,0.0142857143,0.0277987697\n",
-        [1, 2, 10] + [16] * 8 + [2]),
+        [1, 2, 23, 31, 31, 31, 24]),
 }
 
 
@@ -288,18 +291,45 @@ def test_chunked_sweep_writes_the_one_frame_engine_csv(name, tmp_path,
     assert batches == decode_calls
 
 
-@pytest.mark.parametrize("rows", [1, 5])
-def test_chunk_size_does_not_change_results(rows, monkeypatch):
+def _bench_chain(workload):
+    data = json.loads((WORKLOAD_DIR / f"{workload}.json").read_text())["config"]
+    return parse_config(data, data["scenario"]).chain
+
+
+# frames in a group of each benchmark chain and of the two-codeword chain:
+# uncoded frames count against the frame bound only, and a mux-baseband
+# frame's three 518-step codewords against the trellis bound (63 rows)
+@pytest.mark.parametrize("chain, frames", [
+    ("coded-harsh", 32), ("uncoded-los", 32), ("mux-baseband", 21),
+    ("coded", 31)])
+def test_a_group_is_bounded_by_frames_and_by_trellis_steps(chain, frames):
+    cfg = CHAINS[chain] if chain in CHAINS else _bench_chain(chain)
+    assert sweep._chunk(cfg) == frames
+
+
+# the group bounds shrunk on the two-codeword chain, and the frames of a
+# group they leave: one or five frames; one codeword's trellis, less than
+# a frame, which still makes one-frame groups; five codewords' trellis
+@pytest.mark.parametrize("frames, codewords, chunk", [
+    (1, None, 1), (5, None, 5), (None, 1, 1), (None, 5, 2)])
+def test_chunk_size_does_not_change_results(frames, codewords, chunk,
+                                            monkeypatch):
     cfg = CHAINS["coded"]
     spec = sweep.SweepSpec(values=(-7.0, 3.0), trials=7, axis="snr_db")
     model = make_preset("coupling-mild")
     reference = sweep.run_sweep(cfg, model, spec, master_seed=9).points
-    monkeypatch.setattr(sweep, "DECODE_ROWS", rows)
+    if frames is not None:
+        monkeypatch.setattr(sweep, "GROUP_FRAMES", frames)
+    if codewords is not None:
+        monkeypatch.setattr(sweep, "GROUP_TRELLIS_STEPS",
+                            codewords * cfg.codec.trellis_steps)
+    assert sweep._chunk(cfg) == chunk
     assert sweep.run_sweep(cfg, model, spec, master_seed=9).points == reference
 
 
 def test_mux_run_decodes_every_copy_in_one_engine_call(tmp_path, monkeypatch):
-    # 20 copies of 3 codewords each: DECODE_ROWS 32 makes groups of 10 frames
+    # 20 copies of three 518-step codewords each: the trellis bound makes
+    # groups of 21 frames, so one group holds them all
     batches = []
     decode = sweep.decode_frames
 
@@ -312,4 +342,4 @@ def test_mux_run_decodes_every_copy_in_one_engine_call(tmp_path, monkeypatch):
     assert main(["mux-sim", "--config", str(GOLDEN_DIR / "mux_baseband.json"),
                  "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN_DIR / "mux_baseband.csv").read_bytes()
-    assert batches == [10, 10]
+    assert batches == [20]
