@@ -1,13 +1,18 @@
 """End-to-end transmit and receive chains, a group of frames at a time.
 
 Every stage puts the frame axis first and gives each row what that frame
-alone gets, bit for bit.
+alone gets, bit for bit.  No stage pads, stacks or flattens a group-sized
+copy on the way: the mapper writes each symbol once, the framer each
+waveform sample, and the demapper each soft chip, read straight from the
+data slots of the equalized blocks.
 
 Transmit (``tx_chain``, a ``(frames, payload_bits)`` matrix, returns one
 waveform per row): payload bits -> ``coding.encode`` (codewords of info
-bits + CRC, convolutionally encoded) -> spreading -> BPSK/QPSK mapping ->
-``framing.build_frame``.  Uncoded operation (codec=None) maps payload bits
-straight to chips.
+bits + CRC, convolutionally encoded) -> spreading -> BPSK/QPSK mapping
+(into one complex symbol matrix) -> ``framing.build_frame``, which writes
+the symbols, then the filler, straight into the data slots of the
+waveform.  Uncoded operation (codec=None) maps payload bits straight to
+chips.
 
 Receive, in two steps.  The front end (``rx_front_end``) takes a group of
 received waveforms as one ``(frames, samples)`` matrix and alone decides
@@ -15,17 +20,19 @@ where a frame may start: at every offset where the whole frame fits, up to
 ``timing_search`` when set.  It acquires every preamble in one
 ``acquire_sync`` call (timing / CFO / phase), corrects, estimates each
 frame's channel (genie response handed in, or least squares from the pilot
-block), cuts the payloads into one ``(frames, n_payload_blocks, block_len)``
-array laid out by ``FrameConfig``, equalizes it (FD-MMSE; the sequential
-TD-LMS recursion runs row by row), phase-tracks it on the pilots and
-extracts its data in one call each, then demaps and despreads.  A lost
-frame is an outcome, never an exception: one whose preamble misses the
-sync threshold, whose channel response is zero on every bin, or whose
+block), cuts each frame at its offset and derotates it in one pass,
+equalizes the payload blocks laid out by ``FrameConfig`` (FD-MMSE reads
+them as a strided view of the frames; the sequential TD-LMS recursion runs
+row by row) and phase-tracks them on the pilots in one call each, then
+demaps the data from views of the blocks' data slots
+(``framing.extract_data_symbols``) into the soft matrix, and despreads.  A
+lost frame is an outcome, never an exception: one whose preamble misses
+the sync threshold, whose channel response is zero on every bin, or whose
 TD-LMS equalizer diverges to non-finite samples, is masked out of the
-result and marked in the returned mask and ``SyncState``.  The
-decode step (``decode_frames``) takes the soft bits of any number of
-frames as one matrix and hands them to ``coding.decode``, which decodes
-every codeword of the batch at once; uncoded frames are sliced.
+result and marked in the returned mask and ``SyncState``.  The decode step
+(``decode_frames``) takes the soft bits of any number of frames as one
+matrix and hands them to ``coding.decode``, which decodes every codeword
+of the batch at once; uncoded frames are sliced.
 """
 from __future__ import annotations
 
@@ -206,17 +213,20 @@ def rx_front_end(waveforms: np.ndarray, cfg: ChainConfig,
     if not len(kept):
         return np.empty((0, cfg.coded_bits_total())), sync, received
 
-    # the frames found, each cut at its own offset and derotated
-    seg = np.stack([rx[r, o: o + fcfg.frame_len]
-                    for r, o in zip(kept.tolist(), sync.timing_offset[kept].tolist())])
+    # the frames found, each cut at its own offset and derotated in one pass
     cfo, phase = sync.cfo_estimate[kept], sync.phase[kept]
     if np.any(cfo != 0.0):
         n = np.arange(fcfg.frame_len)
-        seg *= np.exp(-1j * (cfo[:, None] * n + phase[:, None]))
+        rotation = np.exp(-1j * (cfo[:, None] * n + phase[:, None]))
     else:
         # the per-sample form above in one scalar per frame, bit for bit
         # (acquire_sync wraps its phase with wrap_phase, never to -0.0)
-        seg *= np.exp(-1j * phase)[:, None]
+        rotation = np.exp(-1j * phase)[:, None]
+    seg = np.empty((len(kept), fcfg.frame_len), dtype=np.complex128)
+    for row, (r, o) in enumerate(zip(kept.tolist(),
+                                     sync.timing_offset[kept].tolist())):
+        np.multiply(rx[r, o: o + fcfg.frame_len], rotation[row], out=seg[row])
+    del rotation
 
     hdr_len = fcfg.header_len
     blocks = (fcfg.n_payload_blocks, fcfg.block_len)
@@ -265,11 +275,24 @@ def rx_front_end(waveforms: np.ndarray, cfg: ChainConfig,
     if cfg.track_pilot_phase and fcfg.pilots_per_block:
         track_phase(equalized, fcfg.pilot_values, fcfg.pilot_positions,
                     out=equalized)
-    data = extract_data_symbols(equalized, fcfg)[:, : cfg.required_symbols()]
-    soft_chips = demodulate(data, cfg.modulation)[:, : cfg.chip_count()]
+    soft_chips = _demap(equalized, cfg)
     if cfg.spreading.sf > 1:
         soft_chips = despread(soft_chips, cfg.spreading)
     return soft_chips, sync, received
+
+
+def _demap(equalized: np.ndarray, cfg: ChainConfig) -> np.ndarray:
+    """The ``(frames, chip_count)`` soft chips of equalized ``(frames,
+    n_payload_blocks, fft_size)`` blocks, demapped straight from their data
+    slots, a view at a time, into the one matrix they fill."""
+    bps = cfg.modulation.bits_per_symbol
+    soft = np.empty((len(equalized), bps * cfg.required_symbols()))
+    for slots, start, stop in extract_data_symbols(equalized, cfg.frame,
+                                                   cfg.required_symbols()):
+        # a column range of ``soft``, its row split like ``slots``: a view
+        demodulate(slots, cfg.modulation, out=soft[:, bps * start: bps * stop]
+                   .reshape(slots.shape[:-1] + (bps * slots.shape[-1],)))
+    return soft[:, : cfg.chip_count()]
 
 
 @dataclass

@@ -16,10 +16,14 @@ parts of a frame once per config, as read-only arrays shared by every
 frame, and the helpers put the frame axis first and work along the last
 axis: ``build_frame`` turns a ``(frames, symbols)`` matrix into one waveform
 per row, and a receiver takes the payload blocks of a group of frames as
-one ``(frames, n_payload_blocks, fft_size)`` array.
+one ``(frames, n_payload_blocks, fft_size)`` array.  Both reach the data
+slots of the blocks through the same views, in transmit order
+(``extract_data_symbols``), so no group-sized symbol matrix is padded,
+gathered or flattened on either side.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -156,44 +160,93 @@ class FrameConfig:
 def build_frame(data_symbols: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     """The waveform of each frame carrying a row of ``data_symbols`` (then
     filler): ``(frames, symbols)`` gives ``(frames, frame_len)``, and one
-    row of symbols one waveform."""
+    row of symbols one waveform.  The symbols, then the filler, are written
+    straight into the data slots, a run of whole blocks or pilot runs at a
+    time."""
     data_symbols = np.asarray(data_symbols, dtype=np.complex128)
     n = data_symbols.shape[-1]
     if n > cfg.capacity_symbols:
         raise ValueError(
             f"{n} payload symbols exceed frame capacity {cfg.capacity_symbols}")
     lead = data_symbols.shape[:-1]
-    padded = np.empty(lead + (cfg.capacity_symbols,), dtype=np.complex128)
-    padded[..., :n] = data_symbols
-    padded[..., n:] = cfg.filler[: cfg.capacity_symbols - n]
     waveform = np.empty(lead + (cfg.frame_len,), dtype=np.complex128)
     waveform[..., : cfg.header_len] = cfg.header
     blocks = waveform[..., cfg.header_len:].reshape(
         lead + (cfg.n_payload_blocks, cfg.block_len))
     payload = blocks[..., cfg.cp_len:]
     payload[..., cfg.pilot_positions] = cfg.pilot_values
-    slots = _data_slots(payload, cfg)
-    slots[...] = padded.reshape(slots.shape)
+    data = _data_slots(payload, cfg)
+    for slots, start, stop in _spans(data, 3, 0, n):
+        slots[...] = data_symbols[..., start:stop].reshape(slots.shape)
+    # the filler starts afresh after the symbols
+    for slots, start, stop in _spans(data, 3, n, cfg.capacity_symbols):
+        slots[...] = cfg.filler[start - n: stop - n].reshape(
+            slots.shape[len(lead):])
     # the cyclic prefix repeats the last cp_len symbols of its block
     blocks[..., : cfg.cp_len] = blocks[..., cfg.fft_size:]
     return waveform
 
 
-def extract_data_symbols(blocks: np.ndarray, cfg: FrameConfig) -> np.ndarray:
-    """The data symbols of equalized (CP-free) blocks, in transmit order:
-    ``(n_payload_blocks, fft_size)`` gives one row of symbols, and
-    ``(frames, n_payload_blocks, fft_size)`` one row per frame."""
+def extract_data_symbols(blocks: np.ndarray, cfg: FrameConfig,
+                         stop: int | None = None
+                         ) -> list[tuple[np.ndarray, int, int]]:
+    """The first ``stop`` data symbols (all when None) of equalized
+    (CP-free) blocks, in transmit order, as views of ``blocks``: no copy.
+
+    ``(n_payload_blocks, fft_size)`` blocks are one frame's and ``(frames,
+    n_payload_blocks, fft_size)`` a group's.  Returns a list of ``(slots,
+    first, last)``: the leading axes of ``slots`` are those of ``blocks``,
+    and its trailing axes hold symbols ``first`` to ``last``, row-major.
+    Whole blocks come as one view, and a part of a block as its whole
+    pilot runs and a part of one.
+    """
     blocks = np.asarray(blocks)
-    width = blocks.shape[-2] * cfg.data_symbols_per_block
-    return _data_slots(blocks, cfg).reshape(blocks.shape[:-2] + (width,))
+    total = blocks.shape[-2] * cfg.data_symbols_per_block
+    stop = total if stop is None else stop
+    if not 0 <= stop <= total:
+        raise ValueError(f"{stop} data symbols of blocks holding {total}")
+    return _spans(_data_slots(blocks, cfg), 3, 0, stop)
 
 
 def _data_slots(blocks: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     """A view of the ``data_mask`` positions of blocks (along the last axis),
     in order: a block is ``pilots_per_block`` equal runs, each led by its
-    pilot, so the data are every run but its first slot."""
+    pilot, so the data are every run but its first slot.  Row-major over
+    its last three axes (block, run, slot), the view is in transmit order."""
     if not cfg.pilots_per_block:
         return blocks[..., None, :]
     runs = blocks.reshape(blocks.shape[:-1] + (
         cfg.pilots_per_block, cfg.fft_size // cfg.pilots_per_block))
     return runs[..., 1:]
+
+
+def _spans(view: np.ndarray, axes: int, start: int, stop: int, offset: int = 0
+           ) -> list[tuple[np.ndarray, int, int]]:
+    """Positions ``start`` to ``stop``, row-major over the last ``axes``
+    axes of ``view``, as rectangular views, each with its first and last
+    position plus ``offset``: the whole sub-arrays of the first of those
+    axes as one view, and a part of one at either end split the same way
+    one axis down."""
+    if start >= stop:
+        return []
+    if axes == 1:
+        return [(view[..., start:stop], offset + start, offset + stop)]
+    inner = math.prod(view.shape[view.ndim - axes + 1:])
+    rest = (slice(None),) * (axes - 1)
+    first, last = -(-start // inner), stop // inner   # the whole sub-arrays
+    if first > last:   # start and stop fall inside one sub-array
+        i = start // inner
+        return _spans(view[(..., i) + rest], axes - 1, start - i * inner,
+                      stop - i * inner, offset + i * inner)
+    spans = []
+    if start < first * inner:
+        i = first - 1
+        spans += _spans(view[(..., i) + rest], axes - 1, start - i * inner,
+                        inner, offset + i * inner)
+    if first < last:
+        spans.append((view[(..., slice(first, last)) + rest],
+                      offset + first * inner, offset + last * inner))
+    if last * inner < stop:
+        spans += _spans(view[(..., last) + rest], axes - 1, 0,
+                        stop - last * inner, offset + last * inner)
+    return spans

@@ -74,26 +74,45 @@ def despread(soft_chips: np.ndarray, cfg: SpreadingConfig) -> np.ndarray:
     return chips @ pattern / cfg.sf
 
 
+# every symbol of a scheme, indexed by its bits read as a binary number
+# (first bit most significant), made once by the formulas of the module
+# docstring: QPSK's division by sqrt(2) is numpy's complex division
+_POINTS = {
+    ModulationScheme.BPSK: (1.0 - 2.0 * np.arange(2)).astype(np.complex128),
+    ModulationScheme.QPSK: ((1.0 - 2.0 * np.array([0, 0, 1, 1]))
+                            + 1j * (1.0 - 2.0 * np.array([0, 1, 0, 1]))) / _SQRT2,
+}
+
+
 def modulate(bits: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
+    """The symbols of ``bits`` along the last axis, looked up in one pass
+    into the one complex array returned."""
     bits = np.asarray(bits, dtype=np.uint8)
-    if scheme is ModulationScheme.BPSK:
-        return (1.0 - 2.0 * bits).astype(np.complex128)
-    if bits.shape[-1] % 2:
-        raise ValueError("QPSK needs an even number of bits")
-    i = 1.0 - 2.0 * bits[..., 0::2]
-    q = 1.0 - 2.0 * bits[..., 1::2]
-    return (i + 1j * q) / _SQRT2
+    if scheme is ModulationScheme.QPSK:
+        if bits.shape[-1] % 2:
+            raise ValueError("QPSK needs an even number of bits")
+        bits = (bits[..., 0::2] << 1) | bits[..., 1::2]
+    return _POINTS[scheme][bits]
 
 
-def demodulate(symbols: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
-    """Soft values, one per bit, +1 for a clean bit 0."""
+def demodulate(symbols: np.ndarray, scheme: ModulationScheme,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Soft values, one per bit, +1 for a clean bit 0.
+
+    ``symbols`` may be any strided view; the soft values are written, along
+    the last axis, into ``out`` (shape ``symbols.shape[:-1] + (bits,)``)
+    when given, or into a new array, which is returned.
+    """
     symbols = np.asarray(symbols, dtype=np.complex128)
+    bps = scheme.bits_per_symbol
+    if out is None:
+        out = np.empty(symbols.shape[:-1] + (bps * symbols.shape[-1],))
     if scheme is ModulationScheme.BPSK:
-        return symbols.real.copy()
-    soft = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],))
-    soft[..., 0::2] = symbols.real * _SQRT2
-    soft[..., 1::2] = symbols.imag * _SQRT2
-    return soft
+        np.copyto(out, symbols.real)
+    else:
+        np.multiply(symbols.real, _SQRT2, out=out[..., 0::2])
+        np.multiply(symbols.imag, _SQRT2, out=out[..., 1::2])
+    return out
 
 
 def hard_decisions(soft: np.ndarray) -> np.ndarray:

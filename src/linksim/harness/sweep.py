@@ -21,12 +21,13 @@ Its one unit of work is a group: the next frames of the stream, which it
 draws, sends through transmit, the channel and the receiver front end,
 decodes in one Viterbi call and one CRC check, and records before it draws
 the next.  A group is bounded by what it costs to hold: at most
-``GROUP_FRAMES`` frames, the rows of the front end's matrices, and at most
-``GROUP_TRELLIS_STEPS`` trellis steps of codewords, which size the
-decoder's decisions (uncoded frames count against the frame bound only);
-it holds at least one frame.  A group runs across sweep points.  Only one
-group's waveforms, payloads and soft bits are held, which bounds memory
-whatever the number of frames.
+``GROUP_FRAMES`` frames, the rows of the front end's matrices, at most
+``GROUP_SAMPLES`` samples of transmitted frames, which size those rows,
+and at most ``GROUP_TRELLIS_STEPS`` trellis steps of codewords, which size
+the decoder's decisions (uncoded frames count against the first two
+bounds only); it holds at least one frame.  A group runs across sweep
+points.  Only one group's waveforms, payloads and soft bits are held,
+which bounds memory whatever the number of frames.
 The front end masks out a frame lost to sync failure or a degenerate
 channel; it never reaches the decoder, and the engine counts it as a
 packet error with every payload bit wrong.
@@ -58,9 +59,14 @@ from .seeding import stable_seed
 Z_95 = 1.959963984540054   # two-sided 95% normal quantile
 
 # A group of frames is the unit ``link_trials`` draws, sends, decodes and
-# records; its two bounds size the engine's memory, not its results.
+# records; its three bounds size the engine's memory, not its results.
 #: frames in a group at most: the rows of the front end's group matrices
 GROUP_FRAMES = 32
+#: samples of a group's transmitted frames at most, 2 MiB of complex
+#: samples a group matrix: above every shipped chain's group (coded-harsh's
+#: 32 frames of 3008 samples are the largest), so only frames longer than
+#: 4096 samples make smaller groups
+GROUP_SAMPLES = GROUP_FRAMES * 4096
 #: trellis steps of a group's codewords at most, those of ``GROUP_FRAMES``
 #: default codewords: they size the Viterbi decisions and branch metrics
 GROUP_TRELLIS_STEPS = GROUP_FRAMES * CodecConfig().trellis_steps
@@ -194,12 +200,14 @@ def link_trials(frames: Iterable[Frame], cfg: ChainConfig
 
 
 def _chunk(cfg: ChainConfig) -> int:
-    """Frames in a group: at most ``GROUP_FRAMES`` and, coded, at most
-    ``GROUP_TRELLIS_STEPS`` trellis steps of codewords; at least one."""
-    if cfg.codec is None:
-        return GROUP_FRAMES
-    steps = cfg.n_codewords() * cfg.codec.trellis_steps
-    return max(1, min(GROUP_FRAMES, GROUP_TRELLIS_STEPS // steps))
+    """Frames in a group: at most ``GROUP_FRAMES``, at most
+    ``GROUP_SAMPLES`` samples and, coded, at most ``GROUP_TRELLIS_STEPS``
+    trellis steps of codewords; at least one."""
+    frames = min(GROUP_FRAMES, GROUP_SAMPLES // cfg.frame.frame_len)
+    if cfg.codec is not None:
+        steps = cfg.n_codewords() * cfg.codec.trellis_steps
+        frames = min(frames, GROUP_TRELLIS_STEPS // steps)
+    return max(1, frames)
 
 
 def run_sweep(cfg: ChainConfig, base_model: ChannelModel, spec: SweepSpec,

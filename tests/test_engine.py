@@ -1,8 +1,8 @@
 """The streaming trial engine gives every trial the result it gets alone.
 
 ``link_trials`` takes a stream of frames a group at a time: the next
-frames, at most ``GROUP_FRAMES`` of them and at most ``GROUP_TRELLIS_STEPS``
-trellis steps of codewords, are drawn, sent, received, decoded together
+frames, at most ``GROUP_FRAMES`` of them, at most ``GROUP_SAMPLES`` samples
+and at most ``GROUP_TRELLIS_STEPS`` trellis steps of codewords, are drawn, sent, received, decoded together
 and recorded before the next group is drawn.  A sweep hands it every
 trial of every point, and a baseband-backed mux run all of its packet
 copies.  Neither the group a trial lands in nor which of its
@@ -291,19 +291,27 @@ def test_chunked_sweep_writes_the_one_frame_engine_csv(name, tmp_path,
     assert batches == decode_calls
 
 
-def _bench_chain(workload):
+def _bench_chain(workload, spreading_factor=None):
     data = json.loads((WORKLOAD_DIR / f"{workload}.json").read_text())["config"]
+    if spreading_factor is not None:
+        data["baseband"]["spreading_factor"] = spreading_factor
     return parse_config(data, data["scenario"]).chain
 
 
 # frames in a group of each benchmark chain and of the two-codeword chain:
-# uncoded frames count against the frame bound only, and a mux-baseband
-# frame's three 518-step codewords against the trellis bound (63 rows)
+# uncoded frames count against the frame and sample bounds only, and a
+# mux-baseband frame's three 518-step codewords against the trellis bound
+# (63 rows); spreading lengthens the mux-baseband frame to 7904 samples at
+# SF 2 and 14,787,776 at SF 4097, which the sample bound (32 x 4096) caps
+# at 16 frames and at one
 @pytest.mark.parametrize("chain, frames", [
     ("coded-harsh", 32), ("uncoded-los", 32), ("mux-baseband", 21),
-    ("coded", 31)])
+    ("coded", 31), ("mux-baseband/sf2", 16), ("mux-baseband/sf4097", 1)])
 def test_a_group_is_bounded_by_frames_and_by_trellis_steps(chain, frames):
-    cfg = CHAINS[chain] if chain in CHAINS else _bench_chain(chain)
+    workload, _, sf = chain.partition("/sf")
+    cfg = CHAINS[chain] if chain in CHAINS else _bench_chain(
+        workload, int(sf) if sf else None)
+    assert sweep.GROUP_SAMPLES == 32 * 4096
     assert sweep._chunk(cfg) == frames
 
 
@@ -324,6 +332,20 @@ def test_chunk_size_does_not_change_results(frames, codewords, chunk,
         monkeypatch.setattr(sweep, "GROUP_TRELLIS_STEPS",
                             codewords * cfg.codec.trellis_steps)
     assert sweep._chunk(cfg) == chunk
+    assert sweep.run_sweep(cfg, model, spec, master_seed=9).points == reference
+
+
+# the sample bound shrunk to one and to three frames of the uncoded chain,
+# which only the frame and sample bounds size
+@pytest.mark.parametrize("frames", [1, 3])
+def test_a_sample_bound_does_not_change_results(frames, monkeypatch):
+    cfg = CHAINS["uncoded"]
+    spec = sweep.SweepSpec(values=(-7.0, 3.0), trials=7, axis="snr_db")
+    model = make_preset("coupling-mild")
+    reference = sweep.run_sweep(cfg, model, spec, master_seed=9).points
+    monkeypatch.setattr(sweep, "GROUP_SAMPLES",
+                        frames * cfg.frame.frame_len + cfg.frame.frame_len - 1)
+    assert sweep._chunk(cfg) == frames
     assert sweep.run_sweep(cfg, model, spec, master_seed=9).points == reference
 
 

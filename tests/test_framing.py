@@ -13,6 +13,19 @@ def payload_blocks(waveform, cfg):
     return waveform[cfg.header_len:].reshape(cfg.n_payload_blocks, cfg.block_len)
 
 
+def gathered(blocks, cfg, stop=None):
+    """The data symbols ``extract_data_symbols`` gives as views of
+    ``blocks``, one copied row per frame; the views must tile them in
+    order."""
+    lead = np.shape(blocks)[:-2]
+    views = extract_data_symbols(blocks, cfg, stop)
+    assert [first for _, first, _ in views[:1]] == [0] * bool(views)
+    assert [last for _, _, last in views[:-1]] == [first for _, first, _ in views[1:]]
+    assert all(np.shares_memory(slots, blocks) for slots, _, _ in views)
+    rows = [slots.reshape(lead + (last - first,)) for slots, first, last in views]
+    return np.concatenate(rows, axis=-1) if rows else np.empty(lead + (0,), complex)
+
+
 def cyclic_prefixes_intact(waveform, cfg):
     """Each payload block's first cp_len samples equal its last cp_len."""
     blocks = payload_blocks(waveform, cfg)
@@ -104,7 +117,7 @@ class TestFrameAssembly:
         data = 1.0 - 2.0 * rng.integers(0, 2, cfg.capacity_symbols)
         blocks = remove_cyclic_prefix(payload_blocks(build_frame(data, cfg), cfg),
                                       cfg.cp_len)
-        assert np.array_equal(extract_data_symbols(blocks, cfg), data)
+        assert np.array_equal(gathered(blocks, cfg), data)
 
     @pytest.mark.parametrize("pilots", [0, 1, 8, 32])
     def test_group_frames_and_data_follow_the_data_mask(self, pilots):
@@ -118,10 +131,20 @@ class TestFrameAssembly:
         for row, symbols in zip(group, data):
             assert np.array_equal(row, build_frame(symbols, cfg))
         blocks = rng.standard_normal((4, 3, cfg.fft_size)) + 0j
-        assert np.array_equal(extract_data_symbols(blocks, cfg),
+        assert np.array_equal(gathered(blocks, cfg),
                               blocks[..., cfg.data_mask].reshape(4, -1))
-        assert np.array_equal(extract_data_symbols(blocks[0], cfg),
+        assert np.array_equal(gathered(blocks[0], cfg),
                               blocks[0][:, cfg.data_mask].reshape(-1))
+        # the first symbols only: none, inside a block and its runs, on
+        # their boundaries
+        full = gathered(blocks, cfg)
+        run = cfg.fft_size // max(pilots, 1) - (pilots > 0)
+        for stop in {0, 1, run - 1, run, run + 1, cfg.data_symbols_per_block,
+                     cfg.data_symbols_per_block + 2 * run + 3,
+                     cfg.capacity_symbols - 1} & set(range(cfg.capacity_symbols)):
+            assert np.array_equal(gathered(blocks, cfg, stop), full[:, :stop])
+        with pytest.raises(ValueError, match="data symbols"):
+            extract_data_symbols(blocks, cfg, cfg.capacity_symbols + 1)
 
     def test_capacity_overflow(self):
         cfg = FrameConfig(n_payload_blocks=1)
