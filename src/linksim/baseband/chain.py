@@ -48,8 +48,9 @@ from .coding import CodecConfig
 from .equalizers import EqualizerConfig, EqualizerVariant, fd_equalize, td_equalize
 from .framing import (FrameConfig, build_frame, extract_data_symbols,
                       remove_cyclic_prefix)
-from .modulation import (ModulationScheme, SpreadingConfig, demodulate,
-                         despread, hard_decisions, modulate, spread)
+from .modulation import (ModulationScheme, SpreadingConfig,
+                         constellation_points, demodulate, despread,
+                         hard_decisions, modulate, spread)
 from .sync import (DEFAULT_SYNC_THRESHOLD, SyncState, acquire_sync,
                    track_phase)
 
@@ -252,12 +253,8 @@ def rx_front_end(waveforms: np.ndarray, cfg: ChainConfig,
         equalized = fd_equalize(payload, freq_response, noise_var)
         del payload
     else:
-        constellation = None
-        if cfg.equalizer.decision_directed:
-            bits = np.arange(2 ** cfg.modulation.bits_per_symbol)
-            table = ((bits[:, None] >> np.arange(
-                cfg.modulation.bits_per_symbol)[::-1]) & 1).astype(np.uint8)
-            constellation = modulate(table.reshape(-1), cfg.modulation)
+        constellation = (constellation_points(cfg.modulation)
+                         if cfg.equalizer.decision_directed else None)
         # the LMS recursion runs sample by sample, so frame by frame too; a
         # step too large for its frame diverges, and the frame is lost
         with np.errstate(over="ignore", invalid="ignore"):

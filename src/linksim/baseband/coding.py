@@ -35,6 +35,11 @@ CRC_POLYNOMIALS = {
     32: 0x04C11DB7,
 }
 
+#: Viterbi decision bytes a decoder call is sized for, those of 32 default
+#: codewords (1030 trellis steps of 64 states): a code one codeword of which
+#: needs more is refused, and the sweep engine sizes its groups to it
+DECISION_BYTES = 32 * 1030 * 64
+
 
 @dataclass(frozen=True)
 class CodecConfig:
@@ -54,6 +59,13 @@ class CodecConfig:
             raise ValueError("codeword must be longer than its CRC")
         if self.constraint_length < 2:
             raise ValueError("constraint_length must be >= 2")
+        if self.decision_bytes > DECISION_BYTES:
+            raise ValueError(
+                f"constraint_length {self.constraint_length} needs "
+                f"{self.decision_bytes} bytes of Viterbi decisions a codeword "
+                f"({self.trellis_steps} trellis steps x "
+                f"2**{self.constraint_length - 1} states), beyond the "
+                f"decoder's {DECISION_BYTES}")
         for g in self.generators:
             if g >= 1 << self.constraint_length:
                 raise ValueError("generator wider than constraint length")
@@ -79,6 +91,11 @@ class CodecConfig:
     def trellis_steps(self) -> int:
         """Trellis steps of a codeword: its info bits, CRC and tail."""
         return self.info_bits_per_codeword + self.tail_bits
+
+    @property
+    def decision_bytes(self) -> int:
+        """Viterbi decision bytes of a codeword, one a trellis step and state."""
+        return self.trellis_steps << (self.constraint_length - 1)
 
     @property
     def coded_bits_per_codeword(self) -> int:

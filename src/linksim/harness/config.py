@@ -25,7 +25,7 @@ from ..baseband.modulation import ModulationScheme, SpreadingConfig
 from ..channel import (AntennaPattern, ChannelModel, ChannelTap,
                        check_power_ratio, make_preset, make_tap)
 from ..errors import ConfigError
-from ..mux import FrameSource, LogicalChannel, Redundancy
+from ..mux import LogicalChannel, Redundancy
 from ..profiles import (SERVICE_PROFILES, ModemCapacity, RequirementProfile,
                         Robustness, SecurityLevel, ServiceProfile)
 from .latency import LatencySpec, latency_budget
@@ -188,8 +188,7 @@ _LOGICAL_CHANNEL = _table({"deadline_s": "deadline"}, id=int, sp=str,
                           deadline_s=float, redundancy=Redundancy, traffic=dict)
 _TRAFFIC = _table({"period_s": "period", "payload_bytes": "payload_size",
                    "start_offset_s": "start_offset"},
-                  period_s=float, payload_bytes=int, start_offset_s=float,
-                  source=FrameSource)
+                  period_s=float, payload_bytes=int, start_offset_s=float)
 _IID_LOSS = _table(mode=str, per_modem=list)
 
 _RANGING = _table(sample_rate_hz=float, bandwidth_hz=float, waveform_len=int,

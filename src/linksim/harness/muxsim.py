@@ -22,7 +22,7 @@ them in completion order.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -30,8 +30,8 @@ import numpy as np
 from ..baseband.chain import ChainConfig
 from ..channel import ChannelModel
 from ..errors import ConfigError
-from ..mux import (DEFAULT_MTU, DEFAULT_QUEUE_DEPTH, N_MODEMS, AppFrame,
-                   DataLinkPacket, FrameSource, LogicalChannel, Mux)
+from ..mux import (DEFAULT_MTU, DEFAULT_QUEUE_DEPTH, N_MODEMS, DataLinkPacket,
+                   LogicalChannel, Mux)
 from ..profiles import ModemCapacity, admit_channels
 from .seeding import stable_seed, stable_uniform
 from .sweep import Frame, genie_knowledge, link_trials
@@ -45,7 +45,6 @@ class PeriodicTraffic:
     period: float
     payload_size: int
     start_offset: float = 0.0
-    source: FrameSource = FrameSource.ETHERNET
 
     def __post_init__(self) -> None:
         if self.period <= 0:
@@ -144,19 +143,13 @@ class MuxSimResult:
     modem_bytes: tuple[int, ...]
 
     def csv_rows(self) -> tuple[list[dict], list[str]]:
-        fields = ["channel_id", "sp_id", "redundancy", "enqueued", "delivered",
-                  "duplicate_drops", "deadline_misses", "corrupt_drops",
-                  "overflow_drops", "lost_packets", "e2e_per",
-                  "latency_min_s", "latency_mean_s", "latency_max_s",
-                  "latency_p95_s"]
-        hist_fields = [f"hist_le_{edge:g}" for edge in LATENCY_BUCKETS]
-        hist_fields.append("hist_gt")
-        rows = []
-        for s in self.stats:
-            row = {name: getattr(s, name) for name in fields}
-            row.update(dict(zip(hist_fields, s.histogram)))
-            rows.append(row)
-        return rows, fields + hist_fields
+        """One column per ``MuxChannelStats`` field, ``histogram`` (the
+        last) expanded into one ``hist_*`` column per bucket."""
+        names = [f.name for f in fields(MuxChannelStats) if f.name != "histogram"]
+        hist = [f"hist_le_{edge:g}" for edge in LATENCY_BUCKETS] + ["hist_gt"]
+        rows = [{**{name: getattr(s, name) for name in names},
+                 **dict(zip(hist, s.histogram))} for s in self.stats]
+        return rows, names + hist
 
 
 def check_admission(spec: MuxSimSpec) -> None:
@@ -221,7 +214,6 @@ def run_mux_sim(spec: MuxSimSpec, master_seed: int) -> MuxSimResult:
     """Simulate the dual-modem mux and return per-channel statistics."""
     check_admission(spec)
     mux = Mux(list(spec.channels), mtu=spec.mtu, queue_depth=spec.queue_depth)
-    channels = {ch.id: ch for ch in spec.channels}
 
     events: list[tuple[float, int, str, object]] = []
     order = 0
@@ -229,12 +221,11 @@ def run_mux_sim(spec: MuxSimSpec, master_seed: int) -> MuxSimResult:
         t = traffic.start_offset
         while t < spec.duration_s:
             heapq.heappush(events, (t, order, "arrival",
-                                    (ch_id, traffic.payload_size, traffic.source)))
+                                    (ch_id, traffic.payload_size)))
             order += 1
             t += traffic.period
     for t, ch_id, size in spec.trace:
-        heapq.heappush(events, (t, order, "arrival",
-                                (ch_id, size, FrameSource.ETHERNET)))
+        heapq.heappush(events, (t, order, "arrival", (ch_id, size)))
         order += 1
 
     modem_busy = [False] * N_MODEMS
@@ -261,8 +252,8 @@ def run_mux_sim(spec: MuxSimSpec, master_seed: int) -> MuxSimResult:
     while events:
         now, _, kind, data = heapq.heappop(events)
         if kind == "arrival":
-            ch_id, size, source = data
-            mux.enqueue(AppFrame(source, bytes(size), now), channels[ch_id], now)
+            ch_id, size = data
+            mux.enqueue(ch_id, bytes(size), now)
         else:
             modem, packet = data
             modem_busy[modem] = False
@@ -278,7 +269,7 @@ def run_mux_sim(spec: MuxSimSpec, master_seed: int) -> MuxSimResult:
         fate[0] += 1
         fate[1] += not crc_ok
         fate[2] |= mux.receive(packet, modem, crc_ok, now) is not None
-    tallies = {ch_id: [0, 0] for ch_id in channels}   # [lost, fully corrupt]
+    tallies = {ch_id: [0, 0] for ch_id in mux.channels}   # [lost, fully corrupt]
     for (ch_id, _), (sent, corrupt, delivered) in fates.items():
         tallies[ch_id][0] += not delivered
         tallies[ch_id][1] += corrupt == sent

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -126,13 +126,11 @@ class RangingTrialRecord:
 class RangingResult:
     records: list[RangingTrialRecord]
 
-    CSV_FIELDS = ("trial", "true_range_m", "est_range_m", "error_m",
-                  "peak_quality")
-
     def csv_rows(self) -> tuple[list[dict], list[str]]:
-        rows = [{name: getattr(r, name) for name in self.CSV_FIELDS}
-                for r in self.records]
-        return rows, list(self.CSV_FIELDS)
+        """One column per ``RangingTrialRecord`` field."""
+        names = [f.name for f in fields(RangingTrialRecord)]
+        return [{name: getattr(r, name) for name in names}
+                for r in self.records], names
 
 
 def ranging_waveform(n_samples: int, oversample: int,

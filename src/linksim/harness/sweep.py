@@ -23,11 +23,11 @@ decodes in one Viterbi call and one CRC check, and records before it draws
 the next.  A group is bounded by what it costs to hold: at most
 ``GROUP_FRAMES`` frames, the rows of the front end's matrices, at most
 ``GROUP_SAMPLES`` samples of transmitted frames, which size those rows,
-and at most ``GROUP_TRELLIS_STEPS`` trellis steps of codewords, which size
-the decoder's decisions (uncoded frames count against the first two
-bounds only); it holds at least one frame.  A group runs across sweep
-points.  Only one group's waveforms, payloads and soft bits are held,
-which bounds memory whatever the number of frames.
+and at most ``DECISION_BYTES`` of the decoder's decisions, one byte a
+trellis step and state of its codewords (uncoded frames count against the
+first two bounds only); it holds at least one frame.  A group runs across
+sweep points.  Only one group's waveforms, payloads and soft bits are
+held, which bounds memory whatever the number of frames.
 The front end masks out a frame lost to sync failure or a degenerate
 channel; it never reaches the decoder, and the engine counts it as a
 packet error with every payload bit wrong.
@@ -43,7 +43,7 @@ documented here).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import islice
 from typing import Iterable, Iterator
 
@@ -51,7 +51,7 @@ import numpy as np
 
 from ..baseband.chain import (ChainConfig, ChannelKnowledge, decode_frames,
                               rx_front_end, tx_chain)
-from ..baseband.coding import CodecConfig
+from ..baseband.coding import DECISION_BYTES
 from ..channel import ChannelModel, apply_channel, estimate_frequency_response
 from ..rng import random_bits
 from .seeding import stable_seed
@@ -59,7 +59,8 @@ from .seeding import stable_seed
 Z_95 = 1.959963984540054   # two-sided 95% normal quantile
 
 # A group of frames is the unit ``link_trials`` draws, sends, decodes and
-# records; its three bounds size the engine's memory, not its results.
+# records; its three bounds, these two and ``coding.DECISION_BYTES``, size
+# the engine's memory, not its results.
 #: frames in a group at most: the rows of the front end's group matrices
 GROUP_FRAMES = 32
 #: samples of a group's transmitted frames at most, 2 MiB of complex
@@ -67,9 +68,6 @@ GROUP_FRAMES = 32
 #: 32 frames of 3008 samples are the largest), so only frames longer than
 #: 4096 samples make smaller groups
 GROUP_SAMPLES = GROUP_FRAMES * 4096
-#: trellis steps of a group's codewords at most, those of ``GROUP_FRAMES``
-#: default codewords: they size the Viterbi decisions and branch metrics
-GROUP_TRELLIS_STEPS = GROUP_FRAMES * CodecConfig().trellis_steps
 
 
 @dataclass(frozen=True)
@@ -106,17 +104,14 @@ class SweepResult:
     axis: str
     points: list[SweepPoint]
 
-    CSV_FIELDS = ("trials", "bits", "bit_errors", "ber", "ber_ci95",
-                  "packets", "packet_errors", "per", "per_ci95")
-
     def csv_rows(self) -> tuple[list[dict], list[str]]:
-        fields = [self.axis, *self.CSV_FIELDS]
-        rows = []
-        for p in self.points:
-            row = {self.axis: p.axis_value}
-            row.update({name: getattr(p, name) for name in self.CSV_FIELDS})
-            rows.append(row)
-        return rows, fields
+        """One column per ``SweepPoint`` field, ``axis_value`` named after
+        the axis."""
+        names = [f.name for f in fields(SweepPoint)]
+        columns = [self.axis, *names[1:]]
+        rows = [{column: getattr(p, name) for column, name in zip(columns, names)}
+                for p in self.points]
+        return rows, columns
 
 
 def ci95_halfwidth(errors: int, n: int) -> float:
@@ -201,12 +196,12 @@ def link_trials(frames: Iterable[Frame], cfg: ChainConfig
 
 def _chunk(cfg: ChainConfig) -> int:
     """Frames in a group: at most ``GROUP_FRAMES``, at most
-    ``GROUP_SAMPLES`` samples and, coded, at most ``GROUP_TRELLIS_STEPS``
-    trellis steps of codewords; at least one."""
+    ``GROUP_SAMPLES`` samples and, coded, at most ``DECISION_BYTES`` of
+    Viterbi decisions; at least one."""
     frames = min(GROUP_FRAMES, GROUP_SAMPLES // cfg.frame.frame_len)
     if cfg.codec is not None:
-        steps = cfg.n_codewords() * cfg.codec.trellis_steps
-        frames = min(frames, GROUP_TRELLIS_STEPS // steps)
+        frames = min(frames, DECISION_BYTES // (cfg.n_codewords()
+                                                * cfg.codec.decision_bytes))
     return max(1, frames)
 
 

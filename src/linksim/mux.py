@@ -35,12 +35,6 @@ class Redundancy(Enum):
     SINGLE = "single"
 
 
-class FrameSource(Enum):
-    WTB = "wtb"
-    UIC = "uic"
-    ETHERNET = "ethernet"
-
-
 @dataclass(frozen=True)
 class LogicalChannel:
     id: int
@@ -61,13 +55,6 @@ class LogicalChannel:
         if self.redundancy is Redundancy.SINGLE:
             return (0,)
         return tuple(range(N_MODEMS))
-
-
-@dataclass(frozen=True)
-class AppFrame:
-    source: FrameSource
-    payload: bytes
-    arrival_time: float
 
 
 @dataclass(frozen=True)
@@ -109,25 +96,27 @@ class Mux:
         self.modem_bytes = [0] * N_MODEMS   # cumulative bytes assigned
 
     # -- transmit side ----------------------------------------------------
-    def enqueue(self, frame: AppFrame, channel: LogicalChannel,
+    def enqueue(self, channel_id: int, payload: bytes,
                 now: float) -> DataLinkPacket | None:
-        """Stamp and queue an application frame; None if the queue overflowed."""
-        if channel.id not in self.channels:
-            raise ValueError(f"channel {channel.id} not registered")
-        if len(frame.payload) > self.mtu:
+        """Stamp ``payload`` for channel ``channel_id`` at ``now`` and queue
+        it; None if the queue overflowed."""
+        channel = self.channels.get(channel_id)
+        if channel is None:
+            raise ValueError(f"channel {channel_id} not registered")
+        if len(payload) > self.mtu:
             raise ValueError(
-                f"payload of {len(frame.payload)} bytes exceeds MTU {self.mtu}")
-        seq = self._next_seq[channel.id]
-        self._next_seq[channel.id] = seq + 1
+                f"payload of {len(payload)} bytes exceeds MTU {self.mtu}")
+        seq = self._next_seq[channel_id]
+        self._next_seq[channel_id] = seq + 1
         packet = DataLinkPacket(
-            channel_id=channel.id, sequence_number=seq, payload=frame.payload,
+            channel_id=channel_id, sequence_number=seq, payload=payload,
             created_at=now, deadline_at=now + channel.deadline)
-        counters = self.counters[channel.id]
+        counters = self.counters[channel_id]
         counters.enqueued += 1
-        if len(self._queues[channel.id]) >= self.queue_depth:
+        if len(self._queues[channel_id]) >= self.queue_depth:
             counters.overflow_drops += 1
             return None
-        self._queues[channel.id].append(packet)
+        self._queues[channel_id].append(packet)
         return packet
 
     def _edf_head(self, now: float) -> DataLinkPacket | None:

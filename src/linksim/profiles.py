@@ -62,7 +62,8 @@ class RequirementProfile:
 
 @dataclass(frozen=True)
 class ServiceProfile:
-    """Configuration of one logical transmission channel."""
+    """Configuration of one logical transmission channel; ``robustness``
+    is an inert label, like a requirement profile's ``security``."""
 
     id: str
     robustness: Robustness

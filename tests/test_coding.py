@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linksim.baseband.coding import (_STEP_CHUNK, CRC_POLYNOMIALS, CodecConfig,
+from linksim.baseband.coding import (_STEP_CHUNK, CRC_POLYNOMIALS,
+                                     DECISION_BYTES, CodecConfig,
                                      _trellis, conv_encode_batch,
                                      crc_bits_batch, decode, encode,
                                      viterbi_decode_batch)
@@ -430,6 +431,18 @@ class TestCodecConfig:
             CodecConfig(crc_width=24)
         with pytest.raises(ValueError):
             CodecConfig(info_bits_per_codeword=16, crc_width=32)
+
+    def test_decision_budget_is_32_default_codewords(self):
+        assert DECISION_BYTES == 32 * CodecConfig().decision_bytes
+
+    def test_constraint_length_bounded_by_one_codewords_decisions(self):
+        # 1034 steps x 1024 states fit the budget, 1035 x 2048 do not
+        assert CodecConfig(constraint_length=11).decision_bytes == 1034 * 1024
+        with pytest.raises(ValueError, match=r"^constraint_length 12 needs "
+                                             r"2119680 bytes"):
+            CodecConfig(constraint_length=12)
+        # shorter codewords leave room for more states
+        CodecConfig(info_bits_per_codeword=64, constraint_length=15)
 
     def test_info_capacity(self):
         assert CodecConfig().info_capacity == 992

@@ -314,6 +314,17 @@ RUN_TIME_LIMITS = [
      {"variant": "td-lms", "lms_taps": 51},
      "baseband.equalizer: equalizer lms_taps 51 needs a 510-symbol training "
      "header, above the frame's 416"),
+    # a codeword's Viterbi decisions, one byte a trellis step and state,
+    # beyond the decoder's budget: 65 GiB for 8 codewords at K 24, and at K
+    # 40 a 2**40-entry trellis table before any decoding
+    ("tests/golden/coded_harsh.json", ("baseband", "codec"),
+     {"constraint_length": 24},
+     "baseband.codec.constraint_length: constraint_length 24 needs "
+     "8782872576 bytes of Viterbi decisions a codeword (1047 trellis steps x "
+     "2**23 states), beyond the decoder's 2109440"),
+    ("tests/golden/coded_harsh.json", ("baseband", "codec"),
+     {"constraint_length": 40},
+     "baseband.codec.constraint_length: constraint_length 40 needs"),
 ]
 
 
@@ -375,6 +386,22 @@ def test_cli_duplicate_mux_channel_id_exits_2_without_traceback(tmp_path):
         capture_output=True, text=True, cwd=tmp_path, env=cli_env())
     assert proc.returncode == 2
     assert "config error: mux.channels: channels must have unique ids" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_mux_traffic_source_is_an_unknown_key(tmp_path):
+    # a frame's origin changed no result, so the key is gone, not ignored
+    data = json.loads((REPO / "configs" / "mux_sim.json").read_text())
+    data["mux"]["channels"][0]["traffic"]["source"] = "wtb"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    proc = subprocess.run(
+        [sys.executable, "-m", "linksim", "mux-sim", "--config", str(bad),
+         "--out", str(tmp_path / "o.csv")],
+        capture_output=True, text=True, cwd=tmp_path, env=cli_env())
+    assert proc.returncode == 2
+    assert ("config error: mux.channels[0].traffic: unknown keys ['source']"
+            in proc.stderr)
     assert "Traceback" not in proc.stderr
 
 

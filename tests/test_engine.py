@@ -2,10 +2,10 @@
 
 ``link_trials`` takes a stream of frames a group at a time: the next
 frames, at most ``GROUP_FRAMES`` of them, at most ``GROUP_SAMPLES`` samples
-and at most ``GROUP_TRELLIS_STEPS`` trellis steps of codewords, are drawn, sent, received, decoded together
-and recorded before the next group is drawn.  A sweep hands it every
-trial of every point, and a baseband-backed mux run all of its packet
-copies.  Neither the group a trial lands in nor which of its
+and at most ``DECISION_BYTES`` of Viterbi decisions, are drawn, sent,
+received, decoded together and recorded before the next group is drawn.
+A sweep hands it every trial of every point, and a baseband-backed mux
+run all of its packet copies.  Neither the group a trial lands in nor which of its
 group's frames are lost may change a result.
 """
 import json
@@ -300,7 +300,7 @@ def _bench_chain(workload, spreading_factor=None):
 
 # frames in a group of each benchmark chain and of the two-codeword chain:
 # uncoded frames count against the frame and sample bounds only, and a
-# mux-baseband frame's three 518-step codewords against the trellis bound
+# mux-baseband frame's three 518-step codewords against the decision bound
 # (63 rows); spreading lengthens the mux-baseband frame to 7904 samples at
 # SF 2 and 14,787,776 at SF 4097, which the sample bound (32 x 4096) caps
 # at 16 frames and at one
@@ -315,9 +315,17 @@ def test_a_group_is_bounded_by_frames_and_by_trellis_steps(chain, frames):
     assert sweep._chunk(cfg) == frames
 
 
+def test_a_group_is_bounded_by_decisions_at_any_constraint_length():
+    # 256 states: two 520-step codewords a frame take 266,240 bytes of
+    # decisions, seven frames' worth of the budget
+    cfg = ChainConfig.for_payload(960, codec=CodecConfig(
+        info_bits_per_codeword=512, constraint_length=9), **RECEIVER)
+    assert sweep._chunk(cfg) == 7
+
+
 # the group bounds shrunk on the two-codeword chain, and the frames of a
-# group they leave: one or five frames; one codeword's trellis, less than
-# a frame, which still makes one-frame groups; five codewords' trellis
+# group they leave: one or five frames; one codeword's decisions, less
+# than a frame, which still makes one-frame groups; five codewords' decisions
 @pytest.mark.parametrize("frames, codewords, chunk", [
     (1, None, 1), (5, None, 5), (None, 1, 1), (None, 5, 2)])
 def test_chunk_size_does_not_change_results(frames, codewords, chunk,
@@ -329,8 +337,8 @@ def test_chunk_size_does_not_change_results(frames, codewords, chunk,
     if frames is not None:
         monkeypatch.setattr(sweep, "GROUP_FRAMES", frames)
     if codewords is not None:
-        monkeypatch.setattr(sweep, "GROUP_TRELLIS_STEPS",
-                            codewords * cfg.codec.trellis_steps)
+        monkeypatch.setattr(sweep, "DECISION_BYTES",
+                            codewords * cfg.codec.decision_bytes)
     assert sweep._chunk(cfg) == chunk
     assert sweep.run_sweep(cfg, model, spec, master_seed=9).points == reference
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from linksim.baseband.modulation import (ModulationScheme, SpreadingConfig,
-                                         demodulate, hard_decisions, modulate,
-                                         papr_db, spread, despread, thue_morse)
+                                         constellation_points, demodulate,
+                                         hard_decisions, modulate, papr_db,
+                                         spread, despread, thue_morse)
 
 BPSK = ModulationScheme.BPSK
 QPSK = ModulationScheme.QPSK
@@ -111,3 +112,12 @@ class TestPapr:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             papr_db(np.array([]))
+
+
+@pytest.mark.parametrize("scheme", list(ModulationScheme))
+def test_constellation_points_are_every_bit_pattern_modulated(scheme):
+    bps = scheme.bits_per_symbol
+    patterns = (np.arange(2 ** bps)[:, None] >> np.arange(bps)[::-1]) & 1
+    points = constellation_points(scheme)
+    # bit for bit, as the decision-directed TD-LMS equalizer slices against
+    assert points.tobytes() == modulate(patterns.reshape(-1), scheme).tobytes()

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from linksim.mux import (AppFrame, FrameSource, LogicalChannel, Mux,
-                         Redundancy)
+from linksim.mux import LogicalChannel, Mux, Redundancy
 from linksim.profiles import SP1, SP2
 
 
@@ -11,22 +10,18 @@ def channel(ch_id, deadline=1e-3, redundancy=Redundancy.SINGLE, sp=SP1):
                           redundancy=redundancy)
 
 
-def frame(size=100, t=0.0):
-    return AppFrame(FrameSource.WTB, bytes(size), t)
-
-
 class TestEnqueue:
     def test_sequence_numbers_start_at_zero(self):
         ch = channel(0)
         mux = Mux([ch])
-        p0 = mux.enqueue(frame(), ch, 0.0)
-        p1 = mux.enqueue(frame(), ch, 0.1)
+        p0 = mux.enqueue(ch.id, bytes(100), 0.0)
+        p1 = mux.enqueue(ch.id, bytes(100), 0.1)
         assert (p0.sequence_number, p1.sequence_number) == (0, 1)
 
     def test_deadline_stamp(self):
         ch = channel(0, deadline=1e-3)
         mux = Mux([ch])
-        packet = mux.enqueue(frame(t=1.0), ch, 1.0)
+        packet = mux.enqueue(ch.id, bytes(100), 1.0)
         assert packet.created_at == 1.0
         assert packet.deadline_at == pytest.approx(1.001)
 
@@ -34,25 +29,25 @@ class TestEnqueue:
         ch = channel(0)
         mux = Mux([ch], mtu=64)
         with pytest.raises(ValueError, match="MTU"):
-            mux.enqueue(frame(65), ch, 0.0)
+            mux.enqueue(ch.id, bytes(65), 0.0)
 
     def test_overflow_drops_newest_and_counts(self):
         ch = channel(0)
         mux = Mux([ch], queue_depth=2)
-        assert mux.enqueue(frame(), ch, 0.0) is not None
-        assert mux.enqueue(frame(), ch, 0.0) is not None
-        assert mux.enqueue(frame(), ch, 0.0) is None
+        assert mux.enqueue(ch.id, bytes(100), 0.0) is not None
+        assert mux.enqueue(ch.id, bytes(100), 0.0) is not None
+        assert mux.enqueue(ch.id, bytes(100), 0.0) is None
         counters = mux.counters[0]
         assert counters.enqueued == 3
         assert counters.overflow_drops == 1
         # sequence numbers stay gapless at the source
-        assert mux.enqueue(frame(), ch, 1.0) is None
+        assert mux.enqueue(ch.id, bytes(100), 1.0) is None
         assert mux._next_seq[0] == 4
 
     def test_unregistered_channel(self):
         mux = Mux([channel(0)])
         with pytest.raises(ValueError, match="not registered"):
-            mux.enqueue(frame(), channel(5), 0.0)
+            mux.enqueue(5, bytes(100), 0.0)
 
     def test_unique_ids_required(self):
         with pytest.raises(ValueError):
@@ -69,7 +64,7 @@ class TestScheduling:
     def test_single_packet_redundant_goes_to_both(self):
         ch = channel(0, redundancy=Redundancy.REDUNDANT)
         mux = Mux([ch])
-        mux.enqueue(frame(), ch, 0.0)
+        mux.enqueue(ch.id, bytes(100), 0.0)
         packet, targets = mux.schedule_next(0.0)
         assert targets == (0, 1)
         assert mux.schedule_next(0.0) is None
@@ -78,8 +73,8 @@ class TestScheduling:
         slow = channel(0, deadline=5e-3)
         fast = channel(1, deadline=2e-3)
         mux = Mux([slow, fast])
-        mux.enqueue(frame(), slow, 0.0)
-        mux.enqueue(frame(), fast, 0.0)
+        mux.enqueue(slow.id, bytes(100), 0.0)
+        mux.enqueue(fast.id, bytes(100), 0.0)
         packet, _ = mux.schedule_next(0.0)
         assert packet.channel_id == 1
 
@@ -87,8 +82,8 @@ class TestScheduling:
         a = channel(0, deadline=1e-3)
         b = channel(1, deadline=1e-3)
         mux = Mux([a, b])
-        mux.enqueue(frame(), b, 0.0)
-        mux.enqueue(frame(), a, 0.0)
+        mux.enqueue(b.id, bytes(100), 0.0)
+        mux.enqueue(a.id, bytes(100), 0.0)
         packet, _ = mux.schedule_next(0.0)
         assert packet.channel_id == 0
 
@@ -96,14 +91,14 @@ class TestScheduling:
         ch = channel(0, redundancy=Redundancy.DISTRIBUTIVE)
         mux = Mux([ch])
         mux.modem_bytes = [1000, 200]
-        mux.enqueue(frame(), ch, 0.0)
+        mux.enqueue(ch.id, bytes(100), 0.0)
         _, targets = mux.schedule_next(0.0)
         assert targets == (1,)
 
     def test_distributive_tie_goes_to_modem_zero(self):
         ch = channel(0, redundancy=Redundancy.DISTRIBUTIVE)
         mux = Mux([ch])
-        mux.enqueue(frame(), ch, 0.0)
+        mux.enqueue(ch.id, bytes(100), 0.0)
         _, targets = mux.schedule_next(0.0)
         assert targets == (0,)
 
@@ -113,7 +108,7 @@ class TestScheduling:
         mux = Mux([ch])
         size = 100
         for i in range(20):
-            mux.enqueue(frame(size), ch, 0.0)
+            mux.enqueue(ch.id, bytes(size), 0.0)
         for i in range(20):
             mux.schedule_next(0.0)
             assert abs(mux.modem_bytes[0] - mux.modem_bytes[1]) <= size
@@ -121,8 +116,8 @@ class TestScheduling:
     def test_expired_packets_dropped_not_transmitted(self):
         ch = channel(0, deadline=1e-3)
         mux = Mux([ch])
-        mux.enqueue(frame(), ch, 0.0)      # deadline at 1 ms
-        mux.enqueue(frame(), ch, 0.005)    # deadline at 6 ms
+        mux.enqueue(ch.id, bytes(100), 0.0)      # deadline at 1 ms
+        mux.enqueue(ch.id, bytes(100), 0.005)    # deadline at 6 ms
         result = mux.schedule_next(0.005)
         assert result is not None
         packet, _ = result
@@ -132,7 +127,7 @@ class TestScheduling:
     def test_deadline_boundary_still_transmits(self):
         ch = channel(0, deadline=1e-3)
         mux = Mux([ch])
-        mux.enqueue(frame(), ch, 0.0)
+        mux.enqueue(ch.id, bytes(100), 0.0)
         result = mux.schedule_next(0.001)   # exactly at the deadline
         assert result is not None
 
@@ -145,7 +140,7 @@ class TestReceive:
     def test_duplicate_dropped_after_first_delivery(self):
         ch = channel(0, redundancy=Redundancy.REDUNDANT)
         mux = Mux([ch])
-        packet = mux.enqueue(frame(), ch, 0.0)
+        packet = mux.enqueue(ch.id, bytes(100), 0.0)
         assert mux.receive(packet, 0, True, 0.5) is not None
         assert mux.receive(packet, 1, True, 0.6) is None
         counters = mux.counters[0]
@@ -155,7 +150,7 @@ class TestReceive:
     def test_corrupt_copy_then_valid_copy(self):
         ch = channel(0, redundancy=Redundancy.REDUNDANT)
         mux = Mux([ch])
-        packet = mux.enqueue(frame(), ch, 0.0)
+        packet = mux.enqueue(ch.id, bytes(100), 0.0)
         assert mux.receive(packet, 0, False, 0.5) is None
         delivered = mux.receive(packet, 1, True, 0.6)
         assert delivered is not None
@@ -166,7 +161,7 @@ class TestReceive:
     def test_latency_sample(self):
         ch = channel(0)
         mux = Mux([ch])
-        packet = mux.enqueue(frame(t=1.0), ch, 1.0)
+        packet = mux.enqueue(ch.id, bytes(100), 1.0)
         payload, latency = mux.receive(packet, 0, True, 1.25)
         assert latency == pytest.approx(0.25)
         assert mux.counters[0].latencies == [pytest.approx(0.25)]
@@ -175,8 +170,8 @@ class TestReceive:
         # reordering across modems must not suppress late first copies
         ch = channel(0, redundancy=Redundancy.REDUNDANT)
         mux = Mux([ch])
-        p0 = mux.enqueue(frame(), ch, 0.0)
-        p1 = mux.enqueue(frame(), ch, 0.0)
+        p0 = mux.enqueue(ch.id, bytes(100), 0.0)
+        p1 = mux.enqueue(ch.id, bytes(100), 0.0)
         assert mux.receive(p1, 1, True, 0.5) is not None
         assert mux.receive(p0, 0, True, 0.6) is not None
         assert mux.counters[0].delivered == 2
@@ -194,7 +189,7 @@ class TestValidation:
         mux = Mux([ch], queue_depth=10**9)
         n, p = 100_000, 0.1
         for i in range(n):
-            packet = mux.enqueue(frame(10, float(i)), ch, float(i))
+            packet = mux.enqueue(ch.id, bytes(10), float(i))
             for modem in (0, 1):
                 mux.receive(packet, modem, bool(rng.random() >= p), float(i))
         lost = n - mux.counters[0].delivered
