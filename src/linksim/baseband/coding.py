@@ -12,13 +12,13 @@ The CRC is linear over GF(2) apart from its all-ones initial
 value, so it is computed as the affine map ``(bits @ A + c) mod 2`` with
 ``A`` and ``c`` cached per (length, width): one matrix product for a whole
 batch of rows.  Decoding is a full-trellis maximum-likelihood search over
-soft values, every codeword of a batch in one add-compare-select loop over
-the trellis steps; ties between merging paths resolve to the branch whose
+soft values, the codewords of a batch in passes of at most
+``DECISION_BYTES`` of decisions, each one add-compare-select loop over the
+trellis steps; ties between merging paths resolve to the branch whose
 departing register bit is 0, which makes decoding bit-exactly reproducible.
-The traceback walks a table of predecessors as flat (state, row) indices,
-built from the decisions one block of steps at a time from the end, so a
-step back is one ``take`` for every codeword of the batch; the indices are
-int32 whenever they fit, which halves the table a step back reads.
+The traceback walks a table of int32 predecessors as flat (state, row)
+indices (a pass's states x rows fit), built one block of steps at a time
+from the end, so a step back is one ``take`` for every codeword of a pass.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ CRC_POLYNOMIALS = {
     32: 0x04C11DB7,
 }
 
-#: Viterbi decision bytes a decoder call is sized for, those of 32 default
+#: Viterbi decision bytes a decoder pass is sized for, those of 32 default
 #: codewords (1030 trellis steps of 64 states): a code one codeword of which
 #: needs more is refused, and the sweep engine sizes its groups to it
 DECISION_BYTES = 32 * 1030 * 64
@@ -210,12 +210,13 @@ def viterbi_decode_batch(soft: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     Soft values are correlation metrics: positive means bit 0, matching the
     BPSK convention 0 -> +1.  Hard bits may be passed by mapping b -> 1-2b
     first.  Returns the (batch, info + crc) decoded bits, tail removed.
-    Every row runs through one add-compare-select loop over the trellis
-    steps; arrays are state-major, (states, batch), so each step is three
-    whole-array operations whatever the batch.  The traceback turns the
-    decisions into a table of predecessors, one ``_STEP_CHUNK`` slice at a
-    time from the end, each entry the flat (state, row) index of the state
-    before it, so a step back is one ``take`` for every row.
+    The rows go in passes of ``DECISION_BYTES // decision_bytes``, each one
+    add-compare-select loop over the trellis steps; arrays are state-major,
+    (states, rows), so each step is three whole-array operations.  The
+    traceback turns the decisions into a table of predecessors, one
+    ``_STEP_CHUNK`` slice at a time from the end, each entry the flat
+    (state, row) index of the state before it, so a step back is one
+    ``take`` for every row of a pass.
     """
     cfg_len = cfg.coded_bits_per_codeword
     soft = np.asarray(soft, dtype=np.float64)
@@ -223,6 +224,15 @@ def viterbi_decode_batch(soft: np.ndarray, cfg: CodecConfig) -> np.ndarray:
         raise ValueError(
             f"coded length {soft.shape[-1]} does not match codec "
             f"(expected {cfg_len})")
+    rows = DECISION_BYTES // cfg.decision_bytes
+    if len(soft) <= rows:
+        return _viterbi_pass(soft, cfg)
+    return np.concatenate([_viterbi_pass(soft[r:r + rows], cfg)
+                           for r in range(0, len(soft), rows)])
+
+
+def _viterbi_pass(soft: np.ndarray, cfg: CodecConfig) -> np.ndarray:
+    """``viterbi_decode_batch`` on rows whose decisions fit ``DECISION_BYTES``."""
     batch = soft.shape[0]
     if not batch:
         return np.empty((0, cfg.info_bits_per_codeword), dtype=np.uint8)
@@ -271,17 +281,16 @@ def viterbi_decode_batch(soft: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     # predecessor table, one _STEP_CHUNK slice at a time: state t of row r
     # on decision d came from state 2 * (t % half) + d, and every state is
     # held as its flat index state * batch + r into a step's slice
-    index = np.int32 if tr.n_states * batch <= np.iinfo(np.int32).max else np.intp
-    base = ((np.arange(tr.n_states, dtype=index) % half * 2 * batch)[:, None]
-            + np.arange(batch, dtype=index)).reshape(-1)
-    table = np.empty((_STEP_CHUNK, tr.n_states * batch), dtype=index)
+    base = ((np.arange(tr.n_states, dtype=np.int32) % half * 2 * batch)[:, None]
+            + np.arange(batch, dtype=np.int32)).reshape(-1)
+    table = np.empty((_STEP_CHUNK, tr.n_states * batch), dtype=np.int32)
     # terminated trellis: trace back from state 0
-    flat = np.arange(batch, dtype=index)
-    states = np.empty((steps, batch), dtype=index)
+    flat = np.arange(batch, dtype=np.int32)
+    states = np.empty((steps, batch), dtype=np.int32)
     for n0 in reversed(range(0, steps, _STEP_CHUNK)):
         block = table[: min(_STEP_CHUNK, steps - n0)]
         np.multiply(decisions[n0:n0 + _STEP_CHUNK].reshape(len(block), -1),
-                    index(batch), out=block)
+                    np.int32(batch), out=block)
         block += base
         for n in range(n0 + len(block) - 1, n0 - 1, -1):
             states[n] = flat

@@ -11,9 +11,8 @@ alongside it.  ``--threads`` is accepted for compatibility and has no
 effect.  A ranging run already uses every CPU the process may run on
 (``taskset`` limits them), one share of its trials each, with the same
 bytes at any count.  Link trials (sweeps, mux-sim) run on one thread:
-their many small numpy calls hold the interpreter lock, and two threads
-decoding 15 rows each took 55-58 ms against 24 ms for one 30-row Viterbi
-call.
+their many small numpy calls hold the interpreter lock, as measured in the
+README's CLI section.
 """
 from __future__ import annotations
 

@@ -1,12 +1,16 @@
 """Event-driven simulation of the dual-modem multiplexer.
 
-The timeline is a heap of (time, tiebreak, event) entries: packet arrivals
-from periodic sources or a trace, and per-modem transmission completions.
-Packets are pulled from the mux only when every modem in their target set
-is idle, so copies of a redundant packet start (and finish) together and
-the EDF expiry check in ``schedule_next`` really happens at transmission
-time.  After the last arrival the queues are drained so every packet ends
-with a definite fate, and the conservation identity
+Arrivals stream lazily in time order from one running sum (``t += period``)
+per periodic source and from the trace, sorted by time (its rows may come in
+any order); a heap holds the copies on the air, at most one a modem.  At an
+equal time, periodic arrivals go first in channel order, then trace rows in
+file order, then finishing copies in the order they started, and the mux
+dispatches after every event.  Packets are pulled from the mux only when
+every modem in their target set is idle, so copies of a redundant packet
+start (and finish) together and the EDF expiry check in ``schedule_next``
+really happens at transmission time.  After the last arrival the queues
+are drained so every packet ends with a definite fate, and the conservation
+identity
 
     enqueued = delivered + deadline_misses + overflow_drops + lost
 
@@ -22,7 +26,9 @@ them in completion order.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, fields
+from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
@@ -210,55 +216,48 @@ def _copies_received(spec: MuxSimSpec, copies: list[tuple[float, int, DataLinkPa
     return (packet_errors == 0).tolist()
 
 
-def run_mux_sim(spec: MuxSimSpec, master_seed: int) -> MuxSimResult:
-    """Simulate the dual-modem mux and return per-channel statistics."""
-    check_admission(spec)
-    mux = Mux(list(spec.channels), mtu=spec.mtu, queue_depth=spec.queue_depth)
+def _periodic(ch_id: int, traffic: PeriodicTraffic, end: float) -> Iterator:
+    t = traffic.start_offset
+    while t < end:
+        yield t, ch_id, traffic.payload_size
+        t += traffic.period
 
-    events: list[tuple[float, int, str, object]] = []
-    order = 0
-    for ch_id, traffic in spec.traffic.items():
-        t = traffic.start_offset
-        while t < spec.duration_s:
-            heapq.heappush(events, (t, order, "arrival",
-                                    (ch_id, traffic.payload_size)))
-            order += 1
-            t += traffic.period
-    for t, ch_id, size in spec.trace:
-        heapq.heappush(events, (t, order, "arrival", (ch_id, size)))
-        order += 1
 
-    modem_busy = [False] * N_MODEMS
-    # every transmitted copy as (done, modem, packet), in completion order
+def _transmit(spec: MuxSimSpec, mux: Mux) -> list[tuple[float, int, DataLinkPacket]]:
+    """Run the event loop; every transmitted copy as (done, modem, packet),
+    in completion order."""
+    arrivals = heapq.merge(
+        *(_periodic(ch_id, traffic, spec.duration_s)
+          for ch_id, traffic in spec.traffic.items()),
+        sorted(spec.trace, key=itemgetter(0)), key=itemgetter(0))
+    arrival = next(arrivals, None)
+    on_air: list[tuple[float, int, int, DataLinkPacket]] = []
+    order = itertools.count()
     copies: list[tuple[float, int, DataLinkPacket]] = []
-
-    def dispatch(now: float) -> None:
-        nonlocal order
-        while True:
-            peeked = mux.peek_next(now)
-            if peeked is None:
-                return
-            _, targets = peeked
-            if any(modem_busy[m] for m in targets):
-                return
+    while arrival is not None or on_air:
+        # an arrival goes before a copy finishing at the same instant
+        if arrival is not None and (not on_air or arrival[0] <= on_air[0][0]):
+            now, ch_id, size = arrival
+            mux.enqueue(ch_id, bytes(size), now)
+            arrival = next(arrivals, None)
+        else:
+            now, _, modem, packet = heapq.heappop(on_air)
+            copies.append((now, modem, packet))
+        while (peeked := mux.peek_next(now)) is not None \
+                and not any(m in peeked[1] for _, _, m, _ in on_air):
             packet, targets = mux.schedule_next(now)
             # air time at the modem line rate (capacity in Mbit/s)
             done = now + len(packet.payload) * 8 / (spec.capacity.capacity_c * 1e6)
             for m in targets:
-                modem_busy[m] = True
-                heapq.heappush(events, (done, order, "tx_done", (m, packet)))
-                order += 1
+                heapq.heappush(on_air, (done, next(order), m, packet))
+    return copies
 
-    while events:
-        now, _, kind, data = heapq.heappop(events)
-        if kind == "arrival":
-            ch_id, size = data
-            mux.enqueue(ch_id, bytes(size), now)
-        else:
-            modem, packet = data
-            modem_busy[modem] = False
-            copies.append((now, modem, packet))
-        dispatch(now)
+
+def run_mux_sim(spec: MuxSimSpec, master_seed: int) -> MuxSimResult:
+    """Simulate the dual-modem mux and return per-channel statistics."""
+    check_admission(spec)
+    mux = Mux(list(spec.channels), mtu=spec.mtu, queue_depth=spec.queue_depth)
+    copies = _transmit(spec, mux)
 
     # per-(channel, seq): [copies_sent, copies_corrupt, delivered]
     fates: dict[tuple[int, int], list[int]] = {}

@@ -22,9 +22,7 @@ working set.  No share holds another's generators, and a trial's
 draws depend only on its seeds, so the rows are the same, bit for bit, at
 any CPU count.  With one CPU, or one trial, the same share function runs
 on the calling thread alone.  Link trials stay on one thread: their numpy
-calls are small and hold the lock, and on a 2-vCPU host two threads
-decoding 15 rows each took 55-58 ms against 24 ms for one 30-row Viterbi
-call.
+calls are small and hold the lock, as measured in the README's CLI section.
 """
 from __future__ import annotations
 

@@ -14,8 +14,7 @@ every Monte Carlo output depends on it, independent of execution order or
 thread count: a ranging run splits its trials over every CPU the process
 may run on, and each trial's seeds, hence its row, are the same on any
 share.  Link trials run on one thread, because their small numpy calls
-hold the interpreter lock: on a 2-vCPU host two threads decoding 15 rows
-each took 55-58 ms against 24 ms for one 30-row Viterbi call.
+hold the interpreter lock, as measured in the README's CLI section.
 
 Because each step only reads the running value, a seed chains: the seed
 of a prefix of the indices is the master of the rest,

@@ -122,21 +122,15 @@ class Mux:
     def _edf_head(self, now: float) -> DataLinkPacket | None:
         """Earliest-deadline head packet, dropping expired ones as found."""
         while True:
-            best_key = None
-            best_ch = None
-            for ch_id, queue in self._queues.items():
-                if not queue:
-                    continue
-                head = queue[0]
-                key = (head.deadline_at, ch_id, head.sequence_number)
-                if best_key is None or key < best_key:
-                    best_key, best_ch = key, ch_id
-            if best_ch is None:
+            queue = min((q for q in self._queues.values() if q), default=None,
+                        key=lambda q: (q[0].deadline_at, q[0].channel_id,
+                                       q[0].sequence_number))
+            if queue is None:
                 return None
-            head = self._queues[best_ch][0]
+            head = queue[0]
             if head.deadline_at < now:
-                self._queues[best_ch].popleft()
-                self.counters[best_ch].deadline_misses += 1
+                queue.popleft()
+                self.counters[head.channel_id].deadline_misses += 1
                 continue
             return head
 

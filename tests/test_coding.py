@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from linksim.baseband import coding
 from linksim.baseband.coding import (_STEP_CHUNK, CRC_POLYNOMIALS,
                                      DECISION_BYTES, CodecConfig,
                                      _trellis, conv_encode_batch,
@@ -274,6 +275,33 @@ class TestConvolutionalCode:
         assert info.shape == (0, 2 * cfg.info_capacity)
         assert crc_ok.shape == (0, 2)
         assert corrected.shape == (0,)
+
+    def test_a_batch_decodes_in_passes_within_the_budget(self, monkeypatch):
+        # a budget of 2.5 codewords: a row of 7 codewords goes in passes of
+        # 2, 2, 2 and 1 and decodes as it does in one pass
+        cfg = SMALL
+        info = random_bits(7 * cfg.info_capacity, 22)[None, :]
+        soft = bpsk(encode(info, cfg)) + np.random.default_rng(23).normal(
+            scale=0.7, size=(1, 7 * cfg.coded_bits_per_codeword))
+        expected = decode(soft, cfg)
+        passes = []
+        one_pass = coding._viterbi_pass
+
+        def counted_pass(rows, cfg):
+            passes.append(len(rows))
+            return one_pass(rows, cfg)
+
+        monkeypatch.setattr(coding, "DECISION_BYTES", 5 * cfg.decision_bytes // 2)
+        monkeypatch.setattr(coding, "_viterbi_pass", counted_pass)
+        decoded = decode(soft, cfg)
+        assert passes == [2, 2, 2, 1]
+        assert max(passes) * cfg.decision_bytes <= coding.DECISION_BYTES
+        for got, want in zip(decoded, expected):
+            assert np.array_equal(got, want)
+        assert expected[2][0] > 0     # the decoder corrected channel bits
+        info, crc_ok, corrected = decode(soft[:0], cfg)
+        assert info.shape == (0, 7 * cfg.info_capacity)
+        assert crc_ok.shape == (0, 7) and corrected.shape == (0,)
 
     def test_peak_memory_of_a_decode_chunk(self):
         # the largest decode of a group at the default codec, 32 codewords

@@ -1,3 +1,4 @@
+import heapq
 import json
 import math
 import subprocess
@@ -5,6 +6,7 @@ import sys
 import threading
 from dataclasses import astuple, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,13 +24,63 @@ from linksim.harness import (IidLossModel, LatencySpec, MuxSimSpec,
                              emit_csv, latency_budget, manifest_path,
                              parse_config, run_mux_sim, run_ranging, run_sweep,
                              stable_seed, stable_uniform)
-from linksim.harness import rangingrun
+from linksim.harness import muxsim, rangingrun
 from linksim.harness.config import RangingSpec
 from linksim.harness.muxsim import LATENCY_BUCKETS, _histogram
 from linksim.harness.rangingrun import BLOCK_TRIALS, ranging_waveform
-from linksim.mux import LogicalChannel, Redundancy
-from linksim.profiles import RP1, SP1, ModemCapacity
+from linksim.mux import N_MODEMS, LogicalChannel, Mux, Redundancy
+from linksim.profiles import (RP1, SP1, ModemCapacity, Robustness,
+                              ServiceProfile)
 from linksim.ranging import EchoScene, echo_range, generate_echo
+
+
+def eager_transmit(spec, mux):
+    """Reference mux-sim event loop: every arrival of the run pushed onto
+    one heap before the first packet is sent, then the copies in flight,
+    all ranked at an equal time by one push counter."""
+    events = []
+    order = 0
+    for ch_id, traffic in spec.traffic.items():
+        t = traffic.start_offset
+        while t < spec.duration_s:
+            heapq.heappush(events, (t, order, "arrival",
+                                    (ch_id, traffic.payload_size)))
+            order += 1
+            t += traffic.period
+    for t, ch_id, size in spec.trace:
+        heapq.heappush(events, (t, order, "arrival", (ch_id, size)))
+        order += 1
+
+    modem_busy = [False] * N_MODEMS
+    copies = []
+
+    def dispatch(now):
+        nonlocal order
+        while True:
+            peeked = mux.peek_next(now)
+            if peeked is None:
+                return
+            _, targets = peeked
+            if any(modem_busy[m] for m in targets):
+                return
+            packet, targets = mux.schedule_next(now)
+            done = now + len(packet.payload) * 8 / (spec.capacity.capacity_c * 1e6)
+            for m in targets:
+                modem_busy[m] = True
+                heapq.heappush(events, (done, order, "tx_done", (m, packet)))
+                order += 1
+
+    while events:
+        now, _, kind, data = heapq.heappop(events)
+        if kind == "arrival":
+            ch_id, size = data
+            mux.enqueue(ch_id, bytes(size), now)
+        else:
+            modem, packet = data
+            modem_busy[modem] = False
+            copies.append((now, modem, packet))
+        dispatch(now)
+    return copies
 
 
 def q_function(x):
@@ -247,6 +299,66 @@ class TestMuxSim:
         assert s.deadline_misses > 0
         assert s.enqueued == s.delivered + s.deadline_misses + s.lost_packets
 
+
+    #: 2**20 bit/s: a byte takes 2**-17 s on the air, so air times, periods
+    #: and their running sums are exact and ties between events are exact
+    TICK = 2.0 ** -17
+    LIGHT = ServiceProfile("light", Robustness.NORMAL, 0.01, 1)
+
+    def _tie_spec(self, deadlines, redundancy, traffic, trace, queue_depth=2,
+                  duration=64):
+        channels = tuple(LogicalChannel(i, self.LIGHT, deadline=d * self.TICK,
+                                        redundancy=r)
+                         for i, (d, r) in enumerate(zip(deadlines, redundancy)))
+        return MuxSimSpec(
+            channels=channels,
+            traffic={ch: PeriodicTraffic(period * self.TICK, size,
+                                         offset * self.TICK)
+                     for ch, (period, size, offset) in traffic.items()},
+            capacity=ModemCapacity(1.048576), duration_s=duration * self.TICK,
+            loss=IidLossModel((0.3, 0.3)), queue_depth=queue_depth,
+            trace=tuple((t * self.TICK, ch, size) for t, ch, size in trace))
+
+    def _assert_matches_eager_heap(self, spec, seed):
+        result = run_mux_sim(spec, seed)
+        with mock.patch.object(muxsim, "_transmit", eager_transmit):
+            expected = run_mux_sim(spec, seed)
+        assert result.csv_rows() == expected.csv_rows()
+        assert result.modem_bytes == expected.modem_bytes
+
+    def test_ties_keep_the_eager_heap_order(self):
+        # channels 0 and 1 share period and offset; trace rows share instants
+        # with them and with each other, out of time order; a 2-byte copy
+        # started at an arrival finishes at the next one, 2 ticks later
+        spec = self._tie_spec(
+            deadlines=(24, 24, 3),
+            redundancy=(Redundancy.SINGLE, Redundancy.SINGLE,
+                        Redundancy.REDUNDANT),
+            traffic={0: (2, 2, 0), 1: (2, 2, 0)},
+            trace=[(6, 2, 1), (2, 2, 2), (2, 0, 3), (6, 1, 1), (4, 2, 2),
+                   (0, 2, 1), (2, 2, 1), (10, 2, 1), (10, 0, 1)],
+            duration=16)
+        instants = {t for t, _, _ in spec.trace} | {2 * k * self.TICK
+                                                    for k in range(8)}
+        copies = eager_transmit(spec, Mux(list(spec.channels), queue_depth=2))
+        assert sum(done in instants for done, _, _ in copies) >= 3
+        self._assert_matches_eager_heap(spec, 11)
+
+    @settings(max_examples=100, deadline=None)
+    @given(deadlines=st.tuples(*[st.integers(1, 40)] * 3),
+           redundancy=st.tuples(*[st.sampled_from(Redundancy)] * 3),
+           traffic=st.dictionaries(
+               st.integers(0, 2),
+               st.tuples(st.integers(1, 8), st.integers(1, 4), st.integers(0, 4))),
+           trace=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 2),
+                                    st.integers(1, 4)), max_size=30),
+           queue_depth=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_any_ties_keep_the_eager_heap_order(self, deadlines, redundancy,
+                                                traffic, trace, queue_depth,
+                                                seed):
+        self._assert_matches_eager_heap(
+            self._tie_spec(deadlines, redundancy, traffic, trace, queue_depth),
+            seed)
 
     def test_histogram_edges_count_in_their_bucket(self):
         assert _histogram([]) == (0,) * (len(LATENCY_BUCKETS) + 1)
