@@ -8,11 +8,12 @@ takes its parsed spec and returns its result; ``_run`` is the one place
 that times it and writes the files: the result CSV plus a JSON manifest
 (config echo, seed, version, and the wall clock of the scenario call)
 alongside it.  ``--threads`` is accepted for compatibility and has no
-effect.  A ranging run already uses every CPU the process may run on
-(``taskset`` limits them), one share of its trials each, with the same
-bytes at any count.  Link trials (sweeps, mux-sim) run on one thread:
-their many small numpy calls hold the interpreter lock, as measured in the
-README's CLI section.
+effect.  Every scenario that runs trials already uses every CPU the
+process may run on (``taskset`` limits them), with the same bytes at any
+count: a ranging run one thread a CPU, each with a share of its trials,
+and link trials (sweeps, mux-sim) one process a CPU, each with a share of
+every round of frames, in forked workers because their many small numpy
+calls hold the interpreter lock, as measured in the README's CLI section.
 """
 from __future__ import annotations
 
@@ -44,8 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override the config's output path")
         cmd.add_argument("--threads", type=int, default=1,
                          help="accepted for compatibility; no effect "
-                              "(ranging uses every CPU the process may run "
-                              "on, link trials one thread)")
+                              "(every scenario that runs trials uses every "
+                              "CPU the process may run on)")
     return parser
 
 

@@ -371,9 +371,16 @@ def _parse_mux(data: Any, cfg: SimulationConfig,
         tr = ch.pop("traffic", None)
         channels.append(_make(LogicalChannel, path, _LOGICAL_CHANNEL, **ch))
         if tr is not None:
-            traffic[channels[-1].id] = _make(
+            traffic[channels[-1].id] = periodic = _make(
                 PeriodicTraffic, f"{path}.traffic", _TRAFFIC,
                 **_read(tr, f"{path}.traffic", _TRAFFIC, PeriodicTraffic))
+            # below one ulp of duration_s, t += period can stop advancing
+            # an arrival time, and the run would never end
+            if periodic.period < math.ulp(kw["duration_s"]):
+                raise ConfigError(
+                    f"{path}.traffic.period_s: {periodic.period:g} s is below "
+                    f"one ulp of duration_s {kw['duration_s']:g} s, so the "
+                    "arrival times would stop advancing")
     kw["channels"] = tuple(channels)
     kw["traffic"] = traffic
     kw["loss"] = _parse_loss(kw["loss"], cfg)

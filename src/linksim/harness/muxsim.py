@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from typing import Iterator
@@ -104,6 +105,13 @@ class MuxSimSpec:
                 raise ValueError(
                     f"mtu {self.mtu} is below the {traffic.payload_size}-byte "
                     f"payload of channel {ch_id}")
+            # t += period stops advancing once period is below half an ulp of
+            # t, and every arrival time is below duration_s
+            if traffic.period < math.ulp(self.duration_s):
+                raise ValueError(
+                    f"traffic of channel {ch_id}: period {traffic.period:g} s "
+                    f"does not advance an arrival time below duration_s "
+                    f"{self.duration_s:g} s")
         if any(size > self.mtu for _, _, size in self.trace):
             raise ValueError(f"trace packet sizes must be <= mtu {self.mtu}")
         if isinstance(self.loss, BasebandLossModel):
@@ -245,7 +253,7 @@ def _transmit(spec: MuxSimSpec, mux: Mux) -> list[tuple[float, int, DataLinkPack
             copies.append((now, modem, packet))
         while (peeked := mux.peek_next(now)) is not None \
                 and not any(m in peeked[1] for _, _, m, _ in on_air):
-            packet, targets = mux.schedule_next(now)
+            packet, targets = mux.schedule_next(now, peeked)
             # air time at the modem line rate (capacity in Mbit/s)
             done = now + len(packet.payload) * 8 / (spec.capacity.capacity_c * 1e6)
             for m in targets:

@@ -21,13 +21,14 @@ holds one malloc arena fewer: each thread's arena keeps one trial's
 working set.  No share holds another's generators, and a trial's
 draws depend only on its seeds, so the rows are the same, bit for bit, at
 any CPU count.  With one CPU, or one trial, the same share function runs
-on the calling thread alone.  Link trials stay on one thread: their numpy
-calls are small and hold the lock, as measured in the README's CLI section.
+on the calling thread alone.  Link trials split their frames over the
+same CPUs in forked processes (``sweep.link_trials``), not threads: their
+numpy calls are small and hold the lock, as measured in the README's CLI
+section.
 """
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass, fields
 
@@ -38,6 +39,7 @@ from ..errors import NoTargetError
 from ..ranging import EchoScene, echo_range, generate_echo
 from ..rng import SeededGenerators, raw_bits
 from .seeding import stable_seed
+from .workers import cpu_count
 
 BLOCK_TRIALS = 64
 
@@ -146,13 +148,6 @@ def ranging_waveform(n_samples: int, oversample: int,
     bits = raw_bits(rng.bit_generator.random_raw(n_chips))
     chips = _CHIPS[bits[:n_chips] + 2 * bits[n_chips:]]
     return np.repeat(chips, oversample)[:n_samples]
-
-
-def cpu_count() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _ranging_trials(spec: RangingSpec, master_seed: int, oversample: int,

@@ -17,17 +17,24 @@ call for all of its points, and the baseband-backed mux simulation one
 for every packet copy of a run, after scheduling; both feed it a stream
 of frames, each with its own payload, channel model, noise seed and genie
 knowledge.
-Its one unit of work is a group: the next frames of the stream, which it
-draws, sends through transmit, the channel and the receiver front end,
-decodes in one Viterbi call and one CRC check, and records before it draws
-the next.  A group is bounded by what it costs to hold: at most
+Its one unit of work is a group of frames, which ``_group`` sends through
+transmit, the channel and the receiver front end and decodes in one
+Viterbi call and one CRC check.  The engine draws a round of frames at a
+time, up to one group a CPU the process may run on, splits it into up to
+one contiguous share a CPU, each share a group, and records the round's
+results in stream order before it draws the next: the calling process
+runs the first share, and a forked worker process each of the others
+(processes, not threads, because the chain's many small numpy calls hold
+the interpreter lock).  A group is bounded by what it costs to hold: at most
 ``GROUP_FRAMES`` frames, the rows of the front end's matrices, at most
 ``GROUP_SAMPLES`` samples of transmitted frames, which size those rows,
 and at most ``DECISION_BYTES`` of the decoder's decisions, one byte a
 trellis step and state of its codewords (uncoded frames count against the
 first two bounds only); it holds at least one frame.  A group runs across
-sweep points.  Only one group's waveforms, payloads and soft bits are
-held, which bounds memory whatever the number of frames.
+sweep points.  Each process holds only one group's waveforms, payloads and
+soft bits, which bounds memory whatever the number of frames.  A frame's
+result depends only on its own seeds, so the results are the same, bit
+for bit, at any CPU count.
 The front end masks out a frame lost to sync failure or a degenerate
 channel; it never reaches the decoder, and the engine counts it as a
 packet error with every payload bit wrong.
@@ -55,6 +62,7 @@ from ..baseband.coding import DECISION_BYTES
 from ..channel import ChannelModel, apply_channel, estimate_frequency_response
 from ..rng import random_bits
 from .seeding import stable_seed
+from .workers import FORK, Pool, cpu_count
 
 Z_95 = 1.959963984540054   # two-sided 95% normal quantile
 
@@ -68,6 +76,13 @@ GROUP_FRAMES = 32
 #: 32 frames of 3008 samples are the largest), so only frames longer than
 #: 4096 samples make smaller groups
 GROUP_SAMPLES = GROUP_FRAMES * 4096
+#: frames of a share at least, unless the group bounds need more shares:
+#: below it a worker's round trip (pickling the share, waking two
+#: processes) costs more than the split saves.  On a 2-vCPU Xeon host two
+#: shares took 1.08 times one share's time for 14 uncoded-los frames and
+#: 0.93 times for 16, and 1.06 and 0.95 times for 8 and 12 coded-harsh
+#: frames
+MIN_SHARE = 8
 
 
 @dataclass(frozen=True)
@@ -164,34 +179,68 @@ def link_trials(frames: Iterable[Frame], cfg: ChainConfig
     channel response zero on every bin) is a counted outcome: every
     payload bit is wrong and the packet is in error.
 
-    The stream goes a group of ``_chunk(cfg)`` frames at a time through
-    transmit, channel and the receiver front end, and the group's received
-    frames through one ``decode_frames`` call (none when every frame of
-    the group is lost); the group's results are final before the next
-    group is drawn.
+    The stream goes a round at a time: the next ``cpu_count() *
+    _chunk(cfg)`` frames, split into contiguous shares of near-equal size
+    (``_shares``).  The calling process sends the first share through
+    ``_group`` and a forked worker each of the others (``workers.Pool``),
+    each share one group; the round's results are joined in stream order,
+    and are final before the next round is drawn.  A worker is a copy of
+    the caller at its fork, so caller state set after it (a monkeypatch, a
+    warning filter, ``np.errstate``) does not reach it, and an exception
+    it raises is raised here with its own type.  A round of fewer than
+    ``2 * MIN_SHARE`` frames that fits one group, and every round with one
+    CPU or no ``fork``, is one group on the calling process alone.
     """
+    chunk = _chunk(cfg)
+    cpus = cpu_count() if FORK else 1
     bit_errors: list[int] = []
     packet_errors: list[int] = []
-    chunk = _chunk(cfg)
     stream = iter(frames)
-    while group := list(islice(stream, chunk)):
-        payloads, models, seeds, knowledge = zip(*group)
-        payloads = np.array(payloads, dtype=np.uint8)
-        rx = apply_channel(tx_chain(payloads, cfg), models, seeds)
-        soft_bits, _, received = rx_front_end(rx, cfg, knowledge)
-        del rx   # the group's waveforms are not needed while decoding
-        errors = np.full(len(group), cfg.payload_bits)
-        failed = ~received
-        if len(soft_bits):
-            decoded = decode_frames(soft_bits, cfg)
-            wrong = np.count_nonzero(decoded.info_bits != payloads[received], axis=1)
-            errors[received] = wrong
-            failed[received] = (wrong > 0) | (decoded.codewords_failed > 0)
-            del decoded, wrong   # held into the next group, they fragment the heap
-        bit_errors += errors.tolist()
-        packet_errors += failed.tolist()
+    while frames_round := list(islice(stream, cpus * chunk)):
+        calls = []
+        for share in _shares(len(frames_round), chunk, cpus):
+            payloads, models, seeds, knowledge = zip(*frames_round[share])
+            calls.append((np.array(payloads, dtype=np.uint8), models, seeds,
+                          knowledge, cfg))
+        for errors, failed in _POOL.run(calls):
+            bit_errors += errors.tolist()
+            packet_errors += failed.tolist()
     return (np.array(bit_errors, dtype=np.int64),
             np.array(packet_errors, dtype=np.int64))
+
+
+def _group(payloads: np.ndarray, models: tuple[ChannelModel, ...],
+           seeds: tuple[int, ...],
+           knowledge: tuple[ChannelKnowledge | None, ...], cfg: ChainConfig
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame (bit errors, packet failed) of one group of frames, sent
+    through transmit, the channel and the receiver front end, and its
+    received frames through one ``decode_frames`` call (none when every
+    frame is lost)."""
+    rx = apply_channel(tx_chain(payloads, cfg), models, seeds)
+    soft_bits, _, received = rx_front_end(rx, cfg, knowledge)
+    del rx   # the group's waveforms are not needed while decoding
+    errors = np.full(len(payloads), cfg.payload_bits)
+    failed = ~received
+    if len(soft_bits):
+        decoded = decode_frames(soft_bits, cfg)
+        wrong = np.count_nonzero(decoded.info_bits != payloads[received], axis=1)
+        errors[received] = wrong
+        failed[received] = (wrong > 0) | (decoded.codewords_failed > 0)
+    return errors, failed
+
+
+_POOL = Pool(_group)
+
+
+def _shares(frames: int, chunk: int, cpus: int) -> list[slice]:
+    """Contiguous shares of a round of ``frames`` frames, near-equal in
+    size: one a CPU, but no more than one every ``MIN_SHARE`` frames,
+    unless more are needed for none to hold more than ``chunk`` frames (a
+    round holds at most ``cpus * chunk``, so one share a CPU suffices)."""
+    n = max(-(-frames // chunk), min(cpus, frames // MIN_SHARE))
+    bounds = [frames * k // n for k in range(n + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _chunk(cfg: ChainConfig) -> int:

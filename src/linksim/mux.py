@@ -146,11 +146,18 @@ class Mux:
             return None
         return head, self._targets(self.channels[head.channel_id])
 
-    def schedule_next(self, now: float) -> tuple[DataLinkPacket, tuple[int, ...]] | None:
-        """Pop the EDF-next packet and assign its target modem set."""
-        peeked = self.peek_next(now)
+    def schedule_next(self, now: float,
+                      peeked: tuple[DataLinkPacket, tuple[int, ...]] | None = None
+                      ) -> tuple[DataLinkPacket, tuple[int, ...]] | None:
+        """Pop the EDF-next packet and assign its target modem set.
+
+        ``peeked``, what ``peek_next(now)`` returned with no call on the mux
+        since, spares a second EDF scan.
+        """
         if peeked is None:
-            return None
+            peeked = self.peek_next(now)
+            if peeked is None:
+                return None
         packet, targets = peeked
         self._queues[packet.channel_id].popleft()
         for m in targets:

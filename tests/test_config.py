@@ -8,6 +8,7 @@ import copy
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +388,23 @@ def test_cli_duplicate_mux_channel_id_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "config error: mux.channels: channels must have unique ids" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_period_that_cannot_advance_the_arrivals_exits_2_at_once(tmp_path):
+    # 1e-18 s is below half an ulp of every arrival time from 0.05 s, so
+    # t += period would never reach duration_s
+    data = json.loads((REPO / "configs" / "mux_sim.json").read_text())
+    data["mux"]["channels"][0]["traffic"].update(start_offset_s=0.05,
+                                                 period_s=1e-18)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    start = time.perf_counter()
+    assert main(["mux-sim", "--config", str(bad),
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert _error(data, "mux-sim").startswith(
+        "mux.channels[0].traffic.period_s: 1e-18 s is below one ulp of "
+        "duration_s 0.1 s")
 
 
 def test_cli_mux_traffic_source_is_an_unknown_key(tmp_path):

@@ -4,6 +4,9 @@
 frames, at most ``GROUP_FRAMES`` of them, at most ``GROUP_SAMPLES`` samples
 and at most ``DECISION_BYTES`` of Viterbi decisions, are drawn, sent,
 received, decoded together and recorded before the next group is drawn.
+With more CPUs the same holds for a round of groups, one group a process,
+so the tests that spy on the calling process's decode calls run on one
+CPU (``tests/test_workers.py`` covers the split).
 A sweep hands it every trial of every point, and a baseband-backed mux
 run all of its packet copies.  Neither the group a trial lands in nor which of its
 group's frames are lost may change a result.
@@ -219,6 +222,9 @@ def test_engine_decodes_each_group_before_drawing_the_next(monkeypatch):
         calls.append((drawn, decoded.info_bits))
         return decoded
 
+    # a spy sees the decode calls of the calling process only: one CPU
+    # keeps every share there
+    monkeypatch.setattr(sweep, "cpu_count", lambda: 1)
     monkeypatch.setattr(sweep, "decode_frames", spy)
     errors, lost = sweep.link_trials(stream(), cfg)
     assert errors[sorted(missed)].tolist() == [cfg.payload_bits] * len(missed)
@@ -282,6 +288,9 @@ def test_chunked_sweep_writes_the_one_frame_engine_csv(name, tmp_path,
         batches.append(len(soft_bits))
         return decode(soft_bits, *args)
 
+    # a spy sees the decode calls of the calling process only: one CPU
+    # keeps every share there
+    monkeypatch.setattr(sweep, "cpu_count", lambda: 1)
     monkeypatch.setattr(sweep, "decode_frames", spy)
     config = tmp_path / f"{name}.json"
     config.write_text(json.dumps(data))
@@ -367,6 +376,9 @@ def test_mux_run_decodes_every_copy_in_one_engine_call(tmp_path, monkeypatch):
         batches.append(len(soft_bits))
         return decode(soft_bits, *args)
 
+    # a spy sees the decode calls of the calling process only: one CPU
+    # keeps every share there
+    monkeypatch.setattr(sweep, "cpu_count", lambda: 1)
     monkeypatch.setattr(sweep, "decode_frames", spy)
     out = tmp_path / "mux_baseband.csv"
     assert main(["mux-sim", "--config", str(GOLDEN_DIR / "mux_baseband.json"),

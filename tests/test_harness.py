@@ -230,6 +230,14 @@ class TestMuxSim:
             traffic={0: PeriodicTraffic(period=2e-5, payload_size=125)},
             capacity=ModemCapacity(200.0), duration_s=duration, loss=loss)
 
+    def test_a_period_below_one_ulp_of_the_duration_is_refused(self):
+        ch = LogicalChannel(0, SP1, deadline=1.0)
+        with pytest.raises(ValueError, match="period 1e-18 s does not advance"):
+            MuxSimSpec(channels=(ch,), traffic={0: PeriodicTraffic(
+                           period=1e-18, payload_size=125, start_offset=0.05)},
+                       capacity=ModemCapacity(200.0), duration_s=0.1,
+                       loss=IidLossModel((0.0, 0.0)))
+
     def test_lossless_single_mode_delivers_everything(self):
         spec = self._spec(IidLossModel((0.0, 0.0)), redundancy=Redundancy.SINGLE)
         result = run_mux_sim(spec, 1)

@@ -135,6 +135,28 @@ class TestScheduling:
         mux = Mux([channel(0)])
         assert mux.schedule_next(0.0) is None
 
+    def test_a_peeked_head_is_scheduled_without_a_second_scan(self, monkeypatch):
+        # the expired head is dropped by the peek, and the packet it returns
+        # is the one popped, with its modems charged
+        a = channel(0, deadline=1e-3)
+        b = channel(1, deadline=2e-3, redundancy=Redundancy.DISTRIBUTIVE)
+        mux = Mux([a, b])
+        mux.enqueue(a.id, bytes(100), 0.0)
+        mux.enqueue(b.id, bytes(60), 0.0)
+        mux.enqueue(a.id, bytes(100), 0.0015)
+        scans = []
+        edf_head = mux._edf_head
+        monkeypatch.setattr(mux, "_edf_head",
+                            lambda now: scans.append(now) or edf_head(now))
+        peeked = mux.peek_next(0.0015)
+        assert mux.schedule_next(0.0015, peeked) == peeked
+        assert len(scans) == 1
+        assert peeked[0].channel_id == 1 and peeked[1] == (0,)
+        assert mux.modem_bytes == [60, 0]
+        assert mux.counters[0].deadline_misses == 1
+        packet, targets = mux.schedule_next(0.0015)
+        assert (packet.channel_id, packet.sequence_number, targets) == (0, 1, (0,))
+
 
 class TestReceive:
     def test_duplicate_dropped_after_first_delivery(self):
