@@ -230,6 +230,8 @@ def _group(payloads: np.ndarray, models: tuple[ChannelModel, ...],
     return errors, failed
 
 
+# the engine's workers: forked once, then shared by every call in this
+# process, so their fork is paid once a run
 _POOL = Pool(_group)
 
 
