@@ -1,9 +1,10 @@
 """Link trials on every CPU: forked workers each take a share of a round.
 
-``link_trials`` draws a round of up to ``cpu_count() * _chunk(cfg)``
-frames, splits it into contiguous shares, runs the first in the calling
-process and each other in a forked worker (``workers.Pool``), and joins
-the results in stream order.  A frame's result depends only on its own
+``link_trials`` draws a round of up to ``cpu_count() * ROUND_GROUPS *
+_chunk(cfg)`` frames, splits it into contiguous shares of groups, runs the
+first in the calling process and each other in a forked worker
+(``workers.Pool``), the caller taking the groups a worker has not started,
+and joins the results in stream order.  A frame's result depends only on its own
 seeds, so the CSV bytes may not depend on the CPU count; a worker that
 dies or raises may not change what the caller returns or raises; and no
 worker may outlive the process that forked it.
@@ -58,11 +59,12 @@ class ShareSpy:
 
     def __init__(self, pool):
         self.pool = pool
-        self.rounds = []   # the noise seeds of each share, per round
+        self.rounds = []   # the noise seeds of each group of each share
 
-    def run(self, calls):
-        self.rounds.append([list(seeds) for _, _, seeds, _, _ in calls])
-        return self.pool.run(calls)
+    def run(self, shares):
+        self.rounds.append([[list(seeds) for _, _, seeds, _, _ in share]
+                            for share in shares])
+        return self.pool.run(shares)
 
 
 def _frames(cfg, n):
@@ -119,20 +121,21 @@ def test_golden_csv_bytes_at_one_two_and_three_shares(name, tmp_path,
 def test_each_frame_goes_to_exactly_one_share_in_order(name, monkeypatch):
     cfg = CHAINS[name]
     chunk = sweep._chunk(cfg)
-    frames = _frames(cfg, 3 * chunk + 10)
+    frames = _frames(cfg, 6 * chunk + 10)
     monkeypatch.setattr(sweep, "cpu_count", lambda: 3)
+    monkeypatch.setattr(sweep, "ROUND_GROUPS", 2)
     spy = ShareSpy(sweep._POOL)
     monkeypatch.setattr(sweep, "_POOL", spy)
     errors, lost = sweep.link_trials(frames, cfg)
-    shares = [share for shares in spy.rounds for share in shares]
-    assert [f for share in shares for f in share] == list(range(len(frames)))
-    assert max(len(share) for share in shares) <= chunk
-    # a round of three groups splits three ways; the 10 frames left, fewer
-    # than 2 * MIN_SHARE, stay in the caller
-    assert [len(s) for s in spy.rounds] == [3, 1]
-    monkeypatch.setattr(sweep, "cpu_count", lambda: 1)
-    assert (errors.tolist(), lost.tolist()) == tuple(
-        r.tolist() for r in sweep.link_trials(frames, cfg))
+    groups = [group for shares in spy.rounds for share in shares
+              for group in share]
+    assert [f for group in groups for f in group] == list(range(len(frames)))
+    # a round of three CPUs' two groups each splits three ways, two groups
+    # a share; the 10 frames left, fewer than 2 * MIN_SHARE, stay in the
+    # caller as one group
+    assert [[len(g) for g in share] for shares in spy.rounds
+            for share in shares] == [[chunk, chunk]] * 3 + [[10]]
+    assert [len(shares) for shares in spy.rounds] == [3, 1]
 
 
 @needs_fork
@@ -142,7 +145,7 @@ def test_a_seven_frame_call_starts_no_worker(fresh_pool, monkeypatch):
     spy = ShareSpy(fresh_pool)
     monkeypatch.setattr(sweep, "_POOL", spy)
     sweep.link_trials(_frames(cfg, 7), cfg)
-    assert spy.rounds == [[list(range(7))]]
+    assert spy.rounds == [[[list(range(7))]]]
     assert fresh_pool._workers == []
 
 
@@ -168,7 +171,9 @@ def test_a_worker_killed_between_calls_changes_no_result(fresh_pool,
 @needs_fork
 def test_an_exception_in_a_worker_is_raised_with_its_type(fresh_pool,
                                                           monkeypatch):
-    # the caller's own share decodes; only the worker's raises
+    # the caller's own share decodes; only the worker's raises.  The
+    # caller's is slow, so the worker starts its group before the caller
+    # could take it
     cfg = CHAINS["uncoded"]
     caller = os.getpid()
     decode = sweep.decode_frames
@@ -176,6 +181,7 @@ def test_an_exception_in_a_worker_is_raised_with_its_type(fresh_pool,
     def decode_in_caller_only(soft_bits, *args):
         if os.getpid() != caller:
             raise ConfigError("baseband: raised in a worker")
+        time.sleep(0.3)
         return decode(soft_bits, *args)
 
     monkeypatch.setattr(sweep, "decode_frames", decode_in_caller_only)
@@ -188,6 +194,30 @@ def test_an_exception_in_a_worker_is_raised_with_its_type(fresh_pool,
     with pytest.raises(ConfigError, match="raised in a worker"):
         sweep.link_trials(frames, cfg)
     assert fresh_pool._workers == [worker]
+
+
+def _part(k, owner):
+    """Part ``k`` and the process that ran it; slow outside ``owner``."""
+    if os.getpid() != owner:
+        time.sleep(0.5)
+    return k, os.getpid()
+
+
+@needs_fork
+def test_the_caller_runs_the_parts_a_busy_worker_has_not_started():
+    pool = workers.Pool(_part)
+    owner = os.getpid()
+    try:
+        for _ in range(2):   # a fresh worker, then the same one again
+            got = pool.run([[(0, owner)], [(k, owner) for k in range(1, 5)]])
+            assert [[k for k, _ in share] for share in got] == [[0], [1, 2, 3, 4]]
+            # the worker is busy for 0.5 s with the first part it starts,
+            # if it wakes before the caller has taken them all; the caller
+            # takes the rest
+            assert sum(pid != owner for _, pid in got[1]) <= 1
+            assert len(pool._workers) == 1
+    finally:
+        pool.close()
 
 
 @needs_fork
@@ -241,9 +271,10 @@ def test_no_worker_outlives_a_sim_run(ending, tmp_path):
          "--out", str(tmp_path / "o.csv")],
         cwd=tmp_path, env=cli_env(), stderr=subprocess.PIPE, text=True)
     try:
-        deadline = time.monotonic() + 60
-        while not (found := _children(proc.pid)) and proc.poll() is None \
-                and time.monotonic() < deadline:
+        # with one CPU no worker is forked, so there is none to wait for
+        found, deadline = [], time.monotonic() + 60
+        while workers.cpu_count() > 1 and not (found := _children(proc.pid)) \
+                and proc.poll() is None and time.monotonic() < deadline:
             time.sleep(0.002)
         if ending == "sigkill":
             proc.kill()
