@@ -10,10 +10,10 @@ that times it and writes the files: the result CSV plus a JSON manifest
 alongside it.  ``--threads`` is accepted for compatibility and has no
 effect.  Every scenario that runs trials already uses every CPU the
 process may run on (``taskset`` limits them), with the same bytes at any
-count: a ranging run one thread a CPU, each with a share of its trials,
-and link trials (sweeps, mux-sim) one process a CPU, each with a share of
-every round of frames, in forked workers because their many small numpy
-calls hold the interpreter lock, as measured in the README's CLI section.
+count: one process a CPU, each with a share of a ranging run's trials or
+of every round of link trials (sweeps, mux-sim), in forked workers
+because their Python work holds the interpreter lock, as measured in the
+README's CLI section.
 """
 from __future__ import annotations
 

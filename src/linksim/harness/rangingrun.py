@@ -13,23 +13,22 @@ one ``rng.SeededGenerators``; the block bounds the states held, not the
 results.
 
 A run splits its trials into one contiguous share per CPU the process may
-run on (``cpu_count``, which ``taskset`` limits), no share empty.  The
-calling thread runs the first share and one ``threading.Thread`` each of
-the others; a trial is almost all FFTs and noise draws, which release the
-interpreter lock.  The calling thread works rather than waits, so a run
-holds one malloc arena fewer: each thread's arena keeps one trial's
-working set.  No share holds another's generators, and a trial's
-draws depend only on its seeds, so the rows are the same, bit for bit, at
-any CPU count.  With one CPU, or one trial, the same share function runs
-on the calling thread alone.  Link trials split their frames over the
-same CPUs in forked processes (``sweep.link_trials``), not threads: their
-numpy calls are small and hold the lock, as measured in the README's CLI
-section.
+run on (``cpu_count``, which ``taskset`` limits), no share empty, and cuts
+each share into parts of at most ``BLOCK_TRIALS`` trials (a run of more
+than ``ROUND_BLOCKS`` parts a CPU goes a round of that many at a time).
+The calling process runs the first share and a forked worker process each
+of the others (a ``workers.Pool``, as link trials use), then the parts no
+worker has started; the records are joined in trial order.  Processes,
+not threads: a trial's generator blocks, ``EchoScene``, records and small
+numpy calls hold the interpreter lock, as measured in the README's CLI
+section.  No share holds another's generators, and a trial's draws depend
+only on its seeds, so the rows are the same, bit for bit, at any CPU
+count.  A run of one trial, or on one CPU, is one share in the calling
+process and forks nothing.
 """
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -39,9 +38,12 @@ from ..errors import NoTargetError
 from ..ranging import EchoScene, echo_range, generate_echo
 from ..rng import SeededGenerators, raw_bits
 from .seeding import stable_seed
-from .workers import cpu_count
+from .workers import FORK, Pool, cpu_count
 
 BLOCK_TRIALS = 64
+#: the most parts of ``BLOCK_TRIALS`` trials a share of a round holds, the
+#: most ``workers.Pool.run`` takes; a longer run goes a round at a time
+ROUND_BLOCKS = 1024
 
 # the chip of real bit re and imaginary bit im at index re + 2 * im, by the
 # formula of two integers(0, 2) draws
@@ -150,85 +152,69 @@ def ranging_waveform(n_samples: int, oversample: int,
     return np.repeat(chips, oversample)[:n_samples]
 
 
-def _ranging_trials(spec: RangingSpec, master_seed: int, oversample: int,
-                    share: range, stop: threading.Event
-                    ) -> list[RangingTrialRecord]:
-    """The records of the trials in ``share``, in order; it returns early
-    once ``stop`` is set."""
+def _ranging_share(spec: RangingSpec, master_seed: int, oversample: int,
+                   lo: int, hi: int) -> list[RangingTrialRecord]:
+    """The records of trials ``lo..hi`` (at most ``BLOCK_TRIALS``), in
+    order."""
+    trials = range(lo, hi)
+    draws = SeededGenerators([stable_seed(master_seed, t, 0) for t in trials])
+    noises = SeededGenerators([stable_seed(master_seed, t, 1) for t in trials])
     records = []
-    for start in range(share.start, share.stop, BLOCK_TRIALS):
-        trials = range(start, min(start + BLOCK_TRIALS, share.stop))
-        draws = SeededGenerators([stable_seed(master_seed, t, 0) for t in trials])
-        noises = SeededGenerators([stable_seed(master_seed, t, 1) for t in trials])
-        for row, trial in enumerate(trials):
-            if stop.is_set():
-                return records
-            rng = draws[row]
-            true_range = spec.range_min_m + rng.random() * (
-                spec.range_max_m - spec.range_min_m)
-            scene = EchoScene(
-                true_range=true_range,
-                sample_rate=spec.sample_rate_hz,
-                bandwidth=spec.bandwidth_hz,
-                relative_velocity=spec.relative_velocity_mps,
-                reflection_gain_db=spec.reflection_gain_db,
-                residual_si_power_db=spec.residual_si_power_db,
-                echo_snr_db=spec.echo_snr_db,
-                block_len=spec.block_len,
-                carrier_wavelength=spec.carrier_wavelength_m)
-            tx = ranging_waveform(spec.waveform_len, oversample, rng)
-            rx = generate_echo(tx, scene, seed=noises[row])
-            try:
-                est = echo_range(tx, rx, spec.sample_rate_hz)
-                est_range, quality = est.range, est.peak_quality
-            except NoTargetError:
-                est_range, quality = float("nan"), 0.0
-            records.append(RangingTrialRecord(
-                trial=trial, true_range_m=true_range, est_range_m=est_range,
-                error_m=est_range - true_range, peak_quality=quality))
+    for row, trial in enumerate(trials):
+        rng = draws[row]
+        true_range = spec.range_min_m + rng.random() * (
+            spec.range_max_m - spec.range_min_m)
+        scene = EchoScene(
+            true_range=true_range,
+            sample_rate=spec.sample_rate_hz,
+            bandwidth=spec.bandwidth_hz,
+            relative_velocity=spec.relative_velocity_mps,
+            reflection_gain_db=spec.reflection_gain_db,
+            residual_si_power_db=spec.residual_si_power_db,
+            echo_snr_db=spec.echo_snr_db,
+            block_len=spec.block_len,
+            carrier_wavelength=spec.carrier_wavelength_m)
+        tx = ranging_waveform(spec.waveform_len, oversample, rng)
+        rx = generate_echo(tx, scene, seed=noises[row])
+        try:
+            est = echo_range(tx, rx, spec.sample_rate_hz)
+            est_range, quality = est.range, est.peak_quality
+        except NoTargetError:
+            est_range, quality = float("nan"), 0.0
+        records.append(RangingTrialRecord(
+            trial=trial, true_range_m=true_range, est_range_m=est_range,
+            error_m=est_range - true_range, peak_quality=quality))
     return records
+
+
+# forked by the first run of more than one trial on more than one CPU, and
+# kept for the later runs of the process
+_POOL = Pool(_ranging_share)
 
 
 def run_ranging(spec: RangingSpec, master_seed: int) -> RangingResult:
     """Every trial's record, in trial order, run one share per CPU.
 
-    An exception in any share stops the others at their next trial and is
-    raised here once every thread has ended.
+    An exception of a trial is raised here, with its own type, once every
+    share has ended.
     """
     # every chip at least as long as the waveform gives the same one-chip
     # waveform
     oversample = max(1, int(round(min(spec.sample_rate_hz / spec.bandwidth_hz,
                                       spec.waveform_len))))
-    n_shares = min(cpu_count(), spec.trials)
-    bounds = [spec.trials * k // n_shares for k in range(n_shares + 1)]
-    shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    stop = threading.Event()
-    outcomes: list = [None] * n_shares   # a worker's records or exception
-
-    def run_share(k: int) -> None:
-        try:
-            outcomes[k] = _ranging_trials(spec, master_seed, oversample,
-                                          shares[k], stop)
-        except BaseException as exc:
-            stop.set()
-            outcomes[k] = exc
-
-    workers = []
-    try:
-        for k in range(1, n_shares):
-            worker = threading.Thread(target=run_share, args=(k,))
-            worker.start()
-            workers.append(worker)
-        records = _ranging_trials(spec, master_seed, oversample, shares[0],
-                                  stop)
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        for worker in workers:
-            worker.join()
-    for outcome in outcomes[1:]:
-        if isinstance(outcome, BaseException):
-            raise outcome
-        records += outcome
+    cpus = cpu_count() if FORK else 1
+    records: list[RangingTrialRecord] = []
+    size = cpus * ROUND_BLOCKS * BLOCK_TRIALS
+    for first in range(0, spec.trials, size):
+        last = min(first + size, spec.trials)
+        n_shares = min(cpus, last - first)
+        bounds = [first + (last - first) * k // n_shares
+                  for k in range(n_shares + 1)]
+        shares = [[(spec, master_seed, oversample, lo,
+                    min(lo + BLOCK_TRIALS, stop))
+                   for lo in range(start, stop, BLOCK_TRIALS)]
+                  for start, stop in zip(bounds, bounds[1:])]
+        for share in _POOL.run(shares):
+            for part in share:
+                records += part
     return RangingResult(records=records)

@@ -5,28 +5,28 @@ trials over it, and ``link_trials`` each round of its frames.
 
 A ``Pool`` runs one function on the parts of shares of work, the first
 share in this process and each other in a forked worker process of its
-own; link trials use forked processes, not threads, because their many
-small numpy calls hold the interpreter lock.  A worker runs its share's
-parts from the front, and this process, once its own share is done, takes
-the parts no worker has started, so a worker that wakes late or runs on a
-busier CPU leaves them to it instead of holding up the run.  Each worker
-has a pipe of part numbers beside its share: whoever reads a number runs
-that part, and the kernel gives each number to one reader.
+own; ranging and link trials each have a pool, and use forked processes,
+not threads, because their Python work holds the interpreter lock.  A
+worker runs its share's parts from the front, and this process, once its
+own share is done, takes the parts no worker has started, so a worker
+that wakes late or runs on a busier CPU leaves them to it instead of
+holding up the run.  Each worker has a pipe of part numbers beside its
+share: whoever reads a number runs that part, and the kernel gives each
+number to one reader.
 A worker is forked the first time a ``Pool.run`` needs it and serves later
 runs too.  It is a copy of the caller at its fork: caller state set after
 it, such as a monkeypatch, a warning filter or ``np.errstate``, does not
-reach it.  The package forks with no other thread of its own alive
-(``run_ranging`` joins its threads before it returns, and a pool forks
-only inside ``Pool.run``), and a pool serves one run at a time, so
-callers on several threads share its workers safely.
+reach it.  The package starts no thread of its own, and a pool forks
+only inside ``Pool.run`` and serves one run at a time, so callers on
+several threads share its workers safely.
 
 No worker outlives its owner for long.  It exits when its pipe closes,
 which the kernel does when the owner dies, even by SIGKILL: each worker
-closes its inherited copies of the other workers' pipes, so only the
-owner holds their ends.  It ignores SIGINT (an interrupt is the owner's to
-handle) and leaves through ``os._exit``, so none of the owner's cleanup
-runs in it.  A forked child of the owner forgets the pool it inherited, and
-the owner closes its workers at exit.
+closes its inherited copies of the other workers' pipes, those of every
+pool, so only the owner holds their ends.  It ignores SIGINT (an
+interrupt is the owner's to handle) and leaves through ``os._exit``, so
+none of the owner's cleanup runs in it.  A forked child of the owner
+forgets the pools it inherited, and the owner closes its workers at exit.
 """
 from __future__ import annotations
 
@@ -91,7 +91,7 @@ class _Worker:
 
     def __init__(self, fn: Callable):
         # imported by the first fork, so a run that never splits (a one-frame
-        # warm-up, a ranging run) does not pay for it
+        # or one-trial warm-up) does not pay for it
         from multiprocessing import Pipe
         ours, theirs = Pipe()
         numbers, feed = os.pipe()
@@ -193,7 +193,8 @@ class Pool:
         could be forked, runs here instead, with the same results.  A
         share's part numbers, 4 bytes each, are written to a pipe before the
         worker reads any, so a share holds at most 1024 parts (4 KiB, the
-        least a pipe holds); a share of link trials holds at most 16.
+        least a pipe holds); a share of link trials holds at most 16, one
+        of ranging trials at most ``rangingrun.ROUND_BLOCKS``.
         """
         outcomes: list[list] = [[None] * len(parts) for parts in shares]
         with self._lock:

@@ -1,9 +1,11 @@
 import heapq
 import json
 import math
+import os
 import subprocess
 import sys
-import threading
+import time
+from collections import Counter
 from dataclasses import astuple, replace
 from pathlib import Path
 from unittest import mock
@@ -28,10 +30,14 @@ from linksim.harness import muxsim, rangingrun
 from linksim.harness.config import RangingSpec
 from linksim.harness.muxsim import LATENCY_BUCKETS, _histogram
 from linksim.harness.rangingrun import BLOCK_TRIALS, ranging_waveform
+from linksim.harness.workers import FORK
 from linksim.mux import N_MODEMS, LogicalChannel, Mux, Redundancy
 from linksim.profiles import (RP1, SP1, ModemCapacity, Robustness,
                               ServiceProfile)
 from linksim.ranging import EchoScene, echo_range, generate_echo
+
+REPO = Path(__file__).resolve().parent.parent
+needs_fork = pytest.mark.skipif(not FORK, reason="no fork on this platform")
 
 
 def eager_transmit(spec, mux):
@@ -509,68 +515,142 @@ class TestRanging:
             assert any(math.isnan(row[2]) for row in got)
 
     # more trials than one block of generators, some finding no target
-    THREADED = RangingSpec(
+    SPLIT = RangingSpec(
         sample_rate_hz=1e9, bandwidth_hz=1e9 / 3, waveform_len=301,
         trials=BLOCK_TRIALS + 5, range_min_m=0.5, range_max_m=9.0,
         reflection_gain_db=-3.0, residual_si_power_db=20.0, echo_snr_db=-22.0)
 
+    @pytest.fixture
+    def fresh_pool(self):
+        """The ranging pool with no workers, closed again after the test.  A
+        worker is a copy of the caller at its fork, so a spy patched in
+        before the run reaches it."""
+        rangingrun._POOL.close()
+        yield rangingrun._POOL
+        rangingrun._POOL.close()
+
+    @needs_fork
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-    def test_rows_are_the_same_on_any_number_of_cpus(self, cpus, monkeypatch):
+    def test_rows_are_the_same_on_any_number_of_cpus(self, cpus, fresh_pool,
+                                                     tmp_path, monkeypatch):
         monkeypatch.setattr(rangingrun, "cpu_count", lambda: cpus)
-        threads = set()
+        caller, log, slept = os.getpid(), tmp_path / "pids", []
         real_echo_range = rangingrun.echo_range
 
         def echo_range(*args, **kwargs):
-            threads.add(threading.current_thread())
+            with log.open("a") as f:
+                f.write(f"{os.getpid()}\n")
+            # shares may outnumber the CPUs: the caller waits once, so every
+            # worker starts its share before the caller could take it
+            if os.getpid() == caller and not slept:
+                slept.append(True)
+                time.sleep(0.5)
             return real_echo_range(*args, **kwargs)
 
         monkeypatch.setattr(rangingrun, "echo_range", echo_range)
-        # shares may outnumber the CPUs, and the threads switch often
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            got = [astuple(r) for r in run_ranging(self.THREADED, 17).records]
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(threads) == cpus
-        expected = reference_ranging(self.THREADED, 17)
+        got = [astuple(r) for r in run_ranging(self.SPLIT, 17).records]
+        # one process a share, the caller running the first
+        trials = self.SPLIT.trials
+        shares = [trials * (k + 1) // cpus - trials * k // cpus
+                  for k in range(cpus)]
+        ran = Counter(int(pid) for pid in log.read_text().split())
+        assert set(ran) == {caller} | {w.pid for w in fresh_pool._workers}
+        assert ran[caller] == shares[0]
+        assert sorted(ran.values()) == sorted(shares)
+        expected = reference_ranging(self.SPLIT, 17)
         np.testing.assert_array_equal(np.array(got), np.array(expected))
         assert any(math.isnan(row[2]) for row in got)
 
+    @needs_fork
     @pytest.mark.parametrize("failing", ["worker", "caller"])
-    def test_a_failing_share_raises_after_every_thread_ends(self, failing,
-                                                            monkeypatch):
+    def test_a_failing_share_raises_after_every_share_ends(self, failing,
+                                                           fresh_pool,
+                                                           monkeypatch):
         monkeypatch.setattr(rangingrun, "cpu_count", lambda: 3)
-        error = RuntimeError(f"a trial on the {failing} thread")
+        caller, slept = os.getpid(), []
+        error = RuntimeError(f"a trial in the {failing} process")
         real_generate_echo = rangingrun.generate_echo
 
         def generate_echo(*args, **kwargs):
-            caller = threading.current_thread() is threading.main_thread()
-            if caller == (failing == "caller"):
+            if (os.getpid() == caller) == (failing == "caller"):
                 raise error
+            # the caller waits once, so the workers start their shares
+            if os.getpid() == caller and not slept:
+                slept.append(True)
+                time.sleep(0.5)
             return real_generate_echo(*args, **kwargs)
 
         monkeypatch.setattr(rangingrun, "generate_echo", generate_echo)
-        before = threading.active_count()
         with pytest.raises(RuntimeError) as raised:
-            run_ranging(self.THREADED, 17)
-        assert raised.value is error
-        assert threading.active_count() == before
+            run_ranging(self.SPLIT, 17)
+        assert type(raised.value) is RuntimeError
+        assert str(raised.value) == str(error)
+        # every worker answered, so none is left busy, and each serves on
+        assert len(fresh_pool._workers) == 2
+        assert all(not w.busy and w.conn is not None
+                   for w in fresh_pool._workers)
 
-    def test_one_trial_starts_no_thread(self, monkeypatch):
+    @needs_fork
+    def test_one_trial_forks_no_worker(self, fresh_pool, monkeypatch):
         monkeypatch.setattr(rangingrun, "cpu_count", lambda: 4)
-        started = []
-        real_start = threading.Thread.start
+        forked = []
+        real_fork = os.fork
 
-        def start(thread):
-            started.append(thread)
-            real_start(thread)
+        def fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
 
-        monkeypatch.setattr(threading.Thread, "start", start)
-        run_ranging(replace(self.THREADED, trials=1), 17)
-        assert started == []
-        run_ranging(replace(self.THREADED, trials=2), 17)
-        assert len(started) == 1 and not started[0].is_alive()
+        monkeypatch.setattr(os, "fork", fork)
+        run_ranging(replace(self.SPLIT, trials=1), 17)
+        assert forked == [] and fresh_pool._workers == []
+        run_ranging(replace(self.SPLIT, trials=2), 17)
+        [worker] = fresh_pool._workers
+        assert forked == [worker.pid] and not worker.busy
+
+    def test_a_one_trial_cli_run_does_not_import_multiprocessing(self,
+                                                                 tmp_path):
+        data = json.loads((REPO / "configs" / "ranging.json").read_text())
+        data["ranging"]["trials"] = 1
+        config = tmp_path / "ranging.json"
+        config.write_text(json.dumps(data))
+        code = ("import sys; from linksim.cli import main; "
+                f"assert main(['ranging', '--config', {str(config)!r}, "
+                f"'--out', {str(tmp_path / 'o.csv')!r}]) == 0; "
+                "assert 'multiprocessing' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                       env=cli_env(), check=True)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_long_run_goes_a_round_of_blocks_at_a_time(self, cpus,
+                                                         monkeypatch):
+        # rounds of two 4-trial parts a CPU: 69 trials are five rounds on
+        # two CPUs and three on three
+        monkeypatch.setattr(rangingrun, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(rangingrun, "BLOCK_TRIALS", 4)
+        monkeypatch.setattr(rangingrun, "ROUND_BLOCKS", 2)
+        rounds = []
+        pool = rangingrun._POOL
+
+        class Spy:
+            def run(self, shares):
+                rounds.append([[(lo, hi) for *_, lo, hi in share]
+                               for share in shares])
+                return pool.run(shares)
+
+        monkeypatch.setattr(rangingrun, "_POOL", Spy())
+        got = [astuple(r) for r in run_ranging(self.SPLIT, 17).records]
+        parts = [part for shares in rounds for share in shares
+                 for part in share]
+        assert [t for lo, hi in parts for t in range(lo, hi)] == list(
+            range(self.SPLIT.trials))
+        assert all(hi - lo <= 4 for lo, hi in parts)
+        assert len(rounds) == {2: 5, 3: 3}[cpus]
+        assert all(len(shares) == cpus and all(len(s) <= 2 for s in shares)
+                   for shares in rounds)
+        expected = reference_ranging(self.SPLIT, 17)
+        np.testing.assert_array_equal(np.array(got), np.array(expected))
 
     def test_a_chip_is_at_most_the_whole_waveform(self):
         # a 1000-sample chip and a 1e21-sample one are the same waveform

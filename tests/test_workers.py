@@ -1,13 +1,15 @@
-"""Link trials on every CPU: forked workers each take a share of a round.
+"""Link and ranging trials on every CPU: forked workers each take a share.
 
 ``link_trials`` draws a round of up to ``cpu_count() * ROUND_GROUPS *
 _chunk(cfg)`` frames, splits it into contiguous shares of groups, runs the
 first in the calling process and each other in a forked worker
 (``workers.Pool``), the caller taking the groups a worker has not started,
-and joins the results in stream order.  A frame's result depends only on its own
-seeds, so the CSV bytes may not depend on the CPU count; a worker that
-dies or raises may not change what the caller returns or raises; and no
-worker may outlive the process that forked it.
+and joins the results in stream order.  ``run_ranging`` splits its trials
+the same way on a pool of its own (its split and spies are tested in
+``test_harness.py::TestRanging``).  A frame's or trial's result depends
+only on its own seeds, so the CSV bytes may not depend on the CPU count; a
+worker that dies or raises may not change what the caller returns or
+raises; and no worker may outlive the process that forked it.
 
 A worker is a copy of the caller at its fork, so a test that patches what a
 worker runs closes the pool before and after (``fresh_pool``).
@@ -19,7 +21,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,8 @@ from linksim.baseband import ChainConfig, CodecConfig
 from linksim.channel import make_preset
 from linksim.cli import main
 from linksim.errors import ConfigError
-from linksim.harness import sweep, workers
+from linksim.harness import rangingrun, sweep, workers
+from linksim.harness.config import RangingSpec
 from linksim.harness.seeding import stable_seed
 
 REPO = Path(__file__).resolve().parent.parent
@@ -169,6 +172,36 @@ def test_a_worker_killed_between_calls_changes_no_result(fresh_pool,
 
 
 @needs_fork
+def test_a_ranging_worker_killed_between_runs_changes_no_row(monkeypatch):
+    # some trials find no target, so rows hold NaNs
+    spec = RangingSpec(sample_rate_hz=1e9, bandwidth_hz=1e9 / 3,
+                       waveform_len=301, trials=40, range_min_m=0.5,
+                       range_max_m=9.0, echo_snr_db=-22.0)
+
+    def rows():
+        return np.array([astuple(r) for r in
+                         rangingrun.run_ranging(spec, 5).records])
+
+    pool = rangingrun._POOL
+    pool.close()
+    monkeypatch.setattr(rangingrun, "cpu_count", lambda: 2)
+    try:
+        expected = rows()
+        [worker] = pool._workers
+        os.kill(worker.pid, signal.SIGKILL)
+        assert _gone_within(worker.pid, 2.0)
+        # the dead worker's share runs in the caller, and the next run
+        # forks a new worker
+        np.testing.assert_array_equal(rows(), expected)
+        assert worker.conn is None
+        np.testing.assert_array_equal(rows(), expected)
+        [replacement] = pool._workers
+        assert replacement.pid != worker.pid
+    finally:
+        pool.close()
+
+
+@needs_fork
 def test_an_exception_in_a_worker_is_raised_with_its_type(fresh_pool,
                                                           monkeypatch):
     # the caller's own share decodes; only the worker's raises.  The
@@ -253,21 +286,19 @@ def _children(pid):
     return [int(child) for child in text.split()]
 
 
-@needs_fork
-@pytest.mark.skipif(
+needs_children = pytest.mark.skipif(
     not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
     reason="needs /proc/<pid>/task/<pid>/children")
-@pytest.mark.parametrize("ending", ["sigkill", "exit"])
-def test_no_worker_outlives_a_sim_run(ending, tmp_path):
-    # per_sweep.json sends 300 coded frames; 6000 take seconds, long enough
-    # to kill the run while its worker is alive
-    data = json.loads((REPO / "configs" / "per_sweep.json").read_text())
-    if ending == "sigkill":
-        data["sweep"]["trials"] = 2000
-    config = tmp_path / "per_sweep.json"
+
+
+def _no_worker_outlives(scenario, data, ending, tmp_path):
+    """Run ``data`` as a ``sim <scenario>`` subprocess, for ``ending``
+    "sigkill" SIGKILL it once its workers are forked, and check that every
+    worker it had is gone within 2 s."""
+    config = tmp_path / f"{scenario}.json"
     config.write_text(json.dumps(data))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "linksim", "per-sweep", "--config", str(config),
+        [sys.executable, "-m", "linksim", scenario, "--config", str(config),
          "--out", str(tmp_path / "o.csv")],
         cwd=tmp_path, env=cli_env(), stderr=subprocess.PIPE, text=True)
     try:
@@ -288,3 +319,26 @@ def test_no_worker_outlives_a_sim_run(ending, tmp_path):
         assert found
     for worker in found:
         assert _gone_within(worker, 2.0)
+
+
+@needs_fork
+@needs_children
+@pytest.mark.parametrize("ending", ["sigkill", "exit"])
+def test_no_worker_outlives_a_sim_run(ending, tmp_path):
+    # per_sweep.json sends 300 coded frames; 6000 take seconds, long enough
+    # to kill the run while its worker is alive
+    data = json.loads((REPO / "configs" / "per_sweep.json").read_text())
+    if ending == "sigkill":
+        data["sweep"]["trials"] = 2000
+    _no_worker_outlives("per-sweep", data, ending, tmp_path)
+
+
+@needs_fork
+@needs_children
+@pytest.mark.parametrize("ending", ["sigkill", "exit"])
+def test_no_worker_outlives_a_sim_ranging_run(ending, tmp_path):
+    # ranging.json runs 50 trials; 4000 take seconds
+    data = json.loads((REPO / "configs" / "ranging.json").read_text())
+    if ending == "sigkill":
+        data["ranging"]["trials"] = 4000
+    _no_worker_outlives("ranging", data, ending, tmp_path)
