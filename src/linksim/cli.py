@@ -10,10 +10,7 @@ that times it and writes the files: the result CSV plus a JSON manifest
 alongside it.  ``--threads`` is accepted for compatibility and has no
 effect.  Every scenario that runs trials already uses every CPU the
 process may run on (``taskset`` limits them), with the same bytes at any
-count: one process a CPU, each with a share of a ranging run's trials or
-of every round of link trials (sweeps, mux-sim), in forked workers
-because their Python work holds the interpreter lock, as measured in the
-README's CLI section.
+count; ``linksim.harness.workers`` states how a run is split.
 """
 from __future__ import annotations
 

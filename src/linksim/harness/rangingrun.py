@@ -8,23 +8,19 @@ est_range, error, peak_quality) make up the result CSV.
 
 Trial t draws its range and chips from ``default_rng(stable_seed(master,
 t, 0))`` and its echo noise from ``default_rng(stable_seed(master, t, 1))``.
-The generators are derived ``BLOCK_TRIALS`` trials at a time, each set by
-one ``rng.SeededGenerators``; the block bounds the states held, not the
-results.
+The generators are derived a part of at most ``BLOCK_TRIALS`` trials at
+a time, each set by one ``rng.SeededGenerators``; the part bounds the
+states held, not the results.
 
-A run splits its trials into one contiguous share per CPU the process may
-run on (``cpu_count``, which ``taskset`` limits), no share empty, and cuts
-each share into parts of at most ``BLOCK_TRIALS`` trials (a run of more
-than ``ROUND_BLOCKS`` parts a CPU goes a round of that many at a time).
-The calling process runs the first share and a forked worker process each
-of the others (a ``workers.Pool``, as link trials use), then the parts no
-worker has started; the records are joined in trial order.  Processes,
-not threads: a trial's generator blocks, ``EchoScene``, records and small
-numpy calls hold the interpreter lock, as measured in the README's CLI
-section.  No share holds another's generators, and a trial's draws depend
-only on its seeds, so the rows are the same, bit for bit, at any CPU
-count.  A run of one trial, or on one CPU, is one share in the calling
-process and forks nothing.
+A run maps its trials over the CPUs in parts of at most ``BLOCK_TRIALS``
+trials (``workers.Pool.map``, whose docstring states the split), as link
+trials do on a pool of their own; the records are joined in trial order.
+Processes, not threads: a trial's generator blocks, ``EchoScene``,
+records and small numpy calls hold the interpreter lock, as measured in
+the README's CLI section.  No part holds another's generators, and a
+trial's draws depend only on its seeds, so the rows are the same, bit for
+bit, at any CPU count or part size.  A run of one trial, or on one CPU,
+runs in the calling process and forks nothing.
 """
 from __future__ import annotations
 
@@ -38,12 +34,9 @@ from ..errors import NoTargetError
 from ..ranging import EchoScene, echo_range, generate_echo
 from ..rng import SeededGenerators, raw_bits
 from .seeding import stable_seed
-from .workers import FORK, Pool, cpu_count
+from .workers import Pool
 
 BLOCK_TRIALS = 64
-#: the most parts of ``BLOCK_TRIALS`` trials a share of a round holds, the
-#: most ``workers.Pool.run`` takes; a longer run goes a round at a time
-ROUND_BLOCKS = 1024
 
 # the chip of real bit re and imaginary bit im at index re + 2 * im, by the
 # formula of two integers(0, 2) draws
@@ -152,11 +145,9 @@ def ranging_waveform(n_samples: int, oversample: int,
     return np.repeat(chips, oversample)[:n_samples]
 
 
-def _ranging_share(spec: RangingSpec, master_seed: int, oversample: int,
-                   lo: int, hi: int) -> list[RangingTrialRecord]:
-    """The records of trials ``lo..hi`` (at most ``BLOCK_TRIALS``), in
-    order."""
-    trials = range(lo, hi)
+def _ranging_share(trials: range, spec: RangingSpec, master_seed: int,
+                   oversample: int) -> list[RangingTrialRecord]:
+    """The records of ``trials`` (at most ``BLOCK_TRIALS``), in order."""
     draws = SeededGenerators([stable_seed(master_seed, t, 0) for t in trials])
     noises = SeededGenerators([stable_seed(master_seed, t, 1) for t in trials])
     records = []
@@ -193,28 +184,17 @@ _POOL = Pool(_ranging_share)
 
 
 def run_ranging(spec: RangingSpec, master_seed: int) -> RangingResult:
-    """Every trial's record, in trial order, run one share per CPU.
+    """Every trial's record, in trial order, run over every CPU.
 
     An exception of a trial is raised here, with its own type, once every
-    share has ended.
+    part of its round has ended.
     """
     # every chip at least as long as the waveform gives the same one-chip
     # waveform
     oversample = max(1, int(round(min(spec.sample_rate_hz / spec.bandwidth_hz,
                                       spec.waveform_len))))
-    cpus = cpu_count() if FORK else 1
     records: list[RangingTrialRecord] = []
-    size = cpus * ROUND_BLOCKS * BLOCK_TRIALS
-    for first in range(0, spec.trials, size):
-        last = min(first + size, spec.trials)
-        n_shares = min(cpus, last - first)
-        bounds = [first + (last - first) * k // n_shares
-                  for k in range(n_shares + 1)]
-        shares = [[(spec, master_seed, oversample, lo,
-                    min(lo + BLOCK_TRIALS, stop))
-                   for lo in range(start, stop, BLOCK_TRIALS)]
-                  for start, stop in zip(bounds, bounds[1:])]
-        for share in _POOL.run(shares):
-            for part in share:
-                records += part
+    for part in _POOL.map((range(spec.trials),), BLOCK_TRIALS, spec,
+                          master_seed, oversample):
+        records += part
     return RangingResult(records=records)

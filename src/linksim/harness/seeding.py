@@ -11,11 +11,8 @@ where splitmix64 is the standard finalizer
  x ^= x>>27; x *= 0x94D049BB133111EB; x ^= x>>31), all mod 2^64.
 The mapping is documented here because byte-identical reproducibility of
 every Monte Carlo output depends on it, independent of execution order or
-CPU count: a ranging run splits its trials, and link trials each round of
-frames, over every CPU the process may run on, one forked process each
-(their Python work holds the interpreter lock, as measured in the
-README's CLI section); each trial's seeds, hence its result, are the
-same on any share.
+CPU count: each trial's seeds, hence its result, are the same on whatever
+share of a run it falls (``linksim.harness.workers`` states the split).
 
 Because each step only reads the running value, a seed chains: the seed
 of a prefix of the indices is the master of the rest,

@@ -20,22 +20,18 @@ knowledge.
 Its one unit of work is a group of frames, which ``_group`` sends through
 transmit, the channel and the receiver front end and decodes in one
 Viterbi call and one CRC check.  The engine draws a round of frames at a
-time, up to ``ROUND_GROUPS`` groups a CPU the process may run on (one
-group with one CPU), splits it into up to one contiguous share a CPU, and
-records the round's results in stream order before it draws the next: the
-calling process runs the first share, and a forked worker process each of
-the others (processes, not threads, because the chain's many small numpy
-calls hold the interpreter lock), each a group at a time; the caller then
-runs the groups that no worker has started.  A group is
-bounded by what it costs to hold: at most ``GROUP_FRAMES`` frames, the
-rows of the front end's matrices, at most ``GROUP_SAMPLES`` samples of
-transmitted frames, which size those rows, and at most ``DECISION_BYTES``
-of the decoder's decisions, one byte a trellis step and state of its
-codewords (uncoded frames count against the first two bounds only); it
-holds at least one frame.  A group runs across sweep points.  Each
-process holds only one group's waveforms and soft bits, and one round's
-payload bits, which bounds memory whatever the number of frames.  A
-frame's result depends only on its own seeds, so the results are the
+time and maps it over the CPUs in groups (``workers.Pool.map``, whose
+docstring states the split), each share of at least ``MIN_SHARE`` frames;
+it records the round's results in stream order before it draws the next.
+A group is bounded by what it costs to hold: at most ``GROUP_FRAMES``
+frames, the rows of the front end's matrices, at most ``GROUP_SAMPLES``
+samples of transmitted frames, which size those rows, and at most
+``DECISION_BYTES`` of the decoder's decisions, one byte a trellis step and
+state of its codewords (uncoded frames count against the first two bounds
+only); it holds at least one frame.  A group runs across sweep points.
+Each process holds only one group's waveforms and soft bits, and one
+round's payload bits, which bounds memory whatever the number of frames.
+A frame's result depends only on its own seeds, so the results are the
 same, bit for bit, at any CPU count.
 The front end masks out a frame lost to sync failure or a degenerate
 channel; it never reaches the decoder, and the engine counts it as a
@@ -64,7 +60,7 @@ from ..baseband.coding import DECISION_BYTES
 from ..channel import ChannelModel, apply_channel, estimate_frequency_response
 from ..rng import random_bits
 from .seeding import stable_seed
-from .workers import FORK, Pool, cpu_count
+from .workers import Pool
 
 Z_95 = 1.959963984540054   # two-sided 95% normal quantile
 
@@ -78,19 +74,12 @@ GROUP_FRAMES = 32
 #: 32 frames of 3008 samples are the largest), so only frames longer than
 #: 4096 samples make smaller groups
 GROUP_SAMPLES = GROUP_FRAMES * 4096
-#: frames of a share at least: below it a worker's round trip (pickling
-#: the share, waking two processes) costs more than the split saves.  On a
-#: 2-vCPU Xeon host two shares took 1.08 times one share's time for 14
-#: uncoded-los frames and 0.93 times for 16, and 1.06 and 0.95 times for 8
-#: and 12 coded-harsh frames
+#: frames of a share at least, the engine pool's ``least``: below it a
+#: worker's round trip (pickling the share, waking two processes) costs
+#: more than the split saves.  On a 2-vCPU Xeon host two shares took 1.08
+#: times one share's time for 14 uncoded-los frames and 0.93 times for 16,
+#: and 1.06 and 0.95 times for 8 and 12 coded-harsh frames
 MIN_SHARE = 8
-#: groups a CPU in a round at most, when the round splits: each round
-#: wakes every worker and waits for its reply, which on a busy host took
-#: up to 25 ms against 10 ms of work a group, so one round of many groups,
-#: not many rounds of one, keeps a long call's time steady.  A share's payload bits (a byte a bit) then weigh about as
-#: much as one group's waveforms (16 bytes a sample): 0.65 times as much
-#: on uncoded-los
-ROUND_GROUPS = 16
 
 
 @dataclass(frozen=True)
@@ -187,39 +176,27 @@ def link_trials(frames: Iterable[Frame], cfg: ChainConfig
     channel response zero on every bin) is a counted outcome: every
     payload bit is wrong and the packet is in error.
 
-    The stream goes a round at a time: the next ``cpu_count() *
-    ROUND_GROUPS * _chunk(cfg)`` frames, split into contiguous shares of
-    near-equal size (``_shares``), one a CPU, each cut into groups of
-    near-equal size.  The calling process sends the first share through
-    ``_group`` a group at a time, and a forked worker each of the others
-    (``workers.Pool``); then the caller runs the groups no worker has
-    started.  The round's results are joined in stream order, and are
-    final before the next round is drawn.  A worker is a copy of
-    the caller at its fork, so caller state set after it (a monkeypatch, a
-    warning filter, ``np.errstate``) does not reach it, and an exception
-    it raises is raised here with its own type.  A round of fewer than
-    ``2 * MIN_SHARE`` frames is one share on the calling process alone,
-    and with one CPU or no ``fork`` a round is one group on it.
+    The stream goes a round at a time: the next
+    ``_POOL.round_size(_chunk(cfg))`` frames, mapped over the CPUs in
+    groups of at most ``_chunk(cfg)`` frames (``workers.Pool.map``).  The
+    round's payloads are stacked once, and each group gets a view of its
+    rows.  A worker is a copy of the caller at its fork, so caller state
+    set after it (a monkeypatch, a warning filter, ``np.errstate``) does
+    not reach it, and an exception it raises is raised here with its own
+    type.
     """
     chunk = _chunk(cfg)
-    cpus = cpu_count() if FORK else 1
     bit_errors: list[int] = []
     packet_errors: list[int] = []
     stream = iter(frames)
-    size = chunk if cpus == 1 else cpus * ROUND_GROUPS * chunk
+    size = _POOL.round_size(chunk)
     while frames_round := list(islice(stream, size)):
-        shares = []
-        for share in _shares(len(frames_round), cpus):
-            frames_share = frames_round[share]
-            shares.append([])
-            for group in _split(len(frames_share), chunk):
-                payloads, models, seeds, knowledge = zip(*frames_share[group])
-                shares[-1].append((np.array(payloads, dtype=np.uint8), models,
-                                   seeds, knowledge, cfg))
-        for results in _POOL.run(shares):
-            for errors, failed in results:
-                bit_errors += errors.tolist()
-                packet_errors += failed.tolist()
+        payloads, models, seeds, knowledge = zip(*frames_round)
+        for errors, failed in _POOL.map(
+                (np.array(payloads, dtype=np.uint8), models, seeds, knowledge),
+                chunk, cfg):
+            bit_errors += errors.tolist()
+            packet_errors += failed.tolist()
     return (np.array(bit_errors, dtype=np.int64),
             np.array(packet_errors, dtype=np.int64))
 
@@ -247,25 +224,7 @@ def _group(payloads: np.ndarray, models: tuple[ChannelModel, ...],
 
 # the engine's workers: forked once, then shared by every call in this
 # process, so their fork is paid once a run
-_POOL = Pool(_group)
-
-
-def _shares(frames: int, cpus: int) -> list[slice]:
-    """Contiguous shares of a round of ``frames`` frames: one a CPU, but no
-    more than one every ``MIN_SHARE`` frames."""
-    return _parts(frames, max(1, min(cpus, frames // MIN_SHARE)))
-
-
-def _split(frames: int, most: int) -> list[slice]:
-    """The fewest contiguous parts of ``frames`` frames that hold at most
-    ``most`` frames each."""
-    return _parts(frames, -(-frames // most))
-
-
-def _parts(frames: int, n: int) -> list[slice]:
-    """``n`` contiguous parts of ``frames`` frames, near-equal in size."""
-    bounds = [frames * k // n for k in range(n + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+_POOL = Pool(_group, least=MIN_SHARE)
 
 
 def _chunk(cfg: ChainConfig) -> int:

@@ -1,23 +1,46 @@
-"""The CPUs a run may use, and forked processes that work on them.
+"""How a run is split over the CPUs, and forked processes that work on it.
 
-``cpu_count`` is the one reading of the CPU set: a ranging run splits its
-trials over it, and ``link_trials`` each round of its frames.
+This module holds the package's one rule for cutting a run of work over
+the CPUs the process may run on (``cpu_count``, which ``taskset``
+limits).  ``Pool.map`` cuts a run of items into rounds, each round into
+contiguous shares, and each share into parts:
 
-A ``Pool`` runs one function on the parts of shares of work, the first
-share in this process and each other in a forked worker process of its
-own; ranging and link trials each have a pool, and use forked processes,
-not threads, because their Python work holds the interpreter lock.  A
+- a round is ``Pool.round_size(most)`` items at most: one part with one
+  CPU (or where no worker can be forked), otherwise ``ROUND_PARTS`` parts
+  a CPU;
+- a round's shares are near-equal in size, one a CPU but at least the
+  pool's ``least`` items each, so a round of fewer than ``2 * least``
+  items is one share;
+- a share's parts are the fewest near-equal parts of at most ``most``
+  items each, and the pool's function runs once a part.
+
+Each round is recorded, in item order, before the next is cut.  Link
+trials map a round of frames in groups of at most ``_chunk(cfg)`` frames
+with shares of at least ``MIN_SHARE`` frames; a ranging run maps its
+trials in parts of at most ``BLOCK_TRIALS`` (a 100-trial share is two
+parts of 50).  The split moves work, never a result: a frame's or a
+trial's result depends only on its own seeds, so the bytes are the same
+at any CPU count.
+
+A ``Pool`` runs the first share of a round in this process and each other
+in a forked worker process of its own; ranging and link trials each have
+a pool, and use forked processes, not threads, because their Python work
+holds the interpreter lock, as measured in the README's CLI section.  A
 worker runs its share's parts from the front, and this process, once its
 own share is done, takes the parts no worker has started, so a worker
 that wakes late or runs on a busier CPU leaves them to it instead of
 holding up the run.  Each worker has a pipe of part numbers beside its
 share: whoever reads a number runs that part, and the kernel gives each
-number to one reader.
-A worker is forked the first time a ``Pool.run`` needs it and serves later
-runs too.  It is a copy of the caller at its fork: caller state set after
-it, such as a monkeypatch, a warning filter or ``np.errstate``, does not
-reach it.  The package starts no thread of its own, and a pool forks
-only inside ``Pool.run`` and serves one run at a time, so callers on
+number to one reader.  A share's numbers, 4 bytes each, are written
+before the worker reads any, and a share holds at most ``ROUND_PARTS``
+parts while ``least`` is at most ``ROUND_PARTS / 2`` times ``most``, as
+for both engines: far below the 1024 numbers of the smallest pipe (4 KiB),
+past which the write would wait for a worker that waits for its share.
+A worker is forked the first time a round needs it and serves later
+rounds too.  It is a copy of the caller at its fork: caller state set
+after it, such as a monkeypatch, a warning filter or ``np.errstate``,
+does not reach it.  The package starts no thread of its own, and a pool
+forks only inside a round and runs one round at a time, so callers on
 several threads share its workers safely.
 
 No worker outlives its owner for long.  It exits when its pipe closes,
@@ -34,7 +57,7 @@ import atexit
 import os
 import signal
 import threading
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -44,12 +67,28 @@ if TYPE_CHECKING:
 #: runs every call in the calling process
 FORK = hasattr(os, "fork")
 
+#: parts a CPU in a round at most, when the round splits: each round
+#: wakes every worker and waits for its reply, which on a busy host took
+#: up to 25 ms against 10 ms of work a link group, so one round of many
+#: parts, not many rounds of one, keeps a long run's time steady.  A
+#: share's link payload bits (a byte a bit) then weigh about as much as
+#: one group's waveforms (16 bytes a sample): 0.65 times as much on
+#: uncoded-los
+ROUND_PARTS = 16
+
 
 def cpu_count() -> int:
     """The CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _cuts(first: int, last: int, k: int) -> list[tuple[int, int]]:
+    """The bounds of ``k`` contiguous runs of the items ``first..last``,
+    near-equal in size."""
+    bounds = [first + (last - first) * j // k for j in range(k + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _serve(conn: Connection, numbers: int, fn: Callable) -> None:
@@ -172,29 +211,55 @@ class _Worker:
 
 
 class Pool:
-    """Runs ``fn`` on the parts of a list of shares, the first share in
-    this process and each other in a forked worker of its own."""
+    """Runs ``fn`` on the parts of a run, split as the module says, each
+    share of at least ``least`` items."""
 
-    def __init__(self, fn: Callable):
+    def __init__(self, fn: Callable, least: int = 1):
         self.fn = fn
+        self.least = least
         self._workers: list[_Worker] = []
-        self._lock = threading.Lock()   # one run at a time on the pipes
+        self._lock = threading.Lock()   # one round at a time on the pipes
         if FORK:
             os.register_at_fork(after_in_child=self._forget)
             atexit.register(self.close)
 
-    def run(self, shares: list[list[tuple]]) -> list[list]:
+    def round_size(self, most: int) -> int:
+        """The items of a round of parts of at most ``most`` items: one
+        part with one CPU or no fork, ``ROUND_PARTS`` parts a CPU
+        otherwise."""
+        cpus = cpu_count() if FORK else 1
+        return most if cpus == 1 else cpus * ROUND_PARTS * most
+
+    def map(self, columns: Sequence[Sequence], most: int, *args) -> list:
+        """``fn(*(c[part] for c in columns), *args)`` for every part of
+        the items, in order, where item k is ``c[k]`` of each column.
+
+        A column is sliced, so a numpy array gives each part a view of
+        its rows, a tuple a tuple and a range a range.  An exception of a
+        part is raised here, with its own type, once every part of its
+        round has ended: the first in order.
+        """
+        size, items, results = self.round_size(most), len(columns[0]), []
+        cpus = size // (ROUND_PARTS * most) or 1   # those round_size read
+        for first in range(0, items, size):
+            last = min(first + size, items)
+            shares = _cuts(first, last,
+                           max(1, min(cpus, (last - first) // self.least)))
+            for out in self._run([
+                    [(*(c[lo:hi] for c in columns), *args)
+                     for lo, hi in _cuts(start, stop, -(-(stop - start) // most))]
+                    for start, stop in shares]):
+                results += out
+        return results
+
+    def _run(self, shares: list[list[tuple]]) -> list[list]:
         """``fn(*args)`` for every ``args`` of every share, in order.
 
         This process runs the first share, then the parts of the others
         that their workers have not started.  An exception of a part is
         raised here, with its own type, once every part has ended: the
         first in order.  A share with no worker, because it died or none
-        could be forked, runs here instead, with the same results.  A
-        share's part numbers, 4 bytes each, are written to a pipe before the
-        worker reads any, so a share holds at most 1024 parts (4 KiB, the
-        least a pipe holds); a share of link trials holds at most 16, one
-        of ranging trials at most ``rangingrun.ROUND_BLOCKS``.
+        could be forked, runs here instead, with the same results.
         """
         outcomes: list[list] = [[None] * len(parts) for parts in shares]
         with self._lock:
@@ -231,7 +296,7 @@ class Pool:
 
     def _take(self, n: int) -> list[_Worker]:
         """Up to ``n`` idle workers, forked as needed; a worker left busy by
-        an interrupted run is out of step with its pipe and is replaced."""
+        an interrupted round is out of step with its pipe and is replaced."""
         for worker in self._workers:
             if worker.busy:
                 worker.close()
@@ -245,7 +310,7 @@ class Pool:
         return self._workers[:n]
 
     def close(self) -> None:
-        """End every worker; the next run forks afresh."""
+        """End every worker; the next round forks afresh."""
         for worker in self._workers:
             worker.close()
         self._workers = []

@@ -27,7 +27,7 @@ from linksim.baseband import (ChainConfig, CodecConfig, EqualizerConfig,
 from linksim.baseband.chain import ChannelKnowledge
 from linksim.channel import make_preset
 from linksim.cli import main
-from linksim.harness import parse_config, sweep
+from linksim.harness import parse_config, sweep, workers
 from linksim.harness.seeding import stable_seed
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -224,7 +224,7 @@ def test_engine_decodes_each_group_before_drawing_the_next(monkeypatch):
 
     # a spy sees the decode calls of the calling process only: one CPU
     # keeps every share there
-    monkeypatch.setattr(sweep, "cpu_count", lambda: 1)
+    monkeypatch.setattr(workers, "cpu_count", lambda: 1)
     monkeypatch.setattr(sweep, "decode_frames", spy)
     errors, lost = sweep.link_trials(stream(), cfg)
     assert errors[sorted(missed)].tolist() == [cfg.payload_bits] * len(missed)
@@ -290,7 +290,7 @@ def test_chunked_sweep_writes_the_one_frame_engine_csv(name, tmp_path,
 
     # a spy sees the decode calls of the calling process only: one CPU
     # keeps every share there
-    monkeypatch.setattr(sweep, "cpu_count", lambda: 1)
+    monkeypatch.setattr(workers, "cpu_count", lambda: 1)
     monkeypatch.setattr(sweep, "decode_frames", spy)
     config = tmp_path / f"{name}.json"
     config.write_text(json.dumps(data))
@@ -378,7 +378,7 @@ def test_mux_run_decodes_every_copy_in_one_engine_call(tmp_path, monkeypatch):
 
     # a spy sees the decode calls of the calling process only: one CPU
     # keeps every share there
-    monkeypatch.setattr(sweep, "cpu_count", lambda: 1)
+    monkeypatch.setattr(workers, "cpu_count", lambda: 1)
     monkeypatch.setattr(sweep, "decode_frames", spy)
     out = tmp_path / "mux_baseband.csv"
     assert main(["mux-sim", "--config", str(GOLDEN_DIR / "mux_baseband.json"),

@@ -26,7 +26,7 @@ from linksim.harness import (IidLossModel, LatencySpec, MuxSimSpec,
                              emit_csv, latency_budget, manifest_path,
                              parse_config, run_mux_sim, run_ranging, run_sweep,
                              stable_seed, stable_uniform)
-from linksim.harness import muxsim, rangingrun
+from linksim.harness import muxsim, rangingrun, workers
 from linksim.harness.config import RangingSpec
 from linksim.harness.muxsim import LATENCY_BUCKETS, _histogram
 from linksim.harness.rangingrun import BLOCK_TRIALS, ranging_waveform
@@ -533,7 +533,7 @@ class TestRanging:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     def test_rows_are_the_same_on_any_number_of_cpus(self, cpus, fresh_pool,
                                                      tmp_path, monkeypatch):
-        monkeypatch.setattr(rangingrun, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(workers, "cpu_count", lambda: cpus)
         caller, log, slept = os.getpid(), tmp_path / "pids", []
         real_echo_range = rangingrun.echo_range
 
@@ -566,7 +566,7 @@ class TestRanging:
     def test_a_failing_share_raises_after_every_share_ends(self, failing,
                                                            fresh_pool,
                                                            monkeypatch):
-        monkeypatch.setattr(rangingrun, "cpu_count", lambda: 3)
+        monkeypatch.setattr(workers, "cpu_count", lambda: 3)
         caller, slept = os.getpid(), []
         error = RuntimeError(f"a trial in the {failing} process")
         real_generate_echo = rangingrun.generate_echo
@@ -592,7 +592,7 @@ class TestRanging:
 
     @needs_fork
     def test_one_trial_forks_no_worker(self, fresh_pool, monkeypatch):
-        monkeypatch.setattr(rangingrun, "cpu_count", lambda: 4)
+        monkeypatch.setattr(workers, "cpu_count", lambda: 4)
         forked = []
         real_fork = os.fork
 
@@ -627,19 +627,19 @@ class TestRanging:
                                                          monkeypatch):
         # rounds of two 4-trial parts a CPU: 69 trials are five rounds on
         # two CPUs and three on three
-        monkeypatch.setattr(rangingrun, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(workers, "cpu_count", lambda: cpus)
         monkeypatch.setattr(rangingrun, "BLOCK_TRIALS", 4)
-        monkeypatch.setattr(rangingrun, "ROUND_BLOCKS", 2)
+        monkeypatch.setattr(workers, "ROUND_PARTS", 2)
         rounds = []
         pool = rangingrun._POOL
+        run = pool._run
 
-        class Spy:
-            def run(self, shares):
-                rounds.append([[(lo, hi) for *_, lo, hi in share]
-                               for share in shares])
-                return pool.run(shares)
+        def spy(shares):
+            rounds.append([[(trials.start, trials.stop) for trials, *_ in share]
+                           for share in shares])
+            return run(shares)
 
-        monkeypatch.setattr(rangingrun, "_POOL", Spy())
+        monkeypatch.setattr(pool, "_run", spy)
         got = [astuple(r) for r in run_ranging(self.SPLIT, 17).records]
         parts = [part for shares in rounds for share in shares
                  for part in share]

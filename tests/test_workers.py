@@ -1,15 +1,17 @@
 """Link and ranging trials on every CPU: forked workers each take a share.
 
-``link_trials`` draws a round of up to ``cpu_count() * ROUND_GROUPS *
-_chunk(cfg)`` frames, splits it into contiguous shares of groups, runs the
-first in the calling process and each other in a forked worker
-(``workers.Pool``), the caller taking the groups a worker has not started,
-and joins the results in stream order.  ``run_ranging`` splits its trials
-the same way on a pool of its own (its split and spies are tested in
-``test_harness.py::TestRanging``).  A frame's or trial's result depends
-only on its own seeds, so the CSV bytes may not depend on the CPU count; a
-worker that dies or raises may not change what the caller returns or
-raises; and no worker may outlive the process that forked it.
+``workers.Pool.map`` cuts a run into rounds of up to ``cpu_count() *
+ROUND_PARTS`` parts, splits each round into contiguous shares of parts,
+runs the first in the calling process and each other in a forked worker,
+the caller taking the parts a worker has not started, and joins the
+results in order.  ``link_trials`` maps each round of frames in groups of
+``_chunk(cfg)`` frames, and ``run_ranging`` its trials on a pool of its
+own (its split and spies are tested in ``test_harness.py::TestRanging``).
+A frame's or trial's result depends only on its own seeds, so the CSV
+bytes may not depend on the CPU count; a worker that dies or raises may
+not change what the caller returns or raises; no worker may outlive the
+process that forked it; and each benchmark workload keeps the shares and
+parts it was given when the split moved into the pool.
 
 A worker is a copy of the caller at its fork, so a test that patches what a
 worker runs closes the pool before and after (``fresh_pool``).
@@ -32,7 +34,8 @@ from linksim.baseband import ChainConfig, CodecConfig
 from linksim.channel import make_preset
 from linksim.cli import main
 from linksim.errors import ConfigError
-from linksim.harness import rangingrun, sweep, workers
+from linksim.harness import (parse_config, rangingrun, run_mux_sim,
+                             run_ranging, run_sweep, sweep, workers)
 from linksim.harness.config import RangingSpec
 from linksim.harness.seeding import stable_seed
 
@@ -58,16 +61,16 @@ def fresh_pool():
 
 class ShareSpy:
     """Records what each round's shares are given, in the caller, then
-    runs them on the engine's pool."""
+    runs them on the engine's pool: patched in as the pool's ``_run``."""
 
     def __init__(self, pool):
-        self.pool = pool
+        self.run = pool._run
         self.rounds = []   # the noise seeds of each group of each share
 
-    def run(self, shares):
+    def __call__(self, shares):
         self.rounds.append([[list(seeds) for _, _, seeds, _, _ in share]
                             for share in shares])
-        return self.pool.run(shares)
+        return self.run(shares)
 
 
 def _frames(cfg, n):
@@ -107,11 +110,11 @@ def test_golden_csv_bytes_at_one_two_and_three_shares(name, tmp_path,
     # the shares floor is lowered so the small golden runs split three ways
     config = GOLDEN_DIR / f"{name}.json"
     scenario = json.loads(config.read_text())["scenario"]
-    monkeypatch.setattr(sweep, "MIN_SHARE", 1)
+    monkeypatch.setattr(sweep._POOL, "least", 1)
     spy = ShareSpy(sweep._POOL)
-    monkeypatch.setattr(sweep, "_POOL", spy)
+    monkeypatch.setattr(sweep._POOL, "_run", spy)
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(sweep, "cpu_count", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(workers, "cpu_count", lambda cpus=cpus: cpus)
         spy.rounds.clear()
         out = tmp_path / f"{name}-{cpus}.csv"
         assert main([scenario, "--config", str(config), "--out", str(out)]) == 0
@@ -125,10 +128,10 @@ def test_each_frame_goes_to_exactly_one_share_in_order(name, monkeypatch):
     cfg = CHAINS[name]
     chunk = sweep._chunk(cfg)
     frames = _frames(cfg, 6 * chunk + 10)
-    monkeypatch.setattr(sweep, "cpu_count", lambda: 3)
-    monkeypatch.setattr(sweep, "ROUND_GROUPS", 2)
+    monkeypatch.setattr(workers, "cpu_count", lambda: 3)
+    monkeypatch.setattr(workers, "ROUND_PARTS", 2)
     spy = ShareSpy(sweep._POOL)
-    monkeypatch.setattr(sweep, "_POOL", spy)
+    monkeypatch.setattr(sweep._POOL, "_run", spy)
     errors, lost = sweep.link_trials(frames, cfg)
     groups = [group for shares in spy.rounds for share in shares
               for group in share]
@@ -144,9 +147,9 @@ def test_each_frame_goes_to_exactly_one_share_in_order(name, monkeypatch):
 @needs_fork
 def test_a_seven_frame_call_starts_no_worker(fresh_pool, monkeypatch):
     cfg = CHAINS["uncoded"]
-    monkeypatch.setattr(sweep, "cpu_count", lambda: 3)
+    monkeypatch.setattr(workers, "cpu_count", lambda: 3)
     spy = ShareSpy(fresh_pool)
-    monkeypatch.setattr(sweep, "_POOL", spy)
+    monkeypatch.setattr(fresh_pool, "_run", spy)
     sweep.link_trials(_frames(cfg, 7), cfg)
     assert spy.rounds == [[[list(range(7))]]]
     assert fresh_pool._workers == []
@@ -157,7 +160,7 @@ def test_a_worker_killed_between_calls_changes_no_result(fresh_pool,
                                                          monkeypatch):
     cfg = CHAINS["uncoded"]
     frames = _frames(cfg, 40)
-    monkeypatch.setattr(sweep, "cpu_count", lambda: 2)
+    monkeypatch.setattr(workers, "cpu_count", lambda: 2)
     expected = [r.tolist() for r in sweep.link_trials(frames, cfg)]
     [worker] = fresh_pool._workers
     os.kill(worker.pid, signal.SIGKILL)
@@ -184,7 +187,7 @@ def test_a_ranging_worker_killed_between_runs_changes_no_row(monkeypatch):
 
     pool = rangingrun._POOL
     pool.close()
-    monkeypatch.setattr(rangingrun, "cpu_count", lambda: 2)
+    monkeypatch.setattr(workers, "cpu_count", lambda: 2)
     try:
         expected = rows()
         [worker] = pool._workers
@@ -218,7 +221,7 @@ def test_an_exception_in_a_worker_is_raised_with_its_type(fresh_pool,
         return decode(soft_bits, *args)
 
     monkeypatch.setattr(sweep, "decode_frames", decode_in_caller_only)
-    monkeypatch.setattr(sweep, "cpu_count", lambda: 2)
+    monkeypatch.setattr(workers, "cpu_count", lambda: 2)
     frames = _frames(cfg, 40)
     with pytest.raises(ConfigError, match="raised in a worker"):
         sweep.link_trials(frames, cfg)
@@ -227,6 +230,74 @@ def test_an_exception_in_a_worker_is_raised_with_its_type(fresh_pool,
     with pytest.raises(ConfigError, match="raised in a worker"):
         sweep.link_trials(frames, cfg)
     assert fresh_pool._workers == [worker]
+
+
+@needs_fork
+def test_a_share_holds_at_most_a_rounds_parts_a_cpu(monkeypatch):
+    # parts of one item: 200 items on two CPUs go in rounds of two shares
+    # of ROUND_PARTS parts, far below the 1024 part numbers the smallest
+    # pipe holds before the caller's write would wait for the worker
+    monkeypatch.setattr(workers, "cpu_count", lambda: 2)
+    sent = []
+    send = workers._Worker.send
+
+    def spy(worker, parts):
+        sent.append(len(parts))
+        return send(worker, parts)
+
+    monkeypatch.setattr(workers._Worker, "send", spy)
+    pool = workers.Pool(list)
+    try:
+        assert pool.map((range(200),), 1) == [[k] for k in range(200)]
+    finally:
+        pool.close()
+    assert len(sent) == 7 and max(sent) <= workers.ROUND_PARTS
+
+
+# the sizes of the parts of every share of every round that one round of
+# each benchmark workload hands its pool, at 1, 2 and 3 CPUs, as the
+# engines cut them before the split moved into ``workers.Pool``: a change
+# to the split that moves any workload's work fails here
+BENCH_PARTS = {
+    ("coded-harsh", 1): [[[30]]],
+    ("coded-harsh", 2): [[[15], [15]]],
+    ("coded-harsh", 3): [[[10], [10], [10]]],
+    ("uncoded-los", 1): [[[32]]] * 18 + [[[24]]],
+    ("uncoded-los", 2): [[[30] * 10] * 2],
+    ("uncoded-los", 3): [[[28, 29, 28, 29, 28, 29, 29]] * 3],
+    ("mux-baseband", 1): [[[21]], [[10]]],
+    ("mux-baseband", 2): [[[15], [16]]],
+    ("mux-baseband", 3): [[[10], [10], [11]]],
+    ("ranging-echo", 1): [[[25]]],
+    ("ranging-echo", 2): [[[12], [13]]],
+    ("ranging-echo", 3): [[[8], [8], [9]]],
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("workload, cpus", BENCH_PARTS)
+def test_each_benchmark_round_keeps_its_shares_and_parts(workload, cpus,
+                                                         monkeypatch):
+    data = json.loads(
+        (REPO / "bench" / "workloads" / f"{workload}.json").read_text())
+    raw = dict(data["config"])
+    for key, overrides in data["round"].items():
+        raw[key] = {**raw[key], **overrides}
+    cfg = parse_config(raw, data["scenario"])
+    rounds = []
+    for pool in (sweep._POOL, rangingrun._POOL):
+        def spy(shares, run=pool._run):
+            rounds.append([[len(part[0]) for part in share] for share in shares])
+            return run(shares)
+        monkeypatch.setattr(pool, "_run", spy)
+    monkeypatch.setattr(workers, "cpu_count", lambda: cpus)
+    if cfg.scenario == "mux-sim":
+        run_mux_sim(cfg.mux, cfg.master_seed)
+    elif cfg.scenario == "ranging":
+        run_ranging(cfg.ranging, cfg.master_seed)
+    else:
+        run_sweep(cfg.chain, cfg.channel, cfg.sweep, cfg.master_seed)
+    assert rounds == BENCH_PARTS[workload, cpus]
 
 
 def _part(k, owner):
@@ -242,7 +313,7 @@ def test_the_caller_runs_the_parts_a_busy_worker_has_not_started():
     owner = os.getpid()
     try:
         for _ in range(2):   # a fresh worker, then the same one again
-            got = pool.run([[(0, owner)], [(k, owner) for k in range(1, 5)]])
+            got = pool._run([[(0, owner)], [(k, owner) for k in range(1, 5)]])
             assert [[k for k, _ in share] for share in got] == [[0], [1, 2, 3, 4]]
             # the worker is busy for 0.5 s with the first part it starts,
             # if it wakes before the caller has taken them all; the caller
@@ -261,8 +332,8 @@ def test_threads_sharing_the_pool_each_get_their_own_results(monkeypatch):
     frames = _frames(cfg, 80)
     streams = [frames[k::4] + frames[:k] for k in range(4)]
     expected = [[r.tolist() for r in sweep.link_trials(s, cfg)] for s in streams]
-    monkeypatch.setattr(sweep, "cpu_count", lambda: 3)
-    monkeypatch.setattr(sweep, "MIN_SHARE", 2)
+    monkeypatch.setattr(workers, "cpu_count", lambda: 3)
+    monkeypatch.setattr(sweep._POOL, "least", 2)
     got = [None] * len(streams)
 
     def run(k):
