@@ -60,7 +60,7 @@ class ChannelModel:
 
     def __post_init__(self) -> None:
         if len(self.taps) == 0:
-            raise ValueError("channel needs at least one tap")
+            raise ValueError("taps must hold at least one tap")
         delays = [t.delay for t in self.taps]
         if any(b >= a for a, b in zip(delays[1:], delays[:-1])):
             raise ValueError("tap delays must be strictly increasing")

@@ -36,6 +36,8 @@ CROSS_KEY = {
     ("golden/uncoded_los.json", "baseband.codec", "{}"): "baseband: payload needs",
     ("golden/uncoded_los_sf4.json", "baseband.codec", "{}"):
         "baseband: payload needs",
+    ("golden/uncoded_los_tap.json", "baseband.codec", "{}"):
+        "baseband: payload needs",
     # the default genie estimator meets randomized tap phases
     ("golden/pilot_ls_td_lms_mild.json", "baseband.receiver", "{}"):
         "channel.randomize_tap_phases: requires the pilot-ls estimator",
