@@ -216,13 +216,20 @@ def _scale(tx: np.ndarray, gains: np.ndarray, out: np.ndarray) -> None:
     gives (ar*gr, ai*gr), the complex product by 1j*gi gives (-ai*gi,
     ar*gi) plus exact zeros, and their sum gets the accumulators' 0.0,
     which only turns a -0.0 sum into 0.0.
+
+    When every gain is real (gi is 0.0 or -0.0, as for coupling-los's
+    1+0j), the complex product is skipped.  Its terms are then signed
+    zeros, and adding a signed zero leaves a nonzero value as it is and
+    changes only the sign of a zero, which the final 0.0 makes 0.0 either
+    way.
     """
     floats = out.view(np.float64)
     np.multiply(tx.view(np.float64), gains.real[:, None], out=floats)
-    cross = np.zeros(len(gains), dtype=np.complex128)
-    cross.imag = gains.imag
-    product = np.multiply(tx, cross[:, None])
-    out += product
+    if np.any(gains.imag):
+        cross = np.zeros(len(gains), dtype=np.complex128)
+        cross.imag = gains.imag
+        product = np.multiply(tx, cross[:, None])
+        out += product
     floats += 0.0
 
 

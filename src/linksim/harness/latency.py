@@ -63,12 +63,6 @@ class LatencyBudget:
     def meets(self, rp: RequirementProfile) -> bool:
         return self.total < rp.max_latency
 
-    def stage(self, name: str) -> float:
-        for stage_name, duration in self.stages:
-            if stage_name == name:
-                return duration
-        raise KeyError(name)
-
     def csv_rows(self) -> tuple[list[dict], list[str]]:
         rows = [{"stage": name, "seconds": seconds}
                 for name, seconds in self.stages]

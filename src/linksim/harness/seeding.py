@@ -20,12 +20,17 @@ of a prefix of the indices is the master of the rest,
     stable_seed(stable_seed(m, i, t), s) == stable_seed(m, i, t, s)
 
 so a caller that derives many seeds below one coordinate hashes that
-coordinate once (a sweep hashes its point once, each trial once, then each
-salt).
+coordinate once (a sweep hashes its point once, then its trials and their
+salts a whole array at a time, with ``stable_seeds``).
 """
 from __future__ import annotations
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
 
 
 def _splitmix64(x: int) -> int:
@@ -43,6 +48,26 @@ def stable_seed(master_seed: int, *indices: int) -> int:
     x = master_seed & _MASK
     for v in indices:
         x = _splitmix64(x ^ (v & _MASK))
+    return x
+
+
+def stable_seeds(masters: int | np.ndarray, index: int | np.ndarray
+                 ) -> np.ndarray:
+    """``stable_seed(m, i)`` for every master ``m`` and index ``i``, in
+    [0, 2**64) and broadcast against each other, as a ``uint64`` array.
+
+    One splitmix64 step in ``uint64`` array arithmetic, which wraps mod
+    2**64 as ``_splitmix64``'s ``& _MASK`` does, silently (numpy warns only
+    on scalar overflow, so every operand is an array of at least one item).
+    """
+    x = np.array(masters, dtype=np.uint64, ndmin=1) ^ np.array(
+        index, dtype=np.uint64, ndmin=1)
+    x += _GAMMA
+    x ^= x >> 30
+    x *= _MIX_1
+    x ^= x >> 27
+    x *= _MIX_2
+    x ^= x >> 31
     return x
 
 

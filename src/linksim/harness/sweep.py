@@ -6,17 +6,19 @@ seed stable_seed(master, i, t, 0) and its channel noise from
 stable_seed(master, i, t, 1), so results are bit-identical regardless of
 execution order or batching.  The seeds are chained (``stable_seed`` of a
 prefix, then the rest): the point is hashed once, each trial once, then
-the two salts.  Each seed means the generator ``np.random.default_rng``
-makes of it, but the generators' states are derived a group of seeds at
-once (``linksim.rng``): the payloads of a group's worth of trials in one
-``random_bits`` call, and the noise of a group of frames in one
-``apply_channel`` call.
+the two salts; the trials of a point and their salts are hashed an array
+at a time (``seeding.stable_seeds``).  Each seed means the generator
+``np.random.default_rng`` makes of it, but the generators' states are
+derived a group of seeds at once (``linksim.rng``): the payloads of a
+group of frames in one ``random_bits`` call, and their noise in one
+``apply_channel`` call, both in the process that runs the group.
 
 ``link_trials`` is the one trial engine of the package.  A sweep makes one
 call for all of its points, and the baseband-backed mux simulation one
 for every packet copy of a run, after scheduling; both feed it a stream
 of frames, each with its own payload, channel model, noise seed and genie
-knowledge.
+knowledge.  A sweep's frames carry the seeds of their payloads, which
+the group's process draws, and a mux copy's frame the bits of its packet.
 Its one unit of work is a group of frames, which ``_group`` sends through
 transmit, the channel and the receiver front end and decodes in one
 Viterbi call and one CRC check.  The engine draws a round of frames at a
@@ -29,8 +31,9 @@ samples of transmitted frames, which size those rows, and at most
 ``DECISION_BYTES`` of the decoder's decisions, one byte a trellis step and
 state of its codewords (uncoded frames count against the first two bounds
 only); it holds at least one frame.  A group runs across sweep points.
-Each process holds only one group's waveforms and soft bits, and one
-round's payload bits, which bounds memory whatever the number of frames.
+Each process holds only one group's waveforms, soft bits and payload
+bits, and the caller one round of frames, which bounds memory whatever
+the number of frames.
 A frame's result depends only on its own seeds, so the results are the
 same, bit for bit, at any CPU count.
 The front end masks out a frame lost to sync failure or a degenerate
@@ -59,7 +62,7 @@ from ..baseband.chain import (ChainConfig, ChannelKnowledge, decode_frames,
 from ..baseband.coding import DECISION_BYTES
 from ..channel import ChannelModel, apply_channel, estimate_frequency_response
 from ..rng import random_bits
-from .seeding import stable_seed
+from .seeding import stable_seed, stable_seeds
 from .workers import Pool
 
 Z_95 = 1.959963984540054   # two-sided 95% normal quantile
@@ -160,10 +163,12 @@ def genie_knowledge(cfg: ChainConfig,
     return ChannelKnowledge(freq_response=h, noise_variance=sigma2)
 
 
-#: one frame for ``link_trials``: payload bits, the channel it goes
+#: one frame for ``link_trials``: its payload, the channel it goes
 #: through, the seed of that channel's noise and what the genie estimator
-#: is told about that channel
-Frame = tuple[np.ndarray, ChannelModel, int, ChannelKnowledge | None]
+#: is told about that channel.  The payload is a row of ``payload_bits``
+#: bits, or the int seed ``random_bits`` draws that row from; the payloads
+#: of one stream are all rows or all seeds
+Frame = tuple[np.ndarray | int, ChannelModel, int, ChannelKnowledge | None]
 
 
 def link_trials(frames: Iterable[Frame], cfg: ChainConfig
@@ -179,11 +184,12 @@ def link_trials(frames: Iterable[Frame], cfg: ChainConfig
     The stream goes a round at a time: the next
     ``_POOL.round_size(_chunk(cfg))`` frames, mapped over the CPUs in
     groups of at most ``_chunk(cfg)`` frames (``workers.Pool.map``).  The
-    round's payloads are stacked once, and each group gets a view of its
-    rows.  A worker is a copy of the caller at its fork, so caller state
-    set after it (a monkeypatch, a warning filter, ``np.errstate``) does
-    not reach it, and an exception it raises is raised here with its own
-    type.
+    round's payloads are stacked once, seeds into a vector and bit rows
+    into a matrix, and each group gets a slice: the process that runs a
+    group of seeds draws its bits.  A worker is a copy of the caller at its
+    fork, so caller state set after it (a monkeypatch, a warning filter,
+    ``np.errstate``) does not reach it, and an exception it raises is
+    raised here with its own type.
     """
     chunk = _chunk(cfg)
     bit_errors: list[int] = []
@@ -192,9 +198,10 @@ def link_trials(frames: Iterable[Frame], cfg: ChainConfig
     size = _POOL.round_size(chunk)
     while frames_round := list(islice(stream, size)):
         payloads, models, seeds, knowledge = zip(*frames_round)
-        for errors, failed in _POOL.map(
-                (np.array(payloads, dtype=np.uint8), models, seeds, knowledge),
-                chunk, cfg):
+        kind = np.uint64 if np.ndim(payloads[0]) == 0 else np.uint8
+        payloads = np.array(payloads, dtype=kind)
+        for errors, failed in _POOL.map((payloads, models, seeds, knowledge),
+                                        chunk, cfg):
             bit_errors += errors.tolist()
             packet_errors += failed.tolist()
     return (np.array(bit_errors, dtype=np.int64),
@@ -208,7 +215,10 @@ def _group(payloads: np.ndarray, models: tuple[ChannelModel, ...],
     """Per-frame (bit errors, packet failed) of one group of frames, sent
     through transmit, the channel and the receiver front end, and its
     received frames through one ``decode_frames`` call (none when every
-    frame is lost)."""
+    frame is lost).  ``payloads`` is the group's bit rows, or the vector of
+    their seeds, which one ``random_bits`` call draws here."""
+    if payloads.ndim == 1:
+        payloads = random_bits(payloads.tolist(), cfg.payload_bits)
     rx = apply_channel(tx_chain(payloads, cfg), models, seeds)
     soft_bits, _, received = rx_front_end(rx, cfg, knowledge)
     del rx   # the group's waveforms are not needed while decoding
@@ -246,19 +256,19 @@ def run_sweep(cfg: ChainConfig, base_model: ChannelModel, spec: SweepSpec,
     """
     models = [replace(base_model, snr_db=snr_for_axis(v, spec.axis, cfg))
               for v in spec.values]
-    block = _chunk(cfg)
+    # a round's worth of trials' seeds at a time, so a long sweep holds no more
+    block = _POOL.round_size(_chunk(cfg))
 
     def frames() -> Iterator[Frame]:
         for i, model in enumerate(models):
             knowledge = genie_knowledge(cfg, model)
             point = stable_seed(master_seed, i)
             for start in range(0, spec.trials, block):
-                trials = [stable_seed(point, t) for t in
-                          range(start, min(start + block, spec.trials))]
-                payloads = random_bits([stable_seed(trial, 0) for trial in trials],
-                                       cfg.payload_bits)
-                for payload, trial in zip(payloads, trials):
-                    yield payload, model, stable_seed(trial, 1), knowledge
+                trials = stable_seeds(point, np.arange(
+                    start, min(start + block, spec.trials), dtype=np.uint64))
+                for payload, noise in zip(stable_seeds(trials, 0).tolist(),
+                                          stable_seeds(trials, 1).tolist()):
+                    yield payload, model, noise, knowledge
 
     frame_bits, frame_packets = link_trials(frames(), cfg)
     shape = (len(models), spec.trials)

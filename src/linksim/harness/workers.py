@@ -71,9 +71,9 @@ FORK = hasattr(os, "fork")
 #: wakes every worker and waits for its reply, which on a busy host took
 #: up to 25 ms against 10 ms of work a link group, so one round of many
 #: parts, not many rounds of one, keeps a long run's time steady.  A
-#: share's link payload bits (a byte a bit) then weigh about as much as
-#: one group's waveforms (16 bytes a sample): 0.65 times as much on
-#: uncoded-los
+#: sweep's share carries one 8-byte payload seed a frame, not the bits,
+#: so a long round costs no memory; a mux-sim share's bit rows (a byte a
+#: bit) weigh less than one group's waveforms (16 bytes a sample)
 ROUND_PARTS = 16
 
 

@@ -154,7 +154,7 @@ def test_criterion_5_latency_budget_and_coding_gain():
     """Serialization ~4.1 us, total < 50 us; coded BER >= 10x below uncoded
     at the uncoded-1e-3 operating point."""
     budget = latency_budget()
-    serialization = budget.stage("serialization")
+    serialization = dict(budget.stages)["serialization"]
     ok = abs(serialization - 4.12e-6) < 0.1e-6 and budget.total < 50e-6
 
     # uncoded BER hits 1e-3 at Eb/N0 = 6.79 dB

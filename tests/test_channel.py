@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from linksim.channel import (AntennaPattern, ChannelModel, ChannelTap,
                              CHANNEL_PRESETS, apply_channel, effective_taps,
                              estimate_frequency_response, impulse_response,
-                             make_preset)
+                             make_preset, _scale)
 
 
 def q_function(x):
@@ -257,6 +257,30 @@ class TestGroup:
         models = [make_preset("coupling-harsh"), make_preset("coupling-mild")]
         with pytest.raises(ValueError, match=r"one delay spread, got max delays \[7, 24\]"):
             apply_channel(np.ones((2, 10), complex), models, [0, 1])
+
+
+class TestRealGainScale:
+    """One-tap gains whose imaginary parts are all ±0.0 skip the complex
+    product of ``_scale``: each row still has ``np.convolve``'s bits."""
+
+    # signed-zero samples beside ordinary and overflowing ones
+    SAMPLES = np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                        complex(-0.0, -0.0), 1.5 - 2.25j, -3.0 + 0.5j,
+                        -0.0 + 7.0j, 4.0 - 0.0j, 1e200 - 1e200j])
+    REALS = (1.0, 0.0, -0.0, -0.7, -2.5e200)
+
+    @pytest.mark.parametrize("imag", [0.0, -0.0], ids=["+0", "-0"])
+    def test_each_row_is_np_convolve_bit_for_bit(self, imag):
+        gains = np.array([complex(re, imag) for re in self.REALS])
+        assert np.array_equal(np.signbit(gains.imag),
+                              [math.copysign(1, imag) < 0] * len(gains))
+        tx = np.tile(self.SAMPLES, (len(gains), 1))
+        out = np.empty_like(tx)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _scale(tx, gains, out)
+            expected = [np.convolve(row, [g]) for row, g in zip(tx, gains)]
+        for row, want in zip(out, expected):
+            assert same_bits(row, want)
 
 
 class TestFrequencyResponse:

@@ -233,6 +233,32 @@ def test_an_exception_in_a_worker_is_raised_with_its_type(fresh_pool,
 
 
 @needs_fork
+def test_a_sweep_sends_its_workers_payload_seeds_not_bits(monkeypatch):
+    # a sweep's frames carry the seeds of their payloads, and the process
+    # that runs a group draws its bits: a worker's share holds one seed a
+    # frame, each the stable_seed(master, point, trial, 0) of its noise
+    # seed's trial, and no payload matrix
+    cfg = CHAINS["uncoded"]
+    spec = sweep.SweepSpec(values=(4.0, 9.0), trials=40, axis="snr_db")
+    seeds = {stable_seed(7, i, t, 1): stable_seed(7, i, t, 0)
+             for i in range(2) for t in range(40)}
+    monkeypatch.setattr(workers, "cpu_count", lambda: 2)
+    sent = []
+    send = workers._Worker.send
+
+    def spy(worker, parts):
+        sent.extend(parts)
+        return send(worker, parts)
+
+    monkeypatch.setattr(workers._Worker, "send", spy)
+    run_sweep(cfg, make_preset("coupling-los"), spec, 7)
+    for payloads, _, noise, _, _ in sent:
+        assert payloads.dtype == np.uint64 and payloads.shape == (len(noise),)
+        assert payloads.tolist() == [seeds[n] for n in noise]
+    assert sum(len(part[2]) for part in sent) == 40
+
+
+@needs_fork
 def test_a_share_holds_at_most_a_rounds_parts_a_cpu(monkeypatch):
     # parts of one item: 200 items on two CPUs go in rounds of two shares
     # of ROUND_PARTS parts, far below the 1024 part numbers the smallest
