@@ -41,6 +41,8 @@ CROSS_KEY = {
     # the default genie estimator meets randomized tap phases
     ("golden/pilot_ls_td_lms_mild.json", "baseband.receiver", "{}"):
         "channel.randomize_tap_phases: requires the pilot-ls estimator",
+    ("golden/pilot_ls_fd_mmse_mild.json", "baseband.receiver", "{}"):
+        "channel.randomize_tap_phases: requires the pilot-ls estimator",
 }
 
 
