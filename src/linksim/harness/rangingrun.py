@@ -13,8 +13,9 @@ a time, each set by one ``rng.SeededGenerators``; the part bounds the
 states held, not the results.
 
 A run maps its trials over the CPUs in parts of at most ``BLOCK_TRIALS``
-trials (``workers.Pool.map``, whose docstring states the split), as link
-trials do on a pool of their own; the records are joined in trial order.
+trials on the package's one worker pool (``workers.imap``, whose
+docstring states the split), the pool that link trials use too; the
+records are joined in trial order.
 Processes, not threads: a trial's generator blocks, ``EchoScene``,
 records and small numpy calls hold the interpreter lock, as measured in
 the README's CLI section.  No part holds another's generators, and a
@@ -34,7 +35,7 @@ from ..errors import NoTargetError
 from ..ranging import EchoScene, echo_range, generate_echo
 from ..rng import SeededGenerators, raw_bits
 from .seeding import stable_seed
-from .workers import Pool
+from .workers import imap
 
 BLOCK_TRIALS = 64
 
@@ -145,8 +146,9 @@ def ranging_waveform(n_samples: int, oversample: int,
     return np.repeat(chips, oversample)[:n_samples]
 
 
-def _ranging_share(trials: range, spec: RangingSpec, master_seed: int,
-                   oversample: int) -> list[RangingTrialRecord]:
+def _ranging_share(trials: tuple[int, ...], spec: RangingSpec,
+                   master_seed: int, oversample: int
+                   ) -> list[RangingTrialRecord]:
     """The records of ``trials`` (at most ``BLOCK_TRIALS``), in order."""
     draws = SeededGenerators([stable_seed(master_seed, t, 0) for t in trials])
     noises = SeededGenerators([stable_seed(master_seed, t, 1) for t in trials])
@@ -178,11 +180,6 @@ def _ranging_share(trials: range, spec: RangingSpec, master_seed: int,
     return records
 
 
-# forked by the first run of more than one trial on more than one CPU, and
-# kept for the later runs of the process
-_POOL = Pool(_ranging_share)
-
-
 def run_ranging(spec: RangingSpec, master_seed: int) -> RangingResult:
     """Every trial's record, in trial order, run over every CPU.
 
@@ -193,8 +190,7 @@ def run_ranging(spec: RangingSpec, master_seed: int) -> RangingResult:
     # waveform
     oversample = max(1, int(round(min(spec.sample_rate_hz / spec.bandwidth_hz,
                                       spec.waveform_len))))
-    records: list[RangingTrialRecord] = []
-    for part in _POOL.map((range(spec.trials),), BLOCK_TRIALS, spec,
-                          master_seed, oversample):
-        records += part
-    return RangingResult(records=records)
+    return RangingResult(records=[
+        record for part in imap(_ranging_share, zip(range(spec.trials)),
+                                BLOCK_TRIALS, spec, master_seed, oversample)
+        for record in part])

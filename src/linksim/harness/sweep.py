@@ -21,10 +21,11 @@ knowledge.  A sweep's frames carry the seeds of their payloads, which
 the group's process draws, and a mux copy's frame the bits of its packet.
 Its one unit of work is a group of frames, which ``_group`` sends through
 transmit, the channel and the receiver front end and decodes in one
-Viterbi call and one CRC check.  The engine draws a round of frames at a
-time and maps it over the CPUs in groups (``workers.Pool.map``, whose
-docstring states the split), each share of at least ``MIN_SHARE`` frames;
-it records the round's results in stream order before it draws the next.
+Viterbi call and one CRC check.  The engine hands the stream to the
+package's worker pool (``workers.imap``, whose docstring states the
+split), which draws a round of frames at a time and runs it over the CPUs
+in groups, each share of at least ``MIN_SHARE`` frames; the results come
+back in stream order, a round before the next is drawn.
 A group is bounded by what it costs to hold: at most ``GROUP_FRAMES``
 frames, the rows of the front end's matrices, at most ``GROUP_SAMPLES``
 samples of transmitted frames, which size those rows, and at most
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -63,7 +63,7 @@ from ..baseband.coding import DECISION_BYTES
 from ..channel import ChannelModel, apply_channel, estimate_frequency_response
 from ..rng import random_bits
 from .seeding import stable_seed, stable_seeds
-from .workers import Pool
+from .workers import imap, round_size
 
 Z_95 = 1.959963984540054   # two-sided 95% normal quantile
 
@@ -77,7 +77,7 @@ GROUP_FRAMES = 32
 #: 32 frames of 3008 samples are the largest), so only frames longer than
 #: 4096 samples make smaller groups
 GROUP_SAMPLES = GROUP_FRAMES * 4096
-#: frames of a share at least, the engine pool's ``least``: below it a
+#: frames of a share at least, the engine's ``least``: below it a
 #: worker's round trip (pickling the share, waking two processes) costs
 #: more than the split saves.  On a 2-vCPU Xeon host two shares took 1.08
 #: times one share's time for 14 uncoded-los frames and 0.93 times for 16,
@@ -165,9 +165,10 @@ def genie_knowledge(cfg: ChainConfig,
 
 #: one frame for ``link_trials``: its payload, the channel it goes
 #: through, the seed of that channel's noise and what the genie estimator
-#: is told about that channel.  The payload is a row of ``payload_bits``
-#: bits, or the int seed ``random_bits`` draws that row from; the payloads
-#: of one stream are all rows or all seeds
+#: is told about that channel.  The payload is a ``uint8`` row of
+#: ``payload_bits`` bits, or the int seed ``random_bits`` draws that row
+#: from, in the process that runs the frame's group; the payloads of one
+#: stream are all rows or all seeds
 Frame = tuple[np.ndarray | int, ChannelModel, int, ChannelKnowledge | None]
 
 
@@ -181,44 +182,34 @@ def link_trials(frames: Iterable[Frame], cfg: ChainConfig
     channel response zero on every bin) is a counted outcome: every
     payload bit is wrong and the packet is in error.
 
-    The stream goes a round at a time: the next
-    ``_POOL.round_size(_chunk(cfg))`` frames, mapped over the CPUs in
-    groups of at most ``_chunk(cfg)`` frames (``workers.Pool.map``).  The
-    round's payloads are stacked once, seeds into a vector and bit rows
-    into a matrix, and each group gets a slice: the process that runs a
-    group of seeds draws its bits.  A worker is a copy of the caller at its
+    The stream goes to the package's worker pool (``workers.imap``), which
+    draws it a round at a time and runs ``_group`` on groups of at most
+    ``_chunk(cfg)`` frames.  A worker is a copy of the caller at its
     fork, so caller state set after it (a monkeypatch, a warning filter,
     ``np.errstate``) does not reach it, and an exception it raises is
     raised here with its own type.
     """
-    chunk = _chunk(cfg)
     bit_errors: list[int] = []
     packet_errors: list[int] = []
-    stream = iter(frames)
-    size = _POOL.round_size(chunk)
-    while frames_round := list(islice(stream, size)):
-        payloads, models, seeds, knowledge = zip(*frames_round)
-        kind = np.uint64 if np.ndim(payloads[0]) == 0 else np.uint8
-        payloads = np.array(payloads, dtype=kind)
-        for errors, failed in _POOL.map((payloads, models, seeds, knowledge),
-                                        chunk, cfg):
-            bit_errors += errors.tolist()
-            packet_errors += failed.tolist()
+    for errors, failed in imap(_group, frames, _chunk(cfg), cfg,
+                               least=MIN_SHARE):
+        bit_errors += errors.tolist()
+        packet_errors += failed.tolist()
     return (np.array(bit_errors, dtype=np.int64),
             np.array(packet_errors, dtype=np.int64))
 
 
-def _group(payloads: np.ndarray, models: tuple[ChannelModel, ...],
+def _group(payloads: tuple, models: tuple[ChannelModel, ...],
            seeds: tuple[int, ...],
            knowledge: tuple[ChannelKnowledge | None, ...], cfg: ChainConfig
            ) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame (bit errors, packet failed) of one group of frames, sent
     through transmit, the channel and the receiver front end, and its
     received frames through one ``decode_frames`` call (none when every
-    frame is lost).  ``payloads`` is the group's bit rows, or the vector of
-    their seeds, which one ``random_bits`` call draws here."""
-    if payloads.ndim == 1:
-        payloads = random_bits(payloads.tolist(), cfg.payload_bits)
+    frame is lost).  ``payloads`` is the group's bit rows, stacked here,
+    or their int seeds, which one ``random_bits`` call draws here."""
+    payloads = (random_bits(payloads, cfg.payload_bits)
+                if np.ndim(payloads[0]) == 0 else np.array(payloads))
     rx = apply_channel(tx_chain(payloads, cfg), models, seeds)
     soft_bits, _, received = rx_front_end(rx, cfg, knowledge)
     del rx   # the group's waveforms are not needed while decoding
@@ -230,11 +221,6 @@ def _group(payloads: np.ndarray, models: tuple[ChannelModel, ...],
         errors[received] = wrong
         failed[received] = (wrong > 0) | (decoded.codewords_failed > 0)
     return errors, failed
-
-
-# the engine's workers: forked once, then shared by every call in this
-# process, so their fork is paid once a run
-_POOL = Pool(_group, least=MIN_SHARE)
 
 
 def _chunk(cfg: ChainConfig) -> int:
@@ -257,7 +243,7 @@ def run_sweep(cfg: ChainConfig, base_model: ChannelModel, spec: SweepSpec,
     models = [replace(base_model, snr_db=snr_for_axis(v, spec.axis, cfg))
               for v in spec.values]
     # a round's worth of trials' seeds at a time, so a long sweep holds no more
-    block = _POOL.round_size(_chunk(cfg))
+    block = round_size(_chunk(cfg))
 
     def frames() -> Iterator[Frame]:
         for i, model in enumerate(models):

@@ -1,63 +1,75 @@
-"""How a run is split over the CPUs, and forked processes that work on it.
+"""The package's one worker pool: how a run is split over the CPUs, and
+the forked processes that work on it.
 
 This module holds the package's one rule for cutting a run of work over
 the CPUs the process may run on (``cpu_count``, which ``taskset``
-limits).  ``Pool.map`` cuts a run of items into rounds, each round into
-contiguous shares, and each share into parts:
+limits), and its one pool of workers, which every engine shares.
+``imap(fn, items, most, *args, least=...)`` draws the caller's stream of
+item tuples a round at a time, cuts each round into contiguous shares and
+each share into parts, and yields what ``fn`` gives for each part, in
+order:
 
-- a round is ``Pool.round_size(most)`` items at most: one part with one
-  CPU (or where no worker can be forked), otherwise ``ROUND_PARTS`` parts
-  a CPU;
-- a round's shares are near-equal in size, one a CPU but at least the
-  pool's ``least`` items each, so a round of fewer than ``2 * least``
-  items is one share;
+- a round is ``round_size(most)`` items at most: one part with one CPU
+  (or where no worker can be forked), otherwise ``ROUND_PARTS`` parts a
+  CPU;
+- a round's shares are near-equal in size, one a CPU but at least
+  ``least`` items each, so a round of fewer than ``2 * least`` items is
+  one share;
 - a share's parts are the fewest near-equal parts of at most ``most``
-  items each, and the pool's function runs once a part.
+  items each, and ``fn`` runs once a part, on the part's columns (the
+  tuple of its items' first fields, then of their second, ...) and
+  ``args``.
 
-Each round is recorded, in item order, before the next is cut.  Link
-trials map a round of frames in groups of at most ``_chunk(cfg)`` frames
-with shares of at least ``MIN_SHARE`` frames; a ranging run maps its
-trials in parts of at most ``BLOCK_TRIALS`` (a 100-trial share is two
-parts of 50).  The split moves work, never a result: a frame's or a
-trial's result depends only on its own seeds, so the bytes are the same
-at any CPU count.
+Each round's results are yielded, in item order, before the next round is
+drawn, so the caller holds one round of items.  Link trials map their
+frames in groups of at most ``_chunk(cfg)`` frames with shares of at
+least ``MIN_SHARE`` frames; a ranging run maps its trials in parts of at
+most ``BLOCK_TRIALS`` (a 100-trial share is two parts of 50).  The split
+moves work, never a result: a frame's or a trial's result depends only on
+its own seeds, so the bytes are the same at any CPU count.
 
-A ``Pool`` runs the first share of a round in this process and each other
-in a forked worker process of its own; ranging and link trials each have
-a pool, and use forked processes, not threads, because their Python work
-holds the interpreter lock, as measured in the README's CLI section.  A
-worker runs its share's parts from the front, and this process, once its
+The pool runs the first share of a round in this process and each other
+in a forked worker process of its own, with processes, not threads,
+because the engines' Python work holds the interpreter lock, as measured
+in the README's CLI section.  A share travels to its worker pickled in
+one message, its function by name, so ``fn`` must be a module-level
+function (a lambda or a nested function is refused with pickle's error).
+A worker runs its share's parts from the front, and this process, once its
 own share is done, takes the parts no worker has started, so a worker
 that wakes late or runs on a busier CPU leaves them to it instead of
 holding up the run.  Each worker has a pipe of part numbers beside its
 share: whoever reads a number runs that part, and the kernel gives each
 number to one reader.  A share's numbers, 4 bytes each, are written
-before the worker reads any, and a share holds at most ``ROUND_PARTS``
-parts while ``least`` is at most ``ROUND_PARTS / 2`` times ``most``, as
-for both engines: far below the 1024 numbers of the smallest pipe (4 KiB),
-past which the write would wait for a worker that waits for its share.
-A worker is forked the first time a round needs it and serves later
-rounds too.  It is a copy of the caller at its fork: caller state set
-after it, such as a monkeypatch, a warning filter or ``np.errstate``,
-does not reach it.  The package starts no thread of its own, and a pool
-forks only inside a round and runs one round at a time, so callers on
-several threads share its workers safely.
+before the worker reads any, so a share of more than ``SHARE_PARTS``
+parts, which the smallest pipe (4 KiB) could not hold, is refused with a
+``ValueError`` instead of waiting for a worker that waits for its share.
+A share is checked and pickled before its numbers are written, so a
+refused share leaves no number in any pipe.  A worker is forked the
+first time a round needs it and serves later rounds, of any function,
+too: a process forks at most ``cpu_count() - 1`` workers, whatever
+engines it runs.  It is a copy of the caller at its fork: caller state
+set after it, such as a monkeypatch, a warning filter or
+``np.errstate``, does not reach it.  The package starts no thread of its
+own, and the pool forks only inside a round and runs one round at a time,
+so callers on several threads share its workers safely.
 
 No worker outlives its owner for long.  It exits when its pipe closes,
 which the kernel does when the owner dies, even by SIGKILL: each worker
-closes its inherited copies of the other workers' pipes, those of every
-pool, so only the owner holds their ends.  It ignores SIGINT (an
-interrupt is the owner's to handle) and leaves through ``os._exit``, so
-none of the owner's cleanup runs in it.  A forked child of the owner
-forgets the pools it inherited, and the owner closes its workers at exit.
+closes its inherited copies of the other workers' pipes, so only the
+owner holds their ends.  It ignores SIGINT (an interrupt is the owner's
+to handle) and leaves through ``os._exit``, so none of the owner's
+cleanup runs in it.  A forked child of the owner forgets the workers it
+inherited, and the owner closes its workers at exit.
 """
 from __future__ import annotations
 
 import atexit
 import os
+import pickle
 import signal
 import threading
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -71,10 +83,13 @@ FORK = hasattr(os, "fork")
 #: wakes every worker and waits for its reply, which on a busy host took
 #: up to 25 ms against 10 ms of work a link group, so one round of many
 #: parts, not many rounds of one, keeps a long run's time steady.  A
-#: sweep's share carries one 8-byte payload seed a frame, not the bits,
+#: sweep's share carries one int payload seed a frame, not the bits,
 #: so a long round costs no memory; a mux-sim share's bit rows (a byte a
 #: bit) weigh less than one group's waveforms (16 bytes a sample)
 ROUND_PARTS = 16
+#: parts of a share at most: the part numbers, 4 bytes each, that the
+#: smallest pipe (4 KiB) holds before a worker reads any
+SHARE_PARTS = 1024
 
 
 def cpu_count() -> int:
@@ -84,6 +99,13 @@ def cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def round_size(most: int) -> int:
+    """The items of a round of parts of at most ``most`` items: one part
+    with one CPU or no fork, ``ROUND_PARTS`` parts a CPU otherwise."""
+    cpus = cpu_count() if FORK else 1
+    return most if cpus == 1 else cpus * ROUND_PARTS * most
+
+
 def _cuts(first: int, last: int, k: int) -> list[tuple[int, int]]:
     """The bounds of ``k`` contiguous runs of the items ``first..last``,
     near-equal in size."""
@@ -91,13 +113,13 @@ def _cuts(first: int, last: int, k: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _serve(conn: Connection, numbers: int, fn: Callable) -> None:
-    """Answer each share read from ``conn`` until it closes: run the parts
-    whose numbers it reads from ``numbers``, then send what they gave
-    (``_call``) with their numbers."""
+def _serve(conn: Connection, numbers: int) -> None:
+    """Answer each share read from ``conn`` until it closes: run its
+    function on the parts whose numbers it reads from ``numbers``, then
+    send what they gave (``_call``) with their numbers."""
     while True:
         try:
-            parts = conn.recv()
+            fn, parts = conn.recv()
         except EOFError:
             return
         done = []
@@ -126,9 +148,9 @@ def _next(numbers: int) -> int | None:
 
 
 class _Worker:
-    """One forked process answering shares of ``fn`` calls on a pipe."""
+    """One forked process answering shares of function calls on a pipe."""
 
-    def __init__(self, fn: Callable):
+    def __init__(self):
         # imported by the first fork, so a run that never splits (a one-frame
         # or one-trial warm-up) does not pay for it
         from multiprocessing import Pipe
@@ -150,7 +172,7 @@ class _Worker:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 ours.close()
                 os.close(feed)
-                _serve(theirs, numbers, fn)
+                _serve(theirs, numbers)
                 code = 0
             finally:
                 os._exit(code)   # never return into the caller's code
@@ -160,12 +182,18 @@ class _Worker:
         self.numbers, self.feed = numbers, feed
         self.busy = False   # sent a share whose reply is unread
 
-    def send(self, parts: list[tuple]) -> bool:
-        """Hand the worker a share; False if it is dead (then closed)."""
+    def send(self, fn: Callable, parts: list[tuple]) -> bool:
+        """Hand the worker a share of ``fn`` calls; False if it is dead
+        (then closed).  A share of more than ``SHARE_PARTS`` parts, or one
+        that does not pickle, raises before any part number is written."""
+        if len(parts) > SHARE_PARTS:
+            raise ValueError(f"a share of {len(parts)} parts: a worker "
+                             f"takes {SHARE_PARTS} at most")
+        share = pickle.dumps((fn, parts), pickle.HIGHEST_PROTOCOL)
         os.write(self.feed, b"".join(k.to_bytes(4, "little")
                                      for k in range(len(parts))))
         try:
-            self.conn.send(parts)
+            self.conn.send_bytes(share)
         except OSError:
             self.close()
             return False
@@ -211,48 +239,40 @@ class _Worker:
 
 
 class Pool:
-    """Runs ``fn`` on the parts of a run, split as the module says, each
-    share of at least ``least`` items."""
+    """The package's workers, which run any module-level function on the
+    parts of a run, split as the module says."""
 
-    def __init__(self, fn: Callable, least: int = 1):
-        self.fn = fn
-        self.least = least
+    def __init__(self):
         self._workers: list[_Worker] = []
         self._lock = threading.Lock()   # one round at a time on the pipes
         if FORK:
             os.register_at_fork(after_in_child=self._forget)
             atexit.register(self.close)
 
-    def round_size(self, most: int) -> int:
-        """The items of a round of parts of at most ``most`` items: one
-        part with one CPU or no fork, ``ROUND_PARTS`` parts a CPU
-        otherwise."""
-        cpus = cpu_count() if FORK else 1
-        return most if cpus == 1 else cpus * ROUND_PARTS * most
+    def imap(self, fn: Callable, items: Iterable[tuple], most: int, *args,
+             least: int = 1) -> Iterator:
+        """``fn(*columns, *args)`` for every part of ``items``, in order,
+        where a part's columns are the tuple of its items' first fields,
+        then of their second, and so on.
 
-    def map(self, columns: Sequence[Sequence], most: int, *args) -> list:
-        """``fn(*(c[part] for c in columns), *args)`` for every part of
-        the items, in order, where item k is ``c[k]`` of each column.
-
-        A column is sliced, so a numpy array gives each part a view of
-        its rows, a tuple a tuple and a range a range.  An exception of a
-        part is raised here, with its own type, once every part of its
-        round has ended: the first in order.
+        ``items`` is drawn a round at a time, and a round's results are
+        yielded before the next is drawn.  An exception of a part is
+        raised here, with its own type, once every part of its round has
+        ended: the first in order.
         """
-        size, items, results = self.round_size(most), len(columns[0]), []
+        size = round_size(most)
         cpus = size // (ROUND_PARTS * most) or 1   # those round_size read
-        for first in range(0, items, size):
-            last = min(first + size, items)
-            shares = _cuts(first, last,
-                           max(1, min(cpus, (last - first) // self.least)))
-            for out in self._run([
-                    [(*(c[lo:hi] for c in columns), *args)
+        items = iter(items)
+        while batch := list(islice(items, size)):
+            shares = _cuts(0, len(batch),
+                           max(1, min(cpus, len(batch) // least)))
+            for out in self._run(fn, [
+                    [(*zip(*batch[lo:hi]), *args)
                      for lo, hi in _cuts(start, stop, -(-(stop - start) // most))]
                     for start, stop in shares]):
-                results += out
-        return results
+                yield from out
 
-    def _run(self, shares: list[list[tuple]]) -> list[list]:
+    def _run(self, fn: Callable, shares: list[list[tuple]]) -> list[list]:
         """``fn(*args)`` for every ``args`` of every share, in order.
 
         This process runs the first share, then the parts of the others
@@ -267,12 +287,12 @@ class Pool:
             sent: list[bool] = []
             try:
                 for worker, parts in zip(workers, shares[1:]):
-                    sent.append(worker.send(parts))
-                outcomes[0] = [_call(self.fn, args) for args in shares[0]]
+                    sent.append(worker.send(fn, parts))
+                outcomes[0] = [_call(fn, args) for args in shares[0]]
                 for worker, ok, parts, out in zip(workers, sent, shares[1:],
                                                   outcomes[1:]):
                     while ok and (k := worker.take()) is not None:
-                        out[k] = _call(self.fn, parts[k])
+                        out[k] = _call(fn, parts[k])
             finally:
                 # every reply is read, so each pipe stays in step; after an
                 # interrupt, the parts no worker has started are dropped
@@ -287,7 +307,7 @@ class Pool:
                 out[k] = outcome
             for k, args in enumerate(parts):   # no worker, or it died
                 if out[k] is None:
-                    out[k] = _call(self.fn, args)
+                    out[k] = _call(fn, args)
         for out in outcomes:
             for ok, value in out:
                 if not ok:
@@ -303,7 +323,7 @@ class Pool:
         self._workers = [w for w in self._workers if w.conn is not None]
         while FORK and len(self._workers) < n:
             try:
-                worker = _Worker(self.fn)
+                worker = _Worker()
             except OSError:   # no process to spare: the caller runs the rest
                 break
             self._workers.append(worker)
@@ -323,3 +343,9 @@ class Pool:
                 worker.forget()
         self._workers = []
         self._lock = threading.Lock()   # another thread may have held it
+
+
+# the package's one pool: its workers are forked once, then serve every
+# engine call of the process, so their fork is paid once a run
+_POOL = Pool()
+imap = _POOL.imap

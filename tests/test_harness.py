@@ -547,12 +547,12 @@ class TestRanging:
 
     @pytest.fixture
     def fresh_pool(self):
-        """The ranging pool with no workers, closed again after the test.  A
-        worker is a copy of the caller at its fork, so a spy patched in
+        """The package's pool with no workers, closed again after the test.
+        A worker is a copy of the caller at its fork, so a spy patched in
         before the run reaches it."""
-        rangingrun._POOL.close()
-        yield rangingrun._POOL
-        rangingrun._POOL.close()
+        workers._POOL.close()
+        yield workers._POOL
+        workers._POOL.close()
 
     @needs_fork
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
@@ -656,13 +656,15 @@ class TestRanging:
         monkeypatch.setattr(rangingrun, "BLOCK_TRIALS", 4)
         monkeypatch.setattr(workers, "ROUND_PARTS", 2)
         rounds = []
-        pool = rangingrun._POOL
+        pool = workers._POOL
         run = pool._run
 
-        def spy(shares):
-            rounds.append([[(trials.start, trials.stop) for trials, *_ in share]
+        def spy(fn, shares):
+            rounds.append([[(trials[0], trials[-1] + 1) for trials, *_ in share]
                            for share in shares])
-            return run(shares)
+            assert all(trials == tuple(range(trials[0], trials[-1] + 1))
+                       for share in shares for trials, *_ in share)
+            return run(fn, shares)
 
         monkeypatch.setattr(pool, "_run", spy)
         got = [astuple(r) for r in run_ranging(self.SPLIT, 17).records]

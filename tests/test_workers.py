@@ -1,12 +1,13 @@
 """Link and ranging trials on every CPU: forked workers each take a share.
 
-``workers.Pool.map`` cuts a run into rounds of up to ``cpu_count() *
-ROUND_PARTS`` parts, splits each round into contiguous shares of parts,
+``workers.imap`` draws a stream of items in rounds of up to ``cpu_count()
+* ROUND_PARTS`` parts, splits each round into contiguous shares of parts,
 runs the first in the calling process and each other in a forked worker,
-the caller taking the parts a worker has not started, and joins the
-results in order.  ``link_trials`` maps each round of frames in groups of
-``_chunk(cfg)`` frames, and ``run_ranging`` its trials on a pool of its
-own (its split and spies are tested in ``test_harness.py::TestRanging``).
+the caller taking the parts a worker has not started, and yields the
+results in order.  ``link_trials`` maps its frames in groups of
+``_chunk(cfg)`` frames, and ``run_ranging`` its trials, on the package's
+one pool (the ranging split and spies are tested in
+``test_harness.py::TestRanging``).
 A frame's or trial's result depends only on its own seeds, so the CSV
 bytes may not depend on the CPU count; a worker that dies or raises may
 not change what the caller returns or raises; no worker may outlive the
@@ -18,6 +19,7 @@ worker runs closes the pool before and after (``fresh_pool``).
 """
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -53,24 +55,24 @@ needs_fork = pytest.mark.skipif(not workers.FORK, reason="no fork on this platfo
 
 @pytest.fixture
 def fresh_pool():
-    """The engine's pool with no workers, closed again after the test."""
-    sweep._POOL.close()
-    yield sweep._POOL
-    sweep._POOL.close()
+    """The package's pool with no workers, closed again after the test."""
+    workers._POOL.close()
+    yield workers._POOL
+    workers._POOL.close()
 
 
 class ShareSpy:
     """Records what each round's shares are given, in the caller, then
-    runs them on the engine's pool: patched in as the pool's ``_run``."""
+    runs them on the package's pool: patched in as the pool's ``_run``."""
 
     def __init__(self, pool):
         self.run = pool._run
         self.rounds = []   # the noise seeds of each group of each share
 
-    def __call__(self, shares):
+    def __call__(self, fn, shares):
         self.rounds.append([[list(seeds) for _, _, seeds, _, _ in share]
                             for share in shares])
-        return self.run(shares)
+        return self.run(fn, shares)
 
 
 def _frames(cfg, n):
@@ -110,9 +112,9 @@ def test_golden_csv_bytes_at_one_two_and_three_shares(name, tmp_path,
     # the shares floor is lowered so the small golden runs split three ways
     config = GOLDEN_DIR / f"{name}.json"
     scenario = json.loads(config.read_text())["scenario"]
-    monkeypatch.setattr(sweep._POOL, "least", 1)
-    spy = ShareSpy(sweep._POOL)
-    monkeypatch.setattr(sweep._POOL, "_run", spy)
+    monkeypatch.setattr(sweep, "MIN_SHARE", 1)
+    spy = ShareSpy(workers._POOL)
+    monkeypatch.setattr(workers._POOL, "_run", spy)
     for cpus in (1, 2, 3):
         monkeypatch.setattr(workers, "cpu_count", lambda cpus=cpus: cpus)
         spy.rounds.clear()
@@ -130,8 +132,8 @@ def test_each_frame_goes_to_exactly_one_share_in_order(name, monkeypatch):
     frames = _frames(cfg, 6 * chunk + 10)
     monkeypatch.setattr(workers, "cpu_count", lambda: 3)
     monkeypatch.setattr(workers, "ROUND_PARTS", 2)
-    spy = ShareSpy(sweep._POOL)
-    monkeypatch.setattr(sweep._POOL, "_run", spy)
+    spy = ShareSpy(workers._POOL)
+    monkeypatch.setattr(workers._POOL, "_run", spy)
     errors, lost = sweep.link_trials(frames, cfg)
     groups = [group for shares in spy.rounds for share in shares
               for group in share]
@@ -185,7 +187,7 @@ def test_a_ranging_worker_killed_between_runs_changes_no_row(monkeypatch):
         return np.array([astuple(r) for r in
                          rangingrun.run_ranging(spec, 5).records])
 
-    pool = rangingrun._POOL
+    pool = workers._POOL
     pool.close()
     monkeypatch.setattr(workers, "cpu_count", lambda: 2)
     try:
@@ -246,15 +248,16 @@ def test_a_sweep_sends_its_workers_payload_seeds_not_bits(monkeypatch):
     sent = []
     send = workers._Worker.send
 
-    def spy(worker, parts):
+    def spy(worker, fn, parts):
         sent.extend(parts)
-        return send(worker, parts)
+        return send(worker, fn, parts)
 
     monkeypatch.setattr(workers._Worker, "send", spy)
     run_sweep(cfg, make_preset("coupling-los"), spec, 7)
     for payloads, _, noise, _, _ in sent:
-        assert payloads.dtype == np.uint64 and payloads.shape == (len(noise),)
-        assert payloads.tolist() == [seeds[n] for n in noise]
+        assert all(type(p) is int for p in payloads)
+        assert len(payloads) == len(noise)
+        assert list(payloads) == [seeds[n] for n in noise]
     assert sum(len(part[2]) for part in sent) == 40
 
 
@@ -267,17 +270,75 @@ def test_a_share_holds_at_most_a_rounds_parts_a_cpu(monkeypatch):
     sent = []
     send = workers._Worker.send
 
-    def spy(worker, parts):
+    def spy(worker, fn, parts):
         sent.append(len(parts))
-        return send(worker, parts)
+        return send(worker, fn, parts)
 
     monkeypatch.setattr(workers._Worker, "send", spy)
-    pool = workers.Pool(list)
     try:
-        assert pool.map((range(200),), 1) == [[k] for k in range(200)]
+        assert list(workers.imap(list, zip(range(200)), 1)) == [
+            [k] for k in range(200)]
     finally:
-        pool.close()
+        workers._POOL.close()
     assert len(sent) == 7 and max(sent) <= workers.ROUND_PARTS
+
+
+@needs_fork
+def test_a_bad_share_is_refused_and_leaves_no_part_number_behind(fresh_pool,
+                                                                 monkeypatch):
+    # a share's part numbers are written before its worker reads any, so a
+    # share of more parts than the smallest pipe holds, or one that does
+    # not pickle, is refused before any number is written: a number left
+    # behind would send the worker's next share to the wrong parts
+    monkeypatch.setattr(workers, "cpu_count", lambda: 2)
+    items = list(zip(range(40)))
+    expected = [[k] for k in range(40)]
+    assert list(workers.imap(list, items, 1)) == expected
+    [worker] = fresh_pool._workers
+    with monkeypatch.context() as patch:
+        patch.setattr(workers, "ROUND_PARTS", workers.SHARE_PARTS + 1)
+        with pytest.raises(ValueError, match="a share of 1025 parts"):
+            list(workers.imap(list, zip(range(2 * 1025)), 1))
+    # pickle refuses a local lambda with AttributeError or PicklingError,
+    # by Python version
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        list(workers.imap(lambda k: [k], items, 1))
+    assert fresh_pool._workers == [worker] and not worker.busy
+    assert worker.take() is None
+    assert list(workers.imap(list, items, 1)) == expected
+    assert fresh_pool._workers == [worker] and not worker.busy
+
+
+@needs_fork
+def test_one_worker_serves_both_engines(fresh_pool, monkeypatch):
+    # the package has one pool: a sweep and then a ranging run on two CPUs
+    # fork one worker between them, and it answers both
+    monkeypatch.setattr(workers, "cpu_count", lambda: 2)
+    forked, answered = [], []
+    real_fork, reply = os.fork, workers._Worker.reply
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def spy(worker):
+        got = reply(worker)
+        if got is not None:
+            answered.append(worker.pid)
+        return got
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(workers._Worker, "reply", spy)
+    spec = sweep.SweepSpec(values=(4.0,), trials=16, axis="snr_db")
+    run_sweep(CHAINS["uncoded"], make_preset("coupling-los"), spec, 7)
+    by_sweep, answered[:] = answered[:], []
+    run_ranging(RangingSpec(sample_rate_hz=1e9, bandwidth_hz=1e9 / 3,
+                            waveform_len=301, trials=2, range_min_m=0.5,
+                            range_max_m=9.0, echo_snr_db=10.0), 5)
+    assert len(forked) == 1
+    assert by_sweep == answered == forked
 
 
 # the sizes of the parts of every share of every round that one round of
@@ -311,11 +372,12 @@ def test_each_benchmark_round_keeps_its_shares_and_parts(workload, cpus,
         raw[key] = {**raw[key], **overrides}
     cfg = parse_config(raw, data["scenario"])
     rounds = []
-    for pool in (sweep._POOL, rangingrun._POOL):
-        def spy(shares, run=pool._run):
-            rounds.append([[len(part[0]) for part in share] for share in shares])
-            return run(shares)
-        monkeypatch.setattr(pool, "_run", spy)
+    pool = workers._POOL
+
+    def spy(fn, shares, run=pool._run):
+        rounds.append([[len(part[0]) for part in share] for share in shares])
+        return run(fn, shares)
+    monkeypatch.setattr(pool, "_run", spy)
     monkeypatch.setattr(workers, "cpu_count", lambda: cpus)
     if cfg.scenario == "mux-sim":
         run_mux_sim(cfg.mux, cfg.master_seed)
@@ -334,12 +396,13 @@ def _part(k, owner):
 
 
 @needs_fork
-def test_the_caller_runs_the_parts_a_busy_worker_has_not_started():
-    pool = workers.Pool(_part)
+def test_the_caller_runs_the_parts_a_busy_worker_has_not_started(fresh_pool):
+    pool = fresh_pool
     owner = os.getpid()
     try:
         for _ in range(2):   # a fresh worker, then the same one again
-            got = pool._run([[(0, owner)], [(k, owner) for k in range(1, 5)]])
+            got = pool._run(_part, [[(0, owner)],
+                                    [(k, owner) for k in range(1, 5)]])
             assert [[k for k, _ in share] for share in got] == [[0], [1, 2, 3, 4]]
             # the worker is busy for 0.5 s with the first part it starts,
             # if it wakes before the caller has taken them all; the caller
@@ -359,7 +422,7 @@ def test_threads_sharing_the_pool_each_get_their_own_results(monkeypatch):
     streams = [frames[k::4] + frames[:k] for k in range(4)]
     expected = [[r.tolist() for r in sweep.link_trials(s, cfg)] for s in streams]
     monkeypatch.setattr(workers, "cpu_count", lambda: 3)
-    monkeypatch.setattr(sweep._POOL, "least", 2)
+    monkeypatch.setattr(sweep, "MIN_SHARE", 2)
     got = [None] * len(streams)
 
     def run(k):
