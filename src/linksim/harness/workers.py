@@ -34,24 +34,18 @@ because the engines' Python work holds the interpreter lock, as measured
 in the README's CLI section.  A share travels to its worker pickled in
 one message, its function by name, so ``fn`` must be a module-level
 function (a lambda or a nested function is refused with pickle's error).
-A worker runs its share's parts from the front, and this process, once its
-own share is done, takes the parts no worker has started, so a worker
-that wakes late or runs on a busier CPU leaves them to it instead of
-holding up the run.  Each worker has a pipe of part numbers beside its
-share: whoever reads a number runs that part, and the kernel gives each
-number to one reader.  A share's numbers, 4 bytes each, are written
-before the worker reads any, so a share of more than ``SHARE_PARTS``
-parts, which the smallest pipe (4 KiB) could not hold, is refused with a
-``ValueError`` instead of waiting for a worker that waits for its share.
-A share is checked and pickled before its numbers are written, so a
-refused share leaves no number in any pipe.  A worker is forked the
-first time a round needs it and serves later rounds, of any function,
-too: a process forks at most ``cpu_count() - 1`` workers, whatever
-engines it runs.  It is a copy of the caller at its fork: caller state
-set after it, such as a monkeypatch, a warning filter or
-``np.errstate``, does not reach it.  The package starts no thread of its
-own, and the pool forks only inside a round and runs one round at a time,
-so callers on several threads share its workers safely.
+A worker runs every part of its share and replies with what they gave,
+in part order, while this process runs its own share and then reads
+each reply; the pickled share is the only message, so a share of any
+size queues.  A worker whose reply an interrupt left unread is killed
+and replaced by the next round.  A worker is forked the first time a
+round needs it and serves later rounds, of any function, too: a process
+forks at most ``cpu_count() - 1`` workers, whatever engines it runs.  It
+is a copy of the caller at its fork: caller state set after it, such as
+a monkeypatch, a warning filter or ``np.errstate``, does not reach it.
+The package starts no thread of its own, and the pool forks only inside
+a round and runs one round at a time, so callers on several threads
+share its workers safely.
 
 No worker outlives its owner for long.  It exits when its pipe closes,
 which the kernel does when the owner dies, even by SIGKILL: each worker
@@ -87,9 +81,6 @@ FORK = hasattr(os, "fork")
 #: so a long round costs no memory; a mux-sim share's bit rows (a byte a
 #: bit) weigh less than one group's waveforms (16 bytes a sample)
 ROUND_PARTS = 16
-#: parts of a share at most: the part numbers, 4 bytes each, that the
-#: smallest pipe (4 KiB) holds before a worker reads any
-SHARE_PARTS = 1024
 
 
 def cpu_count() -> int:
@@ -113,19 +104,16 @@ def _cuts(first: int, last: int, k: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _serve(conn: Connection, numbers: int) -> None:
+def _serve(conn: Connection) -> None:
     """Answer each share read from ``conn`` until it closes: run its
-    function on the parts whose numbers it reads from ``numbers``, then
-    send what they gave (``_call``) with their numbers."""
+    function on every part, then send what they gave (``_call``), in
+    part order."""
     while True:
         try:
             fn, parts = conn.recv()
         except EOFError:
             return
-        done = []
-        while (k := _next(numbers)) is not None:
-            done.append((k, _call(fn, parts[k])))
-        conn.send(done)
+        conn.send([_call(fn, args) for args in parts])
 
 
 def _call(fn: Callable, args: tuple) -> tuple[bool, Any]:
@@ -137,16 +125,6 @@ def _call(fn: Callable, args: tuple) -> tuple[bool, Any]:
         return False, exc
 
 
-def _next(numbers: int) -> int | None:
-    """The next part number read from the non-blocking pipe end
-    ``numbers``; None once it is empty."""
-    try:
-        data = os.read(numbers, 4)
-    except BlockingIOError:
-        return None
-    return int.from_bytes(data, "little") if data else None
-
-
 class _Worker:
     """One forked process answering shares of function calls on a pipe."""
 
@@ -155,43 +133,27 @@ class _Worker:
         # or one-trial warm-up) does not pay for it
         from multiprocessing import Pipe
         ours, theirs = Pipe()
-        numbers, feed = os.pipe()
-        os.set_blocking(numbers, False)
-        try:
-            pid = os.fork()
-        except OSError:
-            for end in (ours, theirs):
-                end.close()
-            os.close(numbers)
-            os.close(feed)
-            raise
+        pid = os.fork()
         if pid == 0:
             # the at-fork hook has closed the other workers' ends
             code = 1
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 ours.close()
-                os.close(feed)
-                _serve(theirs, numbers)
+                _serve(theirs)
                 code = 0
             finally:
                 os._exit(code)   # never return into the caller's code
         theirs.close()
         self.pid = pid
         self.conn: Connection | None = ours
-        self.numbers, self.feed = numbers, feed
         self.busy = False   # sent a share whose reply is unread
 
     def send(self, fn: Callable, parts: list[tuple]) -> bool:
         """Hand the worker a share of ``fn`` calls; False if it is dead
-        (then closed).  A share of more than ``SHARE_PARTS`` parts, or one
-        that does not pickle, raises before any part number is written."""
-        if len(parts) > SHARE_PARTS:
-            raise ValueError(f"a share of {len(parts)} parts: a worker "
-                             f"takes {SHARE_PARTS} at most")
+        (then closed).  A share that does not pickle raises before the
+        worker is sent anything."""
         share = pickle.dumps((fn, parts), pickle.HIGHEST_PROTOCOL)
-        os.write(self.feed, b"".join(k.to_bytes(4, "little")
-                                     for k in range(len(parts))))
         try:
             self.conn.send_bytes(share)
         except OSError:
@@ -200,14 +162,9 @@ class _Worker:
         self.busy = True
         return True
 
-    def take(self) -> int | None:
-        """The number of a part of the share sent that the worker has not
-        started, which the caller then runs; None if there is none."""
-        return _next(self.numbers)
-
-    def reply(self) -> list[tuple[int, tuple[bool, Any]]] | None:
-        """What the worker gave for the parts it ran; None if it died (then
-        closed).  An interrupt while waiting closes it too."""
+    def reply(self) -> list[tuple[bool, Any]] | None:
+        """What the worker gave for each part of its share; None if it died
+        (then closed).  An interrupt while waiting closes it too."""
         try:
             reply = self.conn.recv()
         except (EOFError, OSError):
@@ -223,19 +180,13 @@ class _Worker:
         """End the worker and reap it."""
         if self.conn is None:
             return
-        self.forget()
+        self.conn.close()
+        self.conn = None
         try:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
         except (ProcessLookupError, ChildProcessError):
             pass
-
-    def forget(self) -> None:
-        """Close this process's ends of the worker's pipes."""
-        self.conn.close()
-        self.conn = None
-        os.close(self.numbers)
-        os.close(self.feed)
 
 
 class Pool:
@@ -275,39 +226,22 @@ class Pool:
     def _run(self, fn: Callable, shares: list[list[tuple]]) -> list[list]:
         """``fn(*args)`` for every ``args`` of every share, in order.
 
-        This process runs the first share, then the parts of the others
-        that their workers have not started.  An exception of a part is
-        raised here, with its own type, once every part has ended: the
-        first in order.  A share with no worker, because it died or none
-        could be forked, runs here instead, with the same results.
+        This process runs the first share, then reads each worker's reply
+        to its own.  An exception of a part is raised here, with its own
+        type, once every part has ended: the first in order.  A share with
+        no worker, because it died or none could be forked, runs here
+        instead, with the same results.
         """
-        outcomes: list[list] = [[None] * len(parts) for parts in shares]
         with self._lock:
             workers = self._take(len(shares) - 1)
-            sent: list[bool] = []
-            try:
-                for worker, parts in zip(workers, shares[1:]):
-                    sent.append(worker.send(fn, parts))
-                outcomes[0] = [_call(fn, args) for args in shares[0]]
-                for worker, ok, parts, out in zip(workers, sent, shares[1:],
-                                                  outcomes[1:]):
-                    while ok and (k := worker.take()) is not None:
-                        out[k] = _call(fn, parts[k])
-            finally:
-                # every reply is read, so each pipe stays in step; after an
-                # interrupt, the parts no worker has started are dropped
-                replies = []
-                for worker, ok in zip(workers, sent):
-                    while ok and worker.take() is not None:
-                        pass
-                    replies.append(worker.reply() if ok else None)
+            sent = [worker.send(fn, parts)
+                    for worker, parts in zip(workers, shares[1:])]
+            outcomes = [[_call(fn, args) for args in shares[0]]]
+            replies = [worker.reply() if ok else None
+                       for worker, ok in zip(workers, sent)]
         replies += [None] * (len(shares) - 1 - len(replies))
-        for parts, out, reply in zip(shares[1:], outcomes[1:], replies):
-            for k, outcome in reply or ():
-                out[k] = outcome
-            for k, args in enumerate(parts):   # no worker, or it died
-                if out[k] is None:
-                    out[k] = _call(fn, args)
+        for parts, reply in zip(shares[1:], replies):   # None: no worker
+            outcomes.append(reply or [_call(fn, args) for args in parts])
         for out in outcomes:
             for ok, value in out:
                 if not ok:
@@ -316,7 +250,7 @@ class Pool:
 
     def _take(self, n: int) -> list[_Worker]:
         """Up to ``n`` idle workers, forked as needed; a worker left busy by
-        an interrupted round is out of step with its pipe and is replaced."""
+        an interrupted round still owes its reply and is replaced."""
         for worker in self._workers:
             if worker.busy:
                 worker.close()
@@ -340,7 +274,7 @@ class Pool:
         close only this process's copies of their pipe ends."""
         for worker in self._workers:
             if worker.conn is not None:
-                worker.forget()
+                worker.conn.close()
         self._workers = []
         self._lock = threading.Lock()   # another thread may have held it
 

@@ -1,8 +1,10 @@
 """Byte-exact result CSVs, one small config per scenario family.
 
-Each ``golden/<name>.csv`` was written by
+Each ``golden/<name>.csv`` was written from the repository root, which a
+relative ``trace_file`` is read from (``mux_trace`` reads
+``tests/golden/mux_trace_rows.txt``), by
 
-    python -m linksim <scenario> --config golden/<name>.json --out golden/<name>.csv
+    python -m linksim <scenario> --config tests/golden/<name>.json --out tests/golden/<name>.csv
 
 and committed.  The files pin what the simulator computes: a change that
 alters any of them changes results, not only speed, and must not simply
@@ -19,7 +21,8 @@ from linksim.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 CASES = sorted(p.stem for p in GOLDEN_DIR.glob("*.json"))
-CONFIG_DIR = GOLDEN_DIR.parent.parent / "configs"
+REPO = GOLDEN_DIR.parent.parent
+CONFIG_DIR = REPO / "configs"
 CONFIG_DIGESTS = {
     "ber_sweep": "03ab217477ad52682c9b2add393f441c4d061f4f956feef5ae27f77a4510de22",
     "latency_budget":
@@ -39,7 +42,8 @@ def _csv(config, tmp_path):
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_csv_matches_golden(name, tmp_path):
+def test_csv_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(REPO)
     assert (_csv(GOLDEN_DIR / f"{name}.json", tmp_path)
             == (GOLDEN_DIR / f"{name}.csv").read_bytes())
 

@@ -2,11 +2,10 @@
 
 ``workers.imap`` draws a stream of items in rounds of up to ``cpu_count()
 * ROUND_PARTS`` parts, splits each round into contiguous shares of parts,
-runs the first in the calling process and each other in a forked worker,
-the caller taking the parts a worker has not started, and yields the
-results in order.  ``link_trials`` maps its frames in groups of
-``_chunk(cfg)`` frames, and ``run_ranging`` its trials, on the package's
-one pool (the ranging split and spies are tested in
+runs the first in the calling process and each other, whole, in a forked
+worker, and yields the results in order.  ``link_trials`` maps its frames
+in groups of ``_chunk(cfg)`` frames, and ``run_ranging`` its trials, on
+the package's one pool (the ranging split and spies are tested in
 ``test_harness.py::TestRanging``).
 A frame's or trial's result depends only on its own seeds, so the CSV
 bytes may not depend on the CPU count; a worker that dies or raises may
@@ -209,9 +208,7 @@ def test_a_ranging_worker_killed_between_runs_changes_no_row(monkeypatch):
 @needs_fork
 def test_an_exception_in_a_worker_is_raised_with_its_type(fresh_pool,
                                                           monkeypatch):
-    # the caller's own share decodes; only the worker's raises.  The
-    # caller's is slow, so the worker starts its group before the caller
-    # could take it
+    # the caller's own share decodes; only the worker's raises
     cfg = CHAINS["uncoded"]
     caller = os.getpid()
     decode = sweep.decode_frames
@@ -219,7 +216,6 @@ def test_an_exception_in_a_worker_is_raised_with_its_type(fresh_pool,
     def decode_in_caller_only(soft_bits, *args):
         if os.getpid() != caller:
             raise ConfigError("baseband: raised in a worker")
-        time.sleep(0.3)
         return decode(soft_bits, *args)
 
     monkeypatch.setattr(sweep, "decode_frames", decode_in_caller_only)
@@ -264,8 +260,7 @@ def test_a_sweep_sends_its_workers_payload_seeds_not_bits(monkeypatch):
 @needs_fork
 def test_a_share_holds_at_most_a_rounds_parts_a_cpu(monkeypatch):
     # parts of one item: 200 items on two CPUs go in rounds of two shares
-    # of ROUND_PARTS parts, far below the 1024 part numbers the smallest
-    # pipe holds before the caller's write would wait for the worker
+    # of ROUND_PARTS parts
     monkeypatch.setattr(workers, "cpu_count", lambda: 2)
     sent = []
     send = workers._Worker.send
@@ -284,27 +279,20 @@ def test_a_share_holds_at_most_a_rounds_parts_a_cpu(monkeypatch):
 
 
 @needs_fork
-def test_a_bad_share_is_refused_and_leaves_no_part_number_behind(fresh_pool,
-                                                                 monkeypatch):
-    # a share's part numbers are written before its worker reads any, so a
-    # share of more parts than the smallest pipe holds, or one that does
-    # not pickle, is refused before any number is written: a number left
-    # behind would send the worker's next share to the wrong parts
+def test_an_unpicklable_share_is_refused_and_the_worker_serves_on(
+        fresh_pool, monkeypatch):
+    # a share is pickled before it is sent, so a local lambda is refused
+    # before any worker is busy, and the same worker serves the next call
     monkeypatch.setattr(workers, "cpu_count", lambda: 2)
     items = list(zip(range(40)))
     expected = [[k] for k in range(40)]
     assert list(workers.imap(list, items, 1)) == expected
     [worker] = fresh_pool._workers
-    with monkeypatch.context() as patch:
-        patch.setattr(workers, "ROUND_PARTS", workers.SHARE_PARTS + 1)
-        with pytest.raises(ValueError, match="a share of 1025 parts"):
-            list(workers.imap(list, zip(range(2 * 1025)), 1))
     # pickle refuses a local lambda with AttributeError or PicklingError,
     # by Python version
     with pytest.raises((pickle.PicklingError, AttributeError)):
         list(workers.imap(lambda k: [k], items, 1))
     assert fresh_pool._workers == [worker] and not worker.busy
-    assert worker.take() is None
     assert list(workers.imap(list, items, 1)) == expected
     assert fresh_pool._workers == [worker] and not worker.busy
 
@@ -388,29 +376,31 @@ def test_each_benchmark_round_keeps_its_shares_and_parts(workload, cpus,
     assert rounds == BENCH_PARTS[workload, cpus]
 
 
-def _part(k, owner):
-    """Part ``k`` and the process that ran it; slow outside ``owner``."""
-    if os.getpid() != owner:
-        time.sleep(0.5)
-    return k, os.getpid()
+def _interrupted_in(ks, owner):
+    """``ks`` as a list, or an interrupt where process ``owner`` runs
+    item 0."""
+    if os.getpid() == owner and 0 in ks:
+        raise KeyboardInterrupt
+    return list(ks)
 
 
 @needs_fork
-def test_the_caller_runs_the_parts_a_busy_worker_has_not_started(fresh_pool):
-    pool = fresh_pool
-    owner = os.getpid()
-    try:
-        for _ in range(2):   # a fresh worker, then the same one again
-            got = pool._run(_part, [[(0, owner)],
-                                    [(k, owner) for k in range(1, 5)]])
-            assert [[k for k, _ in share] for share in got] == [[0], [1, 2, 3, 4]]
-            # the worker is busy for 0.5 s with the first part it starts,
-            # if it wakes before the caller has taken them all; the caller
-            # takes the rest
-            assert sum(pid != owner for _, pid in got[1]) <= 1
-            assert len(pool._workers) == 1
-    finally:
-        pool.close()
+def test_an_interrupt_in_the_callers_share_reaches_it(fresh_pool,
+                                                      monkeypatch):
+    # the interrupt leaves the worker's reply unread: whether the pool
+    # keeps that worker or replaces it, the next call gets the right
+    # results from idle workers, and no worker it let go is left unreaped
+    monkeypatch.setattr(workers, "cpu_count", lambda: 2)
+    items = list(zip(range(40)))
+    with pytest.raises(KeyboardInterrupt):
+        list(workers.imap(_interrupted_in, items, 1, os.getpid()))
+    pids = [worker.pid for worker in fresh_pool._workers]
+    assert pids
+    assert list(workers.imap(list, items, 1)) == [[k] for k in range(40)]
+    assert fresh_pool._workers and not any(w.busy for w in fresh_pool._workers)
+    for pid in set(pids) - {w.pid for w in fresh_pool._workers}:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 @needs_fork
