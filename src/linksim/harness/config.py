@@ -386,12 +386,16 @@ def _parse_mux(data: Any, cfg: SimulationConfig,
     kw["loss"] = _parse_loss(kw["loss"], cfg)
     if "trace" in kw and "trace_file" in kw:
         raise ConfigError("mux: give at most one of 'trace' and 'trace_file'")
+    table = _MUX
     if "trace" in kw:
         kw["trace"] = tuple(_trace_row(row, f"mux.trace[{i}]")
                             for i, row in enumerate(kw["trace"]))
     elif "trace_file" in kw:
         kw["trace"] = _load_trace(kw.pop("trace_file"))
-    return _make(MuxSimSpec, "mux", _MUX, **kw)
+        # the rows' errors name the key they were read from
+        table = {**_MUX, "trace_file": ("trace", str)}
+        del table["trace"]
+    return _make(MuxSimSpec, "mux", table, **kw)
 
 
 def _plain(cls: type, section: str, table: Table) -> Callable:

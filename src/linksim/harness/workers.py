@@ -43,6 +43,11 @@ round needs it and serves later rounds, of any function, too: a process
 forks at most ``cpu_count() - 1`` workers, whatever engines it runs.  It
 is a copy of the caller at its fork: caller state set after it, such as
 a monkeypatch, a warning filter or ``np.errstate``, does not reach it.
+A worker keeps the heap it has faulted in: right after its fork it sets
+the C library's malloc policy (``_keep_heap``) so that a share's freed
+arrays stay in the heap for the next share, where glibc's default gave
+them back to the kernel and a mux-baseband worker faulted about 940
+pages back in a share.  The caller's own malloc policy is never changed.
 The package starts no thread of its own, and the pool forks only inside
 a round and runs one round at a time, so callers on several threads
 share its workers safely.
@@ -58,6 +63,7 @@ inherited, and the owner closes its workers at exit.
 from __future__ import annotations
 
 import atexit
+import ctypes
 import os
 import pickle
 import signal
@@ -104,6 +110,29 @@ def _cuts(first: int, last: int, k: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
+def _keep_heap() -> None:
+    """Make the C library keep this worker's freed heap for its next share.
+
+    Out of the box glibc gives the free memory at the heap's top back to
+    the kernel once it passes the trim threshold (128 KiB, or twice the
+    largest mapped block freed so far), so a mux-baseband worker faulted
+    its share's arrays back in, about 940 pages a share.  Both settings
+    are needed: the mmap threshold alone leaves that trimming as it was,
+    and the trim threshold alone freezes the mmap threshold at the 128
+    KiB a fresh process starts with, so every group's arrays would be
+    mapped, and faulted, afresh (about 1970 pages a share).  Without
+    ``mallopt`` (macOS) this does nothing.  Only workers call it: the
+    caller's heap is the user's.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD, glibc's ceiling
+    mallopt(-1, 256 << 20)   # M_TRIM_THRESHOLD
+
+
 def _serve(conn: Connection) -> None:
     """Answer each share read from ``conn`` until it closes: run its
     function on every part, then send what they gave (``_call``), in
@@ -140,6 +169,7 @@ class _Worker:
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 ours.close()
+                _keep_heap()
                 _serve(theirs)
                 code = 0
             finally:

@@ -46,7 +46,7 @@ CROSS_KEY = {
     # with no channels, the trace file's rows name unknown channels (an
     # empty channel row is still refused as its own key)
     ("golden/mux_trace.json", "mux.channels", "[]"):
-        ("mux.channels[", "mux.trace: trace references unknown channel"),
+        ("mux.channels[", "mux.trace_file: trace references unknown channel"),
 }
 
 
@@ -131,6 +131,19 @@ def test_non_finite_trace_file_time(time, tmp_path):
     trace.write_text(f"0.0,0,64\n{time},0,64\n")
     assert _error(_mux(trace_file=str(trace)), "mux-sim") == (
         f"mux.trace_file: {trace}:2: time: expected a finite number, got {time}")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1e-4,0,0", "trace packet sizes must be >= 1"),
+    ("1e-4,0,129", "trace packet sizes must be <= mtu 128"),
+    ("1e-4,5,64", "trace references unknown channel 5"),
+])
+def test_trace_file_rows_name_the_trace_file_key(row, message, tmp_path):
+    # the rows came from the file, so their errors name its key
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"0.0,0,64\n{row}\n")
+    assert _error(_mux(mtu=128, trace_file=str(trace)), "mux-sim") == (
+        f"mux.trace_file: {message}")
 
 
 def test_service_profile_entry_must_be_an_object():

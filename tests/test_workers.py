@@ -16,6 +16,7 @@ parts it was given when the split moved into the pool.
 A worker is a copy of the caller at its fork, so a test that patches what a
 worker runs closes the pool before and after (``fresh_pool``).
 """
+import ctypes
 import json
 import os
 import pickle
@@ -426,6 +427,53 @@ def test_threads_sharing_the_pool_each_get_their_own_results(monkeypatch):
         thread.join(timeout=120)
         assert not thread.is_alive()
     assert got == [[e] * 3 for e in expected]
+
+
+# one fresh interpreter: it frees a 1.6 MB array, as the benchmark's
+# reference kernel does, then runs four rounds of a mux-baseband-like
+# call on two CPUs and prints its worker's minor faults and VmHWM (kB)
+# after each round
+KEEP_HEAP = """
+import json, sys
+from pathlib import Path
+import numpy as np
+from linksim.harness import parse_config, run_mux_sim, workers
+
+def stat(pid):
+    minflt = int(Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[7])
+    status = Path(f"/proc/{pid}/status").read_text()
+    return minflt, int(status.split("VmHWM:")[1].split()[0])
+
+np.random.default_rng(1).standard_normal(200_000)
+workers.cpu_count = lambda: 2
+data = json.loads(Path(sys.argv[1]).read_text())
+data["mux"]["duration_s"] = 0.0003   # 31 copies, a share of 15 or 16
+cfg = parse_config(data, data["scenario"])
+after = []
+for _ in range(4):
+    run_mux_sim(cfg.mux, cfg.master_seed)
+    [worker] = workers._POOL._workers
+    after.append(stat(worker.pid))
+print(json.dumps(after))
+"""
+
+needs_mallopt = pytest.mark.skipif(
+    not (workers.FORK and Path("/proc/self/stat").exists()
+         and hasattr(ctypes.CDLL(None), "mallopt")),
+    reason="needs fork, /proc and the C library's mallopt")
+
+
+@needs_mallopt
+def test_a_worker_keeps_its_heap_between_shares():
+    # with the C library's default policy the worker gave its share's
+    # arrays back at the end of most shares and faulted about 700-940
+    # pages back in at the next
+    out = subprocess.run(
+        [sys.executable, "-c", KEEP_HEAP, str(GOLDEN_DIR / "mux_baseband.json")],
+        capture_output=True, text=True, env=cli_env(), timeout=120, check=True)
+    (faults1, _), (_, hwm2), _, (faults4, hwm4) = json.loads(out.stdout)
+    assert faults4 - faults1 < 3 * 50   # rounds 2-4, under 50 a round
+    assert hwm4 - hwm2 <= 1024
 
 
 def _children(pid):
