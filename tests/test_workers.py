@@ -38,7 +38,7 @@ from linksim.cli import main
 from linksim.errors import ConfigError
 from linksim.harness import (parse_config, rangingrun, run_mux_sim,
                              run_ranging, run_sweep, sweep, workers)
-from linksim.harness.config import RangingSpec
+from linksim.harness.rangingrun import RangingSpec
 from linksim.harness.seeding import stable_seed
 
 REPO = Path(__file__).resolve().parent.parent
