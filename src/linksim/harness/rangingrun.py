@@ -3,8 +3,10 @@
 Each trial draws a true range uniformly from the configured window, builds
 a random full-bandwidth QPSK chip waveform (chips are held for
 sample_rate / bandwidth samples, at most the whole waveform), generates the
-back-scattered signal and estimates the range.  Rows of (trial, true_range,
-est_range, error, peak_quality) make up the result CSV.
+back-scattered signal and estimates the range, searching only the delays
+up to the round trip of ``range_max_m`` (no drawn range lies farther, so a
+peak beyond it could only be a false detection).  Rows of (trial,
+true_range, est_range, error, peak_quality) make up the result CSV.
 
 Trial t draws its range and chips from ``default_rng(stable_seed(master,
 t, 0))`` and its echo noise from ``default_rng(stable_seed(master, t, 1))``.
@@ -170,7 +172,8 @@ def _ranging_share(trials: tuple[int, ...], spec: RangingSpec,
         tx = ranging_waveform(spec.waveform_len, oversample, rng)
         rx = generate_echo(tx, scene, seed=noises[row])
         try:
-            est = echo_range(tx, rx, spec.sample_rate_hz)
+            est = echo_range(tx, rx, spec.sample_rate_hz,
+                             max_range=spec.range_max_m)
             est_range, quality = est.range, est.peak_quality
         except NoTargetError:
             est_range, quality = float("nan"), 0.0

@@ -13,17 +13,22 @@ Two independent measurement paths:
   c / (2 * sample_rate).  Doppler velocity comes from the slope of the
   per-block phase progression of the echo.
 
-The correlation is a fast-convolution matched filter: both N-sample
-waveforms are zero-padded to L, the next power of two at or above 2N - 1,
-so the circular correlation of their spectra has no wrap-around at the
-delays kept (the first N lags).  That costs O(N log N) per search instead
-of the O(N^2) of the direct form, and the transmit spectrum is computed
-once per measurement, however many cancellation passes reuse it.
+The correlation is a fast-convolution matched filter.  A search of the
+delays 0 .. D zero-pads both N-sample waveforms to L, the smallest
+2^a * 3^b * 5^c at or above N + D (the sizes a mixed-radix FFT transforms
+fastest), so the circular correlation of their spectra has no wrap-around
+at the D + 1 delays kept.  That costs O(L log L) per search instead of the
+O(N^2) of the direct form, and the transmit spectrum is computed once per
+measurement, however many cancellation passes reuse it.  A full search
+keeps every delay (D = N - 1); ``echo_range`` given a ``max_range`` keeps
+only the delays up to that range's round trip, the range gate of a radar
+whose targets cannot lie farther.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,7 +97,12 @@ class EchoScene:
 
     @property
     def round_trip_samples(self) -> int:
-        return round(2 * self.true_range / SPEED_OF_LIGHT * self.sample_rate)
+        return _round_trip_samples(self.true_range, self.sample_rate)
+
+
+def _round_trip_samples(distance: float, sample_rate: float) -> int:
+    """The round trip of ``distance`` meters, to the nearest sample."""
+    return round(2 * distance / SPEED_OF_LIGHT * sample_rate)
 
 
 @dataclass(frozen=True)
@@ -190,27 +200,45 @@ def _cancel_self_interference(tx: np.ndarray, rx: np.ndarray,
     return np.subtract(rx, work, out=work)
 
 
-def _matched_filter(tx: np.ndarray) -> np.ndarray:
-    """Conjugate spectrum of ``tx`` zero-padded to the next power of two at
-    or above 2N - 1."""
-    spectrum = np.fft.fft(tx, 1 << (2 * len(tx) - 2).bit_length())
+@lru_cache(maxsize=256)  # a run asks every trial for the same size
+def _fft_size(n: int) -> int:
+    """The smallest 2^a * 3^b * 5^c at or above ``n`` (at least 1)."""
+    best = 1 << (n - 1).bit_length()
+    fives = 1
+    while fives < best:
+        odd = fives
+        while odd < best:  # 3^b * 5^c, times the fewest twos reaching n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        fives *= 5
+    return best
+
+
+def _matched_filter(tx: np.ndarray, lags: int) -> np.ndarray:
+    """Conjugate spectrum of ``tx`` zero-padded to ``_fft_size(N + lags -
+    1)``, the fewest points whose circular correlation leaves the delays
+    0 .. lags-1 free of wrap-around."""
+    spectrum = np.fft.fft(tx, _fft_size(len(tx) + lags - 1))
     return np.conj(spectrum, out=spectrum)
 
 
-def _correlation(matched: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """sum_n work[n + d] * conj(tx[n]) at the delays d = 0 .. N-1, for the
-    ``tx`` whose ``_matched_filter`` is ``matched``."""
+def _correlation(matched: np.ndarray, work: np.ndarray,
+                 lags: int) -> np.ndarray:
+    """sum_n work[n + d] * conj(tx[n]) at the delays d = 0 .. lags-1, for
+    the ``tx`` whose ``_matched_filter`` for ``lags`` is ``matched``."""
     spectrum = np.fft.fft(work, len(matched))
     spectrum *= matched
-    return np.fft.ifft(spectrum, out=spectrum)[:len(work)]
+    return np.fft.ifft(spectrum, out=spectrum)[:lags]
 
 
 def _strongest_echo(tx: np.ndarray, matched: np.ndarray, work: np.ndarray,
-                    sample_rate: float) -> tuple[int, complex, RangeEstimate]:
-    """Delay of the correlation peak of ``work`` against ``tx`` (whose
-    ``_matched_filter`` is ``matched``), the correlation there and the range
-    estimate it gives."""
-    corr = _correlation(matched, work)
+                    sample_rate: float, lags: int
+                    ) -> tuple[int, complex, RangeEstimate]:
+    """Delay of the correlation peak of ``work`` against ``tx`` over the
+    delays 0 .. lags-1 (``matched`` is the ``_matched_filter`` of ``tx``
+    for ``lags``), the correlation there and the range estimate it
+    gives."""
+    corr = _correlation(matched, work, lags)
     mags = np.abs(corr)
     d = int(np.argmax(mags))
     quality = float(min(
@@ -221,12 +249,25 @@ def _strongest_echo(tx: np.ndarray, matched: np.ndarray, work: np.ndarray,
 
 def echo_range(tx: np.ndarray, rx: np.ndarray, sample_rate: float,
                cancel_si: bool = True,
-               peak_threshold: float = DEFAULT_PEAK_THRESHOLD) -> RangeEstimate:
+               peak_threshold: float = DEFAULT_PEAK_THRESHOLD,
+               max_range: float | None = None) -> RangeEstimate:
     """Range from the correlation peak of the (SI-cancelled) echo, to the
-    nearest sample."""
+    nearest sample.
+
+    Every delay of the waveform is searched, or, given ``max_range`` in
+    meters, only the delays up to its round trip (``EchoScene``'s
+    rounding, at most N - 1 samples): a peak beyond it is no target.
+    """
     tx, rx, energy = _echo_pair(tx, rx)
+    lags = len(tx)
+    if max_range is not None:
+        if not 0.0 <= max_range < math.inf:
+            raise ValueError(f"max_range must be finite and >= 0, "
+                             f"got {max_range!r}")
+        lags = min(_round_trip_samples(max_range, sample_rate), lags - 1) + 1
     work = _cancel_self_interference(tx, rx, energy) if cancel_si else rx.copy()
-    _, _, estimate = _strongest_echo(tx, _matched_filter(tx), work, sample_rate)
+    _, _, estimate = _strongest_echo(tx, _matched_filter(tx, lags), work,
+                                     sample_rate, lags)
     if estimate.peak_quality < peak_threshold:
         raise NoTargetError(f"normalized correlation peak "
                             f"{estimate.peak_quality:.3f} below {peak_threshold}")
@@ -244,10 +285,11 @@ def resolve_echoes(tx: np.ndarray, rx: np.ndarray, sample_rate: float,
     """
     tx, rx, energy = _echo_pair(tx, rx)
     work = _cancel_self_interference(tx, rx, energy) if cancel_si else rx.copy()
-    matched = _matched_filter(tx)
+    matched = _matched_filter(tx, len(tx))
     estimates = []
     for _ in range(n_targets):
-        d, peak, estimate = _strongest_echo(tx, matched, work, sample_rate)
+        d, peak, estimate = _strongest_echo(tx, matched, work, sample_rate,
+                                            len(tx))
         estimates.append(estimate)
         shifted = np.zeros_like(work)
         shifted[d:] = tx[: len(tx) - d]

@@ -471,8 +471,10 @@ def two_draw_waveform(n_samples, oversample, rng):
     return np.repeat(chips, oversample)[:n_samples]
 
 
-def reference_ranging(spec, master_seed):
-    """run_ranging's rows with one default_rng per seed, trial by trial."""
+def reference_ranging(spec, master_seed, full_search=False):
+    """run_ranging's rows with one default_rng per seed, trial by trial;
+    with ``full_search`` each trial searches every delay of the waveform,
+    not only those up to ``range_max_m``'s round trip."""
     oversample = max(1, int(round(spec.sample_rate_hz / spec.bandwidth_hz)))
     rows = []
     for trial in range(spec.trials):
@@ -489,8 +491,9 @@ def reference_ranging(spec, master_seed):
             carrier_wavelength=spec.carrier_wavelength_m)
         tx = two_draw_waveform(spec.waveform_len, oversample, rng)
         rx = generate_echo(tx, scene, seed=stable_seed(master_seed, trial, 1))
+        max_range = None if full_search else spec.range_max_m
         try:
-            est = echo_range(tx, rx, spec.sample_rate_hz)
+            est = echo_range(tx, rx, spec.sample_rate_hz, max_range=max_range)
             est_range, quality = est.range, est.peak_quality
         except NoTargetError:
             est_range, quality = float("nan"), 0.0
@@ -550,6 +553,25 @@ class TestRanging:
         expected = reference_ranging(spec, 2 ** 63 + 7)
         np.testing.assert_array_equal(np.array(got), np.array(expected))
         if "reflection_gain_db" in changes:
+            assert any(math.isnan(row[2]) for row in got)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 11])
+    @pytest.mark.parametrize("changes", [
+        {},
+        # the detection edge: some trials find no target
+        {"echo_snr_db": -10.0},
+    ])
+    def test_gate_prints_the_full_search_rows(self, seed, changes):
+        # no range beyond range_max_m is drawn, and a noise peak there is far
+        # below the detection threshold, so the gate moves no printed row
+        raw = json.loads((REPO / "configs" / "ranging.json").read_text())
+        raw["ranging"].update(changes)
+        spec = parse_config(raw, "ranging").ranging
+        got = [astuple(r) for r in run_ranging(spec, seed).records]
+        expected = reference_ranging(spec, seed, full_search=True)
+        assert [[f"{v:.9g}" for v in row] for row in got] == [
+            [f"{v:.9g}" for v in row] for row in expected]
+        if changes:
             assert any(math.isnan(row[2]) for row in got)
 
     # more trials than one block of generators, some finding no target

@@ -9,9 +9,24 @@ from hypothesis import strategies as st
 from linksim.errors import (AmbiguousVelocityError, MeasurementError,
                             NoTargetError)
 from linksim.ranging import (SPEED_OF_LIGHT, EchoScene, TwrExchange,
-                             _correlation, _matched_filter, _strongest_echo,
-                             doppler_velocity, echo_range, generate_echo,
-                             resolve_echoes, simulate_twr_exchange, twr_range)
+                             _correlation, _fft_size, _matched_filter,
+                             _strongest_echo, doppler_velocity, echo_range,
+                             generate_echo, resolve_echoes,
+                             simulate_twr_exchange, twr_range)
+
+
+def smooth_size(n):
+    """Brute force: the first integer at or above ``n`` with no prime
+    factor above 5."""
+    m = n
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
 
 
 def qpsk_waveform(n, seed, oversample=1):
@@ -190,6 +205,48 @@ class TestEchoRange:
         with pytest.raises(NoTargetError):
             echo_range(tx, noise, 1e9, cancel_si=False)
 
+    def test_gate_ignores_a_stronger_echo_beyond_max_range(self):
+        fs = 1e9
+        tx = qpsk_waveform(8192, 15)
+        near = EchoScene(true_range=5.0, sample_rate=fs, bandwidth=500e6,
+                         reflection_gain_db=-6.0)
+        far = EchoScene(true_range=80.0, sample_rate=fs, bandwidth=500e6)
+        rx = generate_echo(tx, near) + generate_echo(tx, far)
+        bound = SPEED_OF_LIGHT / (2 * fs)
+        assert abs(echo_range(tx, rx, fs).range - 80.0) <= bound
+        gated = echo_range(tx, rx, fs, max_range=50.0)
+        assert abs(gated.range - 5.0) <= bound
+        # the window ends at max_range's round trip, to the nearest sample
+        edge = SPEED_OF_LIGHT * far.round_trip_samples / (2 * fs)
+        assert echo_range(tx, rx, fs, max_range=edge).range == edge
+        just_short = SPEED_OF_LIGHT * (far.round_trip_samples - 1) / (2 * fs)
+        assert echo_range(tx, rx, fs, max_range=just_short).range == gated.range
+
+    @pytest.mark.parametrize("n", [1, 2, 301, 4097, 8192])
+    @pytest.mark.parametrize("cancel_si", [True, False])
+    def test_gate_at_or_beyond_the_waveform_is_the_full_search(self, n,
+                                                               cancel_si):
+        fs = 1e9
+        tx = qpsk_waveform(n, n + 2)
+        rng = np.random.default_rng(n)
+        rx = rng.standard_normal(n) + 1j * rng.standard_normal(n) + 3 * tx
+        rx[n // 2:] += 2 * tx[: n - n // 2]
+        full = echo_range(tx, rx, fs, cancel_si=cancel_si, peak_threshold=0.0)
+        # the round trip of max_range is N - 1 samples, or more
+        last = SPEED_OF_LIGHT * (n - 1) / (2 * fs)
+        for max_range in (last, 2 * last + 1.0, 1e300):
+            gated = echo_range(tx, rx, fs, cancel_si=cancel_si,
+                               peak_threshold=0.0, max_range=max_range)
+            assert ((gated.range, gated.peak_quality)
+                    == (full.range, full.peak_quality))
+
+    @pytest.mark.parametrize("max_range", [-1.0, -1e-300, math.nan,
+                                           math.inf, -math.inf])
+    def test_max_range_must_be_finite_and_not_negative(self, max_range):
+        tx = qpsk_waveform(64, 1)
+        with pytest.raises(ValueError, match="max_range"):
+            echo_range(tx, tx, 1e9, max_range=max_range)
+
     def test_two_target_resolution_at_bandwidth_limit(self):
         # separation of c/(2B) = 0.2998 m at B = 500 MHz, critically sampled
         fs = 500e6
@@ -241,23 +298,31 @@ def echo_pairs(draw, max_len=4096):
 
 
 class TestMatchedFilter:
+    def test_fft_size_is_the_smallest_smooth_size(self):
+        assert [_fft_size(n) for n in range(1, 20_001)] == [
+            smooth_size(n) for n in range(1, 20_001)]
+
     @settings(max_examples=60, deadline=None)
-    @given(echo_pairs())
-    @example((np.array([1 + 2j]), np.array([3 - 1j])))
-    @example((np.array([1j, 2.0]), np.array([0.5, -1j])))
-    def test_fft_correlation_matches_direct_form(self, pair):
+    @given(echo_pairs(), st.floats(0.0, 1.0))
+    @example((np.array([1 + 2j]), np.array([3 - 1j])), 1.0)
+    @example((np.array([1j, 2.0]), np.array([0.5, -1j])), 1.0)
+    @example((np.array([1j, 2.0]), np.array([0.5, -1j])), 0.0)
+    def test_fft_correlation_matches_direct_form(self, pair, window):
+        # the delays 0 .. lags-1: every delay, or a gated window of them
         tx, work = pair
         n = len(tx)
-        matched = _matched_filter(tx)
-        # the next power of two at or above 2N - 1
-        assert 2 * n - 1 <= len(matched) < 4 * n - 2
-        assert len(matched) & (len(matched) - 1) == 0
-        reference = direct_correlation(tx, work)
+        lags = 1 + round(window * (n - 1))
+        matched = _matched_filter(tx, lags)
+        # the smallest 2^a * 3^b * 5^c at or above N + lags - 1
+        assert len(matched) == smooth_size(n + lags - 1)
+        reference = direct_correlation(tx, work)[:lags]
         tol = 1e-9 * np.linalg.norm(tx) * np.linalg.norm(work)
-        assert np.all(np.abs(_correlation(matched, work) - reference) <= tol)
+        corr = _correlation(matched, work, lags)
+        assert len(corr) == lags
+        assert np.all(np.abs(corr - reference) <= tol)
         mags = np.sort(np.abs(reference))
-        if n == 1 or mags[-1] - mags[-2] > tol:
-            d, _, _ = _strongest_echo(tx, matched, work, 1e9)
+        if lags == 1 or mags[-1] - mags[-2] > tol:
+            d, _, _ = _strongest_echo(tx, matched, work, 1e9, lags)
             assert d == int(np.argmax(np.abs(reference)))
 
     def test_no_direct_form_correlation(self, monkeypatch):
@@ -304,17 +369,19 @@ def reference_echo(tx, scene):
     return echo
 
 
-def reference_estimates(tx, rx, fs, n_targets, cancel_si):
-    """resolve_echoes' formulas, each step into a new array, unsorted."""
+def reference_estimates(tx, rx, fs, n_targets, cancel_si, lags=None):
+    """resolve_echoes' formulas, each step into a new array, unsorted;
+    each search covers the delays 0 .. lags-1 (all N by default)."""
+    lags = len(tx) if lags is None else lags
     if cancel_si:
         work = rx - (np.vdot(tx, rx) / np.vdot(tx, tx)) * tx
     else:
         work = rx.copy()
     tx_energy = float(np.vdot(tx, tx).real)
-    matched = np.conj(np.fft.fft(tx, 1 << (2 * len(tx) - 2).bit_length()))
+    matched = np.conj(np.fft.fft(tx, smooth_size(len(tx) + lags - 1)))
     estimates = []
     for _ in range(n_targets):
-        corr = np.fft.ifft(np.fft.fft(work, len(matched)) * matched)[:len(work)]
+        corr = np.fft.ifft(np.fft.fft(work, len(matched)) * matched)[:lags]
         mags = np.abs(corr)
         d = int(np.argmax(mags))
         quality = float(min(mags[d] / (np.linalg.norm(tx) * np.linalg.norm(work)
@@ -378,6 +445,15 @@ class TestInPlaceFormulas:
             assert expected[0][1] < 0.3
         else:
             assert (single.range, single.peak_quality) == expected[0]
+        # a 10 m gate: the delays 0 .. 67 at 1 GHz
+        gated = reference_estimates(tx, rx, 1e9, 1, cancel_si, lags=68)[0]
+        try:
+            single = echo_range(tx, rx, 1e9, cancel_si=cancel_si,
+                                max_range=10.0)
+        except NoTargetError:
+            assert gated[1] < 0.3
+        else:
+            assert (single.range, single.peak_quality) == gated
         # the estimators leave their inputs alone
         assert np.array_equal(rx, generate_echo(tx, scene, seed=n))
 
