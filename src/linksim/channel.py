@@ -188,11 +188,12 @@ def add_noise(row: np.ndarray, rng: np.random.Generator, scale: float) -> None:
     The result is ``row + (re + 1j * im) * scale``, bit for bit, with the
     real draws ``re`` taken before the imaginary ones.  Each part is drawn
     into one float buffer, scaled there and added to its half of ``row``:
-    the scale's imaginary part is zero, so each part is rounded once, as in
-    the complex product.
+    for a finite scale, whose imaginary part is zero, each part is rounded
+    once, as in the complex product.
     """
-    if scale == 0.0:
+    if scale == 0.0 or not math.isfinite(scale):
         # the complex product signs each zero noise sample from both draws,
+        # and a non-finite scale's NaNs by its own order of operations,
         # which per-part products cannot
         noise = rng.standard_normal(len(row)) + 1j * rng.standard_normal(len(row))
         noise *= scale

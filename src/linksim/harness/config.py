@@ -280,8 +280,12 @@ def _parse_baseband(data: Any) -> ChainConfig:
 
 
 def _parse_tap(data: Any, path: str) -> ChannelTap:
-    from ..channel import ChannelTap, make_tap
-    return _make(make_tap, path, _TAP, **_read(data, path, _TAP, ChannelTap))
+    from ..channel import ChannelTap, check_power_ratio, make_tap
+    kw = _read(data, path, _TAP, ChannelTap)
+    if "gain_db" in kw:
+        # the channel squares the tap's amplitude into the signal power
+        _make(check_power_ratio, f"{path}.gain_db", {}, kw["gain_db"], "gain_db")
+    return _make(make_tap, path, _TAP, **kw)
 
 
 def _parse_channel(data: Any) -> ChannelModel:

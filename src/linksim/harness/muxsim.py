@@ -19,9 +19,9 @@ identity
 A copy's CRC verdict never feeds back into scheduling, so the event loop
 only records the copies it transmits.  Their verdicts come afterwards, all
 at once, from an iid per-modem loss probability (a stable hash of (channel,
-sequence, modem)) or from one ``link_trials`` call fed the copies as a
-stream (the full baseband + channel pipeline), and ``Mux.receive`` replays
-them in completion order.
+sequence, modem)) or from one ``link_trials`` call fed each key's seed and
+the run's one all-zero payload row (the full baseband + channel pipeline),
+and ``Mux.receive`` replays them in completion order.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from ..mux import (DEFAULT_MTU, DEFAULT_QUEUE_DEPTH, N_MODEMS, DataLinkPacket,
                    LogicalChannel, Mux)
 from ..profiles import ModemCapacity, admit_channels
 from .seeding import stable_seed, stable_uniform
-from .sweep import Frame, genie_knowledge, link_trials
+from .sweep import genie_knowledge, link_trials
 
 #: latency histogram bucket upper edges (seconds); the last bucket is open
 LATENCY_BUCKETS = (1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
@@ -218,26 +218,22 @@ def _histogram(latencies: list[float]) -> tuple[int, ...]:
     return tuple(np.bincount(buckets, minlength=len(LATENCY_BUCKETS) + 1).tolist())
 
 
-def _copies_received(spec: MuxSimSpec, copies: list[tuple[float, int, DataLinkPacket]],
+def _copies_received(spec: MuxSimSpec, keys: list[tuple[int, int, int]],
                      master_seed: int) -> list[bool]:
-    """The CRC verdict of every (done, modem, packet) copy; each draws from
-    its own (channel, sequence, modem) seed, so the batch does not matter."""
-    keys = [(packet.channel_id, packet.sequence_number, modem)
-            for _, modem, packet in copies]
+    """The CRC verdict of every (channel, sequence, modem) copy; each draws
+    from its own key's seed, so the batch does not matter."""
     if isinstance(spec.loss, IidLossModel):
         return [stable_uniform(master_seed, *key) >= spec.loss.per_modem[key[2]]
                 for key in keys]
     cfg, channel = spec.loss.chain, spec.loss.channel
     knowledge = genie_knowledge(cfg, channel)
-
-    def frames() -> Iterator[Frame]:
-        for (_, _, packet), key in zip(copies, keys):
-            payload = np.zeros(cfg.payload_bits, dtype=np.uint8)
-            bits = np.unpackbits(np.frombuffer(packet.payload, dtype=np.uint8))
-            payload[: len(bits)] = bits
-            yield payload, channel, stable_seed(master_seed, *key), knowledge
-
-    _, packet_errors = link_trials(frames(), cfg)
+    # _transmit enqueues bytes(size), so this one row is every copy's payload
+    # (a share pickles it once); item 11's fix for the bias of a constant
+    # payload (ROADMAP) swaps it for a payload seed a copy
+    zeros = np.zeros(cfg.payload_bits, dtype=np.uint8)
+    _, packet_errors = link_trials(
+        ((zeros, channel, stable_seed(master_seed, *key), knowledge)
+         for key in keys), cfg)
     return (packet_errors == 0).tolist()
 
 
@@ -283,13 +279,14 @@ def run_mux_sim(spec: MuxSimSpec, master_seed: int) -> MuxSimResult:
     check_admission(spec)
     mux = Mux(list(spec.channels), mtu=spec.mtu, queue_depth=spec.queue_depth)
     copies = _transmit(spec, mux)
+    keys = [(packet.channel_id, packet.sequence_number, modem)
+            for _, modem, packet in copies]
 
     # per-(channel, seq): [copies_sent, copies_corrupt, delivered]
     fates: dict[tuple[int, int], list[int]] = {}
-    for (now, modem, packet), crc_ok in zip(
-            copies, _copies_received(spec, copies, master_seed)):
-        fate = fates.setdefault((packet.channel_id, packet.sequence_number),
-                                [0, 0, 0])
+    for (now, modem, packet), key, crc_ok in zip(
+            copies, keys, _copies_received(spec, keys, master_seed)):
+        fate = fates.setdefault(key[:2], [0, 0, 0])
         fate[0] += 1
         fate[1] += not crc_ok
         fate[2] |= mux.receive(packet, modem, crc_ok, now) is not None

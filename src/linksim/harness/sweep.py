@@ -18,7 +18,7 @@ call for all of its points, and the baseband-backed mux simulation one
 for every packet copy of a run, after scheduling; both feed it a stream
 of frames, each with its own payload, channel model, noise seed and genie
 knowledge.  A sweep's frames carry the seeds of their payloads, which
-the group's process draws, and a mux copy's frame the bits of its packet.
+the group's process draws, and a mux run's copies one shared zero bit row.
 Its one unit of work is a group of frames, which ``_group`` sends through
 transmit, the channel and the receiver front end and decodes in one
 Viterbi call and one CRC check.  The engine hands the stream to the
@@ -166,9 +166,9 @@ def genie_knowledge(cfg: ChainConfig,
 #: one frame for ``link_trials``: its payload, the channel it goes
 #: through, the seed of that channel's noise and what the genie estimator
 #: is told about that channel.  The payload is a ``uint8`` row of
-#: ``payload_bits`` bits, or the int seed ``random_bits`` draws that row
-#: from, in the process that runs the frame's group; the payloads of one
-#: stream are all rows or all seeds
+#: ``payload_bits`` bits (one zero row shared by a mux-sim run's copies),
+#: or the int seed ``random_bits`` draws that row from, in the process that
+#: runs the frame's group; a stream's payloads are all rows or all seeds
 Frame = tuple[np.ndarray | int, ChannelModel, int, ChannelKnowledge | None]
 
 

@@ -86,8 +86,8 @@ FORK = hasattr(os, "fork")
 #: up to 25 ms against 10 ms of work a link group, so one round of many
 #: parts, not many rounds of one, keeps a long run's time steady.  A
 #: sweep's share carries one int payload seed a frame, not the bits,
-#: so a long round costs no memory; a mux-sim share's bit rows (a byte a
-#: bit) weigh less than one group's waveforms (16 bytes a sample)
+#: and a mux-sim share its run's one zero bit row, pickled once, so a long
+#: round costs no memory
 ROUND_PARTS = 16
 
 

@@ -218,6 +218,12 @@ class TestGroup:
                                complex(-0.0, -0.0), 1e200 + 1e200j, 1 - 1j]]),
                     [ChannelModel(taps=(ChannelTap(0, complex(-0.0, 1e200)),))],
                     [0]))
+    # a row whose power overflows, so the noise scale is not finite and the
+    # noise makes NaNs, signed as the complex product signs them
+    @example(group=(np.array([[1e200j, complex(-0.13210486, 0.104900117)]]),
+                    [ChannelModel(taps=(ChannelTap(0, 1e200j, 1),), snr_db=0.0,
+                                  cfo=0.003, randomize_tap_phases=True)],
+                    [0]))
     # a silent row: zero power, so every noise sample is a signed zero
     @example(group=(np.zeros((1, 1), dtype=complex),
                     [make_preset("coupling-los", snr_db=0.0, phase_offset=-2.0)],

@@ -9,6 +9,7 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -377,6 +378,46 @@ def test_cli_run_time_limit_exits_2_without_traceback(config, path, value,
     assert proc.returncode == 2
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# numeric leaves that only the goldens set, a custom tap's and FD-MMSE's, at
+# the boundary scan's values (ROADMAP item 4); a tap gain also at the levels
+# whose power, or its square in the channel, leaves the float range
+SCAN_INTS = (0, -1, 1, 3, 4097)
+SCAN_FLOATS = (0.0, -1.0, 1e-12, 1e12)
+TAP_GOLDEN = "tests/golden/uncoded_los_tap.json"
+BOUNDARY_SCAN = [
+    (config, path, value)
+    for config, path, values in [
+        (TAP_GOLDEN, ("channel", "taps", 0, "delay"), SCAN_INTS),
+        (TAP_GOLDEN, ("channel", "taps", 0, "bounce_count"), SCAN_INTS),
+        (TAP_GOLDEN, ("channel", "taps", 0, "phase_deg"), SCAN_FLOATS),
+        (TAP_GOLDEN, ("channel", "taps", 0, "gain_db"),
+         SCAN_FLOATS + (-1e12, 6000.0, 6200.0)),
+        ("tests/golden/pilot_ls_fd_mmse_mild.json",
+         ("baseband", "equalizer", "noise_variance_hint"), SCAN_FLOATS)]
+    for value in values]
+
+
+@pytest.mark.parametrize("config, path, value", BOUNDARY_SCAN,
+                         ids=[f"{Path(config).stem}:{_dotted(path)}={value!r}"
+                              for config, path, value in BOUNDARY_SCAN])
+def test_cli_boundary_value_exits_0_or_2_without_traceback(config, path, value,
+                                                           tmp_path, capsys):
+    data = _replaced(json.loads((REPO / config).read_text()), path, value)
+    data["sweep"]["trials"] = 2
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    # an overflow warns before it raises, so a warning fails the run too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([data["scenario"], "--config", str(bad),
+                     "--out", str(tmp_path / "o.csv")])
+    assert code in (0, 2)
+    if code == 2:
+        # the error names the leaf or a key it belongs to
+        named = capsys.readouterr().err.removeprefix("config error: ")
+        assert _dotted(path).startswith(named.split(":", 1)[0])
 
 
 def test_a_sweep_replaces_the_channel_snr():

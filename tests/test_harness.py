@@ -326,6 +326,27 @@ class TestMuxSim:
         assert s.enqueued == 50
         assert s.delivered + s.lost_packets == s.enqueued
 
+    def test_every_baseband_copy_carries_one_zero_payload_row(self,
+                                                              monkeypatch):
+        # packets carry zero bytes, so one all-zero row built once a run is
+        # every copy's payload
+        cfg = parse_config(json.loads(
+            (REPO / "tests" / "golden" / "mux_baseband.json").read_text()),
+            "mux-sim")
+        payloads, link_trials = [], muxsim.link_trials
+
+        def spy(frames, chain):
+            frames = list(frames)
+            payloads.extend(payload for payload, _, _, _ in frames)
+            return link_trials(frames, chain)
+
+        monkeypatch.setattr(muxsim, "link_trials", spy)
+        run_mux_sim(cfg.mux, cfg.master_seed)
+        row = payloads[0]
+        assert len(payloads) > 1 and all(p is row for p in payloads)
+        assert row.dtype == np.uint8 and row.shape == (cfg.chain.payload_bits,)
+        assert not row.any()
+
     def test_deadline_pressure_counts_misses(self):
         ch = LogicalChannel(0, SP1, deadline=6e-6, redundancy=Redundancy.SINGLE)
         spec = MuxSimSpec(channels=(ch,),

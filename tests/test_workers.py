@@ -299,6 +299,28 @@ def test_an_unpicklable_share_is_refused_and_the_worker_serves_on(
 
 
 @needs_fork
+def test_a_mux_sim_share_pickles_one_payload_row(fresh_pool, monkeypatch):
+    # every copy's frame holds the run's one zero row, and pickle keeps one
+    # object once, so a share carries it once whatever its frame count
+    monkeypatch.setattr(workers, "cpu_count", lambda: 2)
+    shares, send = [], workers._Worker.send
+
+    def spy(worker, fn, parts):
+        shares.append(pickle.loads(pickle.dumps(parts, pickle.HIGHEST_PROTOCOL)))
+        return send(worker, fn, parts)
+
+    monkeypatch.setattr(workers._Worker, "send", spy)
+    cfg = parse_config(json.loads((GOLDEN_DIR / "mux_baseband.json").read_text()),
+                       "mux-sim")
+    run_mux_sim(cfg.mux, cfg.master_seed)
+    assert shares
+    for parts in shares:
+        payloads = [row for part in parts for row in part[0]]
+        assert len(payloads) > 1
+        assert len({id(row) for row in payloads}) == 1
+
+
+@needs_fork
 def test_one_worker_serves_both_engines(fresh_pool, monkeypatch):
     # the package has one pool: a sweep and then a ranging run on two CPUs
     # fork one worker between them, and it answers both
