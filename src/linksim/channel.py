@@ -14,6 +14,7 @@ and fully determines the noise (and optional tap-phase) draws.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -127,18 +128,26 @@ _POWER_ROWS = 8
 
 
 def apply_channel(tx: np.ndarray, models: Sequence[ChannelModel],
-                  seeds: Sequence[int]) -> np.ndarray:
+                  seeds: Sequence[int],
+                  rows: Sequence[int] | None = None) -> np.ndarray:
     """Convolve, rotate and add noise; output length = input + max delay.
 
-    A ``(frames, samples)`` group takes one model and one noise seed per
-    row, all models of one delay spread, and returns one ``(frames,
-    samples + max_delay)`` matrix; a lone waveform is a group of one, a
-    ``(1, samples)`` matrix.  Each row is what it gets alone: the
-    generator ``np.random.default_rng`` makes of its seed draws its tap
-    phases and then its noise, the real part before the imaginary part.
-    The group's generator states are derived at once and played in turn on
-    one generator (``rng.SeededGenerators``); a row that draws tap phases
-    carries its state on to its noise.
+    A group of frames takes one model and one noise seed per frame, all
+    models of one delay spread, and returns one ``(frames, samples +
+    max_delay)`` matrix.  ``tx`` is a ``(waveforms, samples)`` matrix, and
+    frame r sends its row ``rows[r]``, row r by default; a lone waveform is
+    a group of one, a ``(1, samples)`` matrix.  Each frame is what it gets
+    alone: the generator ``np.random.default_rng`` makes of its seed draws
+    its tap phases and then its noise, the real part before the imaginary
+    part.  The group's generator states are derived at once and played in
+    turn on one generator (``rng.SeededGenerators``); a frame that draws
+    tap phases carries its state on to its noise.
+
+    Frames that send one row of ``tx`` through one model object share its
+    noiseless work: the taps, the CFO and phase rotation and the row's
+    power are computed once, for the pair's row, and copied to its other
+    frames, which then draw only their own noise.  A model that draws tap
+    phases gives each frame its own taps, so its frames share nothing.
     """
     tx = np.ascontiguousarray(tx, dtype=np.complex128)
     if tx.ndim != 2:
@@ -146,39 +155,62 @@ def apply_channel(tx: np.ndarray, models: Sequence[ChannelModel],
                          "samples) matrix")
     if tx.shape[1] == 0:
         raise ValueError("input waveform must be non-empty")
-    if len(models) != len(tx) or len(seeds) != len(tx):
-        raise ValueError(f"{len(tx)} frames need one model and one seed each, "
+    rows = range(len(tx)) if rows is None else [operator.index(r) for r in rows]
+    if len(models) != len(rows) or len(seeds) != len(rows):
+        raise ValueError(f"{len(rows)} frames need one model and one seed each, "
                          f"got {len(models)} models and {len(seeds)} seeds")
+    if any(not 0 <= row < len(tx) for row in rows):
+        raise ValueError(f"rows must index the {len(tx)} rows of tx")
     spreads = {model.max_delay for model in models}
     if len(spreads) > 1:
         raise ValueError(f"a group's models must share one delay spread, "
                          f"got max delays {sorted(spreads)}")
     delay = max(spreads, default=0)
-    rx = np.empty((len(tx), tx.shape[1] + delay), dtype=np.complex128)
+    rx = np.empty((len(rows), tx.shape[1] + delay), dtype=np.complex128)
     rngs = SeededGenerators(seeds)
     fixed: dict[int, np.ndarray] = {}   # id(model) -> response, no phase draws
-    responses = []
-    for r, model in enumerate(models):
-        if model.randomize_tap_phases:
-            responses.append(impulse_response(model, rngs[r]))
-            rngs.keep(r)
-        else:
-            if id(model) not in fixed:
-                fixed[id(model)] = impulse_response(model)
-            responses.append(fixed[id(model)])
+    pairs: dict = {}   # (tx row, id(model)), or a phase-drawing frame -> pair
+    pair_of, sources, pair_models, responses = [], [], [], []
+    for r, (row, model) in enumerate(zip(rows, models)):
+        key = r if model.randomize_tap_phases else (row, id(model))
+        if key not in pairs:
+            pairs[key] = len(pairs)
+            sources.append(row)
+            pair_models.append(model)
+            if model.randomize_tap_phases:
+                responses.append(impulse_response(model, rngs[r]))
+                rngs.keep(r)
+            else:
+                if id(model) not in fixed:
+                    fixed[id(model)] = impulse_response(model)
+                responses.append(fixed[id(model)])
+        pair_of.append(pairs[key])
+    # pair p's noiseless row is made in row p of rx: pairs are numbered in
+    # the order of their first frames, so p is at most its first frame
+    clean = rx[: len(pairs)]
+    if sources != list(range(len(tx))):
+        tx = tx[sources]
     if delay == 0:   # one-tap responses are scaled, not convolved
-        _scale(tx, np.array([h[0] for h in responses]), rx)
+        _scale(tx, np.array([h[0] for h in responses]), clean)
     else:
-        for row, frame, h in zip(rx, tx, responses):
+        for row, frame, h in zip(clean, tx, responses):
             row[:] = np.convolve(frame, h)
-    for row, model in zip(rx, models):
+    for row, model in zip(clean, pair_models):
         if model.cfo != 0.0 or model.phase_offset != 0.0:
             n = np.arange(len(row))
             row *= np.exp(1j * (model.cfo * n + model.phase_offset))
-    noisy = [r for r, m in enumerate(models) if m.snr_db is not None]
-    for r, power in zip(noisy, _row_power(rx, noisy)):
-        sigma2 = power / 10.0 ** (models[r].snr_db / 10.0)
-        add_noise(rx[r], rngs[r], math.sqrt(sigma2 / 2.0))
+    noisy = [p for p, m in enumerate(pair_models) if m.snr_db is not None]
+    power = dict(zip(noisy, _row_power(clean, noisy)))
+    # each frame, the last first, copies its pair's row and adds its own
+    # noise: a frame's pair is at most its own number, so the row it copies
+    # is one that no higher-numbered frame has written
+    for r in range(len(rx) - 1, -1, -1):
+        p, model = pair_of[r], models[r]
+        if p != r:
+            rx[r] = rx[p]
+        if model.snr_db is not None:
+            sigma2 = power[p] / 10.0 ** (model.snr_db / 10.0)
+            add_noise(rx[r], rngs[r], math.sqrt(sigma2 / 2.0))
     return rx
 
 

@@ -21,11 +21,14 @@ knowledge.  A sweep's frames carry the seeds of their payloads, which
 the group's process draws, and a mux run's copies one shared zero bit row.
 Its one unit of work is a group of frames, which ``_group`` sends through
 transmit, the channel and the receiver front end and decodes in one
-Viterbi call and one CRC check.  The engine hands the stream to the
-package's worker pool (``workers.imap``, whose docstring states the
-split), which draws a round of frames at a time and runs it over the CPUs
-in groups, each share of at least ``MIN_SHARE`` frames; the results come
-back in stream order, a round before the next is drawn.
+Viterbi call and one CRC check.  Frames of a group that carry one payload
+share its transmitted row, and those that also share a channel model
+share its noiseless channel row; only the noise is each frame's own.
+The engine hands the stream to the package's worker pool
+(``workers.imap``, whose docstring states the split), which draws a round
+of frames at a time and runs it over the CPUs in groups, each share of at
+least ``MIN_SHARE`` frames; the results come back in stream order, a round
+before the next is drawn.
 A group is bounded by what it costs to hold: at most ``GROUP_FRAMES``
 frames, the rows of the front end's matrices, at most ``GROUP_SAMPLES``
 samples of transmitted frames, which size those rows, and at most
@@ -168,7 +171,9 @@ def genie_knowledge(cfg: ChainConfig,
 #: is told about that channel.  The payload is a ``uint8`` row of
 #: ``payload_bits`` bits (one zero row shared by a mux-sim run's copies),
 #: or the int seed ``random_bits`` draws that row from, in the process that
-#: runs the frame's group; a stream's payloads are all rows or all seeds
+#: runs the frame's group; a stream's payloads are all rows or all seeds.
+#: Frames of a group with equal payloads are transmitted once, and those
+#: that also hold one model object share its noiseless channel row
 Frame = tuple[np.ndarray | int, ChannelModel, int, ChannelKnowledge | None]
 
 
@@ -184,7 +189,9 @@ def link_trials(frames: Iterable[Frame], cfg: ChainConfig
 
     The stream goes to the package's worker pool (``workers.imap``), which
     draws it a round at a time and runs ``_group`` on groups of at most
-    ``_chunk(cfg)`` frames.  A worker is a copy of the caller at its
+    ``_chunk(cfg)`` frames, each of which transmits each distinct payload
+    once and computes each noiseless (payload, model) row once; every
+    frame draws its own noise.  A worker is a copy of the caller at its
     fork, so caller state set after it (a monkeypatch, a warning filter,
     ``np.errstate``) does not reach it, and an exception it raises is
     raised here with its own type.
@@ -206,18 +213,29 @@ def _group(payloads: tuple, models: tuple[ChannelModel, ...],
     """Per-frame (bit errors, packet failed) of one group of frames, sent
     through transmit, the channel and the receiver front end, and its
     received frames through one ``decode_frames`` call (none when every
-    frame is lost).  ``payloads`` is the group's bit rows, stacked here,
-    or their int seeds, which one ``random_bits`` call draws here."""
-    payloads = (random_bits(payloads, cfg.payload_bits)
-                if np.ndim(payloads[0]) == 0 else np.array(payloads))
-    rx = apply_channel(tx_chain(payloads, cfg), models, seeds)
+    frame is lost).  ``payloads`` is the group's bit rows or their int
+    seeds, which one ``random_bits`` call draws here.
+
+    Frames that carry one payload (one seed, or equal bit rows) share one
+    ``tx_chain`` row, and those that also share a channel model share its
+    noiseless channel work (``apply_channel``); each still draws its own
+    noise, so the results are those of frames sent one at a time."""
+    seeded = np.ndim(payloads[0]) == 0
+    distinct: dict = {}   # a payload's seed or bytes -> (its row, the payload)
+    rows = np.array([distinct.setdefault(p if seeded else p.tobytes(),
+                                         (len(distinct), p))[0]
+                     for p in payloads])
+    unique = [p for _, p in distinct.values()]
+    bits = random_bits(unique, cfg.payload_bits) if seeded else np.array(unique)
+    rx = apply_channel(tx_chain(bits, cfg), models, seeds, rows)
     soft_bits, _, received = rx_front_end(rx, cfg, knowledge)
     del rx   # the group's waveforms are not needed while decoding
     errors = np.full(len(payloads), cfg.payload_bits)
     failed = ~received
     if len(soft_bits):
         decoded = decode_frames(soft_bits, cfg)
-        wrong = np.count_nonzero(decoded.info_bits != payloads[received], axis=1)
+        wrong = np.count_nonzero(decoded.info_bits != bits[rows[received]],
+                                 axis=1)
         errors[received] = wrong
         failed[received] = (wrong > 0) | (decoded.codewords_failed > 0)
     return errors, failed

@@ -22,7 +22,11 @@ from linksim.channel import estimate_frequency_response, make_preset
 from linksim.harness import (IidLossModel, MuxSimSpec, PeriodicTraffic,
                              SweepSpec, latency_budget, parse_config,
                              run_mux_sim, run_sweep)
-from linksim.harness.sweep import genie_knowledge, link_trials
+from linksim.baseband.chain import decode_frames, rx_front_end, tx_chain
+from linksim.channel import apply_channel
+from linksim.harness.seeding import stable_seed
+from linksim.harness.sweep import genie_knowledge, link_trials, snr_for_axis
+from linksim.rng import random_bits
 from linksim.mux import LogicalChannel, Redundancy
 from linksim.profiles import (SERVICE_PROFILES, ModemCapacity,
                               required_resources)
@@ -223,6 +227,108 @@ def test_criterion_5_latency_budget_and_coding_gain():
            f"{budget.total * 1e6:.2f} us < 50 us; coded ber {coded.ber:.2e} "
            f"vs uncoded {uncoded.ber:.2e} at Eb/N0 {ebn0} dB "
            f"({coded.bits} coded bits)")
+
+
+def information_weights(codec, d_max):
+    """c_d for d = 0..d_max: the summed information weight of the trellis
+    paths that leave the zero state and first return to it with output
+    weight d, by a search over the trellis of ``codec``'s generators.
+
+    A register holds the input bit at its top and the K-1 bits before it
+    below, as ``conv_encode_batch`` reads its taps; the state is the K-1
+    bits, and a step shifts the register down by one.
+    """
+    k = codec.constraint_length
+    states = 1 << (k - 1)
+
+    def weight(register):
+        return sum(bin(g & register).count("1") % 2 for g in codec.generators)
+
+    c = np.zeros(d_max + 1, dtype=np.int64)
+    # paths at each (state, output weight) so far, and their input weight
+    paths = np.zeros((states, d_max + 1), dtype=np.int64)
+    inputs = np.zeros_like(paths)
+    diverge = weight(1 << (k - 1))   # a 1 leaves the zero state
+    paths[states >> 1, diverge] = inputs[states >> 1, diverge] = 1
+    for _ in range(64 * states):   # a catastrophic code would loop at weight 0
+        if not paths.any():
+            return c
+        moved_paths, moved_inputs = np.zeros_like(paths), np.zeros_like(inputs)
+        for state in range(1, states):
+            for bit in (0, 1):
+                register = bit << (k - 1) | state
+                w = weight(register)
+                if w > d_max:
+                    continue
+                count = paths[state, : d_max + 1 - w]
+                info = inputs[state, : d_max + 1 - w] + bit * count
+                if register >> 1 == 0:
+                    c[w:] += info
+                else:
+                    moved_paths[register >> 1, w:] += count
+                    moved_inputs[register >> 1, w:] += info
+        paths, inputs = moved_paths, moved_inputs
+    raise AssertionError("the trellis search did not end: a catastrophic code?")
+
+
+def payload_errors(cfg, model, frames, seed, group=30):
+    """The (frames, payload_bits) error mask of ``frames`` frames through
+    ``model``, and whether every frame was received.  Frame t has the
+    payload and noise seeds of trial t at the first point of a sweep with
+    master seed ``seed``: stable_seed(seed, 0, t, 0 or 1)."""
+    knowledge = genie_knowledge(cfg, model)
+    masks, received = [], True
+    for start in range(0, frames, group):
+        trials = range(start, min(start + group, frames))
+        bits = random_bits([stable_seed(seed, 0, t, 0) for t in trials],
+                           cfg.payload_bits)
+        rx = apply_channel(tx_chain(bits, cfg), [model] * len(trials),
+                           [stable_seed(seed, 0, t, 1) for t in trials])
+        soft, _, got = rx_front_end(rx, cfg, [knowledge] * len(trials))
+        received &= bool(got.all())
+        masks.append(decode_frames(soft, cfg).info_bits != bits[got])
+    return np.concatenate(masks), received
+
+
+def test_criterion_5_coded_ber_within_its_union_bound():
+    """Coded BER at 3 dB Eb/N0 on a flat channel is at most the
+    soft-decision union bound and within a factor FLOOR below it."""
+    codec = CodecConfig()
+    c = information_weights(codec, 18)
+    ok = c[10] == 36 and c[12] == 211
+    # the sum stops at d = 18 (the five terms c_10..c_18), which only
+    # lowers the bound the BER is checked against
+    ebn0 = 3.0
+    x = float(codec.code_rate) * 10 ** (ebn0 / 10)
+    bound = sum(c_d * q_function(math.sqrt(2 * d * x))
+                for d, c_d in enumerate(c.tolist()))
+    cfg = ChainConfig.for_payload(
+        4 * 992, correct_cfo=False, track_pilot_phase=False, timing_search=8)
+    model = make_preset("coupling-los",
+                        snr_db=snr_for_axis(ebn0, "ebn0_db", cfg))
+    wrong, received = payload_errors(cfg, model, frames=300, seed=77)
+    ok &= received
+    # an error event ends once K-1 correct bits have shifted through, and
+    # never spans two codewords; its bits are not independent, so the
+    # interval counts events, each of the mean burst's bits
+    k, capacity = codec.constraint_length, codec.info_capacity
+    events = 0
+    for row in wrong:
+        at = np.flatnonzero(row)
+        events += (len(at) > 0) + np.count_nonzero(
+            (np.diff(at) >= k) | (np.diff(at // capacity) != 0))
+    errors, bits = int(wrong.sum()), wrong.size
+    ber = errors / bits
+    burst = errors / max(events, 1)
+    half = 3.0 * math.sqrt(events) * burst / bits
+    FLOOR = 4.0
+    ok &= events >= 20 and ber - half <= bound <= FLOOR * (ber + half)
+    report(5, ok,
+           f"coded ber {ber:.3e} vs union bound {bound:.3e} at Eb/N0 "
+           f"{ebn0} dB: ratio {ber / bound:.2f} (floor 1/{FLOOR:g}); "
+           f"{errors} bit errors in {events} events of mean burst "
+           f"{burst:.1f} bits (3sigma={half:.1e}) over {bits} bits; "
+           f"c_10 {c[10]}, c_12 {c[12]}")
 
 
 def test_criterion_6_resource_formula():

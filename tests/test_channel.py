@@ -189,54 +189,78 @@ channels = st.builds(
 
 @st.composite
 def groups(draw):
-    """(tx, models, seeds): 1-40 rows over a pool of 1-4 models of one
-    delay spread, so rows share model objects, with ±0.0 and huge values
-    scattered over a random waveform."""
+    """(tx, models, seeds, rows): 1-40 frames over a pool of 1-4 models of
+    one delay spread, so frames share model objects, with ±0.0 and huge
+    values scattered over a random waveform.  ``rows`` is None, one tx row
+    a frame, or maps the frames onto 1-40 tx rows with repeats, so frames
+    share (row, model) pairs."""
     pool = draw(st.lists(channels, min_size=1, max_size=4))
     pool = [model for model in pool if model.max_delay == pool[0].max_delay]
-    rows = draw(st.integers(1, 40))
+    frames = draw(st.integers(1, 40))
+    sent = draw(st.one_of(st.none(), st.integers(1, 40)))
     n = draw(st.integers(1, 600))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    tx = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    count = frames if sent is None else sent
+    tx = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
     for r, k, re, im in draw(st.lists(st.tuples(
-            st.integers(0, rows - 1), st.integers(0, n - 1), parts, parts),
+            st.integers(0, count - 1), st.integers(0, n - 1), parts, parts),
             max_size=20)):
         tx[r, k] = complex(re, im)
-    models = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(rows)]
-    seeds = draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=rows,
-                          max_size=rows))
-    return tx, models, seeds
+    rows = None if sent is None else draw(st.lists(
+        st.integers(0, sent - 1), min_size=frames, max_size=frames))
+    models = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(frames)]
+    seeds = draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=frames,
+                          max_size=frames))
+    return tx, models, seeds, rows
+
+
+# one multi-tap model object, which two frames of an example below share
+HARSH = make_preset("coupling-harsh", snr_db=3.0, cfo=0.002, phase_offset=0.4)
 
 
 class TestGroup:
     """A ``(frames, samples)`` group through the channel, one model and one
-    seed a row, gives every row what the per-row reference gives it."""
+    seed a frame, gives every frame what the per-row reference gives its
+    row of ``tx``; frames that send one row through one model share its
+    noiseless work and still draw their own noise."""
 
     @settings(max_examples=150, deadline=None)
     @given(group=groups())
+    # signed zeros and overflow to NaN, sent by three frames through one
+    # one-tap model
     @example(group=(np.array([[0j, complex(-0.0, 0.0), complex(0.0, -0.0),
                                complex(-0.0, -0.0), 1e200 + 1e200j, 1 - 1j]]),
-                    [ChannelModel(taps=(ChannelTap(0, complex(-0.0, 1e200)),))],
-                    [0]))
+                    [ChannelModel(taps=(ChannelTap(0, complex(-0.0, 1e200)),))] * 3,
+                    [0, 1, 2], [0, 0, 0]))
     # a row whose power overflows, so the noise scale is not finite and the
-    # noise makes NaNs, signed as the complex product signs them
+    # noise makes NaNs, signed as the complex product signs them; the model
+    # draws tap phases, so its two frames share nothing
     @example(group=(np.array([[1e200j, complex(-0.13210486, 0.104900117)]]),
                     [ChannelModel(taps=(ChannelTap(0, 1e200j, 1),), snr_db=0.0,
-                                  cfo=0.003, randomize_tap_phases=True)],
-                    [0]))
-    # a silent row: zero power, so every noise sample is a signed zero
-    @example(group=(np.zeros((1, 1), dtype=complex),
-                    [make_preset("coupling-los", snr_db=0.0, phase_offset=-2.0)],
-                    [0]))
+                                  cfo=0.003, randomize_tap_phases=True)] * 2,
+                    [0, 1], [0, 0]))
+    # a silent row: zero power, so every noise sample is a signed zero;
+    # two frames share it, a third sends the other row
+    @example(group=(np.array([[0j], [1 + 1j]]),
+                    [make_preset("coupling-los", snr_db=0.0, phase_offset=-2.0)] * 3,
+                    [0, 1, 2], [0, 1, 0]))
+    # multi-tap: one pair of two frames beside frames of their own, one
+    # with its own tap phases and one with another model
+    @example(group=(np.exp(1j * np.arange(60.0)).reshape(2, 30),
+                    [HARSH, make_preset("coupling-harsh",
+                                        randomize_tap_phases=True), HARSH,
+                     make_preset("coupling-harsh", snr_db=-5.0)],
+                    [5, 6, 7, 8], [1, 1, 1, 0]))
     def test_each_row_is_the_per_row_reference(self, group):
-        tx, models, seeds = group
+        tx, models, seeds, rows = group
+        sent = tx if rows is None else tx[rows]
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = apply_channel(tx, models, seeds)
+            got = apply_channel(tx, models, seeds, rows)
             expected = [reference_channel(row, model, seed)
-                        for row, model, seed in zip(tx, models, seeds)]
-            alone = apply_channel(tx[:1], models[:1], seeds[:1])[0]
-        assert rows.shape == (len(tx), tx.shape[1] + models[0].max_delay)
-        for row, want in zip(rows, expected):
+                        for row, model, seed in zip(sent, models, seeds)]
+            alone = apply_channel(sent[:1], models[:1], seeds[:1])[0]
+        assert got.shape == (len(sent), tx.shape[1] + models[0].max_delay)
+        for row, want in zip(got, expected):
             assert same_bits(row, want)
         assert same_bits(alone, expected[0])
 
@@ -258,6 +282,17 @@ class TestGroup:
             apply_channel(np.ones((3, 10), complex), [los_model()] * 2, [0] * 3)
         with pytest.raises(ValueError):
             apply_channel(np.ones((3, 10), complex), [los_model()] * 3, [0] * 2)
+
+    def test_one_tx_row_a_frame_within_tx(self):
+        tx, models = np.ones((2, 10), complex), [los_model()] * 3
+        # a rows map of the wrong length: its frames are not the models'
+        with pytest.raises(ValueError, match="2 frames need one model"):
+            apply_channel(tx, models, [0, 1, 2], [0, 1])
+        with pytest.raises(ValueError, match="3 frames need one model"):
+            apply_channel(tx, models[:2], [0, 1], [0, 1, 1])
+        for past in (2, -1):
+            with pytest.raises(ValueError, match="index the 2 rows of tx"):
+                apply_channel(tx, models, [0, 1, 2], [0, past, 1])
 
     def test_a_group_shares_one_delay_spread(self):
         models = [make_preset("coupling-harsh"), make_preset("coupling-mild")]

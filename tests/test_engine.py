@@ -62,10 +62,20 @@ def _mixed_trials(cfg):
             for f, (payload, (model, seed)) in enumerate(zip(payloads, channels))]
 
 
-@pytest.mark.parametrize("name", CHAINS)
-def test_batch_gives_each_trial_its_one_row_result(name):
+@pytest.mark.parametrize("name, shared", [
+    (name, shared) for shared in (False, True) for name in CHAINS],
+    ids=[*CHAINS, *(f"{name}-shared" for name in CHAINS)])
+def test_batch_gives_each_trial_its_one_row_result(name, shared):
     cfg = CHAINS[name]
     frames = _mixed_trials(cfg)
+    if shared:
+        # frames f and f + 3 carry one payload row, and the last two also
+        # one model object, so lost frames sit among shared rows
+        frames = [(frames[f % 3][0], *frame[1:])
+                  for f, frame in enumerate(frames)]
+        harsh = make_preset("coupling-harsh", snr_db=3.0)
+        frames += [(frames[0][0], harsh, seed, frames[0][3])
+                   for seed in (40, 41)]
     errors, lost = sweep.link_trials(frames, cfg)
     alone = [sweep.link_trials([frame], cfg) for frame in frames]
     assert errors.tolist() == [int(e[0]) for e, _ in alone]
@@ -191,6 +201,42 @@ def test_zero_response_knowledge_loses_every_frame_of_a_batch():
     errors, lost = sweep.link_trials(frames, cfg)
     assert errors.tolist() == [cfg.payload_bits] * len(frames)
     assert lost.tolist() == [1] * len(frames)
+
+
+@pytest.mark.parametrize("payloads, pairs", [
+    # a sweep's frames: every payload seed distinct, so nothing is shared
+    ((11, 12, 13, 14, 15, 16), 6),
+    # seeds 11 and 12 repeat; the frames of seed 11 go through two models
+    ((11, 12, 11, 12, 11, 13), 4),
+], ids=["distinct", "repeated"])
+def test_a_group_sends_and_convolves_each_payload_and_pair_once(
+        payloads, pairs, monkeypatch):
+    cfg = CHAINS["coded"]
+    mild = make_preset("coupling-mild", snr_db=4.0)
+    models = (mild, mild, mild, mild, replace(mild, snr_db=6.0), mild)
+    knowledge = tuple(sweep.genie_knowledge(cfg, m) for m in models)
+    seeds = tuple(range(len(payloads)))
+    sent, convolved = [], []
+    tx_chain, convolve = sweep.tx_chain, np.convolve
+
+    def tx_spy(bits, cfg):
+        sent.append(len(bits))
+        return tx_chain(bits, cfg)
+
+    def convolve_spy(*args, **kwargs):
+        convolved.append(1)
+        return convolve(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "tx_chain", tx_spy)
+    monkeypatch.setattr(np, "convolve", convolve_spy)
+    errors, failed = sweep._group(payloads, models, seeds, knowledge, cfg)
+    assert sent == [len(set(payloads))]
+    assert len(convolved) == pairs
+    # each frame gets what it gets alone
+    monkeypatch.undo()
+    for f, frame in enumerate(zip(payloads, models, seeds, knowledge)):
+        alone = sweep._group(*zip(frame), cfg)
+        assert (errors[f], failed[f]) == (alone[0][0], alone[1][0])
 
 
 def test_engine_decodes_each_group_before_drawing_the_next(monkeypatch):

@@ -321,6 +321,65 @@ def test_a_mux_sim_share_pickles_one_payload_row(fresh_pool, monkeypatch):
 
 
 @needs_fork
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_mux_sim_group_sends_and_convolves_each_shared_pair_once(
+        cpus, fresh_pool, tmp_path, monkeypatch):
+    # every copy of a baseband mux run carries the run's one zero row
+    # through one channel model, so each group, in the caller or in a
+    # worker, gives tx_chain one row and convolves once.  The spies log to
+    # a file, which a forked worker appends to as well
+    log = tmp_path / "calls.jsonl"
+    tx_chain, convolve, apply_channel = (sweep.tx_chain, np.convolve,
+                                         sweep.apply_channel)
+    convolved = []   # this process's np.convolve calls
+
+    def record(*fields):
+        with open(log, "a") as f:
+            f.write(json.dumps([os.getpid(), *fields]) + "\n")
+
+    def tx_spy(bits, cfg):
+        record("tx", len(bits), len({row.tobytes() for row in bits}),
+               int(bits.any()))
+        return tx_chain(bits, cfg)
+
+    def convolve_spy(*args, **kwargs):
+        convolved.append(1)
+        return convolve(*args, **kwargs)
+
+    def apply_spy(tx, models, seeds, *rows):
+        before = len(convolved)
+        out = apply_channel(tx, models, seeds, *rows)
+        sent = rows[0] if rows else range(len(tx))
+        record("channel", len(models), len(convolved) - before,
+               len({(int(r), id(m)) for r, m in zip(sent, models)}))
+        return out
+
+    monkeypatch.setattr(sweep, "tx_chain", tx_spy)
+    monkeypatch.setattr(np, "convolve", convolve_spy)
+    monkeypatch.setattr(sweep, "apply_channel", apply_spy)
+    monkeypatch.setattr(workers, "cpu_count", lambda: cpus)
+    out = tmp_path / "mux_baseband.csv"
+    assert main(["mux-sim", "--config", str(GOLDEN_DIR / "mux_baseband.json"),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / "mux_baseband.csv").read_bytes()
+    calls = [json.loads(line) for line in log.read_text().splitlines()]
+    assert len({pid for pid, *_ in calls}) == cpus
+    groups = [[event for pid, *event in calls if pid == p]
+              for p in dict.fromkeys(pid for pid, *_ in calls)]
+    sizes = []
+    for events in groups:
+        for sent, channel in zip(events[::2], events[1::2]):
+            # one distinct zero payload, sent as one row
+            assert sent == ["tx", 1, 1, 0]
+            name, frames, convolutions, pairs = channel
+            assert name == "channel" and convolutions == pairs == 1
+            sizes.append(frames)
+    # the golden run's 20 copies: one group on one CPU, a share of 10 each
+    # on two
+    assert sizes == ([20] if cpus == 1 else [10, 10])
+
+
+@needs_fork
 def test_one_worker_serves_both_engines(fresh_pool, monkeypatch):
     # the package has one pool: a sweep and then a ranging run on two CPUs
     # fork one worker between them, and it answers both
